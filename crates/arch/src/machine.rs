@@ -230,6 +230,8 @@ impl ApMachine {
             .collect();
         hits.sort_unstable();
         hits.truncate(k);
+        // Answers outlive the query: drop the gathered candidates' capacity.
+        hits.shrink_to_fit();
         SimilarityOutcome {
             hits,
             stats: crate::similarity::query_stats(&self.config, active, sched.rounds, None),

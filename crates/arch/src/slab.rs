@@ -879,6 +879,8 @@ impl SlabMachine {
         }
         hits.sort_unstable();
         hits.truncate(k);
+        // Answers outlive the query: drop the gathered candidates' capacity.
+        hits.shrink_to_fit();
         let geometry = Some(RunGeometry {
             chunk_pes: self.chunk_pes,
             chunks_per_group: self.chunks_per_group,

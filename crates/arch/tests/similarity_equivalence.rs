@@ -164,10 +164,18 @@ proptest! {
         let got: Vec<(u32, u32, u32)> =
             want.hits.iter().map(|h| (h.distance, h.pe, h.row)).collect();
         prop_assert_eq!(got, oracle, "scalar engine diverged from oracle");
+        prop_assert!(
+            want.hits.capacity() <= 2 * k,
+            "scalar answer keeps capacity {} for k = {}", want.hits.capacity(), k
+        );
         for mode in [ExecMode::Sequential, ExecMode::Parallel, ExecMode::Auto] {
             for chunk_pes in CHUNK_WIDTHS {
                 let slab = build_slab(mode, chunk_pes, &loads, &prologue, faulty);
                 let got = slab.hamming_topk(&query, rows, k);
+                prop_assert!(
+                    got.hits.capacity() <= 2 * k,
+                    "slab answer keeps capacity {} for k = {}", got.hits.capacity(), k
+                );
                 prop_assert_eq!(
                     &want.hits, &got.hits,
                     "hits diverged under {:?} with {}-PE chunks (faulty={})",

@@ -10,7 +10,7 @@
 
 use crate::aig::{lit_inverted, lit_node, Aig, AigNode, Lit, FALSE, TRUE};
 use crate::dfg::{Dfg, DfgOp};
-use crate::lutmap::{self, complement_on_set, flip_on_set_input, MapOptions};
+use crate::lutmap::{self, complement_on_set, flip_on_set_input, MapOptions, PatternMemo};
 use crate::opt::{self, OptReport};
 use crate::pipeline::{CompileError, CompileOptions};
 use crate::rtl;
@@ -220,6 +220,8 @@ pub(crate) struct Gen {
     last_use: Vec<usize>,
     /// Nodes whose columns have been recycled.
     freed: Vec<bool>,
+    /// Cut costs shared by every LUT-mapping call of this compile.
+    pattern_memo: PatternMemo,
 }
 
 /// Generate code for a lowered DFG.
@@ -245,6 +247,7 @@ pub(crate) fn generate(
         materialized_neg: HashMap::new(),
         inverter_cache: HashMap::new(),
         one_slot: None,
+        pattern_memo: PatternMemo::default(),
     };
     let inputs = g.layout_inputs()?;
     // Liveness: last consumer of each node (outputs live forever).
@@ -631,7 +634,13 @@ impl Gen {
                         .filter(|n| !root_nodes.contains(n)),
                 );
             }
-            let mapping = lutmap::map(&self.aig, &roots, &leaf_set, &map_opts);
+            let mapping = lutmap::map(
+                &self.aig,
+                &roots,
+                &leaf_set,
+                &map_opts,
+                &mut self.pattern_memo,
+            );
             // A root another LUT consumes as a leaf must stay positive.
             let leaves_in_use: HashSet<u32> = mapping
                 .luts

@@ -100,9 +100,55 @@ pub fn flip_on_set_input(on_set: &[u16], input: usize) -> Vec<u16> {
     on_set.iter().map(|&m| m ^ (1 << input)).collect()
 }
 
+/// Minimized search counts by `(k, truth table)`, shared by every [`map`]
+/// call of one compile (the same bit-slice functions recur across regions
+/// and flushes). It lives as long as one compile, never process-wide, so a
+/// long-lived compiling process does not grow it without bound. Tables of
+/// at most six inputs fit one `u64` key.
+#[derive(Debug, Default)]
+pub struct PatternMemo {
+    narrow: HashMap<(u8, u64), usize>,
+    /// Wider tables; a `k`-input table is `2^(k-6)` words, so the key's
+    /// length fixes `k`.
+    wide: HashMap<Vec<u64>, usize>,
+}
+
+impl PatternMemo {
+    /// Searches (Σ N_patterns over single-bit positions) to realize the
+    /// `k`-input function `tt`.
+    fn searches(&mut self, k: usize, tt: &[u64]) -> usize {
+        let minimized = || {
+            let on: Vec<Vec<u8>> = (0..1usize << k)
+                .filter(|&m| tt[m / 64] >> (m % 64) & 1 == 1)
+                .map(|m| (0..k).map(|i| (m >> i & 1) as u8).collect())
+                .collect();
+            minimize(&Cover::new(vec![PosKind::Single; k], on)).num_searches()
+        };
+        if k <= 6 {
+            return *self
+                .narrow
+                .entry((k as u8, tt[0]))
+                .or_insert_with(minimized);
+        }
+        if let Some(&p) = self.wide.get(tt) {
+            return p;
+        }
+        let p = minimized();
+        self.wide.insert(tt.to_vec(), p);
+        p
+    }
+}
+
 /// Map the cones of `outputs` into LUTs. Nodes in `extra_leaves` are
-/// treated as free inputs (already materialized in storage).
-pub fn map(g: &Aig, outputs: &[Lit], extra_leaves: &HashSet<u32>, opts: &MapOptions) -> Mapping {
+/// treated as free inputs (already materialized in storage); `memo` caches
+/// cut costs across the calls of one compile.
+pub fn map(
+    g: &Aig,
+    outputs: &[Lit],
+    extra_leaves: &HashSet<u32>,
+    opts: &MapOptions,
+    memo: &mut PatternMemo,
+) -> Mapping {
     let cone = g.cone(outputs);
     let is_leaf = |id: u32| -> bool {
         matches!(g.node(id), AigNode::Const0 | AigNode::Input { .. }) || extra_leaves.contains(&id)
@@ -116,26 +162,6 @@ pub fn map(g: &Aig, outputs: &[Lit], extra_leaves: &HashSet<u32>, opts: &MapOpti
     }
     let mut cuts: HashMap<u32, Vec<Cut>> = HashMap::new();
     let mut best_cost: HashMap<u32, f64> = HashMap::new();
-    let mut pattern_memo: HashMap<(usize, Vec<u64>), usize> = HashMap::new();
-
-    let n_patterns = |g: &Aig,
-                      root: u32,
-                      leaves: &[u32],
-                      memo: &mut HashMap<(usize, Vec<u64>), usize>|
-     -> usize {
-        let (tt, k) = truth_table(g, root, leaves);
-        if let Some(&p) = memo.get(&(k, tt.clone())) {
-            return p;
-        }
-        let on: Vec<Vec<u8>> = (0..1usize << k)
-            .filter(|&m| tt[m / 64] >> (m % 64) & 1 == 1)
-            .map(|m| (0..k).map(|i| (m >> i & 1) as u8).collect())
-            .collect();
-        let sol = minimize(&Cover::new(vec![PosKind::Single; k], on));
-        let p = sol.num_searches();
-        memo.insert((k, tt), p);
-        p
-    };
 
     for &id in &cone {
         if is_leaf(id) {
@@ -181,7 +207,8 @@ pub fn map(g: &Aig, outputs: &[Lit], extra_leaves: &HashSet<u32>, opts: &MapOpti
                 if pool.iter().any(|c| c.leaves == leaves) {
                     continue;
                 }
-                let patterns = n_patterns(g, id, &leaves, &mut pattern_memo);
+                let (tt, k) = truth_table(g, id, &leaves);
+                let patterns = memo.searches(k, &tt);
                 let leaf_cost: f64 = leaves
                     .iter()
                     .map(|l| *best_cost.get(l).unwrap_or(&0.0))
@@ -245,55 +272,199 @@ pub fn map(g: &Aig, outputs: &[Lit], extra_leaves: &HashSet<u32>, opts: &MapOpti
 
 /// Truth table of node `root` over `leaves` (bit `m` of the packed table =
 /// value at minterm `m`; minterm bit `i` = leaf `i`).
+///
+/// One bit-parallel pass over the cone: leaf `i` starts as its projection
+/// pattern (bit `m` set iff bit `i` of `m` is), every AND node below the
+/// root is computed once with word operations, and the root's table is
+/// masked to `2^k` bits.
+///
+/// # Panics
+///
+/// Panics if `leaves` has more than 16 entries or the cut does not cover
+/// an input node of the cone.
 pub fn truth_table(g: &Aig, root: u32, leaves: &[u32]) -> (Vec<u64>, usize) {
     let k = leaves.len();
     assert!(k <= 16, "LUT wider than 16 inputs");
-    let leaf_index: HashMap<u32, usize> = leaves.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-    let mut tt = vec![0u64; (1usize << k).div_ceil(64)];
-    // Local cone from root down to leaves.
-    let mut vals: HashMap<u32, bool> = HashMap::new();
-    for m in 0..1usize << k {
-        vals.clear();
-        let v = eval_to_leaves(g, root, &leaf_index, m, &mut vals);
-        if v {
-            tt[m / 64] |= 1 << (m % 64);
+    let words = (1usize << k).div_ceil(64);
+    // The cone between the root and the cut, in ascending id order: AIG
+    // nodes only reference older nodes, so that order is topological.
+    let mut nodes: Vec<u32> = Vec::new();
+    let mut stack = vec![root];
+    while let Some(id) = stack.pop() {
+        if nodes.contains(&id) {
+            continue;
         }
+        nodes.push(id);
+        if leaves.contains(&id) {
+            continue;
+        }
+        match g.node(id) {
+            AigNode::Const0 => {}
+            AigNode::Input { .. } => panic!("cut does not cover input node {id}"),
+            AigNode::And(a, b) => stack.extend([lit_node(a), lit_node(b)]),
+        }
+    }
+    nodes.sort_unstable();
+    let slot = |id: u32| nodes.binary_search(&id).expect("cone node") * words;
+    let mut vals = vec![0u64; nodes.len() * words];
+    for (n, &id) in nodes.iter().enumerate() {
+        if let Some(i) = leaves.iter().position(|&l| l == id) {
+            for (w, v) in vals[n * words..(n + 1) * words].iter_mut().enumerate() {
+                *v = projection(i, w);
+            }
+        } else if let AigNode::And(a, b) = g.node(id) {
+            let (sa, sb) = (slot(lit_node(a)), slot(lit_node(b)));
+            let (ia, ib) = (inversion(a), inversion(b));
+            for w in 0..words {
+                vals[n * words + w] = (vals[sa + w] ^ ia) & (vals[sb + w] ^ ib);
+            }
+        }
+    }
+    let mut tt = vals[slot(root)..slot(root) + words].to_vec();
+    if k < 6 {
+        tt[0] &= (1u64 << (1 << k)) - 1;
     }
     (tt, k)
 }
 
-fn eval_to_leaves(
-    g: &Aig,
-    id: u32,
-    leaves: &HashMap<u32, usize>,
-    minterm: usize,
-    vals: &mut HashMap<u32, bool>,
-) -> bool {
-    if let Some(&i) = leaves.get(&id) {
-        return minterm >> i & 1 == 1;
+/// Word `w` of leaf `i`'s projection pattern.
+fn projection(i: usize, w: usize) -> u64 {
+    const LOW: [u64; 6] = [
+        0xAAAA_AAAA_AAAA_AAAA,
+        0xCCCC_CCCC_CCCC_CCCC,
+        0xF0F0_F0F0_F0F0_F0F0,
+        0xFF00_FF00_FF00_FF00,
+        0xFFFF_0000_FFFF_0000,
+        0xFFFF_FFFF_0000_0000,
+    ];
+    match LOW.get(i) {
+        Some(&p) => p,
+        None if w >> (i - 6) & 1 == 1 => !0,
+        None => 0,
     }
-    if let Some(&v) = vals.get(&id) {
-        return v;
+}
+
+/// All-ones when the literal is inverted.
+fn inversion(l: Lit) -> u64 {
+    if lit_inverted(l) {
+        !0
+    } else {
+        0
     }
-    let v = match g.node(id) {
-        AigNode::Const0 => false,
-        AigNode::Input { .. } => {
-            panic!("cut does not cover input node {id}")
-        }
-        AigNode::And(a, b) => {
-            let va = eval_to_leaves(g, lit_node(a), leaves, minterm, vals) ^ lit_inverted(a);
-            let vb = eval_to_leaves(g, lit_node(b), leaves, minterm, vals) ^ lit_inverted(b);
-            va && vb
-        }
-    };
-    vals.insert(id, v);
-    v
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aig::lit_not;
     use crate::rtl;
+    use proptest::prelude::*;
+
+    /// The per-minterm oracle for [`truth_table`]: evaluate the cone once
+    /// per minterm.
+    fn truth_table_by_minterm(g: &Aig, root: u32, leaves: &[u32]) -> Vec<u64> {
+        let leaf_index: HashMap<u32, usize> =
+            leaves.iter().enumerate().map(|(i, &n)| (n, i)).collect();
+        let mut tt = vec![0u64; (1usize << leaves.len()).div_ceil(64)];
+        let mut vals = HashMap::new();
+        for m in 0..1usize << leaves.len() {
+            vals.clear();
+            if eval_to_leaves(g, root, &leaf_index, m, &mut vals) {
+                tt[m / 64] |= 1 << (m % 64);
+            }
+        }
+        tt
+    }
+
+    fn eval_to_leaves(
+        g: &Aig,
+        id: u32,
+        leaves: &HashMap<u32, usize>,
+        minterm: usize,
+        vals: &mut HashMap<u32, bool>,
+    ) -> bool {
+        if let Some(&i) = leaves.get(&id) {
+            return minterm >> i & 1 == 1;
+        }
+        if let Some(&v) = vals.get(&id) {
+            return v;
+        }
+        let v = match g.node(id) {
+            AigNode::Const0 => false,
+            AigNode::Input { .. } => {
+                panic!("cut does not cover input node {id}")
+            }
+            AigNode::And(a, b) => {
+                let va = eval_to_leaves(g, lit_node(a), leaves, minterm, vals) ^ lit_inverted(a);
+                let vb = eval_to_leaves(g, lit_node(b), leaves, minterm, vals) ^ lit_inverted(b);
+                va && vb
+            }
+        };
+        vals.insert(id, v);
+        v
+    }
+
+    /// A random cone over `k` leaves: each step ANDs two earlier literals
+    /// (leaves, the constant or earlier steps), either polarity. With
+    /// `inner`, leaf `i` is the AND of two fresh inputs, so the cut sits
+    /// above the primary inputs. Returns the graph, the leaf node ids and
+    /// every node at or above the cut (the valid roots).
+    fn random_cone(
+        k: usize,
+        inner: bool,
+        steps: &[(u16, u16, bool, bool)],
+    ) -> (Aig, Vec<u32>, Vec<u32>) {
+        let mut g = Aig::new();
+        let mut lits: Vec<Lit> = (0..k)
+            .map(|_| {
+                let a = g.input();
+                if inner {
+                    let b = g.input();
+                    g.and(a, b)
+                } else {
+                    a
+                }
+            })
+            .collect();
+        let leaves = lits.iter().map(|&l| lit_node(l)).collect();
+        lits.push(g.constant(false));
+        for &(a, b, na, nb) in steps {
+            let pick = |i: u16, inv: bool| {
+                let l = lits[i as usize % lits.len()];
+                if inv {
+                    lit_not(l)
+                } else {
+                    l
+                }
+            };
+            let x = g.and(pick(a, na), pick(b, nb));
+            lits.push(x);
+        }
+        let roots = lits.iter().map(|&l| lit_node(l)).collect();
+        (g, leaves, roots)
+    }
+
+    proptest! {
+        #[test]
+        fn bit_parallel_truth_table_matches_per_minterm_oracle(
+            k in 1usize..=8,
+            inner in any::<bool>(),
+            steps in prop::collection::vec(
+                (any::<u16>(), any::<u16>(), any::<bool>(), any::<bool>()),
+                1..40,
+            ),
+            root_pick in any::<u16>(),
+            rotate in any::<u8>(),
+        ) {
+            let (g, mut leaves, roots) = random_cone(k, inner, &steps);
+            // Leaf order is the caller's; minterm bit i follows leaves[i].
+            leaves.rotate_left(rotate as usize % k);
+            let root = roots[root_pick as usize % roots.len()];
+            let (tt, width) = truth_table(&g, root, &leaves);
+            prop_assert_eq!(width, k);
+            prop_assert_eq!(tt, truth_table_by_minterm(&g, root, &leaves));
+        }
+    }
 
     #[test]
     fn complement_on_set_inverts_the_function() {
@@ -329,7 +500,13 @@ mod tests {
         let a: Vec<Lit> = (0..3).map(|_| g.input()).collect();
         let b: Vec<Lit> = (0..3).map(|_| g.input()).collect();
         let sum = rtl::add(&mut g, &a.clone(), &b.clone(), 4);
-        let mapping = map(&g, &sum, &HashSet::new(), &MapOptions::default());
+        let mapping = map(
+            &g,
+            &sum,
+            &HashSet::new(),
+            &MapOptions::default(),
+            &mut PatternMemo::default(),
+        );
         // 4 output bits; with 8-input LUTs the whole 3-bit adder fits in
         // at most 4 LUTs (one per output), usually fewer nodes duplicated.
         assert!(!mapping.luts.is_empty());
@@ -337,17 +514,8 @@ mod tests {
         // Verify each LUT's truth table against direct AIG evaluation.
         for lut in &mapping.luts {
             for m in 0..1u16 << lut.leaves.len() {
-                let expected = {
-                    let leaf_idx: HashMap<u32, usize> = lut
-                        .leaves
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &n)| (n, i))
-                        .collect();
-                    let mut vals = HashMap::new();
-                    eval_to_leaves(&g, lut.root, &leaf_idx, m as usize, &mut vals)
-                };
-                assert_eq!(lut.on_set.contains(&m), expected);
+                let expected = truth_table_by_minterm(&g, lut.root, &lut.leaves);
+                assert_eq!(lut.on_set.contains(&m), expected[0] >> m & 1 == 1);
             }
         }
     }
@@ -364,7 +532,15 @@ mod tests {
                 alpha,
                 ..MapOptions::default()
             };
-            map(&g, &sum, &HashSet::new(), &opts).luts.len()
+            map(
+                &g,
+                &sum,
+                &HashSet::new(),
+                &opts,
+                &mut PatternMemo::default(),
+            )
+            .luts
+            .len()
         };
         assert!(build(10.0) <= build(1.0));
     }
@@ -379,7 +555,13 @@ mod tests {
         // Declare x materialized: the mapping must treat it as a leaf.
         let mut leaves = HashSet::new();
         leaves.insert(lit_node(x));
-        let mapping = map(&g, &[y], &leaves, &MapOptions::default());
+        let mapping = map(
+            &g,
+            &[y],
+            &leaves,
+            &MapOptions::default(),
+            &mut PatternMemo::default(),
+        );
         assert_eq!(mapping.luts.len(), 1);
         assert!(mapping.luts[0].leaves.contains(&lit_node(x)));
     }
@@ -418,6 +600,7 @@ mod tests {
                 max_inputs: 4,
                 ..MapOptions::default()
             },
+            &mut PatternMemo::default(),
         );
         // Every non-primary leaf must appear as an earlier LUT root.
         let mut produced: HashSet<u32> = HashSet::new();

@@ -10,12 +10,15 @@
 //!
 //! The minimizer here is an espresso-MV-lite: minterm seeding, per-position
 //! expansion against the OFF-set, prime deduplication, and greedy set cover
-//! with an exact branch-and-bound fallback for small instances. It is used by
+//! with an exact branch-and-bound fallback for small instances. Minterms are
+//! indexed in mixed radix so the OFF-set is a bitset, and terms are packed
+//! four bits per position into one `u64`. It is used by
 //! both the hand-optimized arithmetic microcode (the paper's "RTL library
 //! developed by experts") and the compiler's LUT-generation step (§V-B4).
 
 use crate::encoding::PairSubset;
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
 
 /// The kind of one input position of a lookup table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -150,155 +153,280 @@ impl Solution {
 ///
 /// # Panics
 ///
-/// Panics if any minterm's length differs from the number of positions.
+/// Panics if any minterm's length differs from the number of positions, if
+/// a minterm value is out of range for its position, or if a non-empty
+/// cover has more than 16 positions.
 pub fn minimize(cover: &Cover) -> Solution {
     for m in cover.on_set.iter().chain(&cover.dc_set) {
         assert_eq!(m.len(), cover.positions.len(), "minterm arity mismatch");
+        assert!(
+            m.iter().zip(&cover.positions).all(|(&v, p)| v < p.arity()),
+            "minterm value out of range: {m:?}"
+        );
     }
     if cover.on_set.is_empty() {
         return Solution { terms: Vec::new() };
     }
-    let off = cover.off_set();
+    let n = cover.positions.len();
+    assert!(n <= 16, "at most 16 positions are supported, got {n}");
+    let space = Space::new(&cover.positions);
+    let w = space.words;
+    let off = space.off_set(cover);
 
     // 1. Expand each ON minterm into a prime: greedily raise each position to
     //    the maximal subset that avoids the OFF-set. Doing two passes with
     //    different position orders yields a richer prime pool.
-    let mut primes: Vec<Term> = Vec::new();
-    let n = cover.positions.len();
-    let orders: Vec<Vec<usize>> = vec![(0..n).collect(), (0..n).rev().collect()];
+    //
+    //    The term before a trial never covers an OFF minterm (it starts as an
+    //    ON minterm and only grows by accepted trials), so adding value `v`
+    //    at `pos` reaches the OFF-set iff the new slice does: the minterms
+    //    with `v` at `pos` and the term's values everywhere else.
+    let orders: [Vec<usize>; 2] = [(0..n).collect(), (0..n).rev().collect()];
+    let mut primes: Vec<u64> = Vec::new();
+    let mut seen: HashSet<u64> = HashSet::new();
+    // Row `j` of `allowed`: the minterms whose value at `j` the term admits.
+    let mut allowed = vec![0u64; n * w];
+    let mut rest = vec![0u64; w];
     for minterm in &cover.on_set {
         for order in &orders {
-            let mut term = Term::from_minterm(minterm);
+            for (j, &v) in minterm.iter().enumerate() {
+                allowed[j * w..(j + 1) * w].copy_from_slice(space.proj(j, v));
+            }
+            let mut term = one_hot(minterm);
             for &pos in order {
-                let mut best = term.subsets[pos];
-                for v in 0..cover.positions[pos].arity() {
-                    if best.contains(v) {
-                        continue;
-                    }
-                    let trial = best.union(PairSubset::singleton(v));
-                    let mut t2 = term.clone();
-                    t2.subsets[pos] = trial;
-                    if !off.iter().any(|m| t2.covers(m)) {
-                        best = trial;
+                // OFF minterms agreeing with the term off `pos`.
+                rest.copy_from_slice(&off);
+                for (j, row) in allowed.chunks(w).enumerate() {
+                    if j != pos {
+                        rest.iter_mut().zip(row).for_each(|(r, a)| *r &= a);
                     }
                 }
-                term.subsets[pos] = best;
+                let mut best = nibble(term, pos);
+                for v in 0..cover.positions[pos].arity() {
+                    let slice = space.proj(pos, v);
+                    if best >> v & 1 == 0 && !intersects(&rest, slice) {
+                        best |= 1 << v;
+                        let row = &mut allowed[pos * w..(pos + 1) * w];
+                        row.iter_mut().zip(slice).for_each(|(a, s)| *a |= s);
+                    }
+                }
+                term = term & !(0xF << (4 * pos)) | (best as u64) << (4 * pos);
             }
-            if !primes.contains(&term) {
+            if seen.insert(term) {
                 primes.push(term);
             }
         }
     }
 
     // Drop primes contained in other primes.
+    let contained = |a: u64, b: u64| a & !b == 0;
     let mut keep = vec![true; primes.len()];
     for i in 0..primes.len() {
         for j in 0..primes.len() {
             if i != j
                 && keep[i]
                 && keep[j]
-                && primes[i].is_contained_in(&primes[j])
-                && !(primes[j].is_contained_in(&primes[i]) && j > i)
+                && contained(primes[i], primes[j])
+                && !(contained(primes[j], primes[i]) && j > i)
             {
                 keep[i] = false;
             }
         }
     }
-    let primes: Vec<Term> = primes
+    let primes: Vec<u64> = primes
         .into_iter()
         .zip(keep)
         .filter_map(|(p, k)| k.then_some(p))
         .collect();
 
     // 2. Cover: exact branch-and-bound for small instances, greedy otherwise.
-    let coverage: Vec<Vec<usize>> = primes
-        .iter()
-        .map(|p| {
-            cover
-                .on_set
-                .iter()
-                .enumerate()
-                .filter_map(|(i, m)| p.covers(m).then_some(i))
-                .collect()
-        })
-        .collect();
-    let greedy = greedy_cover(cover.on_set.len(), &coverage);
-    let chosen = if primes.len() <= 24 && cover.on_set.len() <= 64 {
-        exact_cover(cover.on_set.len(), &coverage, greedy.len()).unwrap_or(greedy)
+    //    Row `i` of `coverage` is the bitset of ON-set indices prime `i`
+    //    covers.
+    let on_hot: Vec<u64> = cover.on_set.iter().map(|m| one_hot(m)).collect();
+    let on_words = on_hot.len().div_ceil(64);
+    let mut coverage = vec![0u64; primes.len() * on_words];
+    for (row, &p) in coverage.chunks_mut(on_words).zip(&primes) {
+        for (i, &m) in on_hot.iter().enumerate() {
+            if contained(m, p) {
+                row[i / 64] |= 1 << (i % 64);
+            }
+        }
+    }
+    let greedy = greedy_cover(on_hot.len(), on_words, &coverage);
+    let chosen = if primes.len() <= 24 && on_hot.len() <= 64 {
+        exact_cover(on_hot.len(), &coverage, greedy.len()).unwrap_or(greedy)
     } else {
         greedy
     };
     Solution {
-        terms: chosen.into_iter().map(|i| primes[i].clone()).collect(),
+        terms: chosen
+            .into_iter()
+            .map(|i| Term {
+                subsets: (0..n)
+                    .map(|pos| PairSubset(nibble(primes[i], pos)))
+                    .collect(),
+            })
+            .collect(),
     }
 }
 
-fn greedy_cover(n_minterms: usize, coverage: &[Vec<usize>]) -> Vec<usize> {
-    let mut uncovered: Vec<bool> = vec![true; n_minterms];
+/// A term or minterm packed four bits per position: nibble `pos` is the
+/// position's admitted value subset.
+fn one_hot(values: &[u8]) -> u64 {
+    values
+        .iter()
+        .enumerate()
+        .fold(0, |acc, (pos, &v)| acc | 1 << (4 * pos + v as usize))
+}
+
+fn nibble(packed: u64, pos: usize) -> u8 {
+    (packed >> (4 * pos) & 0xF) as u8
+}
+
+/// A bitset with bits `0..bits` set.
+fn ones(bits: usize) -> Vec<u64> {
+    let mut set = vec![!0u64; bits.div_ceil(64)];
+    if let Some(last) = set.last_mut().filter(|_| !bits.is_multiple_of(64)) {
+        *last = (1 << (bits % 64)) - 1;
+    }
+    set
+}
+
+fn intersects(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).any(|(x, y)| x & y != 0)
+}
+
+/// The input space in mixed radix (position 0 least significant), with one
+/// projection bitset per (position, value): the minterms taking `value` at
+/// `position`.
+struct Space {
+    words: usize,
+    /// First projection row of each position.
+    first_row: Vec<usize>,
+    /// `words`-long bitset rows, one per (position, value).
+    proj: Vec<u64>,
+    strides: Vec<usize>,
+    size: usize,
+}
+
+impl Space {
+    fn new(positions: &[PosKind]) -> Self {
+        let size = positions.iter().map(|p| p.arity() as usize).product();
+        let words = usize::div_ceil(size, 64);
+        let mut first_row = Vec::with_capacity(positions.len());
+        let mut strides = Vec::with_capacity(positions.len());
+        let (mut rows, mut stride) = (0, 1);
+        for p in positions {
+            first_row.push(rows);
+            strides.push(stride);
+            rows += p.arity() as usize;
+            stride *= p.arity() as usize;
+        }
+        let mut proj = vec![0u64; rows * words];
+        for x in 0..size {
+            for (pos, p) in positions.iter().enumerate() {
+                let v = x / strides[pos] % p.arity() as usize;
+                proj[(first_row[pos] + v) * words + x / 64] |= 1 << (x % 64);
+            }
+        }
+        Space {
+            words,
+            first_row,
+            proj,
+            strides,
+            size,
+        }
+    }
+
+    fn proj(&self, pos: usize, value: u8) -> &[u64] {
+        let row = self.first_row[pos] + value as usize;
+        &self.proj[row * self.words..(row + 1) * self.words]
+    }
+
+    fn index(&self, values: &[u8]) -> usize {
+        values
+            .iter()
+            .zip(&self.strides)
+            .map(|(&v, s)| v as usize * s)
+            .sum()
+    }
+
+    /// Bitset of every minterm not in ON ∪ DC.
+    fn off_set(&self, cover: &Cover) -> Vec<u64> {
+        let mut off = ones(self.size);
+        for m in cover.on_set.iter().chain(&cover.dc_set) {
+            let x = self.index(m);
+            off[x / 64] &= !(1 << (x % 64));
+        }
+        off
+    }
+}
+
+/// Greedy set cover over `coverage` rows (`words` u64s each): repeatedly
+/// take the prime covering the most uncovered ON minterms, the last one on
+/// ties.
+fn greedy_cover(n_minterms: usize, words: usize, coverage: &[u64]) -> Vec<usize> {
+    let mut uncovered = ones(n_minterms);
     let mut remaining = n_minterms;
     let mut chosen = Vec::new();
     while remaining > 0 {
+        let gain = |row: &[u64]| -> usize {
+            row.iter()
+                .zip(&uncovered)
+                .map(|(c, u)| (c & u).count_ones() as usize)
+                .sum()
+        };
         let (best, gain) = coverage
-            .iter()
+            .chunks(words)
+            .map(gain)
             .enumerate()
-            .map(|(i, c)| (i, c.iter().filter(|&&m| uncovered[m]).count()))
             .max_by_key(|&(_, g)| g)
             .expect("primes cover all ON minterms");
         assert!(gain > 0, "prime pool fails to cover the ON-set");
         chosen.push(best);
-        for &m in &coverage[best] {
-            if uncovered[m] {
-                uncovered[m] = false;
-                remaining -= 1;
-            }
+        for (u, c) in uncovered.iter_mut().zip(&coverage[best * words..]) {
+            *u &= !c;
         }
+        remaining -= gain;
     }
     chosen
 }
 
-fn exact_cover(n_minterms: usize, coverage: &[Vec<usize>], upper: usize) -> Option<Vec<usize>> {
-    // Branch and bound on the first uncovered minterm.
+/// Exact minimum cover by branch and bound on the first uncovered minterm,
+/// for at most 64 ON minterms (one u64 coverage mask per prime). Returns
+/// `None` when no cover of at most `upper` primes exists.
+fn exact_cover(n_minterms: usize, coverage: &[u64], upper: usize) -> Option<Vec<usize>> {
     fn recurse(
-        n_minterms: usize,
-        coverage: &[Vec<usize>],
-        covered: &mut Vec<u32>,
+        coverage: &[u64],
+        uncovered: u64,
         chosen: &mut Vec<usize>,
         best: &mut Option<Vec<usize>>,
         budget: usize,
     ) {
-        let first = (0..n_minterms).find(|&m| covered[m] == 0);
-        let Some(first) = first else {
+        if uncovered == 0 {
             if best.as_ref().is_none_or(|b| chosen.len() < b.len()) {
                 *best = Some(chosen.clone());
             }
             return;
-        };
+        }
         if chosen.len() + 1 > budget {
             return;
         }
-        let candidates: Vec<usize> = coverage
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| c.contains(&first).then_some(i))
-            .collect();
-        for i in candidates {
+        let first = uncovered.trailing_zeros();
+        for (i, &c) in coverage.iter().enumerate() {
+            if c >> first & 1 == 0 {
+                continue;
+            }
             chosen.push(i);
-            for &m in &coverage[i] {
-                covered[m] += 1;
-            }
             let budget = best.as_ref().map_or(budget, |b| b.len() - 1);
-            recurse(n_minterms, coverage, covered, chosen, best, budget);
-            for &m in &coverage[i] {
-                covered[m] -= 1;
-            }
+            recurse(coverage, uncovered & !c, chosen, best, budget);
             chosen.pop();
         }
     }
     let mut best = None;
     recurse(
-        n_minterms,
         coverage,
-        &mut vec![0; n_minterms],
+        ones(n_minterms)[0],
         &mut Vec::new(),
         &mut best,
         upper,

@@ -155,9 +155,60 @@ mod mvsop_properties {
         })
     }
 
+    /// Random position-kind mixes with random ON, don't-care and OFF
+    /// minterms: Single-only up to 6 positions, free mixes, and Pair-only
+    /// spaces up to 4,096 minterms. The don't-care set is never empty.
+    fn mixed_cover() -> impl Strategy<Value = Cover> {
+        (0usize..3, 1usize..=6, any::<u64>()).prop_map(|(shape, n, seed)| {
+            let mut state = seed;
+            let mut next = move || {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^ (z >> 31)
+            };
+            let positions: Vec<PosKind> = (0..n)
+                .map(|_| match (shape, next() % 4) {
+                    (0, _) | (1, 0 | 1) => PosKind::Single,
+                    _ => PosKind::Pair,
+                })
+                .collect();
+            let (on_pct, dc_pct) = (1 + next() % 90, 1 + next() % 30);
+            let mut on = Vec::new();
+            let mut dc = Vec::new();
+            let space: usize = positions.iter().map(|p| p.arity() as usize).product();
+            let forced_dc = next() as usize % space;
+            for x in 0..space {
+                let mut rest = x;
+                let minterm: Vec<u8> = positions
+                    .iter()
+                    .map(|p| {
+                        let v = (rest % p.arity() as usize) as u8;
+                        rest /= p.arity() as usize;
+                        v
+                    })
+                    .collect();
+                let roll = next() % 100;
+                if x == forced_dc {
+                    dc.push(minterm);
+                } else if roll < on_pct {
+                    on.push(minterm);
+                } else if roll < on_pct + dc_pct {
+                    dc.push(minterm);
+                }
+            }
+            let mut cover = Cover::new(positions, on);
+            cover.dc_set = dc;
+            cover
+        })
+    }
+
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
         #[test]
-        fn minimized_cover_is_exact(cover in random_cover()) {
+        fn minimized_cover_is_exact(cover in mixed_cover()) {
             let sol = minimize(&cover);
             let off = cover.off_set();
             for m in &cover.on_set {
@@ -168,8 +219,13 @@ mod mvsop_properties {
                 prop_assert!(!sol.terms.iter().any(|t| t.covers(m)),
                              "OFF minterm {:?} covered", m);
             }
+            if !cover.on_set.is_empty() {
+                prop_assert!(sol.num_searches() <= traditional_searches(&cover));
+            }
         }
+    }
 
+    proptest! {
         #[test]
         fn minimized_never_exceeds_traditional(cover in random_cover()) {
             let sol = minimize(&cover);
