@@ -4,12 +4,15 @@ use hyperap_model::tech::TechParams;
 use hyperap_tcam::FaultModel;
 use serde::{Deserialize, Serialize};
 
-/// Engine threading policy: how the per-group PE fan-out executes.
+/// Slab-engine threading policy: how [`crate::SlabMachine`] fans a trace
+/// segment (or a similarity query) out over its chunks. The
+/// [`crate::ApMachine`] interpreter always runs on the calling thread and
+/// ignores it.
 ///
 /// Sequential and parallel execution are bit-identical by construction —
-/// per-PE work is independent and reduction results are collected in
-/// ascending PE order — so this knob trades wall-clock only, never results
-/// (property-tested in `tests/engine_equivalence.rs`).
+/// chunks are disjoint and reduction results are collected in ascending PE
+/// order — so this knob trades wall-clock only, never results
+/// (property-tested in `tests/slab_engine_equivalence.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum ExecMode {
     /// Thread a dispatch only when the host can profit from forking at all
@@ -231,8 +234,8 @@ pub struct ArchConfig {
     /// Optional explicit PE-mesh shape for `MovR` (rows, cols); when unset
     /// the PEs form a near-square grid.
     pub mesh: Option<(usize, usize)>,
-    /// Execution-engine threading policy (results are identical under every
-    /// mode; see [`ExecMode`]).
+    /// Slab-engine threading policy (results are identical under every
+    /// mode; see [`ExecMode`]). The interpreter ignores it.
     pub exec: ExecMode,
     /// Fault-injection policy; the default injects nothing and keeps the
     /// engines on their fault-free kernels. The named constructors
@@ -427,8 +430,8 @@ mod tests {
     #[test]
     fn auto_break_even_rule() {
         let fj = 2_000; // the par::forkjoin_overhead_ns floor
-                        // Tiny interpreter dispatch (tiny() geometry, one instruction):
-                        // 64 slots × 1 op is far below break-even — Auto stays inline.
+                        // Tiny dispatch (tiny() geometry, one micro-op): 64 slots
+                        // × 1 op is far below break-even — Auto stays inline.
         assert_eq!(ExecMode::dispatch_threads_calibrated(2, 64, 1, fj), 1);
         // A full add32 segment on one paper-scaled group: 64 PEs × 256
         // rows × 380 micro-ops clears it easily.

@@ -19,15 +19,15 @@
 //! an event-stepped loop with `Wait`-based synchronization, exactly the
 //! compile-time synchronization scheme of §IV-A12.
 //!
-//! Execution trace-compiles each stream ([`trace`]) into per-PE segment
-//! traces bounded by cross-PE synchronization points, paying one fork-join
-//! per segment; the instruction-at-a-time interpreter remains as the
-//! bit-identical reference engine
-//! ([`ApMachine::run_interpreted`](machine::ApMachine::run_interpreted)).
-//! [`SlabMachine`] ([`slab`]) runs the same compiled traces over contiguous
-//! multi-PE [`hyperap_tcam::slab::TcamSlab`] arenas — each micro-op executes
-//! once per chunk as a fused linear sweep instead of once per PE — and is
-//! bit-identical to [`ApMachine`] (property-tested in
+//! Two engines run this machine. [`ApMachine`] ([`machine`]) is the
+//! instruction-at-a-time interpreter over one [`hyperap_core::HyperPe`] per
+//! PE: the reference every other result is checked against.
+//! [`SlabMachine`] ([`slab`]) is the fast engine: it trace-compiles each
+//! stream ([`trace`]) into segments bounded by cross-PE synchronization
+//! points and runs them over contiguous multi-PE
+//! [`hyperap_tcam::slab::TcamSlab`] arenas — each micro-op executes once
+//! per chunk as a fused linear sweep instead of once per PE, with one
+//! fork-join per segment. The two are bit-identical (property-tested in
 //! `tests/slab_engine_equivalence.rs`).
 //!
 //! # Example
@@ -51,6 +51,7 @@
 #![warn(missing_docs)]
 
 pub mod config;
+mod control;
 pub mod machine;
 pub mod par;
 pub mod similarity;

@@ -1,12 +1,13 @@
-//! Fork-join helpers for the execution engine.
+//! Fork-join helpers for the slab engine.
 //!
-//! The engine's only parallel shape is a fan-out over disjoint chunks of a
-//! per-group PE slice. `rayon` is not available in the offline build, so
-//! these helpers provide the same shape with [`std::thread::scope`]: the
-//! slice is split into near-equal contiguous chunks, one scoped thread per
-//! chunk, and the scope joins them all before returning. With one thread
-//! (or a trivially small slice) the call degrades to a plain loop on the
-//! caller's thread — no spawn, no synchronization, no allocation.
+//! The engine's only parallel shape is a fan-out over disjoint slab chunks
+//! (a group's chunks for a trace segment, every chunk for a similarity
+//! query). `rayon` is not available in the offline build, so these helpers
+//! provide the same shape with [`std::thread::scope`]: the slice is split
+//! into near-equal contiguous chunks, one scoped thread per chunk, and the
+//! scope joins them all before returning. With one thread (or a trivially
+//! small slice) the call degrades to a plain loop on the caller's thread —
+//! no spawn, no synchronization, no allocation.
 //!
 //! Determinism: chunks are disjoint, each element is touched by exactly one
 //! thread, and callers receive the chunk's starting offset so any results
@@ -187,38 +188,6 @@ where
     });
 }
 
-/// Like [`for_each_chunk`], but hands each chunk the matching chunk of
-/// `out` (identical offsets), for fan-outs producing per-element results.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn for_each_chunk_zip<T, U, F>(threads: usize, data: &mut [T], out: &mut [U], f: F)
-where
-    T: Send,
-    U: Send,
-    F: Fn(usize, &mut [T], &mut [U]) + Sync,
-{
-    assert_eq!(data.len(), out.len(), "zip length mismatch");
-    let n = data.len();
-    if threads <= 1 || n < 2 {
-        f(0, data, out);
-        return;
-    }
-    let chunk = n.div_ceil(threads.min(n));
-    std::thread::scope(|scope| {
-        let mut chunks = data.chunks_mut(chunk).zip(out.chunks_mut(chunk));
-        let first = chunks.next();
-        for (i, (a, b)) in chunks.enumerate() {
-            let f = &f;
-            scope.spawn(move || f((i + 1) * chunk, a, b));
-        }
-        if let Some((a, b)) = first {
-            f(0, a, b);
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,23 +214,6 @@ mod tests {
                 assert_eq!(*x, off + i);
             }
         });
-    }
-
-    #[test]
-    fn zip_chunks_stay_aligned() {
-        for threads in [1, 3, 5] {
-            let mut data: Vec<usize> = (0..41).collect();
-            let mut out = vec![0usize; 41];
-            for_each_chunk_zip(threads, &mut data, &mut out, |off, a, b| {
-                assert_eq!(a.len(), b.len());
-                for i in 0..a.len() {
-                    b[i] = a[i] * 2 + off - off;
-                }
-            });
-            for (i, x) in out.iter().enumerate() {
-                assert_eq!(*x, i * 2, "threads={threads}");
-            }
-        }
     }
 
     #[test]
@@ -303,13 +255,5 @@ mod tests {
         let a = forkjoin_overhead_ns();
         assert!(a >= 2_000, "floor keeps Auto honest on coarse clocks");
         assert_eq!(a, forkjoin_overhead_ns(), "calibrated once, then cached");
-    }
-
-    #[test]
-    #[should_panic(expected = "zip length mismatch")]
-    fn zip_length_mismatch_panics() {
-        let mut a = vec![0u8; 3];
-        let mut b = vec![0u8; 4];
-        for_each_chunk_zip(2, &mut a, &mut b, |_, _, _| {});
     }
 }

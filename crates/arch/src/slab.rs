@@ -1,11 +1,12 @@
 //! The slab execution engine: trace segments over contiguous multi-PE
 //! arenas.
 //!
-//! [`crate::ApMachine`] stores each PE as its own [`HyperPe`] — per-column
-//! `Vec<u64>` pairs whose scattered layout defeats the cache and forces
-//! every micro-op to be dispatched once per PE. [`SlabMachine`] executes
-//! the same compiled traces ([`crate::trace`]) over [`TcamSlab`] arenas
-//! instead: each group's PEs are partitioned into a few 64-aligned chunks,
+//! [`crate::ApMachine`], the interpreter oracle, stores each PE as its own
+//! [`HyperPe`] — per-column `Vec<u64>` pairs whose scattered layout defeats
+//! the cache — and dispatches every instruction once per PE.
+//! [`SlabMachine`] instead compiles the streams into traces
+//! ([`crate::trace`]) and executes them over [`TcamSlab`] arenas: each
+//! group's PEs are partitioned into a few 64-aligned chunks,
 //! and a segment micro-op runs **once per chunk** as a fused bit-plane
 //! kernel — each 64-bit ALU op processes the same cell position across 64
 //! PEs at once ([`TcamSlab::search_plan_multi_into`] and friends), with
@@ -28,12 +29,15 @@
 //! * Segments execute micro-ops in program order; within one micro-op the
 //!   PEs are independent, so sweeping PEs per op commutes with the per-PE
 //!   engine's op-per-PE order.
-//! * Synchronization points reimplement the interpreter's instruction
-//!   semantics over the slab, in the same ascending-PE order, driven by the
-//!   same event loop (`trace::drive_steps`).
+//! * Synchronization points apply the interpreter's instruction semantics
+//!   over the slab, in the same ascending-PE order, with every
+//!   storage-independent rule (bank gating, `MovR` routing, register
+//!   targets, immediate decoding) taken from the crate's shared `control`
+//!   module. The event loop (`trace::drive_steps`) schedules steps by the
+//!   interpreter's `(issue cycle, group)` key.
 
 use crate::config::{ArchConfig, ExecMode};
-use crate::machine::{ActiveSet, ApMachine, KeySnapshot, BROADCAST_ADDR};
+use crate::control::{self, ActiveSet, MovStep, WriteTarget};
 use crate::par;
 use crate::similarity::{SimilarityHit, SimilarityOutcome};
 use crate::stats::{PeHealth, RunGeometry, RunStats};
@@ -48,6 +52,11 @@ use hyperap_tcam::similarity as tcam_similarity;
 use hyperap_tcam::slab::{SlabTopk, SweepOp, TagSlab, TcamSlab};
 use hyperap_tcam::tags::TagVector;
 use hyperap_tcam::FaultError;
+
+/// A group's key-register state snapshotted at trace-run entry: the key
+/// plus its precompiled active-column plan (consumed by `PlanRef::Entry`
+/// micro-ops).
+type KeySnapshot = (SearchKey, Vec<(usize, KeyBit)>);
 
 /// One contiguous arena covering a sub-range of a group's PEs, with every
 /// per-PE register file the engine needs in matching multi-PE layout. The
@@ -373,7 +382,8 @@ impl std::fmt::Display for RestoreError {
 impl std::error::Error for RestoreError {}
 
 /// A simulated Hyper-AP machine backed by slab storage — the fast engine,
-/// bit-identical to [`ApMachine`] (see the [module docs](self)).
+/// bit-identical to the [`ApMachine`](crate::ApMachine) interpreter (see
+/// the [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct SlabMachine {
     config: ArchConfig,
@@ -519,12 +529,22 @@ impl SlabMachine {
 
     /// Locate a PE: `(chunk index, chunk-relative slot)`.
     fn chunk_of(&self, pe: usize) -> (usize, usize) {
-        let per = self.config.pes_per_group();
-        let (group, rel) = (pe / per, pe % per);
-        (
-            group * self.chunks_per_group + rel / self.chunk_pes,
-            rel % self.chunk_pes,
+        locate(
+            self.config.pes_per_group(),
+            self.chunks_per_group,
+            self.chunk_pes,
+            pe,
         )
+    }
+
+    /// The resolved execution geometry logged in [`RunStats::geometry`].
+    fn geometry(&self) -> RunGeometry {
+        RunGeometry {
+            chunk_pes: self.chunk_pes,
+            chunks_per_group: self.chunks_per_group,
+            pe_words: self.chunk_pes.div_ceil(64),
+            threads: self.threads,
+        }
     }
 
     /// Snapshot one PE as a standalone [`HyperPe`] (cells, wear, tags,
@@ -814,9 +834,9 @@ impl SlabMachine {
     /// many rounds as the global controller needs, so the per-round counts
     /// sum to the exact global schedule and the merged winners are the
     /// exact global top-k. Bit-identical in hits *and* [`RunStats`] to
-    /// [`ApMachine::hamming_topk`] under every [`ExecMode`] and chunk
-    /// width; see [`crate::similarity`]. Read-only: no wear, no epoch
-    /// advance.
+    /// [`ApMachine::hamming_topk`](crate::ApMachine::hamming_topk) under
+    /// every [`ExecMode`] and chunk width; see [`crate::similarity`].
+    /// Read-only: no wear, no epoch advance.
     ///
     /// # Panics
     ///
@@ -881,15 +901,14 @@ impl SlabMachine {
         hits.truncate(k);
         // Answers outlive the query: drop the gathered candidates' capacity.
         hits.shrink_to_fit();
-        let geometry = Some(RunGeometry {
-            chunk_pes: self.chunk_pes,
-            chunks_per_group: self.chunks_per_group,
-            pe_words: self.chunk_pes.div_ceil(64),
-            threads: self.threads,
-        });
         SimilarityOutcome {
             hits,
-            stats: crate::similarity::query_stats(&self.config, active, rounds, geometry),
+            stats: crate::similarity::query_stats(
+                &self.config,
+                active,
+                rounds,
+                Some(self.geometry()),
+            ),
         }
     }
 
@@ -900,8 +919,8 @@ impl SlabMachine {
     }
 
     /// Run one instruction stream per group to completion — identical
-    /// contract to [`ApMachine::run`], compiled through the same
-    /// [`crate::trace`] pipeline.
+    /// contract and results to [`ApMachine::run`](crate::ApMachine::run),
+    /// executed through compiled traces ([`crate::trace`]).
     ///
     /// Compiled traces are cached by stream content: rerunning the same
     /// streams (the steady state of a kernel executed many times) skips
@@ -914,7 +933,7 @@ impl SlabMachine {
 
     /// [`run`](Self::run) surfacing fault degradation as a typed error
     /// instead of a panic — identical contract (including the exact error)
-    /// to [`ApMachine::try_run`].
+    /// to [`ApMachine::try_run`](crate::ApMachine::try_run).
     pub fn try_run(&mut self, streams: &[Vec<Instruction>]) -> Result<RunStats, FaultError> {
         let cached = self
             .trace_cache
@@ -986,16 +1005,19 @@ impl SlabMachine {
         Ok(())
     }
 
-    /// Run precompiled traces — identical contract (and results) to
-    /// [`ApMachine::run_compiled`], with segments executed as fused slab
-    /// kernels instead of per-PE loops.
-    pub fn run_compiled(&mut self, traces: &[CompiledTrace]) -> RunStats {
-        self.try_run_compiled(traces)
-            .unwrap_or_else(|e| panic!("fault degradation: {e}"))
-    }
-
-    /// [`run_compiled`](Self::run_compiled) surfacing fault degradation as
-    /// a typed error (see [`try_run`](Self::try_run)).
+    /// Run precompiled traces ([`trace::compile_streams`]) — the hot path
+    /// behind [`try_run`](Self::try_run), reusable when the same streams
+    /// execute many times. Identical results (and the same typed error on
+    /// fault degradation) as
+    /// [`ApMachine::try_run`](crate::ApMachine::try_run) on the streams the
+    /// traces were compiled from.
+    ///
+    /// The event loop schedules whole *steps* (segments or single
+    /// synchronization points) by the interpreter's `(issue cycle, group)`
+    /// key. Segment-internal micro-ops touch only group-private state, so
+    /// running a segment as one block commutes with every other group's
+    /// work; synchronization points retire in exactly the interpreter's
+    /// order because all cycle costs are static.
     pub fn try_run_compiled(&mut self, traces: &[CompiledTrace]) -> Result<RunStats, FaultError> {
         self.try_run_compiled_inner(traces)
     }
@@ -1017,20 +1039,11 @@ impl SlabMachine {
     ) -> Result<RunStats, FaultError> {
         self.begin_run()?;
         let groups = self.config.groups;
-        let mut stats = RunStats {
-            group_cycles: vec![0; groups],
-            group_ops: vec![OpCounts::default(); groups],
-            count_results: vec![Vec::new(); groups],
-            index_results: vec![Vec::new(); groups],
-            pe_health: Vec::new(),
-            geometry: Some(RunGeometry {
-                chunk_pes: self.chunk_pes,
-                chunks_per_group: self.chunks_per_group,
-                pe_words: self.chunk_pes.div_ceil(64),
-                threads: self.threads,
-            }),
-        };
+        let mut stats = control::new_run_stats(groups, Some(self.geometry()));
         let n = groups.min(traces.len());
+        // Snapshot each group's entry key state where the trace needs it (a
+        // stream that searches or writes before its first SetKey inherits
+        // whatever the key register held when the run started).
         let entries: Vec<Option<KeySnapshot>> = (0..n)
             .map(|g| {
                 traces[g]
@@ -1048,6 +1061,8 @@ impl SlabMachine {
             }
             StepKind::Sync(inst) => self.execute_sync(g, inst, &mut stats),
         });
+        // Leave the controller key registers exactly as the interpreter
+        // would: the last SetKey of each stream wins.
         for (g, t) in traces.iter().enumerate().take(n) {
             let t = t.borrow();
             if let Some(key) = &t.final_key {
@@ -1146,50 +1161,51 @@ impl SlabMachine {
                 stats.group_ops[group].mov_rs += 1;
             }
             Instruction::ReadR { addr } => {
-                let pe = (*addr as usize).min(self.config.total_pes() - 1);
-                let (c, s) = self.chunk_of(pe);
+                let (c, s) = self.chunk_of(control::reg_pe(*addr, self.config.total_pes()));
                 self.chunks[c]
                     .regs
                     .pe_blocks_into(s, self.data_buffers[group].blocks_mut());
             }
             Instruction::WriteR { addr, imm } => {
-                ApMachine::decode_reg(imm, &mut self.imm_scratch);
-                if *addr == BROADCAST_ADDR {
-                    // Word-parallel broadcast: one masked fill per chunk
-                    // instead of a copy per active PE.
-                    self.refresh_active(group);
-                    let cpg = self.chunks_per_group;
-                    let Self {
-                        chunks,
-                        active,
-                        imm_scratch,
-                        ..
-                    } = self;
-                    let mask = &active[group].mask;
-                    for chunk in &mut chunks[group * cpg..(group + 1) * cpg] {
-                        chunk.refresh_active(mask);
-                        if !chunk.any_active {
-                            continue;
-                        }
-                        let SlabChunk {
-                            regs,
+                control::decode_reg(imm, &mut self.imm_scratch);
+                match control::write_target(*addr, self.config.total_pes()) {
+                    WriteTarget::Group => {
+                        // Word-parallel broadcast: one masked fill per chunk
+                        // instead of a copy per active PE.
+                        self.refresh_active(group);
+                        let cpg = self.chunks_per_group;
+                        let Self {
+                            chunks,
                             active,
-                            all_active,
+                            imm_scratch,
                             ..
-                        } = chunk;
-                        let sel = if *all_active {
-                            None
-                        } else {
-                            Some(active.as_slice())
-                        };
-                        regs.broadcast(imm_scratch, sel);
+                        } = self;
+                        let mask = &active[group].mask;
+                        for chunk in &mut chunks[group * cpg..(group + 1) * cpg] {
+                            chunk.refresh_active(mask);
+                            if !chunk.any_active {
+                                continue;
+                            }
+                            let SlabChunk {
+                                regs,
+                                active,
+                                all_active,
+                                ..
+                            } = chunk;
+                            let sel = if *all_active {
+                                None
+                            } else {
+                                Some(active.as_slice())
+                            };
+                            regs.broadcast(imm_scratch, sel);
+                        }
                     }
-                } else {
-                    let pe = (*addr as usize).min(self.config.total_pes() - 1);
-                    let (c, s) = self.chunk_of(pe);
-                    self.chunks[c]
-                        .regs
-                        .set_pe_blocks(s, self.imm_scratch.blocks());
+                    WriteTarget::Pe(pe) => {
+                        let (c, s) = self.chunk_of(pe);
+                        self.chunks[c]
+                            .regs
+                            .set_pe_blocks(s, self.imm_scratch.blocks());
+                    }
                 }
             }
             Instruction::SetTag | Instruction::ReadTag => {
@@ -1236,78 +1252,56 @@ impl SlabMachine {
         }
     }
 
-    /// `MovR` over the slab — exactly [`ApMachine`]'s semantics: every
-    /// active PE pushes its data register to the mesh neighbor in `dir`
-    /// (possibly across groups); active PEs with no pushing in-group
-    /// upstream shift zeros in. Snapshot semantics via `mov_scratch`.
+    /// `MovR` over the slab registers, following [`control::mov_r`].
     fn mov_r(&mut self, group: usize, dir: Direction) {
-        let (h, w) = self.config.mesh_dims();
-        let per = self.config.pes_per_group();
-        let base = group * per;
-        let bpp = self.config.rows.div_ceil(64);
         self.refresh_active(group);
+        let per = self.config.pes_per_group();
+        let bpp = self.config.rows.div_ceil(64);
         if self.mov_scratch.len() < per * bpp {
             self.mov_scratch.resize(per * bpp, 0);
         }
-        // Snapshot the pushing registers.
-        for i in 0..per {
-            if !self.active[group].mask[i] {
-                continue;
-            }
-            let (c, s) = self.chunk_of(base + i);
-            self.chunks[c]
-                .regs
-                .pe_blocks_into(s, &mut self.mov_scratch[i * bpp..(i + 1) * bpp]);
-        }
-        // Active PEs with no pushing upstream receive zeros…
         let zeros = vec![0u64; bpp];
-        for i in 0..per {
-            if !self.active[group].mask[i] {
-                continue;
+        let (cpg, width) = (self.chunks_per_group, self.chunk_pes);
+        let Self {
+            config,
+            chunks,
+            active,
+            mov_scratch,
+            ..
+        } = self;
+        let blocks = |slot: usize| slot * bpp..(slot + 1) * bpp;
+        let at = |pe: usize| locate(per, cpg, width, pe);
+        control::mov_r(config, group, &active[group].mask, dir, |step| match step {
+            MovStep::Snapshot { slot, pe } => {
+                let (c, s) = at(pe);
+                chunks[c]
+                    .regs
+                    .pe_blocks_into(s, &mut mov_scratch[blocks(slot)]);
             }
-            let pe = base + i;
-            let (r, c) = (pe / w, pe % w);
-            let upstream = match dir {
-                Direction::Up => (r + 1 < h).then(|| pe + w),
-                Direction::Down => (r > 0).then(|| pe - w),
-                Direction::Left => (c + 1 < w).then(|| pe + 1),
-                Direction::Right => (c > 0).then(|| pe - 1),
-            };
-            let pushing = upstream
-                .is_some_and(|u| u >= base && u < base + per && self.active[group].mask[u - base]);
-            if !pushing {
-                let (ci, s) = self.chunk_of(pe);
-                self.chunks[ci].regs.set_pe_blocks(s, &zeros);
+            MovStep::Clear { pe } => {
+                let (c, s) = at(pe);
+                chunks[c].regs.set_pe_blocks(s, &zeros);
             }
-        }
-        // …then pushes land (possibly into other groups' PEs).
-        for i in 0..per {
-            if !self.active[group].mask[i] {
-                continue;
+            MovStep::Land { slot, dest } => {
+                let (c, s) = at(dest);
+                chunks[c].regs.set_pe_blocks(s, &mov_scratch[blocks(slot)]);
             }
-            let pe = base + i;
-            let (r, c) = (pe / w, pe % w);
-            let dest = match dir {
-                Direction::Up => (r > 0).then(|| pe - w),
-                Direction::Down => (r + 1 < h).then(|| pe + w),
-                Direction::Left => (c > 0).then(|| pe - 1),
-                Direction::Right => (c + 1 < w).then(|| pe + 1),
-            };
-            if let Some(d) = dest {
-                if d < self.config.total_pes() {
-                    let (ci, s) = self.chunk_of(d);
-                    self.chunks[ci]
-                        .regs
-                        .set_pe_blocks(s, &self.mov_scratch[i * bpp..(i + 1) * bpp]);
-                }
-            }
-        }
+        });
     }
+}
+
+/// Locate a PE in a group-major chunk layout of `per` PEs per group, `cpg`
+/// chunks per group and `width` PEs per chunk: `(chunk index,
+/// chunk-relative slot)`.
+fn locate(per: usize, cpg: usize, width: usize, pe: usize) -> (usize, usize) {
+    let (group, rel) = (pe / per, pe % per);
+    (group * cpg + rel / width, rel % width)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ApMachine;
 
     fn search_key(s: &str) -> Instruction {
         Instruction::SetKey {

@@ -35,7 +35,7 @@ pub struct RunGeometry {
     pub threads: usize,
 }
 
-/// Results of one [`crate::ApMachine::run`].
+/// Results of one [`crate::ApMachine::run`] or [`crate::SlabMachine::run`].
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct RunStats {
     /// Cycle at which each group finished its stream.
@@ -50,8 +50,8 @@ pub struct RunStats {
     /// Per-PE fault degradation, ascending by PE id; empty when no fault
     /// model is active or no PE has retired a column yet.
     pub pe_health: Vec<PeHealth>,
-    /// Execution-geometry log (slab engine only; `None` from the per-PE
-    /// engine). Diagnostic — excluded from `PartialEq`, so cross-engine
+    /// Execution-geometry log (slab engine only; `None` from the
+    /// interpreter). Diagnostic — excluded from `PartialEq`, so cross-engine
     /// result comparisons are unaffected.
     pub geometry: Option<RunGeometry>,
 }

@@ -1,12 +1,12 @@
-//! Trace compilation: precompiled per-PE segment traces.
+//! Trace compilation: precompiled per-PE segment traces, executed by the
+//! slab engine ([`crate::SlabMachine`]).
 //!
-//! The interpreter ([`crate::ApMachine::run_interpreted`]) re-decodes every
-//! [`Instruction`] per group per step and — in threaded modes — forks and
-//! joins worker threads once *per instruction*. Hyper-AP programs are
-//! bit-serial loops (the lowered 32-bit adder is 380 stream instructions of
-//! repeating `SetKey`/`Search`/`Write` shapes), so almost all of that work
-//! can be hoisted out of the hot loop and paid once per stream instead of
-//! once per instruction per PE.
+//! The interpreter ([`crate::ApMachine::run`]) re-decodes every
+//! [`Instruction`] per group per step and dispatches it once per PE.
+//! Hyper-AP programs are bit-serial loops (the lowered 32-bit adder is 380
+//! stream instructions of repeating `SetKey`/`Search`/`Write` shapes), so
+//! almost all of that work can be hoisted out of the hot loop and paid once
+//! per stream instead of once per instruction per PE.
 //!
 //! [`CompiledTrace::compile`] turns an `&[Instruction]` stream into:
 //!
@@ -18,10 +18,9 @@
 //! * **Segments** split at cross-PE synchronization points (`Count`,
 //!   `Index`, `MovR`, `ReadR`/`WriteR` host transfers, `Broadcast`; see
 //!   [`SyncClass`]). Within a segment every PE is independent, so execution
-//!   inverts the loop: each worker runs its PE chunk through the *entire
-//!   segment* before joining — one fork-join per segment instead of one per
-//!   instruction, and each PE's columns stay cache-resident across the
-//!   whole segment.
+//!   inverts the loop: each worker runs its chunk of PEs through the
+//!   *entire segment* before joining — one fork-join per segment instead of
+//!   one per instruction.
 //! * **Fused micro-ops** from the peephole pass ([`CompiledTrace::peephole`],
 //!   applied by [`compile`](CompiledTrace::compile) and skipped by
 //!   [`compile_unfused`](CompiledTrace::compile_unfused)): the canonical AP
@@ -38,8 +37,8 @@
 //! # Equivalence guarantee
 //!
 //! Trace execution is bit-identical to the interpreter (property-tested in
-//! `tests/engine_equivalence.rs`, including `RunStats`, per-PE `OpCounts`
-//! and wear accounting) because:
+//! `tests/slab_engine_equivalence.rs` over fused and unfused traces,
+//! including `RunStats`, per-PE `OpCounts` and wear accounting) because:
 //!
 //! * Segment-internal micro-ops touch only PE-private state (TCAM cells,
 //!   tags, latch) — no other group can observe them, so executing a whole
@@ -49,8 +48,8 @@
 //!   only when no **other** stream contains a remote-register instruction
 //!   ([`Instruction::touches_remote_regs`]); otherwise the compiler demotes
 //!   them to synchronization points, restoring instruction-granular order.
-//! * Synchronization points execute through the interpreter's own
-//!   instruction path, and the event loop schedules *steps* by the same
+//! * Synchronization points execute the interpreter's instruction
+//!   semantics, and the event loop schedules *steps* by the same
 //!   `(issue cycle, group)` key the interpreter uses for instructions — all
 //!   cycle costs are static (Table I), so sync points from different groups
 //!   retire in exactly the interpreter's order.
@@ -84,10 +83,9 @@ use hyperap_tcam::bit::KeyBit;
 use hyperap_tcam::key::SearchKey;
 
 /// Maximum number of search plans or write columns folded into one fused
-/// micro-op ([`MicroOp::SearchWriteMulti`], [`MicroOp::WriteMulti`]), so
-/// engines can resolve them into fixed-size stack buffers instead of
-/// allocating per dispatch. Longer chains split; the continuation chain
-/// starts with `acc = true` and excess writes trail as their own batch.
+/// micro-op ([`MicroOp::SearchWriteMulti`], [`MicroOp::WriteMulti`]).
+/// Longer chains split; the continuation chain starts with `acc = true`
+/// and excess writes trail as their own batch.
 pub const MAX_FUSED: usize = 8;
 
 /// Which precompiled search plan a micro-op uses.
@@ -204,7 +202,7 @@ pub struct Segment {
     /// Number of stream instructions folded into this segment.
     pub instructions: usize,
     /// Architectural per-PE ops the peephole pass elided (dead and
-    /// redundant searches). The engines skip the work but every active PE
+    /// redundant searches). The slab engine skips the work but every active PE
     /// is still billed these counts, so `OpCounts` — and with it the
     /// paper-facing cycle numbers — report the *unfused* instruction
     /// stream.
@@ -213,12 +211,13 @@ pub struct Segment {
 
 impl Segment {
     /// The `OpCounts` delta one *active PE* accrues executing this segment —
-    /// what the per-PE engine adds per micro-op, pre-aggregated so a slab
-    /// engine can account a whole segment with one `add` per active PE.
+    /// what the interpreter adds to each PE for the folded instructions,
+    /// pre-aggregated so the slab engine can account a whole segment with
+    /// one `add` per active PE.
     ///
     /// `entry` is the group's entry-key snapshot; it decides whether a
     /// `WriteEntry` actually stores (a masked entry bit is a no-op the
-    /// per-PE path never reaches [`hyperap_core::machine::HyperPe::write`]
+    /// interpreter never reaches [`hyperap_core::machine::HyperPe::write`]
     /// for).
     ///
     /// # Panics
@@ -272,8 +271,8 @@ pub enum StepKind {
     /// Run a whole segment (index into [`CompiledTrace::segments`]) with a
     /// single fork-join.
     Segment(usize),
-    /// Execute one synchronization-point instruction through the
-    /// interpreter path.
+    /// Execute one synchronization-point instruction with the
+    /// interpreter's semantics.
     Sync(Instruction),
 }
 
@@ -289,7 +288,8 @@ pub struct Step {
 }
 
 /// A stream precompiled for segment execution. Compile once, run on any
-/// machine with the geometry it was compiled for ([`crate::ApMachine::run_compiled`]).
+/// machine with the geometry it was compiled for
+/// ([`crate::SlabMachine::try_run_compiled`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CompiledTrace {
     /// Scheduling steps in program order.
@@ -305,7 +305,7 @@ pub struct CompiledTrace {
     /// Plan-table index of [`final_key`](Self::final_key)'s compiled plan
     /// (`Some` iff `final_key` is). The peephole pass appends delta plans
     /// to [`plans`](Self::plans), so "the last plan" is not "the last
-    /// `SetKey`'s plan" — engines restore through this index.
+    /// `SetKey`'s plan" — the slab engine restores through this index.
     pub final_plan: Option<usize>,
     /// True if any micro-op reads the entry key/plan (the machine snapshots
     /// the group's key state at run start only when needed).
@@ -325,9 +325,9 @@ impl CompiledTrace {
     }
 
     /// Compile one stream without the peephole pass: every segment holds
-    /// exactly the unfused micro-ops of its instructions. This is the
-    /// reference the equivalence suites pin the fused engines against, and
-    /// the baseline the benchmarks compare fusion to.
+    /// exactly the unfused micro-ops of its instructions. The equivalence
+    /// suites run it next to the fused pipeline, and the benchmarks compare
+    /// fusion to it.
     pub fn compile_unfused(stream: &[Instruction], config: &ArchConfig, reg_sync: bool) -> Self {
         let mut trace = CompiledTrace::default();
         let mut seg = Segment::default();
@@ -443,7 +443,7 @@ impl CompiledTrace {
     /// Elided searches are billed through [`Segment::elided`]; fused ops
     /// bill their unfused constituents in [`Segment::pe_ops_delta`] — the
     /// pass never changes any `OpCounts` or cycle number, only the number
-    /// of arena sweeps the engines perform.
+    /// of arena sweeps the slab engine performs.
     pub fn peephole(&mut self) {
         for seg in &mut self.segments {
             peephole::eliminate_dead_searches(seg);
@@ -717,8 +717,8 @@ mod peephole {
     }
 }
 
-/// The cross-group event loop shared by every trace-executing engine
-/// ([`crate::ApMachine::run_compiled`], [`crate::SlabMachine::run_compiled`]):
+/// The cross-group event loop of trace execution
+/// ([`crate::SlabMachine::try_run_compiled`]):
 /// repeatedly pick the group whose local clock is earliest (ties broken by
 /// group index — the interpreter's `(issue cycle, group)` key), advance its
 /// clock by the step's cycle cost, and hand the step to `f`. Returns the

@@ -1,217 +1,34 @@
-//! Property tests for the execution-engine determinism guarantee: random
-//! instruction streams produce bit-identical machine state and `RunStats`
-//! whether the per-group PE fan-out runs sequentially or threaded, and
-//! whether execution goes through the instruction-at-a-time interpreter
-//! (`run_interpreted`) or the trace-compiled engine (`run`) — including
-//! per-PE operation counts, `Count`/`Index` reduction results, per-column
-//! wear, and key-register state carried across runs.
+//! Property test for the controller's broadcast gating: interleaved
+//! `Broadcast` masks must re-gate the active-PE set on every change, so
+//! the number of `Count` results matches the closed form for any mask
+//! sequence, and the result does not depend on the configured `exec`
+//! policy.
 
-use hyperap_arch::machine::BROADCAST_ADDR;
 use hyperap_arch::{ApMachine, ArchConfig, ExecMode};
-use hyperap_isa::{Direction, Instruction};
-use hyperap_tcam::KeyBit;
+use hyperap_isa::Instruction;
 use proptest::prelude::*;
 
-/// Geometry under test: `tiny()` is 2 groups x 4 PEs of 16x64.
-const PES: usize = 8;
-const ROWS: usize = 16;
-const COLS: usize = 64;
-
-fn inst_strategy() -> impl Strategy<Value = Instruction> {
-    prop_oneof![
-        prop::collection::vec(0u8..4, COLS).prop_map(|bits| Instruction::SetKey {
-            key: bits
-                .iter()
-                .map(|b| match b {
-                    0 => KeyBit::Zero,
-                    1 => KeyBit::One,
-                    2 => KeyBit::Z,
-                    _ => KeyBit::Masked,
-                })
-                .collect(),
-        }),
-        (any::<bool>(), any::<bool>())
-            .prop_map(|(acc, encode)| Instruction::Search { acc, encode }),
-        // `encode` needs two adjacent columns, so stop one short.
-        (0u8..(COLS as u8 - 1), any::<bool>())
-            .prop_map(|(col, encode)| Instruction::Write { col, encode }),
-        Just(Instruction::Count),
-        Just(Instruction::Index),
-        (0u8..4).prop_map(|d| Instruction::MovR {
-            dir: match d {
-                0 => Direction::Up,
-                1 => Direction::Down,
-                2 => Direction::Left,
-                _ => Direction::Right,
-            },
-        }),
-        (0u32..PES as u32).prop_map(|addr| Instruction::ReadR { addr }),
-        (0u32..=PES as u32, prop::collection::vec(any::<u8>(), 0..4)).prop_map(|(a, imm)| {
-            Instruction::WriteR {
-                addr: if a == PES as u32 { BROADCAST_ADDR } else { a },
-                imm,
-            }
-        }),
-        Just(Instruction::SetTag),
-        Just(Instruction::ReadTag),
-        any::<u8>().prop_map(|m| Instruction::Broadcast { group_mask: m }),
-        (0u8..10).prop_map(|cycles| Instruction::Wait { cycles }),
-    ]
-}
-
-type Load = (usize, usize, usize, bool);
-
-fn loads_strategy() -> impl Strategy<Value = Vec<Load>> {
-    prop::collection::vec(
-        (0usize..PES, 0usize..ROWS, 0usize..COLS, any::<bool>()),
-        0..64,
-    )
-}
-
-fn build(mode: ExecMode, loads: &[Load]) -> ApMachine {
+fn build(mode: ExecMode) -> ApMachine {
     let mut cfg = ArchConfig::tiny();
     cfg.exec = mode;
-    let mut m = ApMachine::new(cfg);
-    for &(pe, row, col, v) in loads {
-        m.pe_mut(pe).load_bit(row, col, v);
-    }
-    m
-}
-
-fn assert_machines_identical(a: &ApMachine, b: &ApMachine) {
-    for pe in 0..PES {
-        assert_eq!(a.pe(pe), b.pe(pe), "PE {pe} state diverged");
-        // PE equality already covers wear (it's part of `TcamArray`'s
-        // `Eq`), but assert it separately so a wear divergence names
-        // itself instead of surfacing as a generic state mismatch.
-        assert_eq!(
-            a.pe(pe).column_wear(),
-            b.pe(pe).column_wear(),
-            "PE {pe} wear accounting diverged"
-        );
-        assert_eq!(
-            a.data_reg(pe),
-            b.data_reg(pe),
-            "PE {pe} data register diverged"
-        );
-    }
-    assert_eq!(
-        a.data_buffers, b.data_buffers,
-        "controller data buffers diverged"
-    );
+    ApMachine::new(cfg)
 }
 
 proptest! {
-    #[test]
-    fn sequential_and_parallel_runs_are_bit_identical(
-        loads in loads_strategy(),
-        s0 in prop::collection::vec(inst_strategy(), 0..40),
-        s1 in prop::collection::vec(inst_strategy(), 0..40),
-    ) {
-        let streams = vec![s0, s1];
-        let mut seq = build(ExecMode::Sequential, &loads);
-        let mut par = build(ExecMode::Parallel, &loads);
-        let mut auto = build(ExecMode::Auto, &loads);
-        let seq_stats = seq.run(&streams);
-        let par_stats = par.run(&streams);
-        let auto_stats = auto.run(&streams);
-        prop_assert_eq!(&seq_stats, &par_stats);
-        prop_assert_eq!(&seq_stats, &auto_stats);
-        assert_machines_identical(&seq, &par);
-        assert_machines_identical(&seq, &auto);
-    }
-
-    #[test]
-    fn interpreter_and_trace_engines_are_bit_identical(
-        loads in loads_strategy(),
-        s0 in prop::collection::vec(inst_strategy(), 0..40),
-        s1 in prop::collection::vec(inst_strategy(), 0..40),
-    ) {
-        // The instruction-at-a-time interpreter is the reference; the
-        // trace-compiled engine must match it bit-for-bit under every
-        // threading mode — machine state, wear, stats (op counts and
-        // Count/Index reductions included).
-        let streams = vec![s0, s1];
-        let mut reference = build(ExecMode::Sequential, &loads);
-        let ref_stats = reference.run_interpreted(&streams);
-        for mode in [ExecMode::Sequential, ExecMode::Parallel, ExecMode::Auto] {
-            let mut traced = build(mode, &loads);
-            let trace_stats = traced.run(&streams);
-            prop_assert_eq!(&ref_stats, &trace_stats, "stats diverged under {:?}", mode);
-            assert_machines_identical(&reference, &traced);
-        }
-    }
-
-    #[test]
-    fn peephole_fusion_preserves_interpreter_semantics(
-        loads in loads_strategy(),
-        s0 in prop::collection::vec(inst_strategy(), 0..40),
-        s1 in prop::collection::vec(inst_strategy(), 0..40),
-    ) {
-        // Three-way pin: the instruction-at-a-time interpreter, the
-        // unfused compiled trace, and the peephole-fused trace must agree
-        // bit-for-bit — state, wear, per-PE op counts (fused ops bill their
-        // unfused constituents), and Count/Index reductions.
-        let streams = vec![s0, s1];
-        let cfg = ArchConfig::tiny();
-        let mut interp = build(ExecMode::Sequential, &loads);
-        let interp_stats = interp.run_interpreted(&streams);
-        let unfused = hyperap_arch::trace::compile_streams_unfused(&streams, &cfg);
-        let mut raw = build(ExecMode::Sequential, &loads);
-        let raw_stats = raw.run_compiled(&unfused);
-        prop_assert_eq!(&interp_stats, &raw_stats, "unfused trace diverged from interpreter");
-        assert_machines_identical(&interp, &raw);
-        let fused = hyperap_arch::trace::compile_streams(&streams, &cfg);
-        for mode in [ExecMode::Sequential, ExecMode::Parallel, ExecMode::Auto] {
-            let mut m = build(mode, &loads);
-            let s = m.run_compiled(&fused);
-            prop_assert_eq!(&interp_stats, &s, "fused trace diverged under {:?}", mode);
-            assert_machines_identical(&interp, &m);
-        }
-    }
-
-    #[test]
-    fn engines_agree_across_consecutive_runs(
-        loads in loads_strategy(),
-        first in prop::collection::vec(inst_strategy(), 0..25),
-        second in prop::collection::vec(inst_strategy(), 0..25),
-    ) {
-        // Key-register state must carry across runs identically: a stream
-        // that searches before its first SetKey picks up whatever key the
-        // previous run left behind (the trace engine's entry-key snapshot
-        // and final-key restore paths).
-        let mut interp = build(ExecMode::Sequential, &loads);
-        let mut traced = build(ExecMode::Sequential, &loads);
-        let a0 = interp.run_interpreted(std::slice::from_ref(&first));
-        let b0 = traced.run(std::slice::from_ref(&first));
-        prop_assert_eq!(&a0, &b0);
-        let a1 = interp.run_interpreted(std::slice::from_ref(&second));
-        let b1 = traced.run(std::slice::from_ref(&second));
-        prop_assert_eq!(&a1, &b1, "second run diverged: key state not carried");
-        // Rerunning the first stream exercises the trace cache's
-        // invalidate-then-refill path: `second` evicted `first`'s traces,
-        // so this must recompile (not reuse stale traces) and still match
-        // the uncached interpreter.
-        let a2 = interp.run_interpreted(std::slice::from_ref(&first));
-        let b2 = traced.run(std::slice::from_ref(&first));
-        prop_assert_eq!(&a2, &b2, "rerun diverged: stale trace cache");
-        assert_machines_identical(&interp, &traced);
-    }
-
     #[test]
     fn broadcast_invalidation_matches_uncached_semantics(
         masks in prop::collection::vec(any::<u8>(), 1..8),
     ) {
         // Interleave Broadcast instructions with Counts; the cached
-        // active-PE set must track every mask change in both modes.
+        // active-PE set must track every mask change.
         let mut stream = Vec::new();
         for m in &masks {
             stream.push(Instruction::Broadcast { group_mask: *m });
             stream.push(Instruction::Count);
         }
         let streams = vec![stream];
-        let mut seq = build(ExecMode::Sequential, &[]);
-        let mut par = build(ExecMode::Parallel, &[]);
+        let mut seq = build(ExecMode::Sequential);
+        let mut par = build(ExecMode::Parallel);
         let seq_stats = seq.run(&streams);
         let par_stats = par.run(&streams);
         // tiny() has one bank (bank 0) per group: mask bit 0 gates all PEs.

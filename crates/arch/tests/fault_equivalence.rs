@@ -1,9 +1,9 @@
 //! Property tests for the fault subsystem's differential guarantee: under
 //! the same seeded [`FaultModel`] (stuck-at cells, transient search misses,
 //! endurance-driven column sparing), random instruction streams produce
-//! bit-identical results from all three engines — the instruction-at-a-time
-//! interpreter, the trace-compiled engine, and the slab engine — across
-//! every [`ExecMode`] and chunk width. "Bit-identical" covers the full
+//! bit-identical results from both engines — the instruction-at-a-time
+//! interpreter and the slab engine, the latter across every [`ExecMode`]
+//! and chunk width. "Bit-identical" covers the full
 //! `Result`: `RunStats` (op counts, reductions, `pe_health`), per-PE state
 //! including the fault bookkeeping (remap tables, retirement logs, stuck
 //! masks ride in `TcamArray`'s `Eq`), data registers, controller buffers —
@@ -101,18 +101,6 @@ fn fault_strategy() -> impl Strategy<Value = FaultConfig> {
 
 fn build_reference(faults: FaultConfig, loads: &[Load]) -> ApMachine {
     let mut cfg = ArchConfig::tiny();
-    cfg.exec = ExecMode::Sequential;
-    cfg.faults = faults;
-    let mut m = ApMachine::new(cfg);
-    for &(pe, row, col, v) in loads {
-        m.pe_mut(pe).load_bit(row, col, v);
-    }
-    m
-}
-
-fn build_traced(faults: FaultConfig, mode: ExecMode, loads: &[Load]) -> ApMachine {
-    let mut cfg = ArchConfig::tiny();
-    cfg.exec = mode;
     cfg.faults = faults;
     let mut m = ApMachine::new(cfg);
     for &(pe, row, col, v) in loads {
@@ -182,11 +170,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The interpreter is the reference; under an active fault model the
-    /// trace engine (every mode) and the slab engine (every mode × chunk
-    /// width) must match it bit-for-bit: same `Result` — stats with
-    /// `pe_health` on `Ok`, the same typed error on exhaustion — and the
-    /// same machine state (cells, stuck enforcement, wear, remap tables)
-    /// either way.
+    /// slab engine (every mode × chunk width) must match it bit-for-bit:
+    /// same `Result` — stats with `pe_health` on `Ok`, the same typed error
+    /// on exhaustion — and the same machine state (cells, stuck
+    /// enforcement, wear, remap tables) either way.
     #[test]
     fn three_engines_agree_under_seeded_faults(
         faults in fault_strategy(),
@@ -196,15 +183,8 @@ proptest! {
     ) {
         let streams = vec![s0, s1];
         let mut reference = build_reference(faults, &loads);
-        let ref_result = reference.try_run_interpreted(&streams);
+        let ref_result = reference.try_run(&streams);
         for mode in [ExecMode::Sequential, ExecMode::Parallel, ExecMode::Auto] {
-            let mut traced = build_traced(faults, mode, &loads);
-            let trace_result = traced.try_run(&streams);
-            prop_assert_eq!(
-                &ref_result, &trace_result,
-                "trace result diverged under {:?}", mode
-            );
-            assert_ap_machines_identical(&reference, &traced);
             for chunk_pes in CHUNK_WIDTHS {
                 let mut slab = build_slab(faults, mode, chunk_pes, &loads);
                 let slab_result = slab.try_run(&streams);
@@ -229,19 +209,15 @@ proptest! {
         second in prop::collection::vec(inst_strategy(), 0..20),
     ) {
         let mut reference = build_reference(faults, &loads);
-        let mut traced = build_traced(faults, ExecMode::Sequential, &loads);
         let mut slab = build_slab(faults, ExecMode::Sequential, 3, &loads);
         for stream in [&first, &second] {
             let streams = std::slice::from_ref(stream);
-            let a = reference.try_run_interpreted(streams);
-            let b = traced.try_run(streams);
-            let c = slab.try_run(streams);
-            prop_assert_eq!(&a, &b, "trace engine diverged");
-            prop_assert_eq!(&a, &c, "slab engine diverged");
-            assert_ap_machines_identical(&reference, &traced);
+            let a = reference.try_run(streams);
+            let b = slab.try_run(streams);
+            prop_assert_eq!(&a, &b, "slab engine diverged");
             assert_slab_matches_reference(&reference, &slab);
             if a.is_err() {
-                break; // all three latched the same degradation
+                break; // both latched the same degradation
             }
         }
     }
@@ -268,8 +244,8 @@ proptest! {
 }
 
 /// A worn column retires onto a spare; when the spares run out the run
-/// reports a typed [`FaultError::SparesExhausted`] — identically from all
-/// three engines — and every later run fails fast with the same error
+/// reports a typed [`FaultError::SparesExhausted`] — identically from both
+/// engines — and every later run fails fast with the same error
 /// instead of computing wrong results.
 #[test]
 fn spares_exhaustion_is_typed_identical_and_latched() {
@@ -293,19 +269,14 @@ fn spares_exhaustion_is_typed_identical_and_latched() {
     let streams = vec![stream.clone(), stream];
 
     let mut reference = build_reference(faults, &[]);
-    let mut traced = build_traced(faults, ExecMode::Parallel, &[]);
     let mut slab = build_slab(faults, ExecMode::Parallel, 3, &[]);
 
     // First run: columns 3 and 4 blow their endurance budget and retire
     // onto the two spares — degraded but healthy, and every engine reports
     // the same per-PE health rows.
-    let a = reference
-        .try_run_interpreted(&streams)
-        .expect("spares cover run 1");
-    let b = traced.try_run(&streams).expect("spares cover run 1");
-    let c = slab.try_run(&streams).expect("spares cover run 1");
+    let a = reference.try_run(&streams).expect("spares cover run 1");
+    let b = slab.try_run(&streams).expect("spares cover run 1");
     assert_eq!(a, b);
-    assert_eq!(a, c);
     assert_eq!(a.pe_health.len(), PES, "every PE retired columns");
     for (i, h) in a.pe_health.iter().enumerate() {
         assert_eq!(h.pe, i);
@@ -316,7 +287,6 @@ fn spares_exhaustion_is_typed_identical_and_latched() {
             "PE {i} retired the wrong columns"
         );
     }
-    assert_ap_machines_identical(&reference, &traced);
     assert_slab_matches_reference(&reference, &slab);
 
     // Second run: the remapped columns wear out again with no spares left.
@@ -327,19 +297,15 @@ fn spares_exhaustion_is_typed_identical_and_latched() {
         col: 3,
         wear: 4,
     };
-    let a = reference.try_run_interpreted(&streams).unwrap_err();
-    let b = traced.try_run(&streams).unwrap_err();
-    let c = slab.try_run(&streams).unwrap_err();
+    let a = reference.try_run(&streams).unwrap_err();
+    let b = slab.try_run(&streams).unwrap_err();
     assert_eq!(a, expected);
     assert_eq!(b, expected);
-    assert_eq!(c, expected);
-    assert_ap_machines_identical(&reference, &traced);
     assert_slab_matches_reference(&reference, &slab);
 
     // Third run: the failure is latched — every engine fails fast before
     // executing anything, even a trivially healthy stream.
     let idle = vec![vec![Instruction::Count], vec![Instruction::Count]];
-    assert_eq!(reference.try_run_interpreted(&idle).unwrap_err(), expected);
-    assert_eq!(traced.try_run(&idle).unwrap_err(), expected);
+    assert_eq!(reference.try_run(&idle).unwrap_err(), expected);
     assert_eq!(slab.try_run(&idle).unwrap_err(), expected);
 }

@@ -2,8 +2,8 @@
 //! (host loads plus a short architectural write prologue that plants `X`
 //! cells), random ternary queries, and random `(rows, k)` shapes must
 //! produce bit-identical top-k hits *and* `RunStats` from the scalar
-//! per-PE reference engine ([`ApMachine`]) and the word-parallel slab
-//! engine ([`SlabMachine`]) — under every [`ExecMode`], over chunk widths
+//! per-PE interpreter ([`ApMachine`]) and the word-parallel slab engine
+//! ([`SlabMachine`]) — the latter under every [`ExecMode`], over chunk widths
 //! that exercise single-PE chunks, short tail chunks, and whole-group
 //! chunks, and under a seeded fault model (stuck-at cells must perturb
 //! distances identically; transient search misses must not perturb them

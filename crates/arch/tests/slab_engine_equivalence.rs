@@ -2,10 +2,10 @@
 //! instruction streams produce bit-identical PE state (cells, tags, latch,
 //! per-PE operation counts, per-column wear), data registers, controller
 //! buffers, `RunStats`, and cross-run key-register state whether execution
-//! goes through the per-PE reference engine ([`ApMachine`]) or the
-//! slab-backed engine ([`SlabMachine`]) — under every [`ExecMode`] and over
-//! chunk widths that exercise single-PE chunks, short tail chunks, and
-//! one-chunk-per-group layouts.
+//! goes through the instruction-at-a-time interpreter ([`ApMachine`], the
+//! oracle) or the slab engine ([`SlabMachine`]) — under every [`ExecMode`]
+//! and over chunk widths that exercise single-PE chunks, short tail chunks,
+//! and one-chunk-per-group layouts.
 
 use hyperap_arch::machine::BROADCAST_ADDR;
 use hyperap_arch::{ApMachine, ArchConfig, ExecMode, SlabMachine};
@@ -74,9 +74,7 @@ fn loads_strategy() -> impl Strategy<Value = Vec<Load>> {
 }
 
 fn build_reference(loads: &[Load]) -> ApMachine {
-    let mut cfg = ArchConfig::tiny();
-    cfg.exec = ExecMode::Sequential;
-    let mut m = ApMachine::new(cfg);
+    let mut m = ApMachine::new(ArchConfig::tiny());
     for &(pe, row, col, v) in loads {
         m.pe_mut(pe).load_bit(row, col, v);
     }
@@ -131,7 +129,6 @@ fn ragged_bank_broadcast_agrees_at_word_scale() {
     cfg.banks_per_group = 6;
     cfg.subarrays_per_bank = 4;
     cfg.pes_per_subarray = 4; // 96 PEs per group, 16 per bank
-    cfg.exec = ExecMode::Sequential;
     cfg.faults = hyperap_arch::FaultConfig {
         model: FaultModel {
             seed: 0x96BA_2C57,
@@ -244,7 +241,7 @@ fn ragged_bank_broadcast_agrees_at_word_scale() {
 }
 
 proptest! {
-    /// The per-PE engine is the reference; the slab engine must match it
+    /// The interpreter is the reference; the slab engine must match it
     /// bit-for-bit under every threading mode and chunk width — machine
     /// state, wear, per-PE op counts, and stats (Count/Index reductions
     /// included).
@@ -275,7 +272,8 @@ proptest! {
     /// the slab engine bit-for-bit whether the slab executes
     /// peephole-fused or unfused traces — across every threading mode and
     /// chunk width. Covers cells, tags, latch, wear, data registers,
-    /// per-PE op counts, cycles, and Count/Index reductions.
+    /// per-PE op counts (fused ops bill their unfused constituents),
+    /// cycles, and Count/Index reductions.
     #[test]
     fn fused_slab_engine_matches_unfused_interpreter(
         loads in loads_strategy(),
@@ -285,14 +283,14 @@ proptest! {
         let streams = vec![s0, s1];
         let cfg = ArchConfig::tiny();
         let mut oracle = build_reference(&loads);
-        let oracle_stats = oracle.run_interpreted(&streams);
+        let oracle_stats = oracle.run(&streams);
         let fused = hyperap_arch::trace::compile_streams(&streams, &cfg);
         let unfused = hyperap_arch::trace::compile_streams_unfused(&streams, &cfg);
         for mode in [ExecMode::Sequential, ExecMode::Parallel, ExecMode::Auto] {
             for chunk_pes in CHUNK_WIDTHS {
                 for (kind, traces) in [("fused", &fused), ("unfused", &unfused)] {
                     let mut slab = build_slab(mode, chunk_pes, &loads);
-                    let slab_stats = slab.run_compiled(traces);
+                    let slab_stats = slab.try_run_compiled(traces).expect("fault-free run");
                     prop_assert_eq!(
                         &oracle_stats, &slab_stats,
                         "{} stats diverged from interpreter under {:?} with {}-PE chunks",
@@ -321,19 +319,17 @@ proptest! {
         let a1 = reference.run(std::slice::from_ref(&second));
         let b1 = slab.run(std::slice::from_ref(&second));
         prop_assert_eq!(&a1, &b1, "second run diverged: key state not carried");
-        // Rerunning the first stream exercises both engines' trace caches:
-        // `second` evicted `first`'s traces, so stale reuse here would
-        // surface as a divergence between the engines or from the
-        // interpreter-checked state.
+        // Rerunning the first stream exercises the slab engine's trace
+        // cache: `second` evicted `first`'s traces, so this must recompile
+        // (not reuse stale traces) and still match the uncached interpreter.
         let a2 = reference.run(std::slice::from_ref(&first));
         let b2 = slab.run(std::slice::from_ref(&first));
         prop_assert_eq!(&a2, &b2, "rerun diverged: stale trace cache");
         assert_machines_identical(&reference, &slab);
     }
 
-    /// Precompiled traces reused across both engines give the same results
-    /// as engine-local compilation (the `run_compiled` entry point the
-    /// benchmarks use).
+    /// Precompiled traces (the `try_run_compiled` entry point the
+    /// benchmarks and the serving layer use) give the interpreter's results.
     #[test]
     fn precompiled_traces_agree(
         loads in loads_strategy(),
@@ -344,15 +340,17 @@ proptest! {
         let traces = hyperap_arch::trace::compile_streams(&streams, &cfg);
         let mut reference = build_reference(&loads);
         let mut slab = build_slab(ExecMode::Sequential, 4, &loads);
-        let a = reference.run_compiled(&traces);
-        let b = slab.run_compiled(&traces);
+        let a = reference.run(&streams);
+        let b = slab.try_run_compiled(&traces).expect("fault-free run");
         prop_assert_eq!(&a, &b);
         assert_machines_identical(&reference, &slab);
     }
 
     /// Bank gating: the slab engine's active-run computation must track
-    /// every Broadcast mask change exactly like the reference's cached
-    /// active sets.
+    /// every Broadcast mask change exactly like the interpreter's cached
+    /// active sets, under every threading mode and chunk width. `tiny()`
+    /// has one bank (bank 0) per group, so mask bit 0 gates all four PEs
+    /// of the group: the Count results have a closed-form length.
     #[test]
     fn broadcast_gating_matches_reference(
         masks in prop::collection::vec(any::<u8>(), 1..8),
@@ -366,10 +364,19 @@ proptest! {
         }
         let streams = vec![stream];
         let mut reference = build_reference(&loads);
-        let mut slab = build_slab(ExecMode::Sequential, 3, &loads);
         let a = reference.run(&streams);
-        let b = slab.run(&streams);
-        prop_assert_eq!(&a, &b);
-        assert_machines_identical(&reference, &slab);
+        let expected = 4 * masks.iter().filter(|&&m| m & 1 == 1).count();
+        prop_assert_eq!(a.count_results[0].len(), expected);
+        for mode in [ExecMode::Sequential, ExecMode::Parallel, ExecMode::Auto] {
+            for chunk_pes in CHUNK_WIDTHS {
+                let mut slab = build_slab(mode, chunk_pes, &loads);
+                let b = slab.run(&streams);
+                prop_assert_eq!(
+                    &a, &b,
+                    "stats diverged under {:?} with {}-PE chunks", mode, chunk_pes
+                );
+                assert_machines_identical(&reference, &slab);
+            }
+        }
     }
 }

@@ -1,11 +1,11 @@
 //! Criterion micro-benchmarks for the simulator substrate and the compiler.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hyperap_arch::{ApMachine, ArchConfig, ExecMode};
+use hyperap_arch::{ArchConfig, ExecMode, SlabMachine};
+use hyperap_bench::add32_streams;
 use hyperap_compiler::{compile, CompileOptions};
 use hyperap_core::machine::HyperPe;
 use hyperap_core::microcode::Microcode;
-use hyperap_isa::lower::lower;
 use hyperap_tcam::array::TcamArray;
 use hyperap_tcam::key::SearchKey;
 use hyperap_tcam::mvsop::{minimize, Cover, PosKind};
@@ -141,12 +141,8 @@ fn bench_slab_hamming(c: &mut Criterion) {
 }
 
 fn bench_group_run(c: &mut Criterion) {
-    // Group-level engine fan-out: add32 on every PE of a 4-group machine,
-    // sequential vs threaded dispatch.
-    let mut mc = Microcode::new(256);
-    let (x, y) = mc.alloc_paired_inputs("a", "b", 32);
-    let _ = mc.add(&x, &y);
-    let stream = lower(&mc.into_program());
+    // Slab-engine fan-out over a group's chunks: add32 on every PE of a
+    // 4-group machine, sequential vs threaded dispatch.
     for (id, mode) in [
         ("group_run_add32_seq", ExecMode::Sequential),
         ("group_run_add32_par", ExecMode::Parallel),
@@ -154,8 +150,8 @@ fn bench_group_run(c: &mut Criterion) {
         let mut cfg = ArchConfig::paper_scaled(64);
         cfg.groups = 4;
         cfg.exec = mode;
-        let streams: Vec<_> = (0..cfg.groups).map(|_| stream.clone()).collect();
-        let mut m = ApMachine::new(cfg);
+        let streams = add32_streams(256, cfg.groups);
+        let mut m = SlabMachine::new(cfg);
         c.bench_function(id, |b| b.iter(|| black_box(m.run(&streams))));
     }
 }

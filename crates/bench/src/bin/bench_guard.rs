@@ -4,38 +4,32 @@
 //! Two modes:
 //!
 //! * **Full** (default): runs the same add32 workload as `bench_sim`
-//!   (16 groups × 64 PEs of 256×256) and guards **four** throughput
-//!   columns against the checked-in numbers — the trace engine sequential
-//!   (`instructions_per_sec_sequential`) and parallel
-//!   (`instructions_per_sec_parallel`), and the slab engine sequential
-//!   (`instructions_per_sec_slab_sequential`) and parallel
-//!   (`instructions_per_sec_slab_parallel`). Each must come in at no less
-//!   than 75% of its baseline (>25% regression fails). The slab sequential
-//!   column is additionally held to an **absolute** floor
-//!   ([`SLAB_SEQ_FLOOR_IPS`]) in release builds, so the bit-plane kernel
-//!   win can't erode across regenerated baselines.
+//!   (16 groups × 64 PEs of 256×256) and guards the slab engine's
+//!   sequential (`instructions_per_sec_slab_sequential`) and parallel
+//!   (`instructions_per_sec_slab_parallel`) throughput against the
+//!   checked-in numbers. Each must come in at no less than 75% of its
+//!   baseline (>25% regression fails). The sequential column is
+//!   additionally held to an **absolute** floor ([`SLAB_SEQ_FLOOR_IPS`]) in
+//!   release builds, so the bit-plane kernel win can't erode across
+//!   regenerated baselines.
 //! * **`--smoke`**: a small-geometry sanity pass for CI — validates that
-//!   the checked-in JSON parses and carries the trace-, slab-, and
-//!   fusion-comparison entries, runs interpreter, trace, and slab engines
-//!   on a scaled-down machine (the trace and slab engines on the default
-//!   *fused* pipeline, the slab engine additionally on unfused traces),
-//!   checks all runs produce identical stats, and requires the trace and
-//!   slab engines to stay within 25% of the interpreter (both exist to be
-//!   *faster*; this loose bound only catches pathological regressions
-//!   without being flaky on loaded CI hosts).
+//!   the checked-in JSON parses and carries the slab- and
+//!   fusion-comparison entries, runs the interpreter and the slab engine
+//!   on a scaled-down machine (the slab engine on both the default *fused*
+//!   pipeline and unfused traces), checks all runs produce identical
+//!   stats, and requires the slab engine to stay within 25% of the
+//!   interpreter (it exists to be *faster*; this loose bound only catches
+//!   pathological regressions without being flaky on loaded CI hosts).
 //!
 //! No JSON dependency is available offline, so numbers are read with a
 //! small key scanner over the known single-number-per-key layout that
 //! `bench_sim` emits.
 
 use hyperap_arch::{ApMachine, ArchConfig, ExecMode, SlabMachine};
+use hyperap_bench::{add32_streams, best_secs, seed_machine, seed_slab};
 use hyperap_compiler::{compile, opt, CompileOptions, OPT_LEVEL_MAX};
-use hyperap_core::microcode::Microcode;
-use hyperap_isa::lower::lower;
-use hyperap_isa::Instruction;
 use hyperap_workloads::similarity as wsim;
 use std::hint::black_box;
-use std::time::Instant;
 
 /// Maximum tolerated throughput regression (fraction of the baseline).
 const FLOOR: f64 = 0.75;
@@ -56,16 +50,6 @@ const SIM_SPEEDUP_FLOOR: f64 = 20.0;
 /// regenerated. Applied to the *checked-in* baseline in both modes and to
 /// the fresh release-build measurement in full mode.
 const SLAB_SEQ_FLOOR_IPS: f64 = 24_200_000.0;
-
-fn best_secs<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
-}
 
 /// Scan `src` for `"key": <number>` and parse the number. The bench JSON
 /// has unique keys and one scalar per line, so a plain substring scan is
@@ -103,31 +87,6 @@ fn load_baseline() -> Option<(std::path::PathBuf, String)> {
         }
         if !dir.pop() {
             return None;
-        }
-    }
-}
-
-fn add32_streams(cols: usize, groups: usize) -> Vec<Vec<Instruction>> {
-    let mut mc = Microcode::new(cols);
-    let (x, y) = mc.alloc_paired_inputs("a", "b", 32);
-    let _ = mc.add(&x, &y);
-    let stream = lower(&mc.into_program());
-    (0..groups).map(|_| stream.clone()).collect()
-}
-
-fn seed_machine(m: &mut ApMachine) {
-    for pe in 0..m.config().total_pes() {
-        for row in 0..8.min(m.config().rows) {
-            m.pe_mut(pe)
-                .load_encoded_pair(row, 0, row & 1 == 1, pe & 1 == 1);
-        }
-    }
-}
-
-fn seed_slab(m: &mut SlabMachine) {
-    for pe in 0..m.config().total_pes() {
-        for row in 0..8.min(m.config().rows) {
-            m.load_encoded_pair(pe, row, 0, row & 1 == 1, pe & 1 == 1);
         }
     }
 }
@@ -197,54 +156,42 @@ fn guard_opt_levels(baseline: &str, path: &std::path::Path) -> bool {
 }
 
 /// Check that `ExecMode::Auto` never follows `Parallel` down a losing
-/// fork-join path in the checked-in baseline: for both the trace and slab
-/// engines, Auto's speedup over sequential must not sit below the worse of
-/// the forced-parallel speedup and 1.0 (less a small noise tolerance), and
-/// must never fall below an absolute 0.8× floor. On the 1-CPU baseline
-/// host (`speedup_parallel_vs_sequential: 0.71`) this pins the fix: Auto
-/// must measure ≈1.0× because it declines to fork at all.
+/// fork-join path in the checked-in baseline: the slab engine's Auto
+/// speedup over sequential must not sit below the worse of the
+/// forced-parallel speedup and 1.0 (less a small noise tolerance), and must
+/// never fall below an absolute 0.8× floor. On a 1-CPU baseline host this
+/// pins the fix: Auto must measure ≈1.0× because it declines to fork at
+/// all.
 fn guard_auto_mode(baseline: &str, path: &std::path::Path) -> bool {
-    let mut failed = false;
-    for (engine, par_key, auto_key) in [
-        (
-            "trace",
-            "speedup_parallel_vs_sequential",
-            "speedup_auto_vs_sequential",
-        ),
-        (
-            "slab",
-            "speedup_slab_parallel_vs_sequential",
-            "speedup_slab_auto_vs_sequential",
-        ),
-    ] {
-        let (Some(par), Some(auto)) = (
-            json_number(baseline, par_key),
-            json_number(baseline, auto_key),
-        ) else {
-            eprintln!(
-                "bench_guard: baseline {} lacks {par_key}/{auto_key} — regenerate BENCH_SIM.json",
-                path.display()
-            );
-            failed = true;
-            continue;
-        };
-        // Auto may legitimately decline to thread (speedup ≈ 1.0) even when
-        // Parallel wins big, so the bar is min(parallel, 1.0), with 0.1 of
-        // measurement-noise headroom.
-        if auto + 0.1 < par.min(1.0) || auto < 0.8 {
-            eprintln!(
-                "bench_guard: {engine} Auto speedup {auto:.2}x vs forced-parallel {par:.2}x — \
-                 Auto picked a losing fork-join path"
-            );
-            failed = true;
-        } else {
-            println!(
-                "bench_guard: {engine} Auto speedup {auto:.2}x (forced parallel {par:.2}x) — \
-                 Auto avoids the losing path"
-            );
-        }
+    let (par_key, auto_key) = (
+        "speedup_slab_parallel_vs_sequential",
+        "speedup_slab_auto_vs_sequential",
+    );
+    let (Some(par), Some(auto)) = (
+        json_number(baseline, par_key),
+        json_number(baseline, auto_key),
+    ) else {
+        eprintln!(
+            "bench_guard: baseline {} lacks {par_key}/{auto_key} — regenerate BENCH_SIM.json",
+            path.display()
+        );
+        return true;
+    };
+    // Auto may legitimately decline to thread (speedup ≈ 1.0) even when
+    // Parallel wins big, so the bar is min(parallel, 1.0), with 0.1 of
+    // measurement-noise headroom.
+    if auto + 0.1 < par.min(1.0) || auto < 0.8 {
+        eprintln!(
+            "bench_guard: slab Auto speedup {auto:.2}x vs forced-parallel {par:.2}x — \
+             Auto picked a losing fork-join path"
+        );
+        return true;
     }
-    failed
+    println!(
+        "bench_guard: slab Auto speedup {auto:.2}x (forced parallel {par:.2}x) — \
+         Auto avoids the losing path"
+    );
+    false
 }
 
 /// Gate the checked-in `serve` block (emitted by `serve_bench`): the
@@ -468,23 +415,17 @@ fn guard_checkpoint(baseline: &str, path: &std::path::Path) -> bool {
 
 fn smoke() -> i32 {
     // Baseline sanity: the checked-in JSON must parse and must carry the
-    // trace-engine entry bench_sim now emits.
+    // engine entries bench_sim emits.
     let Some((path, baseline)) = load_baseline() else {
         eprintln!("bench_guard: BENCH_SIM.json not found");
         return 1;
     };
     let mut failed = false;
     for key in [
-        "instructions_per_sec_sequential",
-        "instructions_per_sec_parallel",
         "instructions_per_sec_slab_sequential",
         "instructions_per_sec_slab_parallel",
-        "speedup_trace_vs_interpreter_sequential",
-        "speedup_parallel_vs_sequential",
-        "speedup_auto_vs_sequential",
         "speedup_slab_auto_vs_sequential",
-        "speedup_slab_vs_trace_sequential",
-        "speedup_trace_fused_vs_unfused",
+        "speedup_slab_vs_interpreter_sequential",
         "speedup_slab_fused_vs_unfused",
     ] {
         match json_number(&baseline, key) {
@@ -515,50 +456,42 @@ fn smoke() -> i32 {
     cfg.pes_per_subarray = 4;
     let streams = add32_streams(cfg.cols, cfg.groups);
 
-    let mut interp = ApMachine::new(ArchConfig {
-        exec: ExecMode::Sequential,
-        ..cfg.clone()
-    });
-    let mut traced = ApMachine::new(ArchConfig {
-        exec: ExecMode::Sequential,
-        ..cfg.clone()
-    });
+    let mut interp = ApMachine::new(cfg.clone());
     let mut slab = SlabMachine::new(ArchConfig {
         exec: ExecMode::Sequential,
         ..cfg.clone()
     });
     seed_machine(&mut interp);
-    seed_machine(&mut traced);
     seed_slab(&mut slab);
     let mut slab_unfused = SlabMachine::new(ArchConfig {
         exec: ExecMode::Sequential,
         ..cfg.clone()
     });
     seed_slab(&mut slab_unfused);
-    let interp_stats = interp.run_interpreted(&streams);
-    let trace_stats = traced.run(&streams);
+    let interp_stats = interp.run(&streams);
     let slab_stats = slab.run(&streams);
     // The fused peephole pipeline (the default) must be observationally
     // identical to unfused compilation — including architectural op/cycle
     // counts, which bill fused micro-ops as their unfused constituents.
     let unfused = hyperap_arch::trace::compile_streams_unfused(&streams, slab_unfused.config());
-    let slab_unfused_stats = slab_unfused.run_compiled(&unfused);
-    if interp_stats != trace_stats {
-        eprintln!("bench_guard: interpreter and trace engines disagree on smoke workload");
-        failed = true;
-    } else if interp_stats != slab_stats {
+    let slab_unfused_stats = slab_unfused
+        .try_run_compiled(&unfused)
+        .expect("fault-free smoke run");
+    if interp_stats != slab_stats {
         eprintln!("bench_guard: interpreter and slab engines disagree on smoke workload");
         failed = true;
     } else if interp_stats != slab_unfused_stats {
         eprintln!("bench_guard: fused and unfused slab runs disagree on smoke workload");
         failed = true;
     } else {
-        println!("bench_guard: all engines (fused and unfused) bit-identical on smoke workload");
+        println!(
+            "bench_guard: interpreter and slab (fused and unfused) bit-identical on smoke workload"
+        );
     }
 
     // Fault cross-check: the same workload under a dense seeded fault model
     // (stuck cells, transient misses, endurance sparing) must stay
-    // bit-identical across all three engines. This is the cheap CI-side
+    // bit-identical across both engines. This is the cheap CI-side
     // sentinel for the full differential suite in
     // `crates/arch/tests/fault_equivalence.rs`.
     let fault_cfg = ArchConfig {
@@ -575,19 +508,14 @@ fn smoke() -> i32 {
         ..cfg.clone()
     };
     let mut f_interp = ApMachine::new(fault_cfg.clone());
-    let mut f_traced = ApMachine::new(fault_cfg.clone());
     let mut f_slab = SlabMachine::new(fault_cfg);
     seed_machine(&mut f_interp);
-    seed_machine(&mut f_traced);
     seed_slab(&mut f_slab);
-    let fi = f_interp.try_run_interpreted(&streams);
-    let ft = f_traced.try_run(&streams);
-    let fs = f_slab.try_run(&streams);
-    if fi != ft || fi != fs {
+    if f_interp.try_run(&streams) != f_slab.try_run(&streams) {
         eprintln!("bench_guard: engines disagree on the seeded-fault smoke workload");
         failed = true;
     } else {
-        println!("bench_guard: all engines bit-identical under the seeded fault model");
+        println!("bench_guard: both engines bit-identical under the seeded fault model");
     }
 
     // Similarity cross-check: Hamming top-k over random stored codes must
@@ -596,10 +524,7 @@ fn smoke() -> i32 {
     // for `crates/arch/tests/similarity_equivalence.rs`.
     let sim_rows = 8;
     let codes = wsim::CodeSet::generate(0x57A6E, cfg.total_pes(), sim_rows, 64);
-    let mut sim_ap = ApMachine::new(ArchConfig {
-        exec: ExecMode::Sequential,
-        ..cfg.clone()
-    });
+    let mut sim_ap = ApMachine::new(cfg.clone());
     codes.load_ap(&mut sim_ap);
     let mut sim_slab = SlabMachine::new(ArchConfig {
         exec: ExecMode::Sequential,
@@ -620,24 +545,13 @@ fn smoke() -> i32 {
 
     let reps = 5;
     let interp_s = best_secs(reps, || {
-        black_box(interp.run_interpreted(&streams));
-    });
-    let trace_s = best_secs(reps, || {
-        black_box(traced.run(&streams));
+        black_box(interp.run(&streams));
     });
     let slab_s = best_secs(reps, || {
         black_box(slab.run(&streams));
     });
-    let trace_ratio = interp_s / trace_s;
     let slab_ratio = interp_s / slab_s;
-    println!(
-        "bench_guard: smoke interp {interp_s:.4}s, trace {trace_s:.4}s ({trace_ratio:.2}x), \
-         slab {slab_s:.4}s ({slab_ratio:.2}x)"
-    );
-    if trace_ratio < FLOOR {
-        eprintln!("bench_guard: trace engine slower than {FLOOR}x interpreter — regression");
-        failed = true;
-    }
+    println!("bench_guard: smoke interp {interp_s:.4}s, slab {slab_s:.4}s ({slab_ratio:.2}x)");
     if slab_ratio < FLOOR {
         eprintln!("bench_guard: slab engine slower than {FLOOR}x interpreter — regression");
         failed = true;
@@ -696,8 +610,8 @@ fn full() -> i32 {
     };
 
     // The bench_sim engine workload, re-measured: add32 on every PE of a
-    // 16-group × 64-PE machine of 256×256. Four guarded columns: trace
-    // engine sequential and parallel, slab engine sequential and parallel.
+    // 16-group × 64-PE machine of 256×256. Two guarded columns: slab
+    // engine sequential and parallel.
     let mut cfg = ArchConfig::paper_scaled(256);
     cfg.groups = 16;
     let streams = add32_streams(cfg.cols, cfg.groups);
@@ -708,18 +622,6 @@ fn full() -> i32 {
     // biasing toward stability, not toward hiding real regressions (the
     // FLOOR still applies to the best observed run).
     let reps = 5;
-    let trace_ips = |mode: ExecMode| {
-        let mut m = ApMachine::new(ArchConfig {
-            exec: mode,
-            ..cfg.clone()
-        });
-        seed_machine(&mut m);
-        black_box(m.run(&streams));
-        let secs = best_secs(reps, || {
-            black_box(m.run(&streams));
-        });
-        total_instructions as f64 / secs
-    };
     let slab_ips = |mode: ExecMode| {
         let mut m = SlabMachine::new(ArchConfig {
             exec: mode,
@@ -734,20 +636,6 @@ fn full() -> i32 {
     };
 
     let mut failed = false;
-    failed |= guard_column(
-        "trace sequential",
-        "instructions_per_sec_sequential",
-        trace_ips(ExecMode::Sequential),
-        &baseline,
-        &path,
-    );
-    failed |= guard_column(
-        "trace parallel",
-        "instructions_per_sec_parallel",
-        trace_ips(ExecMode::Parallel),
-        &baseline,
-        &path,
-    );
     let slab_seq = slab_ips(ExecMode::Sequential);
     failed |= guard_column(
         "slab sequential",
@@ -772,10 +660,7 @@ fn full() -> i32 {
         let codes = wsim::CodeSet::generate(0x51AB, cfg.total_pes(), sim_rows, cfg.cols);
         let query = codes.random_query(7);
         let key = codes.query_key(&query, cfg.cols);
-        let mut sim_ap = ApMachine::new(ArchConfig {
-            exec: ExecMode::Sequential,
-            ..cfg.clone()
-        });
+        let mut sim_ap = ApMachine::new(cfg.clone());
         codes.load_ap(&mut sim_ap);
         let mut sim_slab = SlabMachine::new(ArchConfig {
             exec: ExecMode::Sequential,

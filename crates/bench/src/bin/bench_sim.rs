@@ -1,43 +1,36 @@
-//! Engine benchmark: measures the cycle simulator's execution engine and
+//! Engine benchmark: measures the cycle simulator's execution engines and
 //! emits machine-readable `BENCH_SIM.json`.
 //!
-//! Five comparisons:
+//! Comparisons:
 //!
 //! 1. **Kernel**: `TcamArray::search` (allocates a fresh `TagVector` per
-//!    call) vs `TcamArray::search_into` (reuses the caller's buffer) — the
-//!    steady-state engine path.
-//! 2. **Engine**: the instruction-at-a-time interpreter
-//!    (`ApMachine::run_interpreted`) vs the trace-compiled engine
-//!    (`ApMachine::run`, compile included, plus `run_compiled` with the
-//!    compile hoisted out) — bit-identical results, wall-clock only.
-//! 3. **Engine threading**: the trace engine under `ExecMode::Sequential`
+//!    call) vs `TcamArray::search_into` (reuses the caller's buffer), plus
+//!    the raw bit-plane word-search throughput of a 1024-PE slab.
+//! 2. **Engine**: the instruction-at-a-time interpreter (`ApMachine::run`)
+//!    vs the slab engine (`SlabMachine::run`, compile included, plus
+//!    `try_run_compiled` with the compile hoisted out) — bit-identical
+//!    results, wall-clock only.
+//! 3. **Engine threading**: the slab engine under `ExecMode::Sequential`
 //!    vs `ExecMode::Parallel` vs `ExecMode::Auto`. On a single-CPU host the
 //!    threaded run cannot win — the host core count is recorded in the JSON
 //!    so readers can interpret the ratio.
-//! 4. **Storage layout**: the trace engine over per-PE `TcamArray` objects
-//!    (`ApMachine`) vs the slab engine (`SlabMachine`) running the same
-//!    compiled traces over contiguous multi-PE arenas with fused kernels —
-//!    bit-identical results, wall-clock only.
-//! 5. **Allocation hygiene**: the optimized engine vs a faithful emulation
-//!    of the pre-optimization engine (fresh active-PE vector and cloned
-//!    instruction/key per step, a fresh `TagVector` per search, a full-width
-//!    single-bit `SearchKey` per write, cloned registers on every tag
-//!    transfer). Identical compute, seed-era allocation behavior.
-//! 6. **Peephole fusion**: both engines running precompiled *fused* traces
-//!    (the default `compile_streams` pipeline, which collapses
+//! 4. **Peephole fusion**: the slab engine running precompiled *fused*
+//!    traces (the default `compile_streams` pipeline, which collapses
 //!    Search→SetTag→Write chains into single-sweep micro-ops) vs the same
 //!    streams compiled with `compile_streams_unfused` — bit-identical
 //!    results and identical architectural cycle counts, wall-clock only.
-//! 7. **Similarity search**: the CAM-native Hamming top-k query on the
+//! 5. **Similarity search**: the CAM-native Hamming top-k query on the
 //!    word-parallel slab engine vs the scalar per-PE reference engine over
 //!    identical stored codes (both Sequential, so the ratio isolates the
 //!    bit-plane word kernels rather than host threading), the raw
 //!    accumulate-kernel word throughput, and the binarized-HDC classifier's
 //!    per-inference latency on both engines. All engine results are
 //!    cross-checked against the pure-host references before timing.
+//! 6. **Checkpoint cost**: full and incremental snapshots of the slab
+//!    machine into an in-memory sink, and restore latency.
 //!
-//! The `run`-based columns include trace compilation; both machines keep a
-//! content-addressed trace cache, so steady-state reps pay one stream
+//! The slab `run` columns include trace compilation; the slab machine keeps
+//! a content-addressed trace cache, so steady-state reps pay one stream
 //! comparison instead of a recompile (the first, uncached call is warmup).
 //!
 //! Workload: the lowered 32-bit adder stream on every PE of a
@@ -49,13 +42,9 @@
 //! so a checked-in baseline can be traced to the commit and geometry that
 //! produced it.
 
-use hyperap_arch::machine::BROADCAST_ADDR;
 use hyperap_arch::{ApMachine, ArchConfig, ExecMode, SlabMachine};
+use hyperap_bench::{add32_streams, best_secs, seed_machine, seed_slab};
 use hyperap_compiler::{compile, opt, CompileOptions, OPT_LEVEL_MAX};
-use hyperap_core::machine::HyperPe;
-use hyperap_core::microcode::Microcode;
-use hyperap_isa::lower::lower;
-use hyperap_isa::Instruction;
 use hyperap_tcam::array::TcamArray;
 use hyperap_tcam::key::SearchKey;
 use hyperap_tcam::tags::TagVector;
@@ -94,17 +83,6 @@ fn fnv1a(words: &[u64]) -> u64 {
     h
 }
 
-/// Best-of-`reps` wall time of `f`, in seconds.
-fn best_secs<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
-}
-
 /// Median ns/call of `f`, batch-calibrated to ~50 ms samples.
 fn ns_per_call<F: FnMut()>(mut f: F) -> f64 {
     let calib = Instant::now();
@@ -127,125 +105,6 @@ fn ns_per_call<F: FnMut()>(mut f: F) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// One group of the pre-optimization engine, reproduced through the same
-/// public PE APIs: compute is identical to the optimized engine (so final
-/// machine state matches), but every per-step allocation of the seed —
-/// fresh active-PE vector, cloned instruction and key, a fresh `TagVector`
-/// per search, a full-width key per write, cloned registers on tag
-/// transfers — is paid.
-struct SeedStyleGroup {
-    pes: Vec<HyperPe>,
-    data_regs: Vec<TagVector>,
-    key: SearchKey,
-    bank_mask: u8,
-    pes_per_bank: usize,
-}
-
-impl SeedStyleGroup {
-    fn new(pes: usize, pes_per_bank: usize) -> Self {
-        SeedStyleGroup {
-            pes: (0..pes).map(|_| HyperPe::new(ROWS, COLS)).collect(),
-            data_regs: vec![TagVector::zeros(ROWS); pes],
-            key: SearchKey::masked(COLS),
-            bank_mask: 0xFF,
-            pes_per_bank,
-        }
-    }
-
-    fn active(&self) -> Vec<usize> {
-        (0..self.pes.len())
-            .filter(|&pe| {
-                let bank = pe / self.pes_per_bank;
-                bank >= 8 || self.bank_mask >> bank & 1 == 1
-            })
-            .collect()
-    }
-
-    fn execute(&mut self, inst: &Instruction) {
-        let inst = inst.clone(); // the seed run loop cloned each step
-        match &inst {
-            Instruction::SetKey { key } => self.key = key.clone(),
-            Instruction::Search { acc, encode } => {
-                let key = self.key.clone();
-                for pe in self.active() {
-                    black_box(TagVector::zeros(ROWS)); // seed: fresh result buffer
-                    self.pes[pe].search(&key, *acc);
-                    if *encode {
-                        black_box(self.pes[pe].tags().clone()); // seed: latch clone
-                        self.pes[pe].latch_tags();
-                    }
-                }
-            }
-            Instruction::Write { col, encode } => {
-                let key = self.key.clone();
-                let col = *col as usize;
-                for pe in self.active() {
-                    if *encode {
-                        self.pes[pe].write_encoded(col);
-                    } else {
-                        let value = key.bit(col);
-                        if value.write_value().is_some() {
-                            // seed: one full-width single-bit key per write,
-                            // scanned column by column by the write driver
-                            let k = SearchKey::masked(COLS).with_bit(col, value);
-                            black_box(k.active_count());
-                            self.pes[pe].write(col, value);
-                        }
-                    }
-                }
-            }
-            Instruction::Count => {
-                let mut results = Vec::new();
-                for pe in self.active() {
-                    results.push((pe, self.pes[pe].count()));
-                }
-                black_box(results);
-            }
-            Instruction::Index => {
-                let mut results = Vec::new();
-                for pe in self.active() {
-                    results.push((pe, self.pes[pe].index()));
-                }
-                black_box(results);
-            }
-            Instruction::WriteR { addr, imm } => {
-                let value = reg_from_bytes(imm);
-                if *addr == BROADCAST_ADDR {
-                    for pe in self.active() {
-                        self.data_regs[pe] = value.clone();
-                    }
-                } else {
-                    let pe = (*addr as usize).min(self.pes.len() - 1);
-                    self.data_regs[pe] = value;
-                }
-            }
-            Instruction::SetTag => {
-                for pe in self.active() {
-                    let reg = self.data_regs[pe].clone();
-                    self.pes[pe].set_tags(reg);
-                }
-            }
-            Instruction::ReadTag => {
-                for pe in self.active() {
-                    self.data_regs[pe] = self.pes[pe].tags().clone();
-                }
-            }
-            Instruction::Broadcast { group_mask } => self.bank_mask = *group_mask,
-            Instruction::MovR { .. } | Instruction::ReadR { .. } | Instruction::Wait { .. } => {}
-        }
-    }
-}
-
-fn reg_from_bytes(bytes: &[u8]) -> TagVector {
-    let mut t = TagVector::zeros(ROWS);
-    for row in 0..ROWS {
-        if bytes.get(row / 8).copied().unwrap_or(0) >> (row % 8) & 1 == 1 {
-            t.set(row, true);
-        }
-    }
-    t
-}
-
 /// Per-opt-level static cost of a compiler-built kernel:
 /// `(counted micro-ops, Table-I RRAM cycles)` for levels `0..=OPT_LEVEL_MAX`.
 fn compiler_columns(src: &str) -> Vec<(u64, u64)> {
@@ -264,35 +123,11 @@ fn compiler_columns(src: &str) -> Vec<(u64, u64)> {
         .collect()
 }
 
-fn add32_stream() -> Vec<Instruction> {
-    let mut mc = Microcode::new(COLS);
-    let (x, y) = mc.alloc_paired_inputs("a", "b", 32);
-    let _ = mc.add(&x, &y);
-    lower(&mc.into_program())
-}
-
 fn engine_config(exec: ExecMode) -> ArchConfig {
     let mut cfg = ArchConfig::paper_scaled(ROWS);
     cfg.groups = GROUPS;
     cfg.exec = exec;
     cfg
-}
-
-fn seed_machine(m: &mut ApMachine) {
-    for pe in 0..m.config().total_pes() {
-        for row in 0..8 {
-            m.pe_mut(pe)
-                .load_encoded_pair(row, 0, row & 1 == 1, pe & 1 == 1);
-        }
-    }
-}
-
-fn seed_slab(m: &mut SlabMachine) {
-    for pe in 0..m.config().total_pes() {
-        for row in 0..8 {
-            m.load_encoded_pair(pe, row, 0, row & 1 == 1, pe & 1 == 1);
-        }
-    }
 }
 
 fn main() {
@@ -362,50 +197,20 @@ fn main() {
     let words_per_ns = (plan.len() * wslab.plane_words()) as f64 / ns_word_search;
 
     // 2 & 3. Engine runs: same streams everywhere.
-    let stream = add32_stream();
-    let streams: Vec<Vec<Instruction>> = (0..GROUPS).map(|_| stream.clone()).collect();
-    let total_instructions = (GROUPS * stream.len()) as f64;
+    let streams = add32_streams(COLS, GROUPS);
+    let stream_len = streams[0].len();
+    let total_instructions = (GROUPS * stream_len) as f64;
 
-    let run_mode = |mode: ExecMode, interpreted: bool| {
-        let mut m = ApMachine::new(engine_config(mode));
-        seed_machine(&mut m);
-        best_secs(reps, || {
-            if interpreted {
-                black_box(m.run_interpreted(&streams));
-            } else {
-                black_box(m.run(&streams));
-            }
-        })
-    };
-    let interp_seq_s = run_mode(ExecMode::Sequential, true);
-    let interp_par_s = run_mode(ExecMode::Parallel, true);
-    let seq_s = run_mode(ExecMode::Sequential, false);
-    let par_s = run_mode(ExecMode::Parallel, false);
-    let auto_s = run_mode(ExecMode::Auto, false);
-    // Trace reuse: compile once, run the compiled traces repeatedly (the
-    // steady state of a workload that executes the same kernel many times).
-    // 6 (measured here). Peephole fusion: precompiled fused vs unfused
-    // traces, run on the *same* machine instance — the per-PE machine is
-    // half a million small allocations, so two separately allocated
-    // machines can land in different heap layouts and skew the ratio.
-    let unfused_traces = {
-        let cfg = engine_config(ExecMode::Sequential);
-        hyperap_arch::trace::compile_streams_unfused(&streams, &cfg)
-    };
-    let (precompiled_s, precompiled_unfused_s) = {
+    let interp_seq_s = {
         let mut m = ApMachine::new(engine_config(ExecMode::Sequential));
         seed_machine(&mut m);
-        let traces = hyperap_arch::trace::compile_streams(&streams, m.config());
-        let fused = best_secs(reps, || {
-            black_box(m.run_compiled(&traces));
-        });
-        let unfused = best_secs(reps, || {
-            black_box(m.run_compiled(&unfused_traces));
-        });
-        (fused, unfused)
+        best_secs(reps, || {
+            black_box(m.run(&streams));
+        })
     };
 
-    // 4. Slab engine: same compiled traces over contiguous multi-PE arenas.
+    // Slab engine over every threading mode, compile included (cached
+    // after the first rep).
     let run_slab = |mode: ExecMode| {
         let mut m = SlabMachine::new(engine_config(mode));
         seed_slab(&mut m);
@@ -416,33 +221,25 @@ fn main() {
     let slab_seq_s = run_slab(ExecMode::Sequential);
     let slab_par_s = run_slab(ExecMode::Parallel);
     let slab_auto_s = run_slab(ExecMode::Auto);
+    // 4. Trace reuse and peephole fusion: compile once, run the fused and
+    // the unfused traces repeatedly on the same machine.
     let (slab_precompiled_s, slab_precompiled_unfused_s) = {
         let mut m = SlabMachine::new(engine_config(ExecMode::Sequential));
         seed_slab(&mut m);
         let traces = hyperap_arch::trace::compile_streams(&streams, m.config());
-        let fused = best_secs(reps, || {
-            black_box(m.run_compiled(&traces));
+        let unfused = hyperap_arch::trace::compile_streams_unfused(&streams, m.config());
+        let fused_s = best_secs(reps, || {
+            black_box(m.try_run_compiled(&traces).expect("fault-free run"));
         });
-        let unfused = best_secs(reps, || {
-            black_box(m.run_compiled(&unfused_traces));
+        let unfused_s = best_secs(reps, || {
+            black_box(m.try_run_compiled(&unfused).expect("fault-free run"));
         });
-        (fused, unfused)
+        (fused_s, unfused_s)
     };
 
     let cfg = engine_config(ExecMode::Sequential);
-    let per_group = cfg.pes_per_group();
-    let mut seed_groups: Vec<SeedStyleGroup> = (0..GROUPS)
-        .map(|_| SeedStyleGroup::new(per_group, cfg.pes_per_bank()))
-        .collect();
-    let seed_style_s = best_secs(reps, || {
-        for (g, stream) in streams.iter().enumerate() {
-            for inst in stream {
-                seed_groups[g].execute(inst);
-            }
-        }
-    });
 
-    // 7. Similarity search: Hamming top-k on the word-parallel slab engine
+    // 5. Similarity search: Hamming top-k on the word-parallel slab engine
     // vs the scalar per-PE reference engine over identical stored codes.
     // Both run Sequential so the speedup isolates the bit-plane word
     // kernels (64 PEs per ALU op), not host threading.
@@ -530,7 +327,7 @@ fn main() {
     });
     let hdc_accuracy = model.accuracy_host(&hdc.test, cfg.total_pes(), hdc_rows);
 
-    // 8. Checkpoint cost: full and incremental snapshots of the 1024-PE
+    // 6. Checkpoint cost: full and incremental snapshots of the 1024-PE
     // slab machine (post-add32 state) into an in-memory sink, plus restore
     // latency. The incremental column re-dirties only group 0 between
     // snapshots, so with the default one-group chunking 15/16 of the
@@ -682,15 +479,7 @@ fn main() {
   }},
   "engine": {{
     "interpreter": {{
-      "sequential_s": {interp_seq_s:.4},
-      "parallel_s": {interp_par_s:.4}
-    }},
-    "trace": {{
-      "sequential_s": {seq_s:.4},
-      "parallel_s": {par_s:.4},
-      "auto_s": {auto_s:.4},
-      "precompiled_sequential_s": {precompiled_s:.4},
-      "precompiled_unfused_s": {precompiled_unfused_s:.4}
+      "sequential_s": {interp_seq_s:.4}
     }},
     "slab": {{
       "sequential_s": {slab_seq_s:.4},
@@ -699,25 +488,16 @@ fn main() {
       "precompiled_sequential_s": {slab_precompiled_s:.4},
       "precompiled_unfused_s": {slab_precompiled_unfused_s:.4}
     }},
-    "seed_style_s": {seed_style_s:.4},
-    "instructions_per_sec_sequential": {ips_seq:.0},
-    "instructions_per_sec_parallel": {ips_par:.0},
     "instructions_per_sec_slab_sequential": {ips_slab_seq:.0},
     "instructions_per_sec_slab_parallel": {ips_slab_par:.0},
-    "speedup_trace_vs_interpreter_sequential": {sp_trace:.2},
-    "speedup_parallel_vs_sequential": {sp_par:.2},
-    "speedup_auto_vs_sequential": {sp_auto:.2},
-    "speedup_slab_vs_trace_sequential": {sp_slab:.2},
+    "speedup_slab_vs_interpreter_sequential": {sp_slab:.2},
     "speedup_slab_parallel_vs_sequential": {sp_slab_par:.2},
     "speedup_slab_auto_vs_sequential": {sp_slab_auto:.2},
-    "speedup_trace_fused_vs_unfused": {sp_trace_fused:.2},
-    "speedup_slab_fused_vs_unfused": {sp_slab_fused:.2},
-    "speedup_optimized_vs_seed_style": {sp_seed:.2}
+    "speedup_slab_fused_vs_unfused": {sp_slab_fused:.2}
   }}
 }}
 "#,
         total_pes = cfg.total_pes(),
-        stream_len = stream.len(),
         add32_ops_0 = add32_cols[0].0,
         add32_ops_1 = add32_cols[1].0,
         add32_ops_2 = add32_cols[2].0,
@@ -736,19 +516,12 @@ fn main() {
         hdc_dim = hdc_cfg.dim,
         hdc_classes = hdc_cfg.classes,
         sp_hdc = hdc_scalar_ns / hdc_slab_ns,
-        ips_seq = total_instructions / seq_s,
-        ips_par = total_instructions / par_s,
         ips_slab_seq = total_instructions / slab_seq_s,
         ips_slab_par = total_instructions / slab_par_s,
-        sp_trace = interp_seq_s / seq_s,
-        sp_par = seq_s / par_s,
-        sp_auto = seq_s / auto_s,
-        sp_slab = seq_s / slab_seq_s,
+        sp_slab = interp_seq_s / slab_seq_s,
         sp_slab_par = slab_seq_s / slab_par_s,
         sp_slab_auto = slab_seq_s / slab_auto_s,
-        sp_trace_fused = precompiled_unfused_s / precompiled_s,
         sp_slab_fused = slab_precompiled_unfused_s / slab_precompiled_s,
-        sp_seed = seed_style_s / seq_s,
     );
     std::fs::write("BENCH_SIM.json", &json).expect("write BENCH_SIM.json");
     print!("{json}");

@@ -1,8 +1,8 @@
-//! Differential fuzzer for the three execution engines: random Table-I
+//! Differential fuzzer for the two execution engines: random Table-I
 //! instruction streams (plus synthetic-arithmetic kernel streams from
 //! [`hyperap_workloads::synthetic`]) run on the instruction-at-a-time
-//! interpreter, the trace-compiled engine, and the slab engine — with and
-//! without a seeded fault model — and any divergence in the run `Result`
+//! interpreter and on the slab engine over every mode × chunk width — with
+//! and without a seeded fault model — and any divergence in the run `Result`
 //! (stats, `pe_health`, typed fault errors) or the post-run machine state
 //! is shrunk to a minimized repro before the fuzzer exits non-zero.
 //!
@@ -235,18 +235,6 @@ fn build_slab(case: &Case, mode: ExecMode, chunk_pes: usize) -> SlabMachine {
 }
 
 /// First state component on which `b` disagrees with the reference, if any.
-fn ap_state_divergence(reference: &ApMachine, b: &ApMachine) -> Option<String> {
-    for pe in 0..PES {
-        if reference.pe(pe) != b.pe(pe) {
-            return Some(format!("PE {pe} state (cells/tags/wear/fault bookkeeping)"));
-        }
-        if reference.data_reg(pe) != b.data_reg(pe) {
-            return Some(format!("PE {pe} data register"));
-        }
-    }
-    (reference.data_buffers != b.data_buffers).then(|| "controller data buffers".to_string())
-}
-
 fn slab_state_divergence(reference: &ApMachine, b: &SlabMachine) -> Option<String> {
     for pe in 0..PES {
         if *reference.pe(pe) != b.pe_snapshot(pe) {
@@ -263,21 +251,8 @@ fn slab_state_divergence(reference: &ApMachine, b: &SlabMachine) -> Option<Strin
 /// divergence from the interpreted reference.
 fn check(case: &Case) -> Option<String> {
     let mut reference = build_reference(case);
-    let ref_result = reference.try_run_interpreted(&case.streams);
+    let ref_result = reference.try_run(&case.streams);
     for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-        let mut traced = ApMachine::new(config(case, mode));
-        for &(pe, row, col, v) in &case.loads {
-            traced.pe_mut(pe).load_bit(row, col, v);
-        }
-        let got = traced.try_run(&case.streams);
-        if got != ref_result {
-            return Some(format!(
-                "trace engine ({mode:?}) result diverged:\n  reference: {ref_result:?}\n  trace:     {got:?}"
-            ));
-        }
-        if let Some(what) = ap_state_divergence(&reference, &traced) {
-            return Some(format!("trace engine ({mode:?}) diverged on {what}"));
-        }
         for chunk_pes in CHUNK_WIDTHS {
             let mut slab = build_slab(case, mode, chunk_pes);
             let got = slab.try_run(&case.streams);
@@ -774,7 +749,7 @@ fn main() {
         }
     }
     println!(
-        "diff_fuzz: {iters} cases clean — interpreter, trace, and slab engines bit-identical \
+        "diff_fuzz: {iters} cases clean — interpreter and slab engines bit-identical \
          (with and without faults); {kernel_cases} compiler kernels agree at opt levels 0 and \
          {OPT_LEVEL_MAX}; {sim_cases} similarity-query cases agree across engines"
     );

@@ -8,7 +8,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use hyperap_arch::{ApMachine, SlabMachine};
+use hyperap_core::microcode::Microcode;
+use hyperap_isa::lower::lower;
+use hyperap_isa::Instruction;
 use hyperap_model::metrics::Metrics;
+use std::time::Instant;
 
 /// Print a section header.
 pub fn header(title: &str) {
@@ -43,4 +48,46 @@ pub fn metric_block(op: &str, m: &Metrics, paper: &hyperap_baselines::OpRecord) 
     );
     row("power eff", m.power_eff_gops_w, paper.power_eff, "GOPS/W");
     row("area eff", m.area_eff_gops_mm2, paper.area_eff, "GOPS/mm2");
+}
+
+/// Best-of-`reps` wall time of `f`, in seconds.
+pub fn best_secs<F: FnMut()>(reps: usize, mut f: F) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..reps {
+        let t = Instant::now();
+        f();
+        best = best.min(t.elapsed().as_secs_f64());
+    }
+    best
+}
+
+/// The engine benchmarks' workload: the lowered 32-bit adder on a
+/// `cols`-column PE, one copy per group of a `groups`-group machine.
+pub fn add32_streams(cols: usize, groups: usize) -> Vec<Vec<Instruction>> {
+    let mut mc = Microcode::new(cols);
+    let (x, y) = mc.alloc_paired_inputs("a", "b", 32);
+    let _ = mc.add(&x, &y);
+    let stream = lower(&mc.into_program());
+    vec![stream; groups]
+}
+
+/// Load the add32 workload's operand pattern into the first eight rows of
+/// every PE of an interpreter machine.
+pub fn seed_machine(m: &mut ApMachine) {
+    for pe in 0..m.config().total_pes() {
+        for row in 0..8.min(m.config().rows) {
+            m.pe_mut(pe)
+                .load_encoded_pair(row, 0, row & 1 == 1, pe & 1 == 1);
+        }
+    }
+}
+
+/// [`seed_machine`] for a slab machine: the same cells, so both engines
+/// start from identical state.
+pub fn seed_slab(m: &mut SlabMachine) {
+    for pe in 0..m.config().total_pes() {
+        for row in 0..8.min(m.config().rows) {
+            m.load_encoded_pair(pe, row, 0, row & 1 == 1, pe & 1 == 1);
+        }
+    }
 }

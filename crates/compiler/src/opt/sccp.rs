@@ -19,7 +19,7 @@
 //! column, a `One` over a known-zero column), searches certain to match
 //! everywhere, writes under known-empty tags, and writes that store a
 //! column's known value back; key bits certain to match are *narrowed* to
-//! `Masked`, shortening the keys the trace engine compares.
+//! `Masked`, shortening the keys the engines compare.
 
 use std::collections::HashMap;
 

@@ -180,79 +180,6 @@ impl HyperPe {
         self.latch.copy_from(&self.tags);
     }
 
-    /// Fused search chain plus conditional writes (the trace engine's
-    /// `SearchWrite`/`SearchWriteMulti` micro-ops): computes
-    /// `tags = (acc ? tags : 0) | match(plans[0]) | …`, optionally latches
-    /// the result, then programs each `(column, value)` under the final
-    /// tags — all in one pass over the array
-    /// ([`TcamArray::search_write_multi`]).
-    ///
-    /// Bit-identical to the unfused sequence of [`search_planned`]
-    /// (first with `accumulate = acc`, the rest accumulating),
-    /// [`latch_tags`] and [`write`] calls, and counted exactly like it:
-    /// one search + one `SetKey` per plan, one single-column write per
-    /// entry of `writes`.
-    ///
-    /// [`search_planned`]: Self::search_planned
-    /// [`latch_tags`]: Self::latch_tags
-    /// [`write`]: Self::write
-    ///
-    /// # Panics
-    ///
-    /// Panics if a write column is out of range.
-    pub fn search_write_multi(
-        &mut self,
-        plans: &[&[(usize, KeyBit)]],
-        acc: bool,
-        encode: bool,
-        writes: &[(usize, TernaryBit)],
-    ) {
-        for &(col, _) in writes {
-            assert!(col < self.cols(), "write column {col} out of range");
-        }
-        self.array
-            .search_write_multi(plans, acc, writes, &mut self.tags);
-        if encode {
-            self.latch_tags();
-        }
-        self.ops.searches += plans.len() as u64;
-        self.ops.set_keys += plans.len() as u64;
-        self.ops.writes_single += writes.len() as u64;
-    }
-
-    /// Batched single-column writes under the current tags (the trace
-    /// engine's `WriteMulti` micro-op): values are already resolved to
-    /// stores, applied in order. Counts one single-column write each.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a write column is out of range.
-    pub fn write_multi(&mut self, writes: &[(usize, TernaryBit)]) {
-        for &(col, value) in writes {
-            assert!(col < self.cols(), "write column {col} out of range");
-            self.array.write_column(col, value, &self.tags);
-        }
-        self.ops.writes_single += writes.len() as u64;
-    }
-
-    /// Incremental search (the trace engine's `SearchDelta` micro-op):
-    /// narrow the current tags by the plan's extra `(column, bit)` entries
-    /// without re-initializing from the row mask — sound when the tags
-    /// already hold the match of a still-valid plan prefix. Architecturally
-    /// a full search: counts one search plus one `SetKey`.
-    pub fn search_narrow(&mut self, plan: &[(usize, KeyBit)]) {
-        self.array.search_plan_narrow(plan, &mut self.tags);
-        self.ops.searches += 1;
-        self.ops.set_keys += 1;
-    }
-
-    /// Bill architectural operations this PE logically performed but the
-    /// engine skipped (peephole-elided dead/redundant searches), keeping
-    /// `OpCounts` identical to the unfused instruction stream.
-    pub fn add_ops(&mut self, delta: &OpCounts) {
-        self.ops.add(delta);
-    }
-
     /// `Write` instruction (`<encode>` = 0): program `value` into column
     /// `col` of every tagged word. 12 cycles on RRAM (Table I).
     ///

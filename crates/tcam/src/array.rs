@@ -303,134 +303,6 @@ impl TcamArray {
         }
     }
 
-    /// Incremental search: narrow `out`'s existing contents by `plan`
-    /// without the row-mask re-initialization of
-    /// [`search_plan_into`](Self::search_plan_into) — the reference kernel
-    /// for the trace engine's `SearchDelta` micro-op, sound when `out`
-    /// already holds the match of a still-valid plan prefix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len()` differs from the row count.
-    pub fn search_plan_narrow(&self, plan: &[(usize, KeyBit)], out: &mut TagVector) {
-        assert_eq!(out.len(), self.rows, "tag/row count mismatch");
-        let acc = out.blocks_mut();
-        for &(col, bit) in plan {
-            if col >= self.cols || bit == KeyBit::Masked {
-                continue;
-            }
-            self.search_col_step(acc, col, bit);
-        }
-    }
-
-    /// Fused search chain plus conditional writes in one pass — the
-    /// reference counterpart of the slab engine's single-sweep kernel
-    /// ([`crate::slab::TcamSlab::search_write_multi`]).
-    ///
-    /// Per 64-row block: `t = (acc ? tags : 0) | match(plans[0]) | …`,
-    /// store `t` into `tags`, then program each `(column, value)` of
-    /// `writes` in order under `t`. Processing block-by-block with the
-    /// reads before the writes is equivalent to the unfused sequence even
-    /// when a write column appears in a plan, because the architectural
-    /// search completes (per block) before any store and blocks are
-    /// independent. Wear: one pulse per write column, exactly like
-    /// [`write_column`](Self::write_column).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a write column is out of range or `tags.len() != rows`.
-    pub fn search_write_multi(
-        &mut self,
-        plans: &[&[(usize, KeyBit)]],
-        acc: bool,
-        writes: &[(usize, TernaryBit)],
-        tags: &mut TagVector,
-    ) {
-        assert_eq!(tags.len(), self.rows, "tag/row count mismatch");
-        for &(col, _) in writes {
-            assert!(col < self.cols, "column out of range");
-            self.wear[col] += 1;
-        }
-        // Same tiled sweep structure as the slab kernel
-        // ([`crate::slab::TcamSlab::search_write_multi`]), built from the
-        // shared pairwise passes in [`crate::sweep`]: plan entries are
-        // consumed two per pass with the bit-kind `match` hoisted out of
-        // the word loop, a non-accumulating chain evaluates its first plan
-        // directly in the tags tile, and the OR-accumulate folds into each
-        // later plan's final narrowing pass. Tiles are independent — a
-        // tile's searches read only its own block offsets.
-        // 8 blocks covers a 512-row array in one tile (the paper PE is 256
-        // rows = 4 blocks); keeping the scratch tile small matters here
-        // because this kernel runs once per PE, not once per chunk.
-        const TILE: usize = 8;
-        let mut s = [0u64; TILE];
-        let full = self.rows.is_multiple_of(64);
-        let blocks = self.row_mask.len();
-        let tag_blocks = tags.blocks_mut();
-        let mut base = 0;
-        while base < blocks {
-            let n = TILE.min(blocks - base);
-            let t = &mut tag_blocks[base..base + n];
-            let mask = match &self.fault {
-                // Under faults the effective mask also excludes this
-                // epoch's transient misses, so it applies even when the row
-                // count fills every block.
-                Some(f) => Some(&f.search_mask[base..base + n]),
-                None => (!full).then(|| &self.row_mask[base..base + n]),
-            };
-            if !acc && plans.is_empty() {
-                t.fill(0);
-            }
-            let columns = &self.columns;
-            let col = |c: usize| {
-                let cc = &columns[c];
-                (&cc.is_zero[base..base + n], &cc.is_one[base..base + n])
-            };
-            for (pi, plan) in plans.iter().enumerate() {
-                if pi == 0 && !acc {
-                    sweep::plan_and_into(t, plan, self.cols, &col, mask);
-                } else {
-                    sweep::plan_or_into(t, &mut s[..n], plan, self.cols, &col, mask);
-                }
-            }
-            for &(col, value) in writes {
-                let c = &mut self.columns[col];
-                let zero = &mut c.is_zero[base..base + n];
-                let one = &mut c.is_one[base..base + n];
-                match value {
-                    TernaryBit::Zero => {
-                        for ((z, o), tw) in zero.iter_mut().zip(one.iter_mut()).zip(t.iter()) {
-                            *z |= tw;
-                            *o &= !tw;
-                        }
-                    }
-                    TernaryBit::One => {
-                        for ((z, o), tw) in zero.iter_mut().zip(one.iter_mut()).zip(t.iter()) {
-                            *o |= tw;
-                            *z &= !tw;
-                        }
-                    }
-                    TernaryBit::X => {
-                        for ((z, o), tw) in zero.iter_mut().zip(one.iter_mut()).zip(t.iter()) {
-                            *z &= !tw;
-                            *o &= !tw;
-                        }
-                    }
-                }
-            }
-            base += n;
-        }
-        if self.fault.is_some() {
-            // Stuck enforcement is idempotent and tiles touch disjoint row
-            // blocks with reads preceding writes, so enforcing once per
-            // written column at kernel end equals enforcing after every
-            // store — the invariant the unfused engines maintain.
-            for &(col, _) in writes {
-                self.enforce_stuck_col(col);
-            }
-        }
-    }
-
     /// Narrow `acc` to the rows matching `bit` at `col`.
     fn search_col_step(&self, acc: &mut [u64], col: usize, bit: KeyBit) {
         let c = &self.columns[col];

@@ -18,8 +18,8 @@
 //!   for the duration of one architectural run (one *epoch*). The miss set
 //!   is re-hashed per epoch, so different runs see different misses but
 //!   every engine executing the same run sees the same set. Holding the
-//!   set stable within an epoch is what keeps the trace engine's fusion and
-//!   dead-search elision sound under faults.
+//!   set stable within an epoch is what keeps the trace peephole's fusion
+//!   and dead-search elision sound under faults.
 //! * **Endurance trips**: when a column's existing wear counter reaches
 //!   `endurance_limit`, the column is retired onto a spare device at the
 //!   end of the run ([`FaultState::retire`]); when no spares remain the

@@ -35,13 +35,14 @@
 //! The fused kernels ([`TcamSlab::search_plan_multi_into`],
 //! [`write_column_multi`](TcamSlab::write_column_multi),
 //! [`copy_column_multi`](TcamSlab::copy_column_multi),
-//! [`write_encoded_multi`](TcamSlab::write_encoded_multi), and the
-//! single-sweep search→write kernels
+//! [`write_encoded_multi`](TcamSlab::write_encoded_multi)) are
+//! bit-identical to looping the corresponding [`TcamArray`] kernel over
+//! per-PE objects, and the single-sweep search→write kernels
 //! [`search_write_multi`](TcamSlab::search_write_multi) /
 //! [`search_narrow_multi`](TcamSlab::search_narrow_multi) behind the trace
-//! peephole's fused micro-ops) are bit-identical to looping the
-//! corresponding [`TcamArray`] kernel over per-PE objects (property-tested
-//! in `tests/slab_properties.rs`), and
+//! peephole's fused micro-ops are bit-identical to the unfused
+//! [`TcamArray`] search and write sequence (property-tested in
+//! `tests/slab_properties.rs`), and
 //! [`from_arrays`](TcamSlab::from_arrays) / [`to_arrays`](TcamSlab::to_arrays)
 //! convert losslessly in both directions, wear included. Byte images keep
 //! the historical per-PE wire layout (`[col][pe][block]`), converted at the
@@ -1521,7 +1522,7 @@ impl TcamSlab {
 
     /// Fused search chain plus conditional writes over the selected PEs in
     /// **one linear pass** over the arena — the slab kernel behind the
-    /// trace engine's `SearchWrite`/`SearchWriteMulti` micro-ops.
+    /// trace peephole's `SearchWrite`/`SearchWriteMulti` micro-ops.
     ///
     /// Per plane word: `t = (acc ? tags : 0) | match(plans[0]) | …` (each
     /// match starting from the live mask and narrowing per plan entry),
@@ -1873,7 +1874,7 @@ impl TcamSlab {
     /// Incremental search over the selected PEs: narrow `out`'s existing
     /// contents by `plan` without the live-mask re-initialization of
     /// [`search_plan_multi_into`](Self::search_plan_multi_into) — the slab
-    /// kernel behind the trace engine's `SearchDelta` micro-op, sound when
+    /// kernel behind the trace peephole's `SearchDelta` micro-op, sound when
     /// `out` already holds the match of a still-valid plan prefix.
     /// Unselected lanes are untouched.
     ///
@@ -2962,7 +2963,7 @@ mod tests {
             if picked.binary_search(&pe).is_err() {
                 continue;
             }
-            let mut t = array.search(&key);
+            let t = array.search(&key);
             array.write_column(2, TernaryBit::One, &t);
             array.copy_column(6, 3);
             let lv = latch.to_tagvector(pe);
@@ -2973,7 +2974,8 @@ mod tests {
             }
             array.note_write(4);
             array.note_write(5);
-            array.search_write_multi(&[&plan], false, &[(7, TernaryBit::Zero)], &mut t);
+            let t = array.search(&key);
+            array.write_column(7, TernaryBit::Zero, &t);
             assert_eq!(tags.to_tagvector(pe), t, "pe {pe} tags");
         }
         for (pe, array) in arrays.iter().enumerate() {
@@ -3350,9 +3352,10 @@ mod tests {
         );
         for (pe, array) in arrays.iter_mut().enumerate() {
             let tv = tags.to_tagvector(pe);
-            let mut search = array.search(&key);
+            let search = array.search(&key);
             array.write_column(2, TernaryBit::One, &search);
-            array.search_write_multi(&[&plan], false, &[(4, TernaryBit::Zero)], &mut search);
+            let search = array.search(&key);
+            array.write_column(4, TernaryBit::Zero, &search);
             assert_eq!(tv, search, "pe {pe} fused tags");
         }
         assert_eq!(slab.to_arrays(), arrays, "after fault-gated kernels");

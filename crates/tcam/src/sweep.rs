@@ -1,11 +1,10 @@
-//! Shared fused-sweep primitives for the TCAM kernels.
+//! Fused-sweep primitives for the slab kernels.
 //!
-//! Both storage backends — the per-PE [`crate::array::TcamArray`] and the
-//! multi-PE [`crate::slab::TcamSlab`] arena — execute fused
+//! The multi-PE [`crate::slab::TcamSlab`] arena executes fused
 //! search→write micro-ops as a handful of vectorizable word passes over a
-//! window of 64-row blocks. The pass structure lives here, generic over a
-//! *column resolver* closure that maps a column index to that backend's
-//! `(zero, one)` bit-line slices for the current window:
+//! window of its bit-plane words. The pass structure lives here, generic
+//! over a *column resolver* closure that maps a column index to the
+//! `(zero, one)` bit-line slices of the current window:
 //!
 //! * [`plan_and_into`] — evaluate one search plan as an AND chain directly
 //!   in the destination (`dst = match(plan) [& mask]`), consuming plan
@@ -17,10 +16,14 @@
 //!   entries in a scratch window and fold the final entry, the row mask,
 //!   and the OR into one closing pass.
 //!
-//! `mask` is the live-lane mask for windows with dead bits — partial row
-//! tail blocks in the per-PE array layout, partial PE tail words in the
-//! slab's bit-plane layout. Callers pass `None` when every bit of the
-//! window is live, which removes the mask load from every pass.
+//! `mask` is the live-lane mask for windows with dead bits (partial PE
+//! tail words, or lanes gated by transient search misses). Callers pass
+//! `None` when every bit of the window is live, which removes the mask load
+//! from every pass.
+//!
+//! [`enforce_stuck`] is also used by the per-PE
+//! [`crate::array::TcamArray`], so both storage backends clamp stuck cells
+//! with the same pass.
 
 use crate::bit::KeyBit;
 
@@ -205,8 +208,8 @@ pub(crate) fn plan_narrow<'a>(
 /// Force a column's bit-lines to agree with its backing device's stuck
 /// masks: stuck-at-0 cells read `0` (`is_zero` set), stuck-at-1 cells read
 /// `1` (`is_one` set), whatever was last written. One pass over the
-/// window, shared by both storage backends; idempotent, so fused kernels
-/// may run it once per written column at kernel end.
+/// window, shared by both storage backends; idempotent, so the fused slab
+/// kernels may run it once per written column at kernel end.
 #[inline]
 pub(crate) fn enforce_stuck(zero: &mut [u64], one: &mut [u64], s0: &[u64], s1: &[u64]) {
     let n = zero.len();

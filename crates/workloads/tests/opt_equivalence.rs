@@ -1,10 +1,10 @@
-//! Optimizer ≡ oracle equivalence across all three engines.
+//! Optimizer ≡ oracle equivalence on both engines.
 //!
 //! For every opt level, the compiled kernel must produce the same
 //! machine-visible results as the level-0 oracle — output field values and
 //! architectural `RunStats` outcomes (count/index results) — whether the
-//! stream executes on the instruction-at-a-time interpreter, the
-//! trace-compiled engine, or the bit-plane slab engine. The physical
+//! stream executes on the instruction-at-a-time interpreter or the
+//! bit-plane slab engine. The physical
 //! *encoding* of outputs may differ between levels (loop summarization
 //! moves result bits into encoded pairs); the decoded values may not.
 //!
@@ -101,7 +101,7 @@ fn run_engine(
             .collect()
     };
     match engine {
-        "interpreter" | "trace" => {
+        "interpreter" => {
             let mut m = ApMachine::new(cfg);
             for (r, tuple) in rows.iter().enumerate() {
                 let (singles, pairs) = input_loads(k, tuple);
@@ -112,11 +112,7 @@ fn run_engine(
                     m.pe_mut(0).load_encoded_pair(r, col, hi, lo);
                 }
             }
-            let stats = if engine == "interpreter" {
-                m.run_interpreted(&streams)
-            } else {
-                m.run(&streams)
-            };
+            let stats = m.run(&streams);
             (read_out(m.pe(0)), stats)
         }
         "slab" => {
@@ -143,19 +139,15 @@ fn check_equivalence(src: &'static str, rows: &[Vec<u64>]) {
     let expected: Vec<Vec<u64>> = rows.iter().map(|t| oracle.dfg.eval(t)).collect();
     for (level, (k, stream)) in built.iter().enumerate() {
         let mut stats_per_engine = Vec::new();
-        for engine in ["interpreter", "trace", "slab"] {
+        for engine in ["interpreter", "slab"] {
             let (got, stats) = run_engine(engine, k, stream, rows);
             assert_eq!(got, expected, "{engine} level {level} output values");
             stats_per_engine.push(stats);
         }
-        // The three engines must agree on the architectural outcome
-        // (cycles, op counts, count/index results) at every level.
+        // Both engines must agree on the architectural outcome (cycles, op
+        // counts, count/index results) at every level.
         assert_eq!(
             stats_per_engine[0], stats_per_engine[1],
-            "interpreter vs trace stats at level {level}"
-        );
-        assert_eq!(
-            stats_per_engine[0], stats_per_engine[2],
             "interpreter vs slab stats at level {level}"
         );
     }
@@ -207,13 +199,13 @@ fn optimized_and_unoptimized_streams_never_share_a_cache_key() {
         // function of the dispatched stream, so a wrong cache hit after a
         // switch would bill the *previous* build's op mix.
         let fresh = |s: &Vec<Instruction>| {
-            ApMachine::new(ArchConfig::single_pe(ROWS))
+            SlabMachine::new(ArchConfig::single_pe(ROWS))
                 .run(std::slice::from_ref(s))
                 .group_ops
         };
         let (ops0, ops2) = (fresh(s0), fresh(s2));
         assert_ne!(ops0, ops2, "builds are indistinguishable by op mix");
-        let mut m = ApMachine::new(ArchConfig::single_pe(ROWS));
+        let mut m = SlabMachine::new(ArchConfig::single_pe(ROWS));
         for (stream, want) in [(s0, &ops0), (s2, &ops2), (s0, &ops0), (s2, &ops2)] {
             assert_eq!(
                 &m.run(std::slice::from_ref(stream)).group_ops,
