@@ -4,139 +4,21 @@ use hyperap_model::tech::TechParams;
 use hyperap_tcam::FaultModel;
 use serde::{Deserialize, Serialize};
 
-/// Slab-engine threading policy: how [`crate::SlabMachine`] fans a trace
-/// segment (or a similarity query) out over its chunks. The
-/// [`crate::ApMachine`] interpreter always runs on the calling thread and
-/// ignores it.
-///
-/// Sequential and parallel execution are bit-identical by construction —
-/// chunks are disjoint and reduction results are collected in ascending PE
-/// order — so this knob trades wall-clock only, never results
-/// (property-tested in `tests/slab_engine_equivalence.rs`).
+/// Former slab-engine threading policy. Both machines always run on
+/// their caller's thread; the only variant has no effect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum ExecMode {
-    /// Thread a dispatch only when the host can profit from forking at all
-    /// ([`crate::par::parallel_pays`] — false on a single-CPU host, where
-    /// `Parallel`'s two-worker floor measures 0.71×/0.77× of sequential in
-    /// `BENCH_SIM.json`) *and* the dispatch's estimated work clears a
-    /// calibrated fork-join break-even point
-    /// ([`crate::par::forkjoin_overhead_ns`] measures a short dispatch
-    /// both ways once per process); otherwise run inline, so Auto never
-    /// picks a losing mode on small dispatches or narrow hosts.
+    /// Run on the calling thread (the only behaviour).
     #[default]
-    Auto,
-    /// Always run the fan-out inline on the calling thread.
     Sequential,
-    /// Always thread, with at least two workers so the threaded path is
-    /// exercised even on single-CPU hosts.
-    Parallel,
 }
 
-/// Auto threads a dispatch only when its conservative work estimate is at
-/// least this multiple of the fork-join cost of the extra workers — the
-/// estimate prices a slot-op at ~1 ns, which undercounts real search/write
-/// work, so the margin keeps Auto inline everywhere threading could lose.
-const AUTO_BREAK_EVEN_MARGIN: u64 = 8;
-
-/// The `HYPERAP_THREADS` override, when set to a positive integer.
-fn env_threads() -> Option<usize> {
-    std::env::var("HYPERAP_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-}
-
-/// The host's worker width: `HYPERAP_THREADS` when set to a positive
-/// integer, else [`std::thread::available_parallelism`]. Every
-/// [`ExecMode`] resolves its fan-out against this, and the slab engine
-/// aligns its default chunk count to it ([`crate::SlabMachine::new`]) so
-/// threaded dispatches split into exactly one chunk per worker.
-pub fn host_width() -> usize {
-    env_threads().unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
-/// Default slab chunk width for a group of `per` PEs: split the group into
-/// (at most) [`host_width`] chunks, then round the width up to a whole
-/// number of 64-PE words so every kernel sweep processes full `u64` PE
-/// words with no tail masking inside a group's interior chunks.
+/// Default slab chunk width for a group of `per` PEs: one chunk per group,
+/// rounded up to a whole number of 64-PE words so every kernel sweep
+/// processes full `u64` PE words with no tail masking. The result does not
+/// depend on the host.
 pub fn default_chunk_pes(per: usize) -> usize {
-    per.div_ceil(host_width()).max(1).next_multiple_of(64)
-}
-
-impl ExecMode {
-    /// Number of OS threads the engine fans out to under this mode.
-    ///
-    /// Host width comes from [`host_width`]. `HYPERAP_THREADS=1` means
-    /// "no worker threads, period": it forces 1 under *every* mode,
-    /// including `Parallel`'s two-worker floor.
-    pub fn threads(self) -> usize {
-        if env_threads() == Some(1) || self == ExecMode::Sequential {
-            return 1;
-        }
-        let host = host_width();
-        match self {
-            ExecMode::Sequential => 1,
-            ExecMode::Auto => host,
-            ExecMode::Parallel => host.max(2),
-        }
-    }
-
-    /// Fan-out width for one dispatch of `ops` per-PE micro-ops over
-    /// `slots` active SIMD slots, given the `host` width resolved by
-    /// [`threads`](Self::threads).
-    ///
-    /// `Sequential` and `Parallel` are unconditional; `Auto` applies the
-    /// calibrated break-even rule
-    /// ([`dispatch_threads_calibrated`](Self::dispatch_threads_calibrated)),
-    /// deferring the (once-per-process) calibration until a dispatch could
-    /// actually thread.
-    pub fn dispatch_threads(self, host: usize, slots: u64, ops: u64) -> usize {
-        match self {
-            ExecMode::Sequential => 1,
-            ExecMode::Parallel => host,
-            ExecMode::Auto => {
-                // Two gates, cheapest first: a host that can't profit from
-                // forking at all (one physical CPU, or an advertised width
-                // the scheduler won't deliver) stays inline no matter how
-                // large the dispatch is; otherwise the per-dispatch
-                // break-even estimate decides.
-                if host < 2 || !crate::par::parallel_pays() {
-                    1
-                } else {
-                    Self::dispatch_threads_calibrated(
-                        host,
-                        slots,
-                        ops,
-                        crate::par::forkjoin_overhead_ns(),
-                    )
-                }
-            }
-        }
-    }
-
-    /// The pure decision rule behind `Auto`: thread to `host` workers only
-    /// when the dispatch's conservative work estimate (`slots * ops`
-    /// nanoseconds) is at least `AUTO_BREAK_EVEN_MARGIN`× the measured
-    /// fork-join cost of the `host - 1` extra workers.
-    ///
-    /// Exposed separately from [`dispatch_threads`](Self::dispatch_threads)
-    /// so tests can pin `forkjoin_ns` instead of depending on the host's
-    /// calibration.
-    pub fn dispatch_threads_calibrated(
-        host: usize,
-        slots: u64,
-        ops: u64,
-        forkjoin_ns: u64,
-    ) -> usize {
-        let work_ns = slots.saturating_mul(ops.max(1));
-        let break_even =
-            AUTO_BREAK_EVEN_MARGIN.saturating_mul(forkjoin_ns.saturating_mul(host as u64 - 1));
-        if work_ns >= break_even {
-            host
-        } else {
-            1
-        }
-    }
+    per.max(1).next_multiple_of(64)
 }
 
 /// Fault-injection policy for a machine: the deterministic cell/search
@@ -234,8 +116,8 @@ pub struct ArchConfig {
     /// Optional explicit PE-mesh shape for `MovR` (rows, cols); when unset
     /// the PEs form a near-square grid.
     pub mesh: Option<(usize, usize)>,
-    /// Slab-engine threading policy (results are identical under every
-    /// mode; see [`ExecMode`]). The interpreter ignores it.
+    /// Has no effect: both machines always run on their caller's thread.
+    /// Kept only so the benchmark harness, which assigns it, still builds.
     pub exec: ExecMode,
     /// Fault-injection policy; the default injects nothing and keeps the
     /// engines on their fault-free kernels. The named constructors
@@ -259,7 +141,7 @@ impl ArchConfig {
             cols: 64,
             tech: TechParams::rram(),
             mesh: None,
-            exec: ExecMode::Auto,
+            exec: ExecMode::Sequential,
             faults: env_faults().unwrap_or_default(),
         }
     }
@@ -278,7 +160,7 @@ impl ArchConfig {
             cols: 256,
             tech: TechParams::rram(),
             mesh: None,
-            exec: ExecMode::Auto,
+            exec: ExecMode::Sequential,
             faults: env_faults().unwrap_or_default(),
         }
     }
@@ -296,7 +178,7 @@ impl ArchConfig {
             cols: 256,
             tech: TechParams::rram(),
             mesh: None,
-            exec: ExecMode::Auto,
+            exec: ExecMode::Sequential,
             faults: env_faults().unwrap_or_default(),
         }
     }
@@ -340,9 +222,8 @@ impl ArchConfig {
     /// configs with equal hashes compile any stream to interchangeable
     /// traces (modulo hash collisions — callers that cache by this hash
     /// must still validate candidates), so this is the geometry half of a
-    /// shared program-cache key. Execution policy (`exec`) and fault
-    /// seeding are deliberately excluded: neither changes what a compiled
-    /// trace *is*.
+    /// shared program-cache key. Fault seeding is deliberately excluded:
+    /// it does not change what a compiled trace *is*.
     pub fn geometry_hash(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -404,60 +285,6 @@ mod tests {
         let c = ArchConfig::paper_scaled(16);
         let (h, w) = c.mesh_dims();
         assert!(h * w >= c.total_pes());
-    }
-
-    #[test]
-    fn hyperap_threads_one_forces_sequential_in_every_mode() {
-        // Other tests in this binary only *read* the variable (thread
-        // counts never change results), so the brief mutation is benign.
-        std::env::set_var("HYPERAP_THREADS", "1");
-        assert_eq!(ExecMode::Sequential.threads(), 1);
-        assert_eq!(ExecMode::Auto.threads(), 1);
-        assert_eq!(
-            ExecMode::Parallel.threads(),
-            1,
-            "overrides the 2-worker floor"
-        );
-        std::env::set_var("HYPERAP_THREADS", "3");
-        assert_eq!(host_width(), 3);
-        assert_eq!(ExecMode::Sequential.threads(), 1);
-        assert_eq!(ExecMode::Auto.threads(), 3);
-        assert_eq!(ExecMode::Parallel.threads(), 3);
-        std::env::remove_var("HYPERAP_THREADS");
-        assert!(host_width() >= 1);
-    }
-
-    #[test]
-    fn auto_break_even_rule() {
-        let fj = 2_000; // the par::forkjoin_overhead_ns floor
-                        // Tiny dispatch (tiny() geometry, one micro-op): 64 slots
-                        // × 1 op is far below break-even — Auto stays inline.
-        assert_eq!(ExecMode::dispatch_threads_calibrated(2, 64, 1, fj), 1);
-        // A full add32 segment on one paper-scaled group: 64 PEs × 256
-        // rows × 380 micro-ops clears it easily.
-        assert_eq!(
-            ExecMode::dispatch_threads_calibrated(2, 64 * 256, 380, fj),
-            2
-        );
-        // More workers raise the bar proportionally.
-        assert_eq!(
-            ExecMode::dispatch_threads_calibrated(16, 64 * 256, 380, fj),
-            16
-        );
-        assert_eq!(ExecMode::dispatch_threads_calibrated(16, 4096, 4, fj), 1);
-        // Sequential/Parallel ignore the estimate entirely.
-        assert_eq!(ExecMode::Sequential.dispatch_threads(8, u64::MAX, 1), 1);
-        assert_eq!(ExecMode::Parallel.dispatch_threads(8, 0, 0), 8);
-        // Auto on a single-CPU host never forks.
-        assert_eq!(ExecMode::Auto.dispatch_threads(1, u64::MAX, u64::MAX), 1);
-        // And when the host-capability probe says forking can't win (one
-        // physical CPU behind any HYPERAP_THREADS width), Auto stays
-        // inline even for an arbitrarily large dispatch — the fix for the
-        // 0.71×/0.77× forced-Parallel columns in BENCH_SIM.json.
-        if !crate::par::parallel_pays() {
-            assert_eq!(ExecMode::Auto.dispatch_threads(2, u64::MAX, u64::MAX), 1);
-            assert_eq!(ExecMode::Auto.dispatch_threads(16, u64::MAX, u64::MAX), 1);
-        }
     }
 
     #[test]

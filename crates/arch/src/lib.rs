@@ -26,8 +26,8 @@
 //! stream ([`trace`]) into segments bounded by cross-PE synchronization
 //! points and runs them over contiguous multi-PE
 //! [`hyperap_tcam::slab::TcamSlab`] arenas — each micro-op executes once
-//! per chunk as a fused linear sweep instead of once per PE, with one
-//! fork-join per segment. The two are bit-identical (property-tested in
+//! per chunk as a fused linear sweep instead of once per PE. Both run on
+//! the calling thread. The two are bit-identical (property-tested in
 //! `tests/slab_engine_equivalence.rs`).
 //!
 //! # Example

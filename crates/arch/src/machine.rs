@@ -8,11 +8,10 @@
 //! compiled traces and must match it bit for bit
 //! (`tests/slab_engine_equivalence.rs`, `tests/fault_equivalence.rs`).
 //!
-//! The interpreter runs on the calling thread and ignores
-//! [`ArchConfig::exec`]. The steady-state path performs no heap
-//! allocation: active-PE sets are cached per group and invalidated only by
-//! `Broadcast`, searches reuse each PE's tag storage, and `MovR` snapshots
-//! into reusable register buffers.
+//! The interpreter runs on the calling thread. The steady-state path
+//! performs no heap allocation: active-PE sets are cached per group and
+//! invalidated only by `Broadcast`, searches reuse each PE's tag storage,
+//! and `MovR` snapshots into reusable register buffers.
 
 use crate::config::ArchConfig;
 use crate::control::{self, ActiveSet, MovStep, WriteTarget};

@@ -11,10 +11,9 @@
 //! kernel — each 64-bit ALU op processes the same cell position across 64
 //! PEs at once ([`TcamSlab::search_plan_multi_into`] and friends), with
 //! partially-active chunks driven through a word-granular selection mask
-//! instead of per-PE loops. Threaded modes fork-join over whole chunks —
-//! the chunk is both
-//! the storage arena and the unit of parallelism, so no two workers ever
-//! share an allocation.
+//! instead of per-PE loops. The engine runs on its caller's thread; host
+//! parallelism lives one level up, in the serving pool's one machine per
+//! worker.
 //!
 //! # Equivalence guarantee
 //!
@@ -36,9 +35,8 @@
 //!   module. The event loop (`trace::drive_steps`) schedules steps by the
 //!   interpreter's `(issue cycle, group)` key.
 
-use crate::config::{ArchConfig, ExecMode};
+use crate::config::ArchConfig;
 use crate::control::{self, ActiveSet, MovStep, WriteTarget};
-use crate::par;
 use crate::similarity::{SimilarityHit, SimilarityOutcome};
 use crate::stats::{PeHealth, RunGeometry, RunStats};
 use crate::trace::{self, CompiledTrace, MicroOp, PlanRef, Segment, StepKind};
@@ -59,9 +57,7 @@ use hyperap_tcam::FaultError;
 type KeySnapshot = (SearchKey, Vec<(usize, KeyBit)>);
 
 /// One contiguous arena covering a sub-range of a group's PEs, with every
-/// per-PE register file the engine needs in matching multi-PE layout. The
-/// fork-join unit of the slab engine: workers own whole chunks, never
-/// slices of one.
+/// per-PE register file the engine needs in matching multi-PE layout.
 #[derive(Debug, Clone)]
 struct SlabChunk {
     /// Group-relative index of the chunk's first PE.
@@ -387,8 +383,6 @@ impl std::error::Error for RestoreError {}
 #[derive(Debug, Clone)]
 pub struct SlabMachine {
     config: ArchConfig,
-    /// Resolved host fan-out width for `config.exec`.
-    threads: usize,
     /// PEs per chunk (the last chunk of each group may be short).
     chunk_pes: usize,
     /// Chunks per group.
@@ -416,12 +410,9 @@ impl SlabMachine {
     /// Build a machine with the given geometry; all cells zero.
     ///
     /// The chunk width comes from [`crate::config::default_chunk_pes`]:
-    /// each group splits into (at most) [`crate::config::host_width`]
-    /// chunks, rounded up to whole 64-PE words. Threaded dispatches get one
-    /// chunk per worker, on a single-CPU host every group is one maximal
-    /// arena, and either way every kernel sweep processes full `u64` PE
-    /// words. The resolved geometry is logged in
-    /// [`crate::stats::RunStats::geometry`].
+    /// every group is one arena, rounded up to whole 64-PE words, on every
+    /// host, so every kernel sweep processes full `u64` PE words. The
+    /// resolved geometry is logged in [`crate::stats::RunStats::geometry`].
     pub fn new(config: ArchConfig) -> Self {
         let width = crate::config::default_chunk_pes(config.pes_per_group());
         Self::with_chunk_pes(config, width)
@@ -458,7 +449,6 @@ impl SlabMachine {
             }
         }
         SlabMachine {
-            threads: config.exec.threads(),
             chunk_pes,
             chunks_per_group: cpg,
             chunks,
@@ -520,13 +510,6 @@ impl SlabMachine {
         self.chunk_pes
     }
 
-    /// Switch the engine's threading policy in place (results are identical
-    /// under every mode; see [`ExecMode`]).
-    pub fn set_exec_mode(&mut self, mode: ExecMode) {
-        self.config.exec = mode;
-        self.threads = mode.threads();
-    }
-
     /// Locate a PE: `(chunk index, chunk-relative slot)`.
     fn chunk_of(&self, pe: usize) -> (usize, usize) {
         locate(
@@ -543,7 +526,6 @@ impl SlabMachine {
             chunk_pes: self.chunk_pes,
             chunks_per_group: self.chunks_per_group,
             pe_words: self.chunk_pes.div_ceil(64),
-            threads: self.threads,
         }
     }
 
@@ -835,7 +817,7 @@ impl SlabMachine {
     /// sum to the exact global schedule and the merged winners are the
     /// exact global top-k. Bit-identical in hits *and* [`RunStats`] to
     /// [`ApMachine::hamming_topk`](crate::ApMachine::hamming_topk) under
-    /// every [`ExecMode`] and chunk width; see [`crate::similarity`].
+    /// every chunk width; see [`crate::similarity`].
     /// Read-only: no wear, no epoch advance.
     ///
     /// # Panics
@@ -846,21 +828,10 @@ impl SlabMachine {
         assert!(k > 0, "top-k requires k >= 1");
         let plan = query.compile_plan();
         let active = tcam_similarity::active_entries(&plan, self.config.cols);
-        let threads = self.config.exec.dispatch_threads(
-            self.threads,
-            (self.config.total_pes() * rows) as u64,
-            plan.len().max(1) as u64,
-        );
-        let mut results: Vec<Option<SlabTopk>> = vec![None; self.chunks.len()];
-        let chunks = &self.chunks;
-        par::for_each_chunk(threads, &mut results, |off, out| {
-            for (i, slot) in out.iter_mut().enumerate() {
-                *slot = Some(chunks[off + i].storage.hamming_topk(&plan, rows, k));
-            }
-        });
-        let results: Vec<SlabTopk> = results
-            .into_iter()
-            .map(|r| r.expect("every chunk produced a result"))
+        let results: Vec<SlabTopk> = self
+            .chunks
+            .iter()
+            .map(|chunk| chunk.storage.hamming_topk(&plan, rows, k))
             .collect();
         // Recover the global stopping round from the per-chunk counts: the
         // first budget where the machine-wide count reaches `k` (or covers
@@ -1081,8 +1052,8 @@ impl SlabMachine {
         self.active[group].refresh(&self.config, group, self.bank_masks[group]);
     }
 
-    /// Execute one segment: fork-join over the group's chunks, each worker
-    /// running its chunks through the entire micro-op list as fused sweeps.
+    /// Execute one segment: each of the group's chunks runs the entire
+    /// micro-op list as fused sweeps.
     fn exec_segment(
         &mut self,
         group: usize,
@@ -1098,24 +1069,12 @@ impl SlabMachine {
         if cache.count == 0 {
             return;
         }
-        let threads = if cache.count < 2 {
-            1
-        } else {
-            self.config.exec.dispatch_threads(
-                self.threads,
-                (cache.count * self.config.rows) as u64,
-                seg.ops.len() as u64,
-            )
-        };
         let pe_delta = seg.pe_ops_delta(entry.map(|e| &e.0));
         let cpg = self.chunks_per_group;
         let mask = &cache.mask;
-        let chunks = &mut self.chunks[group * cpg..(group + 1) * cpg];
-        par::for_each_chunk(threads, chunks, |_, chunks| {
-            for chunk in chunks {
-                chunk.exec_segment(seg, plans, entry, &pe_delta, mask);
-            }
-        });
+        for chunk in &mut self.chunks[group * cpg..(group + 1) * cpg] {
+            chunk.exec_segment(seg, plans, entry, &pe_delta, mask);
+        }
     }
 
     /// Execute a synchronization-point step: the interpreter's instruction
@@ -1427,31 +1386,23 @@ mod tests {
     }
 
     #[test]
-    fn exec_modes_agree_bitwise() {
-        let stream = vec![
-            search_key("1"),
-            SEARCH,
-            Instruction::Write {
-                col: 2,
-                encode: false,
-            },
-            Instruction::Count,
-        ];
-        let run = |mode: ExecMode| {
-            let mut cfg = ArchConfig::tiny();
-            cfg.exec = mode;
-            let mut m = SlabMachine::with_chunk_pes(cfg, 2);
-            m.load_bit(0, 3, 0, true);
-            m.load_bit(2, 7, 0, true);
-            let stats = m.run(std::slice::from_ref(&stream));
-            (stats, m)
+    fn default_layout_is_host_independent() {
+        // 256-PE groups: one 256-wide chunk per group on every host.
+        let cfg = ArchConfig {
+            subarrays_per_bank: 8,
+            pes_per_subarray: 32,
+            rows: 4,
+            cols: 16,
+            ..ArchConfig::tiny()
         };
-        let (seq_stats, seq_m) = run(ExecMode::Sequential);
-        let (par_stats, par_m) = run(ExecMode::Parallel);
-        assert_eq!(seq_stats, par_stats);
-        for pe in 0..seq_m.config().total_pes() {
-            assert_eq!(seq_m.pe_snapshot(pe), par_m.pe_snapshot(pe), "PE {pe}");
-        }
+        assert_eq!(cfg.pes_per_group(), 256);
+        let mut m = SlabMachine::new(cfg);
+        assert_eq!(m.chunk_pes(), 256);
+        let stats = m.run(&[vec![search_key("1"), SEARCH, Instruction::Count]]);
+        let geometry = stats.geometry.expect("slab runs log their geometry");
+        assert_eq!(geometry.chunk_pes, 256);
+        assert_eq!(geometry.chunks_per_group, 1);
+        assert_eq!(geometry.pe_words, 4);
     }
 
     #[test]

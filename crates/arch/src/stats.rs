@@ -31,8 +31,6 @@ pub struct RunGeometry {
     pub chunks_per_group: usize,
     /// 64-bit PE words per chunk plane row (`chunk_pes.div_ceil(64)`).
     pub pe_words: usize,
-    /// Resolved host fan-out width.
-    pub threads: usize,
 }
 
 /// Results of one [`crate::ApMachine::run`] or [`crate::SlabMachine::run`].

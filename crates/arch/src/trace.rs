@@ -18,9 +18,9 @@
 //! * **Segments** split at cross-PE synchronization points (`Count`,
 //!   `Index`, `MovR`, `ReadR`/`WriteR` host transfers, `Broadcast`; see
 //!   [`SyncClass`]). Within a segment every PE is independent, so execution
-//!   inverts the loop: each worker runs its chunk of PEs through the
-//!   *entire segment* before joining — one fork-join per segment instead of
-//!   one per instruction.
+//!   inverts the loop: each chunk of PEs runs through the *entire segment*
+//!   in turn — one pass over the chunks per segment instead of one per
+//!   instruction.
 //! * **Fused micro-ops** from the peephole pass ([`CompiledTrace::peephole`],
 //!   applied by [`compile`](CompiledTrace::compile) and skipped by
 //!   [`compile_unfused`](CompiledTrace::compile_unfused)): the canonical AP
@@ -268,8 +268,8 @@ impl Segment {
 /// One schedulable step of a compiled trace.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StepKind {
-    /// Run a whole segment (index into [`CompiledTrace::segments`]) with a
-    /// single fork-join.
+    /// Run a whole segment (index into [`CompiledTrace::segments`]) in one
+    /// pass over the group's chunks.
     Segment(usize),
     /// Execute one synchronization-point instruction with the
     /// interpreter's semantics.

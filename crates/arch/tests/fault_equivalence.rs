@@ -2,8 +2,8 @@
 //! the same seeded [`FaultModel`] (stuck-at cells, transient search misses,
 //! endurance-driven column sparing), random instruction streams produce
 //! bit-identical results from both engines — the instruction-at-a-time
-//! interpreter and the slab engine, the latter across every [`ExecMode`]
-//! and chunk width. "Bit-identical" covers the full
+//! interpreter and the slab engine, the latter across every chunk width.
+//! "Bit-identical" covers the full
 //! `Result`: `RunStats` (op counts, reductions, `pe_health`), per-PE state
 //! including the fault bookkeeping (remap tables, retirement logs, stuck
 //! masks ride in `TcamArray`'s `Eq`), data registers, controller buffers —
@@ -11,7 +11,7 @@
 //! [`FaultError::SparesExhausted`].
 
 use hyperap_arch::machine::BROADCAST_ADDR;
-use hyperap_arch::{ApMachine, ArchConfig, ExecMode, FaultConfig, SlabMachine};
+use hyperap_arch::{ApMachine, ArchConfig, FaultConfig, SlabMachine};
 use hyperap_isa::{Direction, Instruction};
 use hyperap_tcam::{FaultError, FaultModel, KeyBit};
 use proptest::prelude::*;
@@ -109,14 +109,8 @@ fn build_reference(faults: FaultConfig, loads: &[Load]) -> ApMachine {
     m
 }
 
-fn build_slab(
-    faults: FaultConfig,
-    mode: ExecMode,
-    chunk_pes: usize,
-    loads: &[Load],
-) -> SlabMachine {
+fn build_slab(faults: FaultConfig, chunk_pes: usize, loads: &[Load]) -> SlabMachine {
     let mut cfg = ArchConfig::tiny();
-    cfg.exec = mode;
     cfg.faults = faults;
     let mut m = SlabMachine::with_chunk_pes(cfg, chunk_pes);
     for &(pe, row, col, v) in loads {
@@ -170,10 +164,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The interpreter is the reference; under an active fault model the
-    /// slab engine (every mode × chunk width) must match it bit-for-bit:
-    /// same `Result` — stats with `pe_health` on `Ok`, the same typed error
-    /// on exhaustion — and the same machine state (cells, stuck
-    /// enforcement, wear, remap tables) either way.
+    /// slab engine must match it bit-for-bit at every chunk width (the
+    /// name predates the deletion of the third engine): same `Result` —
+    /// stats with `pe_health` on `Ok`, the same typed error on exhaustion —
+    /// and the same machine state (cells, stuck enforcement, wear, remap
+    /// tables) either way.
     #[test]
     fn three_engines_agree_under_seeded_faults(
         faults in fault_strategy(),
@@ -184,16 +179,14 @@ proptest! {
         let streams = vec![s0, s1];
         let mut reference = build_reference(faults, &loads);
         let ref_result = reference.try_run(&streams);
-        for mode in [ExecMode::Sequential, ExecMode::Parallel, ExecMode::Auto] {
-            for chunk_pes in CHUNK_WIDTHS {
-                let mut slab = build_slab(faults, mode, chunk_pes, &loads);
-                let slab_result = slab.try_run(&streams);
-                prop_assert_eq!(
-                    &ref_result, &slab_result,
-                    "slab result diverged under {:?} with {}-PE chunks", mode, chunk_pes
-                );
-                assert_slab_matches_reference(&reference, &slab);
-            }
+        for chunk_pes in CHUNK_WIDTHS {
+            let mut slab = build_slab(faults, chunk_pes, &loads);
+            let slab_result = slab.try_run(&streams);
+            prop_assert_eq!(
+                &ref_result, &slab_result,
+                "slab result diverged with {}-PE chunks", chunk_pes
+            );
+            assert_slab_matches_reference(&reference, &slab);
         }
     }
 
@@ -209,7 +202,7 @@ proptest! {
         second in prop::collection::vec(inst_strategy(), 0..20),
     ) {
         let mut reference = build_reference(faults, &loads);
-        let mut slab = build_slab(faults, ExecMode::Sequential, 3, &loads);
+        let mut slab = build_slab(faults, 3, &loads);
         for stream in [&first, &second] {
             let streams = std::slice::from_ref(stream);
             let a = reference.try_run(streams);
@@ -269,7 +262,7 @@ fn spares_exhaustion_is_typed_identical_and_latched() {
     let streams = vec![stream.clone(), stream];
 
     let mut reference = build_reference(faults, &[]);
-    let mut slab = build_slab(faults, ExecMode::Parallel, 3, &[]);
+    let mut slab = build_slab(faults, 3, &[]);
 
     // First run: columns 3 and 4 blow their endurance budget and retire
     // onto the two spares — degraded but healthy, and every engine reports

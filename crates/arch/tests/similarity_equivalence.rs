@@ -3,13 +3,13 @@
 //! cells), random ternary queries, and random `(rows, k)` shapes must
 //! produce bit-identical top-k hits *and* `RunStats` from the scalar
 //! per-PE interpreter ([`ApMachine`]) and the word-parallel slab engine
-//! ([`SlabMachine`]) — the latter under every [`ExecMode`], over chunk widths
-//! that exercise single-PE chunks, short tail chunks, and whole-group
-//! chunks, and under a seeded fault model (stuck-at cells must perturb
+//! ([`SlabMachine`]) — the latter over chunk widths that exercise
+//! single-PE chunks, short tail chunks, and whole-group chunks, and
+//! under a seeded fault model (stuck-at cells must perturb
 //! distances identically; transient search misses must not perturb them
 //! at all).
 
-use hyperap_arch::{ApMachine, ArchConfig, ExecMode, FaultConfig, FaultModel, SlabMachine};
+use hyperap_arch::{ApMachine, ArchConfig, FaultConfig, FaultModel, SlabMachine};
 use hyperap_isa::Instruction;
 use hyperap_tcam::key::SearchKey;
 use hyperap_tcam::similarity as sim;
@@ -81,9 +81,8 @@ fn query_strategy() -> impl Strategy<Value = SearchKey> {
         .prop_map(|bits| bits.iter().map(|&b| keybit(b)).collect::<SearchKey>())
 }
 
-fn config(mode: ExecMode, faulty: bool) -> ArchConfig {
+fn config(faulty: bool) -> ArchConfig {
     let mut cfg = ArchConfig::tiny();
-    cfg.exec = mode;
     cfg.faults = if faulty {
         fault_model()
     } else {
@@ -93,7 +92,7 @@ fn config(mode: ExecMode, faulty: bool) -> ArchConfig {
 }
 
 fn build_ap(loads: &[Load], prologue: &[Instruction], faulty: bool) -> ApMachine {
-    let mut m = ApMachine::new(config(ExecMode::Sequential, faulty));
+    let mut m = ApMachine::new(config(faulty));
     for &(pe, row, col, v) in loads {
         m.pe_mut(pe).load_bit(row, col, v);
     }
@@ -105,13 +104,12 @@ fn build_ap(loads: &[Load], prologue: &[Instruction], faulty: bool) -> ApMachine
 }
 
 fn build_slab(
-    mode: ExecMode,
     chunk_pes: usize,
     loads: &[Load],
     prologue: &[Instruction],
     faulty: bool,
 ) -> SlabMachine {
-    let mut m = SlabMachine::with_chunk_pes(config(mode, faulty), chunk_pes);
+    let mut m = SlabMachine::with_chunk_pes(config(faulty), chunk_pes);
     for &(pe, row, col, v) in loads {
         m.load_bit(pe, row, col, v);
     }
@@ -147,7 +145,7 @@ fn oracle_topk(
 
 proptest! {
     /// Slab word-parallel top-k equals the scalar per-PE engine — hits and
-    /// stats — under every mode × chunk width, fault-free and under seeded
+    /// stats — under every chunk width, fault-free and under seeded
     /// stuck/miss faults, and both equal the from-first-principles oracle.
     #[test]
     fn similarity_query_is_engine_invariant(
@@ -168,25 +166,21 @@ proptest! {
             want.hits.capacity() <= 2 * k,
             "scalar answer keeps capacity {} for k = {}", want.hits.capacity(), k
         );
-        for mode in [ExecMode::Sequential, ExecMode::Parallel, ExecMode::Auto] {
-            for chunk_pes in CHUNK_WIDTHS {
-                let slab = build_slab(mode, chunk_pes, &loads, &prologue, faulty);
-                let got = slab.hamming_topk(&query, rows, k);
-                prop_assert!(
-                    got.hits.capacity() <= 2 * k,
-                    "slab answer keeps capacity {} for k = {}", got.hits.capacity(), k
-                );
-                prop_assert_eq!(
-                    &want.hits, &got.hits,
-                    "hits diverged under {:?} with {}-PE chunks (faulty={})",
-                    mode, chunk_pes, faulty
-                );
-                prop_assert_eq!(
-                    &want.stats, &got.stats,
-                    "stats diverged under {:?} with {}-PE chunks (faulty={})",
-                    mode, chunk_pes, faulty
-                );
-            }
+        for chunk_pes in CHUNK_WIDTHS {
+            let slab = build_slab(chunk_pes, &loads, &prologue, faulty);
+            let got = slab.hamming_topk(&query, rows, k);
+            prop_assert!(
+                got.hits.capacity() <= 2 * k,
+                "slab answer keeps capacity {} for k = {}", got.hits.capacity(), k
+            );
+            prop_assert_eq!(
+                &want.hits, &got.hits,
+                "hits diverged with {}-PE chunks (faulty={})", chunk_pes, faulty
+            );
+            prop_assert_eq!(
+                &want.stats, &got.stats,
+                "stats diverged with {}-PE chunks (faulty={})", chunk_pes, faulty
+            );
         }
     }
 
@@ -201,7 +195,7 @@ proptest! {
         let reference = build_ap(&loads, &[], false);
         let near = reference.nearest(&query, ROWS);
         prop_assert_eq!(&near, &reference.hamming_topk(&query, ROWS, 1));
-        let slab = build_slab(ExecMode::Sequential, 3, &loads, &[], false);
+        let slab = build_slab(3, &loads, &[], false);
         prop_assert_eq!(&near, &slab.nearest(&query, ROWS));
         // Cross-check the zero-distance criterion against the search
         // algebra: distance 0 ⇔ every unmasked key bit matches.
@@ -238,8 +232,8 @@ fn transient_misses_do_not_perturb_distances() {
     let loads: Vec<Load> = (0..PES)
         .flat_map(|pe| (0..ROWS).map(move |row| (pe, row, (pe * 7 + row) % COLS, true)))
         .collect();
-    let mut ideal = ApMachine::new(config(ExecMode::Sequential, false));
-    let mut cfg = config(ExecMode::Sequential, false);
+    let mut ideal = ApMachine::new(config(false));
+    let mut cfg = config(false);
     cfg.faults = miss_only;
     let mut missy = ApMachine::new(cfg.clone());
     let mut missy_slab = SlabMachine::with_chunk_pes(cfg, 3);

@@ -3,12 +3,12 @@
 //! per-PE operation counts, per-column wear), data registers, controller
 //! buffers, `RunStats`, and cross-run key-register state whether execution
 //! goes through the instruction-at-a-time interpreter ([`ApMachine`], the
-//! oracle) or the slab engine ([`SlabMachine`]) — under every [`ExecMode`]
-//! and over chunk widths that exercise single-PE chunks, short tail chunks,
-//! and one-chunk-per-group layouts.
+//! oracle) or the slab engine ([`SlabMachine`]) — over chunk widths that
+//! exercise single-PE chunks, short tail chunks, and one-chunk-per-group
+//! layouts.
 
 use hyperap_arch::machine::BROADCAST_ADDR;
-use hyperap_arch::{ApMachine, ArchConfig, ExecMode, SlabMachine};
+use hyperap_arch::{ApMachine, ArchConfig, SlabMachine};
 use hyperap_isa::{Direction, Instruction};
 use hyperap_tcam::KeyBit;
 use proptest::prelude::*;
@@ -81,10 +81,8 @@ fn build_reference(loads: &[Load]) -> ApMachine {
     m
 }
 
-fn build_slab(mode: ExecMode, chunk_pes: usize, loads: &[Load]) -> SlabMachine {
-    let mut cfg = ArchConfig::tiny();
-    cfg.exec = mode;
-    let mut m = SlabMachine::with_chunk_pes(cfg, chunk_pes);
+fn build_slab(chunk_pes: usize, loads: &[Load]) -> SlabMachine {
+    let mut m = SlabMachine::with_chunk_pes(ArchConfig::tiny(), chunk_pes);
     for &(pe, row, col, v) in loads {
         m.load_bit(pe, row, col, v);
     }
@@ -242,7 +240,7 @@ fn ragged_bank_broadcast_agrees_at_word_scale() {
 
 proptest! {
     /// The interpreter is the reference; the slab engine must match it
-    /// bit-for-bit under every threading mode and chunk width — machine
+    /// bit-for-bit under every chunk width — machine
     /// state, wear, per-PE op counts, and stats (Count/Index reductions
     /// included).
     #[test]
@@ -254,24 +252,21 @@ proptest! {
         let streams = vec![s0, s1];
         let mut reference = build_reference(&loads);
         let ref_stats = reference.run(&streams);
-        for mode in [ExecMode::Sequential, ExecMode::Parallel, ExecMode::Auto] {
-            for chunk_pes in CHUNK_WIDTHS {
-                let mut slab = build_slab(mode, chunk_pes, &loads);
-                let slab_stats = slab.run(&streams);
-                prop_assert_eq!(
-                    &ref_stats, &slab_stats,
-                    "stats diverged under {:?} with {}-PE chunks", mode, chunk_pes
-                );
-                assert_machines_identical(&reference, &slab);
-            }
+        for chunk_pes in CHUNK_WIDTHS {
+            let mut slab = build_slab(chunk_pes, &loads);
+            let slab_stats = slab.run(&streams);
+            prop_assert_eq!(
+                &ref_stats, &slab_stats,
+                "stats diverged with {}-PE chunks", chunk_pes
+            );
+            assert_machines_identical(&reference, &slab);
         }
     }
 
     /// The fused slab engine against the unfused oracle: the
     /// instruction-at-a-time interpreter (no traces, no fusion) must match
     /// the slab engine bit-for-bit whether the slab executes
-    /// peephole-fused or unfused traces — across every threading mode and
-    /// chunk width. Covers cells, tags, latch, wear, data registers,
+    /// peephole-fused or unfused traces — across every chunk width. Covers cells, tags, latch, wear, data registers,
     /// per-PE op counts (fused ops bill their unfused constituents),
     /// cycles, and Count/Index reductions.
     #[test]
@@ -286,18 +281,16 @@ proptest! {
         let oracle_stats = oracle.run(&streams);
         let fused = hyperap_arch::trace::compile_streams(&streams, &cfg);
         let unfused = hyperap_arch::trace::compile_streams_unfused(&streams, &cfg);
-        for mode in [ExecMode::Sequential, ExecMode::Parallel, ExecMode::Auto] {
-            for chunk_pes in CHUNK_WIDTHS {
-                for (kind, traces) in [("fused", &fused), ("unfused", &unfused)] {
-                    let mut slab = build_slab(mode, chunk_pes, &loads);
-                    let slab_stats = slab.try_run_compiled(traces).expect("fault-free run");
-                    prop_assert_eq!(
-                        &oracle_stats, &slab_stats,
-                        "{} stats diverged from interpreter under {:?} with {}-PE chunks",
-                        kind, mode, chunk_pes
-                    );
-                    assert_machines_identical(&oracle, &slab);
-                }
+        for chunk_pes in CHUNK_WIDTHS {
+            for (kind, traces) in [("fused", &fused), ("unfused", &unfused)] {
+                let mut slab = build_slab(chunk_pes, &loads);
+                let slab_stats = slab.try_run_compiled(traces).expect("fault-free run");
+                prop_assert_eq!(
+                    &oracle_stats, &slab_stats,
+                    "{} stats diverged from interpreter with {}-PE chunks",
+                    kind, chunk_pes
+                );
+                assert_machines_identical(&oracle, &slab);
             }
         }
     }
@@ -312,7 +305,7 @@ proptest! {
         second in prop::collection::vec(inst_strategy(), 0..25),
     ) {
         let mut reference = build_reference(&loads);
-        let mut slab = build_slab(ExecMode::Sequential, 3, &loads);
+        let mut slab = build_slab(3, &loads);
         let a0 = reference.run(std::slice::from_ref(&first));
         let b0 = slab.run(std::slice::from_ref(&first));
         prop_assert_eq!(&a0, &b0);
@@ -339,7 +332,7 @@ proptest! {
         let cfg = ArchConfig::tiny();
         let traces = hyperap_arch::trace::compile_streams(&streams, &cfg);
         let mut reference = build_reference(&loads);
-        let mut slab = build_slab(ExecMode::Sequential, 4, &loads);
+        let mut slab = build_slab(4, &loads);
         let a = reference.run(&streams);
         let b = slab.try_run_compiled(&traces).expect("fault-free run");
         prop_assert_eq!(&a, &b);
@@ -348,7 +341,7 @@ proptest! {
 
     /// Bank gating: the slab engine's active-run computation must track
     /// every Broadcast mask change exactly like the interpreter's cached
-    /// active sets, under every threading mode and chunk width. `tiny()`
+    /// active sets, under every chunk width. `tiny()`
     /// has one bank (bank 0) per group, so mask bit 0 gates all four PEs
     /// of the group: the Count results have a closed-form length.
     #[test]
@@ -367,16 +360,14 @@ proptest! {
         let a = reference.run(&streams);
         let expected = 4 * masks.iter().filter(|&&m| m & 1 == 1).count();
         prop_assert_eq!(a.count_results[0].len(), expected);
-        for mode in [ExecMode::Sequential, ExecMode::Parallel, ExecMode::Auto] {
-            for chunk_pes in CHUNK_WIDTHS {
-                let mut slab = build_slab(mode, chunk_pes, &loads);
-                let b = slab.run(&streams);
-                prop_assert_eq!(
-                    &a, &b,
-                    "stats diverged under {:?} with {}-PE chunks", mode, chunk_pes
-                );
-                assert_machines_identical(&reference, &slab);
-            }
+        for chunk_pes in CHUNK_WIDTHS {
+            let mut slab = build_slab(chunk_pes, &loads);
+            let b = slab.run(&streams);
+            prop_assert_eq!(
+                &a, &b,
+                "stats diverged with {}-PE chunks", chunk_pes
+            );
+            assert_machines_identical(&reference, &slab);
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks for the simulator substrate and the compiler.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hyperap_arch::{ArchConfig, ExecMode, SlabMachine};
+use hyperap_arch::{ArchConfig, SlabMachine};
 use hyperap_bench::add32_streams;
 use hyperap_compiler::{compile, CompileOptions};
 use hyperap_core::machine::HyperPe;
@@ -141,19 +141,15 @@ fn bench_slab_hamming(c: &mut Criterion) {
 }
 
 fn bench_group_run(c: &mut Criterion) {
-    // Slab-engine fan-out over a group's chunks: add32 on every PE of a
-    // 4-group machine, sequential vs threaded dispatch.
-    for (id, mode) in [
-        ("group_run_add32_seq", ExecMode::Sequential),
-        ("group_run_add32_par", ExecMode::Parallel),
-    ] {
-        let mut cfg = ArchConfig::paper_scaled(64);
-        cfg.groups = 4;
-        cfg.exec = mode;
-        let streams = add32_streams(256, cfg.groups);
-        let mut m = SlabMachine::new(cfg);
-        c.bench_function(id, |b| b.iter(|| black_box(m.run(&streams))));
-    }
+    // Slab engine over every group's chunks: add32 on every PE of a
+    // 4-group machine.
+    let mut cfg = ArchConfig::paper_scaled(64);
+    cfg.groups = 4;
+    let streams = add32_streams(256, cfg.groups);
+    let mut m = SlabMachine::new(cfg);
+    c.bench_function("group_run_add32_seq", |b| {
+        b.iter(|| black_box(m.run(&streams)))
+    });
 }
 
 fn bench_mvsop(c: &mut Criterion) {

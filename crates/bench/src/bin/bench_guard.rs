@@ -5,11 +5,10 @@
 //!
 //! * **Full** (default): runs the same add32 workload as `bench_sim`
 //!   (16 groups × 64 PEs of 256×256) and guards the slab engine's
-//!   sequential (`instructions_per_sec_slab_sequential`) and parallel
-//!   (`instructions_per_sec_slab_parallel`) throughput against the
-//!   checked-in numbers. Each must come in at no less than 75% of its
-//!   baseline (>25% regression fails). The sequential column is
-//!   additionally held to an **absolute** floor ([`SLAB_SEQ_FLOOR_IPS`]) in
+//!   throughput (`instructions_per_sec_slab_sequential`) against the
+//!   checked-in number. It must come in at no less than 75% of its
+//!   baseline (>25% regression fails). The column is additionally held
+//!   to an **absolute** floor ([`SLAB_SEQ_FLOOR_IPS`]) in
 //!   release builds, so the bit-plane kernel win can't erode across
 //!   regenerated baselines.
 //! * **`--smoke`**: a small-geometry sanity pass for CI — validates that
@@ -25,7 +24,7 @@
 //! small key scanner over the known single-number-per-key layout that
 //! `bench_sim` emits.
 
-use hyperap_arch::{ApMachine, ArchConfig, ExecMode, SlabMachine};
+use hyperap_arch::{ApMachine, ArchConfig, SlabMachine};
 use hyperap_bench::{add32_streams, best_secs, seed_machine, seed_slab};
 use hyperap_compiler::{compile, opt, CompileOptions, OPT_LEVEL_MAX};
 use hyperap_workloads::similarity as wsim;
@@ -153,45 +152,6 @@ fn guard_opt_levels(baseline: &str, path: &std::path::Path) -> bool {
         }
     }
     failed
-}
-
-/// Check that `ExecMode::Auto` never follows `Parallel` down a losing
-/// fork-join path in the checked-in baseline: the slab engine's Auto
-/// speedup over sequential must not sit below the worse of the
-/// forced-parallel speedup and 1.0 (less a small noise tolerance), and must
-/// never fall below an absolute 0.8× floor. On a 1-CPU baseline host this
-/// pins the fix: Auto must measure ≈1.0× because it declines to fork at
-/// all.
-fn guard_auto_mode(baseline: &str, path: &std::path::Path) -> bool {
-    let (par_key, auto_key) = (
-        "speedup_slab_parallel_vs_sequential",
-        "speedup_slab_auto_vs_sequential",
-    );
-    let (Some(par), Some(auto)) = (
-        json_number(baseline, par_key),
-        json_number(baseline, auto_key),
-    ) else {
-        eprintln!(
-            "bench_guard: baseline {} lacks {par_key}/{auto_key} — regenerate BENCH_SIM.json",
-            path.display()
-        );
-        return true;
-    };
-    // Auto may legitimately decline to thread (speedup ≈ 1.0) even when
-    // Parallel wins big, so the bar is min(parallel, 1.0), with 0.1 of
-    // measurement-noise headroom.
-    if auto + 0.1 < par.min(1.0) || auto < 0.8 {
-        eprintln!(
-            "bench_guard: slab Auto speedup {auto:.2}x vs forced-parallel {par:.2}x — \
-             Auto picked a losing fork-join path"
-        );
-        return true;
-    }
-    println!(
-        "bench_guard: slab Auto speedup {auto:.2}x (forced parallel {par:.2}x) — \
-         Auto avoids the losing path"
-    );
-    false
 }
 
 /// Gate the checked-in `serve` block (emitted by `serve_bench`): the
@@ -423,8 +383,6 @@ fn smoke() -> i32 {
     let mut failed = false;
     for key in [
         "instructions_per_sec_slab_sequential",
-        "instructions_per_sec_slab_parallel",
-        "speedup_slab_auto_vs_sequential",
         "speedup_slab_vs_interpreter_sequential",
         "speedup_slab_fused_vs_unfused",
     ] {
@@ -443,7 +401,6 @@ fn smoke() -> i32 {
     }
     failed |= baseline_below_slab_floor(&baseline, &path);
     failed |= guard_opt_levels(&baseline, &path);
-    failed |= guard_auto_mode(&baseline, &path);
     failed |= guard_serve(&baseline, &path);
     failed |= guard_similarity(&baseline, &path);
     failed |= guard_checkpoint(&baseline, &path);
@@ -457,16 +414,10 @@ fn smoke() -> i32 {
     let streams = add32_streams(cfg.cols, cfg.groups);
 
     let mut interp = ApMachine::new(cfg.clone());
-    let mut slab = SlabMachine::new(ArchConfig {
-        exec: ExecMode::Sequential,
-        ..cfg.clone()
-    });
+    let mut slab = SlabMachine::new(cfg.clone());
     seed_machine(&mut interp);
     seed_slab(&mut slab);
-    let mut slab_unfused = SlabMachine::new(ArchConfig {
-        exec: ExecMode::Sequential,
-        ..cfg.clone()
-    });
+    let mut slab_unfused = SlabMachine::new(cfg.clone());
     seed_slab(&mut slab_unfused);
     let interp_stats = interp.run(&streams);
     let slab_stats = slab.run(&streams);
@@ -495,7 +446,6 @@ fn smoke() -> i32 {
     // sentinel for the full differential suite in
     // `crates/arch/tests/fault_equivalence.rs`.
     let fault_cfg = ArchConfig {
-        exec: ExecMode::Sequential,
         faults: hyperap_arch::FaultConfig {
             model: hyperap_arch::FaultModel {
                 seed: 0xB16_F417,
@@ -526,10 +476,7 @@ fn smoke() -> i32 {
     let codes = wsim::CodeSet::generate(0x57A6E, cfg.total_pes(), sim_rows, 64);
     let mut sim_ap = ApMachine::new(cfg.clone());
     codes.load_ap(&mut sim_ap);
-    let mut sim_slab = SlabMachine::new(ArchConfig {
-        exec: ExecMode::Sequential,
-        ..cfg.clone()
-    });
+    let mut sim_slab = SlabMachine::new(cfg.clone());
     codes.load_slab(&mut sim_slab);
     let query = codes.random_query(3);
     let key = codes.query_key(&query, cfg.cols);
@@ -610,8 +557,7 @@ fn full() -> i32 {
     };
 
     // The bench_sim engine workload, re-measured: add32 on every PE of a
-    // 16-group × 64-PE machine of 256×256. Two guarded columns: slab
-    // engine sequential and parallel.
+    // 16-group × 64-PE machine of 256×256, one guarded slab column.
     let mut cfg = ArchConfig::paper_scaled(256);
     cfg.groups = 16;
     let streams = add32_streams(cfg.cols, cfg.groups);
@@ -622,11 +568,8 @@ fn full() -> i32 {
     // biasing toward stability, not toward hiding real regressions (the
     // FLOOR still applies to the best observed run).
     let reps = 5;
-    let slab_ips = |mode: ExecMode| {
-        let mut m = SlabMachine::new(ArchConfig {
-            exec: mode,
-            ..cfg.clone()
-        });
+    let slab_seq = {
+        let mut m = SlabMachine::new(cfg.clone());
         seed_slab(&mut m);
         black_box(m.run(&streams));
         let secs = best_secs(reps, || {
@@ -636,7 +579,6 @@ fn full() -> i32 {
     };
 
     let mut failed = false;
-    let slab_seq = slab_ips(ExecMode::Sequential);
     failed |= guard_column(
         "slab sequential",
         "instructions_per_sec_slab_sequential",
@@ -646,7 +588,6 @@ fn full() -> i32 {
     );
     failed |= baseline_below_slab_floor(&baseline, &path);
     failed |= guard_opt_levels(&baseline, &path);
-    failed |= guard_auto_mode(&baseline, &path);
     failed |= guard_serve(&baseline, &path);
     failed |= guard_similarity(&baseline, &path);
     failed |= guard_checkpoint(&baseline, &path);
@@ -662,10 +603,7 @@ fn full() -> i32 {
         let key = codes.query_key(&query, cfg.cols);
         let mut sim_ap = ApMachine::new(cfg.clone());
         codes.load_ap(&mut sim_ap);
-        let mut sim_slab = SlabMachine::new(ArchConfig {
-            exec: ExecMode::Sequential,
-            ..cfg.clone()
-        });
+        let mut sim_slab = SlabMachine::new(cfg.clone());
         codes.load_slab(&mut sim_slab);
         let want = codes.host_topk(&query, sim_k);
         let ap_out = sim_ap.hamming_topk(&key, sim_rows, sim_k);
@@ -720,13 +658,6 @@ fn full() -> i32 {
              floor {SLAB_SEQ_FLOOR_IPS:.0}"
         );
     }
-    failed |= guard_column(
-        "slab parallel",
-        "instructions_per_sec_slab_parallel",
-        slab_ips(ExecMode::Parallel),
-        &baseline,
-        &path,
-    );
     i32::from(failed)
 }
 

@@ -10,23 +10,19 @@
 //!    vs the slab engine (`SlabMachine::run`, compile included, plus
 //!    `try_run_compiled` with the compile hoisted out) — bit-identical
 //!    results, wall-clock only.
-//! 3. **Engine threading**: the slab engine under `ExecMode::Sequential`
-//!    vs `ExecMode::Parallel` vs `ExecMode::Auto`. On a single-CPU host the
-//!    threaded run cannot win — the host core count is recorded in the JSON
-//!    so readers can interpret the ratio.
-//! 4. **Peephole fusion**: the slab engine running precompiled *fused*
+//! 3. **Peephole fusion**: the slab engine running precompiled *fused*
 //!    traces (the default `compile_streams` pipeline, which collapses
 //!    Search→SetTag→Write chains into single-sweep micro-ops) vs the same
 //!    streams compiled with `compile_streams_unfused` — bit-identical
 //!    results and identical architectural cycle counts, wall-clock only.
-//! 5. **Similarity search**: the CAM-native Hamming top-k query on the
+//! 4. **Similarity search**: the CAM-native Hamming top-k query on the
 //!    word-parallel slab engine vs the scalar per-PE reference engine over
-//!    identical stored codes (both Sequential, so the ratio isolates the
-//!    bit-plane word kernels rather than host threading), the raw
+//!    identical stored codes (both on the calling thread, so the ratio
+//!    isolates the bit-plane word kernels), the raw
 //!    accumulate-kernel word throughput, and the binarized-HDC classifier's
 //!    per-inference latency on both engines. All engine results are
 //!    cross-checked against the pure-host references before timing.
-//! 6. **Checkpoint cost**: full and incremental snapshots of the slab
+//! 5. **Checkpoint cost**: full and incremental snapshots of the slab
 //!    machine into an in-memory sink, and restore latency.
 //!
 //! The slab `run` columns include trace compilation; the slab machine keeps
@@ -42,7 +38,7 @@
 //! so a checked-in baseline can be traced to the commit and geometry that
 //! produced it.
 
-use hyperap_arch::{ApMachine, ArchConfig, ExecMode, SlabMachine};
+use hyperap_arch::{ApMachine, ArchConfig, SlabMachine};
 use hyperap_bench::{add32_streams, best_secs, seed_machine, seed_slab};
 use hyperap_compiler::{compile, opt, CompileOptions, OPT_LEVEL_MAX};
 use hyperap_tcam::array::TcamArray;
@@ -123,10 +119,9 @@ fn compiler_columns(src: &str) -> Vec<(u64, u64)> {
         .collect()
 }
 
-fn engine_config(exec: ExecMode) -> ArchConfig {
+fn engine_config() -> ArchConfig {
     let mut cfg = ArchConfig::paper_scaled(ROWS);
     cfg.groups = GROUPS;
-    cfg.exec = exec;
     cfg
 }
 
@@ -135,10 +130,9 @@ fn main() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(3);
-    // Host shape for interpreting every threaded number downstream: logical
-    // CPUs, physical cores (SMT folded out), and whether the fork-join
-    // engine considers threading profitable here at all — the same
-    // predicate `ExecMode::Auto` and the serving layer's scaling floors
+    // Host shape for interpreting every number downstream: logical CPUs,
+    // physical cores (SMT folded out), and whether a second worker thread
+    // pays here at all — the predicate the serving layer's scaling floors
     // key off.
     let host_cpus = hyperap_arch::par::logical_cpus();
     let physical_cores = hyperap_arch::par::physical_cores();
@@ -196,35 +190,31 @@ fn main() {
     });
     let words_per_ns = (plan.len() * wslab.plane_words()) as f64 / ns_word_search;
 
-    // 2 & 3. Engine runs: same streams everywhere.
+    // 2. Engine runs: same streams everywhere.
     let streams = add32_streams(COLS, GROUPS);
     let stream_len = streams[0].len();
     let total_instructions = (GROUPS * stream_len) as f64;
 
     let interp_seq_s = {
-        let mut m = ApMachine::new(engine_config(ExecMode::Sequential));
+        let mut m = ApMachine::new(engine_config());
         seed_machine(&mut m);
         best_secs(reps, || {
             black_box(m.run(&streams));
         })
     };
 
-    // Slab engine over every threading mode, compile included (cached
-    // after the first rep).
-    let run_slab = |mode: ExecMode| {
-        let mut m = SlabMachine::new(engine_config(mode));
+    // Slab engine, compile included (cached after the first rep).
+    let slab_seq_s = {
+        let mut m = SlabMachine::new(engine_config());
         seed_slab(&mut m);
         best_secs(reps, || {
             black_box(m.run(&streams));
         })
     };
-    let slab_seq_s = run_slab(ExecMode::Sequential);
-    let slab_par_s = run_slab(ExecMode::Parallel);
-    let slab_auto_s = run_slab(ExecMode::Auto);
-    // 4. Trace reuse and peephole fusion: compile once, run the fused and
+    // 3. Trace reuse and peephole fusion: compile once, run the fused and
     // the unfused traces repeatedly on the same machine.
     let (slab_precompiled_s, slab_precompiled_unfused_s) = {
-        let mut m = SlabMachine::new(engine_config(ExecMode::Sequential));
+        let mut m = SlabMachine::new(engine_config());
         seed_slab(&mut m);
         let traces = hyperap_arch::trace::compile_streams(&streams, m.config());
         let unfused = hyperap_arch::trace::compile_streams_unfused(&streams, m.config());
@@ -237,20 +227,19 @@ fn main() {
         (fused_s, unfused_s)
     };
 
-    let cfg = engine_config(ExecMode::Sequential);
+    let cfg = engine_config();
 
-    // 5. Similarity search: Hamming top-k on the word-parallel slab engine
+    // 4. Similarity search: Hamming top-k on the word-parallel slab engine
     // vs the scalar per-PE reference engine over identical stored codes.
-    // Both run Sequential so the speedup isolates the bit-plane word
-    // kernels (64 PEs per ALU op), not host threading.
+    // The speedup isolates the bit-plane word kernels (64 PEs per ALU op).
     let sim_rows = 64usize;
     let sim_k = 16usize;
     let codes = wsim::CodeSet::generate(0x51AB, cfg.total_pes(), sim_rows, COLS);
     let query = codes.random_query(7);
     let query_key = codes.query_key(&query, COLS);
-    let mut sim_ap = ApMachine::new(engine_config(ExecMode::Sequential));
+    let mut sim_ap = ApMachine::new(engine_config());
     codes.load_ap(&mut sim_ap);
-    let mut sim_slab = SlabMachine::new(engine_config(ExecMode::Sequential));
+    let mut sim_slab = SlabMachine::new(engine_config());
     codes.load_slab(&mut sim_slab);
     let host_hits = codes.host_topk(&query, sim_k);
     let ap_out = sim_ap.hamming_topk(&query_key, sim_rows, sim_k);
@@ -311,9 +300,9 @@ fn main() {
     let hdc = wsim::HdcDataset::generate(hdc_cfg);
     let model = wsim::HdcModel::train(&hdc);
     let hdc_rows = model.rows_needed(cfg.total_pes()).max(1);
-    let mut hdc_ap = ApMachine::new(engine_config(ExecMode::Sequential));
+    let mut hdc_ap = ApMachine::new(engine_config());
     model.load_ap(&mut hdc_ap, hdc_rows);
-    let mut hdc_slab = SlabMachine::new(engine_config(ExecMode::Sequential));
+    let mut hdc_slab = SlabMachine::new(engine_config());
     model.load_slab(&mut hdc_slab, hdc_rows);
     let sample = &hdc.test[0].1;
     let host_class = model.classify_host(sample, cfg.total_pes(), hdc_rows);
@@ -327,7 +316,7 @@ fn main() {
     });
     let hdc_accuracy = model.accuracy_host(&hdc.test, cfg.total_pes(), hdc_rows);
 
-    // 6. Checkpoint cost: full and incremental snapshots of the 1024-PE
+    // 5. Checkpoint cost: full and incremental snapshots of the 1024-PE
     // slab machine (post-add32 state) into an in-memory sink, plus restore
     // latency. The incremental column re-dirties only group 0 between
     // snapshots, so with the default one-group chunking 15/16 of the
@@ -344,7 +333,7 @@ fn main() {
         ckpt_restore_ms,
     ) = {
         use hyperap_ckpt::{Checkpointer, MemSink};
-        let mut m = SlabMachine::new(engine_config(ExecMode::Sequential));
+        let mut m = SlabMachine::new(engine_config());
         seed_slab(&mut m);
         black_box(m.run(&streams));
         // Full snapshot: a fresh checkpointer sees every chunk dirty.
@@ -370,7 +359,7 @@ fn main() {
         }
         // Restore latency into a fresh machine of the same geometry.
         let restore_s = best_secs(reps, || {
-            let mut fresh = SlabMachine::new(engine_config(ExecMode::Sequential));
+            let mut fresh = SlabMachine::new(engine_config());
             black_box(ck.resume(&mut fresh).unwrap());
         });
         (
@@ -394,7 +383,6 @@ fn main() {
         "unsigned int (16) main(unsigned int (16) a, unsigned int (16) b) { return a * b; }",
     );
 
-    let parallel_threads = ExecMode::Parallel.threads();
     let git_revision = git_revision();
     let geometry_hash = format!(
         "{:016x}",
@@ -414,7 +402,6 @@ fn main() {
   "host": {{
     "cpus": {host_cpus},
     "physical_cores": {physical_cores},
-    "parallel_threads": {parallel_threads},
     "parallel_pays": {parallel_pays}
   }},
   "geometry": {{
@@ -483,16 +470,11 @@ fn main() {
     }},
     "slab": {{
       "sequential_s": {slab_seq_s:.4},
-      "parallel_s": {slab_par_s:.4},
-      "auto_s": {slab_auto_s:.4},
       "precompiled_sequential_s": {slab_precompiled_s:.4},
       "precompiled_unfused_s": {slab_precompiled_unfused_s:.4}
     }},
     "instructions_per_sec_slab_sequential": {ips_slab_seq:.0},
-    "instructions_per_sec_slab_parallel": {ips_slab_par:.0},
     "speedup_slab_vs_interpreter_sequential": {sp_slab:.2},
-    "speedup_slab_parallel_vs_sequential": {sp_slab_par:.2},
-    "speedup_slab_auto_vs_sequential": {sp_slab_auto:.2},
     "speedup_slab_fused_vs_unfused": {sp_slab_fused:.2}
   }}
 }}
@@ -517,10 +499,7 @@ fn main() {
         hdc_classes = hdc_cfg.classes,
         sp_hdc = hdc_scalar_ns / hdc_slab_ns,
         ips_slab_seq = total_instructions / slab_seq_s,
-        ips_slab_par = total_instructions / slab_par_s,
         sp_slab = interp_seq_s / slab_seq_s,
-        sp_slab_par = slab_seq_s / slab_par_s,
-        sp_slab_auto = slab_seq_s / slab_auto_s,
         sp_slab_fused = slab_precompiled_unfused_s / slab_precompiled_s,
     );
     std::fs::write("BENCH_SIM.json", &json).expect("write BENCH_SIM.json");

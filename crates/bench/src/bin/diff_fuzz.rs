@@ -1,8 +1,8 @@
 //! Differential fuzzer for the two execution engines: random Table-I
 //! instruction streams (plus synthetic-arithmetic kernel streams from
 //! [`hyperap_workloads::synthetic`]) run on the instruction-at-a-time
-//! interpreter and on the slab engine over every mode × chunk width — with
-//! and without a seeded fault model — and any divergence in the run `Result`
+//! interpreter and on the slab engine over every chunk width — with and
+//! without a seeded fault model — and any divergence in the run `Result`
 //! (stats, `pe_health`, typed fault errors) or the post-run machine state
 //! is shrunk to a minimized repro before the fuzzer exits non-zero.
 //!
@@ -17,7 +17,7 @@
 //! A third axis covers the similarity API: random stored codes plus random
 //! ternary query keys, `rows` limits, and `k` values run through
 //! `hamming_topk` on the scalar engine and the slab engine over every
-//! mode × chunk width, with and without stuck-at faults — hits and stats
+//! chunk width, with and without stuck-at faults — hits and stats
 //! must be bit-identical. Divergent cases shrink by dropping loads and
 //! queries.
 //!
@@ -35,7 +35,7 @@
 //! hosts and toolchains.
 
 use hyperap_arch::machine::BROADCAST_ADDR;
-use hyperap_arch::{ApMachine, ArchConfig, ExecMode, FaultConfig, SlabMachine};
+use hyperap_arch::{ApMachine, ArchConfig, FaultConfig, SlabMachine};
 use hyperap_baselines::reference::OpKind;
 use hyperap_compiler::{compile, CompileOptions, OPT_LEVEL_MAX};
 use hyperap_isa::{Direction, Instruction};
@@ -210,24 +210,23 @@ fn generate_case(case_seed: u64) -> Case {
     }
 }
 
-fn config(case: &Case, mode: ExecMode) -> ArchConfig {
+fn config(case: &Case) -> ArchConfig {
     let mut cfg = ArchConfig::tiny();
     cfg.cols = case.cols;
-    cfg.exec = mode;
     cfg.faults = case.faults;
     cfg
 }
 
 fn build_reference(case: &Case) -> ApMachine {
-    let mut m = ApMachine::new(config(case, ExecMode::Sequential));
+    let mut m = ApMachine::new(config(case));
     for &(pe, row, col, v) in &case.loads {
         m.pe_mut(pe).load_bit(row, col, v);
     }
     m
 }
 
-fn build_slab(case: &Case, mode: ExecMode, chunk_pes: usize) -> SlabMachine {
-    let mut m = SlabMachine::with_chunk_pes(config(case, mode), chunk_pes);
+fn build_slab(case: &Case, chunk_pes: usize) -> SlabMachine {
+    let mut m = SlabMachine::with_chunk_pes(config(case), chunk_pes);
     for &(pe, row, col, v) in &case.loads {
         m.load_bit(pe, row, col, v);
     }
@@ -252,20 +251,18 @@ fn slab_state_divergence(reference: &ApMachine, b: &SlabMachine) -> Option<Strin
 fn check(case: &Case) -> Option<String> {
     let mut reference = build_reference(case);
     let ref_result = reference.try_run(&case.streams);
-    for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-        for chunk_pes in CHUNK_WIDTHS {
-            let mut slab = build_slab(case, mode, chunk_pes);
-            let got = slab.try_run(&case.streams);
-            if got != ref_result {
-                return Some(format!(
-                    "slab engine ({mode:?}, {chunk_pes}-PE chunks) result diverged:\n  reference: {ref_result:?}\n  slab:      {got:?}"
-                ));
-            }
-            if let Some(what) = slab_state_divergence(&reference, &slab) {
-                return Some(format!(
-                    "slab engine ({mode:?}, {chunk_pes}-PE chunks) diverged on {what}"
-                ));
-            }
+    for chunk_pes in CHUNK_WIDTHS {
+        let mut slab = build_slab(case, chunk_pes);
+        let got = slab.try_run(&case.streams);
+        if got != ref_result {
+            return Some(format!(
+                "slab engine ({chunk_pes}-PE chunks) result diverged:\n  reference: {ref_result:?}\n  slab:      {got:?}"
+            ));
+        }
+        if let Some(what) = slab_state_divergence(&reference, &slab) {
+            return Some(format!(
+                "slab engine ({chunk_pes}-PE chunks) diverged on {what}"
+            ));
         }
     }
     None
@@ -539,9 +536,8 @@ fn generate_sim_case(case_seed: u64) -> SimCase {
     }
 }
 
-fn sim_config(case: &SimCase, mode: ExecMode) -> ArchConfig {
+fn sim_config(case: &SimCase) -> ArchConfig {
     let mut cfg = ArchConfig::tiny();
-    cfg.exec = mode;
     cfg.faults = case.faults;
     cfg
 }
@@ -549,32 +545,30 @@ fn sim_config(case: &SimCase, mode: ExecMode) -> ArchConfig {
 /// Run the similarity engine matrix on `case`; `Some(description)` on the
 /// first divergence from the scalar reference.
 fn check_sim(case: &SimCase) -> Option<String> {
-    let mut reference = ApMachine::new(sim_config(case, ExecMode::Sequential));
+    let mut reference = ApMachine::new(sim_config(case));
     for &(pe, row, col, v) in &case.loads {
         reference.pe_mut(pe).load_bit(row, col, v);
     }
-    for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-        for chunk_pes in CHUNK_WIDTHS {
-            let mut slab = SlabMachine::with_chunk_pes(sim_config(case, mode), chunk_pes);
-            for &(pe, row, col, v) in &case.loads {
-                slab.load_bit(pe, row, col, v);
+    for chunk_pes in CHUNK_WIDTHS {
+        let mut slab = SlabMachine::with_chunk_pes(sim_config(case), chunk_pes);
+        for &(pe, row, col, v) in &case.loads {
+            slab.load_bit(pe, row, col, v);
+        }
+        for (qi, (query, rows, k)) in case.queries.iter().enumerate() {
+            let want = reference.hamming_topk(query, *rows, *k);
+            let got = slab.hamming_topk(query, *rows, *k);
+            if want.hits != got.hits {
+                return Some(format!(
+                    "query {qi} (rows {rows}, k {k}) hits diverged on slab \
+                     ({chunk_pes}-PE chunks):\n  reference: {:?}\n  slab:      {:?}",
+                    want.hits, got.hits
+                ));
             }
-            for (qi, (query, rows, k)) in case.queries.iter().enumerate() {
-                let want = reference.hamming_topk(query, *rows, *k);
-                let got = slab.hamming_topk(query, *rows, *k);
-                if want.hits != got.hits {
-                    return Some(format!(
-                        "query {qi} (rows {rows}, k {k}) hits diverged on slab \
-                         ({mode:?}, {chunk_pes}-PE chunks):\n  reference: {:?}\n  slab:      {:?}",
-                        want.hits, got.hits
-                    ));
-                }
-                if want.stats != got.stats {
-                    return Some(format!(
-                        "query {qi} (rows {rows}, k {k}) stats diverged on slab \
-                         ({mode:?}, {chunk_pes}-PE chunks)"
-                    ));
-                }
+            if want.stats != got.stats {
+                return Some(format!(
+                    "query {qi} (rows {rows}, k {k}) stats diverged on slab \
+                     ({chunk_pes}-PE chunks)"
+                ));
             }
         }
     }

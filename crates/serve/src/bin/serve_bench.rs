@@ -13,7 +13,7 @@
 //! Reported: jobs/s in both regimes, their ratio (`throughput_scaling`),
 //! p50/p99 submit-to-completion latency under saturation, max queue depth,
 //! shared-cache hit rate, batch statistics, and the process memory
-//! high-water mark. On hosts where threading pays
+//! high-water mark. On hosts where a second worker pays
 //! ([`hyperap_arch::par::parallel_pays`]) the scaling ratio must reach
 //! 1.5×; on a single-CPU host the saturated pool cannot beat the depth-1
 //! loop, so the gate is only that concurrency costs <10% (0.9×). Either
@@ -30,7 +30,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use hyperap_arch::{ArchConfig, ExecMode, SlabMachine};
+use hyperap_arch::{ArchConfig, SlabMachine};
 use hyperap_core::microcode::Microcode;
 use hyperap_isa::lower::lower;
 use hyperap_isa::Instruction;
@@ -254,7 +254,6 @@ fn smoke() -> i32 {
         .map(|streams| {
             let mut cfg = arch.clone();
             cfg.groups = streams.len();
-            cfg.exec = ExecMode::Sequential;
             let mut iso = SlabMachine::new(cfg);
             for l in &loads {
                 iso.load_bit(l.pe, l.row, l.col, l.value);

@@ -42,7 +42,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use hyperap_arch::{ArchConfig, ExecMode, PeHealth, RunStats, SlabMachine};
+use hyperap_arch::{ArchConfig, PeHealth, RunStats, SlabMachine};
 use hyperap_isa::Instruction;
 use hyperap_model::timing::OpCounts;
 use hyperap_tcam::FaultError;
@@ -53,10 +53,9 @@ use crate::job::{CellLoad, JobError, JobHandle, JobOutput, JobSpec, Slot, Submit
 /// Pool construction parameters.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Geometry of every pool machine (the serving granule). The default
-    /// constructor forces [`ExecMode::Sequential`]: the pool's workers
-    /// *are* the host parallelism, and nesting a fork-join inside each
-    /// worker would oversubscribe the cores the workers already own.
+    /// Geometry of every pool machine (the serving granule). The pool's
+    /// workers *are* the host parallelism: each machine always runs on its
+    /// worker's thread.
     pub arch: ArchConfig,
     /// Machines (= worker threads) in the pool.
     pub machines: usize,
@@ -79,10 +78,9 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// Defaults: one machine per schedulable CPU (minimum 2, so batching
-    /// and stealing exist even on a 1-CPU host), sequential in-machine
-    /// execution, a 64-job tenant budget, and a 32-program cache.
-    pub fn new(mut arch: ArchConfig) -> Self {
-        arch.exec = ExecMode::Sequential;
+    /// and stealing exist even on a 1-CPU host), a 64-job tenant budget,
+    /// and a 32-program cache.
+    pub fn new(arch: ArchConfig) -> Self {
         ServeConfig {
             arch,
             machines: hyperap_arch::par::logical_cpus().max(2),
@@ -799,7 +797,6 @@ mod tests {
             .unwrap();
         let mut iso_cfg = ArchConfig::tiny();
         iso_cfg.groups = 1;
-        iso_cfg.exec = ExecMode::Sequential;
         let mut iso = SlabMachine::new(iso_cfg);
         for l in &loads {
             iso.load_bit(l.pe, l.row, l.col, l.value);
@@ -842,9 +839,7 @@ mod tests {
             .unwrap()
             .wait()
             .unwrap();
-        let mut iso_cfg = ArchConfig::tiny();
-        iso_cfg.exec = ExecMode::Sequential;
-        let mut iso = SlabMachine::new(iso_cfg);
+        let mut iso = SlabMachine::new(ArchConfig::tiny());
         for l in &loads {
             iso.load_bit(l.pe, l.row, l.col, l.value);
         }
@@ -1259,7 +1254,6 @@ mod tests {
             let out = h.wait().unwrap();
             let mut iso_cfg = ArchConfig::tiny();
             iso_cfg.groups = 1;
-            iso_cfg.exec = ExecMode::Sequential;
             let mut iso = SlabMachine::new(iso_cfg);
             iso.load_bit(i, 0, 0, true);
             assert_eq!(out.stats, iso.run(&[probe_stream()]), "job {i}");

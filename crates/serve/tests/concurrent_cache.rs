@@ -15,7 +15,7 @@
 use std::collections::HashSet;
 use std::thread;
 
-use hyperap_arch::{ArchConfig, ExecMode, FaultConfig, RunStats, SlabMachine};
+use hyperap_arch::{ArchConfig, FaultConfig, RunStats, SlabMachine};
 use hyperap_isa::Instruction;
 use hyperap_serve::{CellLoad, JobSpec, ServeConfig, ServePool};
 use hyperap_tcam::{FaultModel, KeyBit};
@@ -87,8 +87,8 @@ fn kernel_strategy() -> impl Strategy<Value = (Vec<Vec<Instruction>>, Vec<CellLo
         })
 }
 
-/// What the job must produce: the same program on a fresh, job-sized,
-/// sequential machine.
+/// What the job must produce: the same program on a fresh, job-sized
+/// machine.
 fn isolated_stats(
     streams: &[Vec<Instruction>],
     loads: &[CellLoad],
@@ -96,7 +96,6 @@ fn isolated_stats(
 ) -> Result<RunStats, hyperap_tcam::FaultError> {
     let mut cfg = ArchConfig::tiny();
     cfg.groups = streams.len();
-    cfg.exec = ExecMode::Sequential;
     cfg.faults = faults;
     let mut iso = SlabMachine::new(cfg);
     for l in loads {
