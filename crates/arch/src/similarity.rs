@@ -21,11 +21,14 @@
 //!   schedule ([`hyperap_tcam::similarity::topk_schedule`]) — a
 //!   counter-threshold search plus a global count reduction.
 //!
-//! Host-side plane pruning ([`PlaneSummary`-based column skipping in the
-//! slab kernel](hyperap_tcam::TcamSlab::hamming_topk)) is a *simulator*
-//! optimization: real hardware still drives every column, so pruning never
-//! changes the priced counts — which is exactly what keeps the two
-//! engines' stats bit-identical.
+//! The slab kernel's host-side work is *simulator* optimization, never
+//! priced ([`hamming_topk_multi`](hyperap_tcam::slab::hamming_topk_multi)):
+//! `PlaneSummary`-based column pruning (real hardware still drives every
+//! column), carry-save accumulation of the surviving columns, and an
+//! exact select of the `k` nearest in place of reading out the final
+//! threshold mask. None of it changes the priced counts, which come from
+//! the plan and the shared schedule alone — which is exactly what keeps
+//! the two engines' stats bit-identical.
 //!
 //! # Faults
 //!

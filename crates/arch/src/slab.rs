@@ -46,8 +46,7 @@ use hyperap_model::timing::OpCounts;
 use hyperap_tcam::bit::{KeyBit, TernaryBit};
 use hyperap_tcam::encoding::encode_pair;
 use hyperap_tcam::key::SearchKey;
-use hyperap_tcam::similarity as tcam_similarity;
-use hyperap_tcam::slab::{SlabTopk, SweepOp, TagSlab, TcamSlab};
+use hyperap_tcam::slab::{hamming_topk_multi, SweepOp, TagSlab, TcamSlab};
 use hyperap_tcam::tags::TagVector;
 use hyperap_tcam::FaultError;
 
@@ -811,13 +810,11 @@ impl SlabMachine {
     ///
     /// This is the word-parallel engine: each chunk accumulates per-row
     /// miss counts into counter bit-planes — 64 PEs per machine word —
-    /// and runs the progressive threshold schedule locally
-    /// ([`TcamSlab::hamming_topk`]); a chunk always executes at least as
-    /// many rounds as the global controller needs, so the per-round counts
-    /// sum to the exact global schedule and the merged winners are the
-    /// exact global top-k. Bit-identical in hits *and* [`RunStats`] to
-    /// [`ApMachine::hamming_topk`](crate::ApMachine::hamming_topk) under
-    /// every chunk width; see [`crate::similarity`].
+    /// and the priced threshold schedule runs once on counts summed across
+    /// chunks, followed by a host-side exact select of the top `k`
+    /// ([`hamming_topk_multi`]). Bit-identical in hits *and* [`RunStats`]
+    /// to [`ApMachine::hamming_topk`](crate::ApMachine::hamming_topk)
+    /// under every chunk width; see [`crate::similarity`].
     /// Read-only: no wear, no epoch advance.
     ///
     /// # Panics
@@ -825,59 +822,30 @@ impl SlabMachine {
     /// Panics if `k == 0` or `rows` exceeds the machine's rows.
     pub fn hamming_topk(&self, query: &SearchKey, rows: usize, k: usize) -> SimilarityOutcome {
         assert!(rows <= self.config.rows, "row limit exceeds machine");
-        assert!(k > 0, "top-k requires k >= 1");
         let plan = query.compile_plan();
-        let active = tcam_similarity::active_entries(&plan, self.config.cols);
-        let results: Vec<SlabTopk> = self
+        let per = self.config.pes_per_group();
+        let parts: Vec<(&TcamSlab, usize)> = self
             .chunks
             .iter()
-            .map(|chunk| chunk.storage.hamming_topk(&plan, rows, k))
+            .enumerate()
+            .map(|(ci, c)| (&c.storage, (ci / self.chunks_per_group) * per + c.base))
             .collect();
-        // Recover the global stopping round from the per-chunk counts: the
-        // first budget where the machine-wide count reaches `k` (or covers
-        // the maximum distance). Chunks never stop before the global
-        // controller would, so every summed entry exists.
-        let mut rounds = 0usize;
-        let tau = loop {
-            let tau = tcam_similarity::round_tau(rounds + 1);
-            let count: usize = results
-                .iter()
-                .map(|r| {
-                    r.round_counts
-                        .get(rounds)
-                        .copied()
-                        .expect("chunk ran at least as many rounds as the controller")
-                })
-                .sum();
-            rounds += 1;
-            if count >= k || tau >= active {
-                break tau;
-            }
-        };
-        let per = self.config.pes_per_group();
-        let mut hits: Vec<SimilarityHit> = Vec::new();
-        for (ci, r) in results.iter().enumerate() {
-            let base = (ci / self.chunks_per_group) * per + self.chunks[ci].base;
-            for h in &r.hits {
-                if h.distance <= tau {
-                    hits.push(SimilarityHit {
-                        distance: h.distance,
-                        pe: (base + h.pe as usize) as u32,
-                        row: h.row,
-                    });
-                }
-            }
-        }
-        hits.sort_unstable();
-        hits.truncate(k);
-        // Answers outlive the query: drop the gathered candidates' capacity.
-        hits.shrink_to_fit();
+        let topk = hamming_topk_multi(&parts, &plan, rows, k);
+        let hits = topk
+            .hits
+            .iter()
+            .map(|h| SimilarityHit {
+                distance: h.distance,
+                pe: h.pe,
+                row: h.row,
+            })
+            .collect();
         SimilarityOutcome {
             hits,
             stats: crate::similarity::query_stats(
                 &self.config,
-                active,
-                rounds,
+                topk.active,
+                topk.rounds,
                 Some(self.geometry()),
             ),
         }

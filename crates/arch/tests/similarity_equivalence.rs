@@ -215,6 +215,128 @@ proptest! {
     }
 }
 
+/// Stored state for the k-th-place cases: every `(pe, row)` holds one of a
+/// few palette codes (so many candidates tie at every distance), except
+/// that each group forces the columns of `fixed_mask` to its own value.
+/// Where a group's forced column is uniform across its chunks, those
+/// chunks prune it (`AllZero` skip or `Full` base) while the other group's
+/// chunks accumulate it, so chunks start from different bases.
+#[derive(Debug, Clone)]
+struct TieState {
+    palette: Vec<u64>,
+    pick: Vec<usize>,
+    fixed_mask: u64,
+    group_fixed: [u64; 2],
+}
+
+impl TieState {
+    fn code(&self, pe: usize, row: usize) -> u64 {
+        let code = self.palette[self.pick[pe * ROWS + row] % self.palette.len()];
+        let forced = self.group_fixed[pe / (PES / 2)];
+        (code & !self.fixed_mask) | (forced & self.fixed_mask)
+    }
+
+    fn loads(&self) -> Vec<Load> {
+        (0..PES)
+            .flat_map(|pe| (0..ROWS).map(move |row| (pe, row)))
+            .flat_map(|(pe, row)| {
+                let code = self.code(pe, row);
+                (0..COLS).map(move |col| (pe, row, col, (code >> col) & 1 == 1))
+            })
+            .collect()
+    }
+}
+
+fn tie_state_strategy() -> impl Strategy<Value = TieState> {
+    (
+        prop::collection::vec(any::<u64>(), 1..=4),
+        prop::collection::vec(any::<usize>(), PES * ROWS),
+        any::<u64>(),
+        any::<u64>(),
+        any::<u64>(),
+    )
+        .prop_map(|(palette, pick, fixed_mask, g0, g1)| TieState {
+            palette,
+            pick,
+            fixed_mask,
+            group_fixed: [g0, g1],
+        })
+}
+
+/// Queries that stress the readout: random ternary keys, the all-masked
+/// and all-`Z` extremes (every candidate ties), and a palette code with a
+/// few flipped bits (a cluster of near-ties around the k-th distance).
+fn tie_query_strategy() -> impl Strategy<Value = (u8, SearchKey, u64)> {
+    (0u8..4, query_strategy(), any::<u64>())
+}
+
+fn tie_query(state: &TieState, kind: u8, random: SearchKey, flips: u64) -> SearchKey {
+    let from_code = |code: u64| -> SearchKey {
+        (0..COLS)
+            .map(|col| {
+                if (code >> col) & 1 == 1 {
+                    KeyBit::One
+                } else {
+                    KeyBit::Zero
+                }
+            })
+            .collect()
+    };
+    match kind {
+        0 => random,
+        1 => (0..COLS).map(|_| KeyBit::Masked).collect(),
+        2 => (0..COLS).map(|_| KeyBit::Z).collect(),
+        // At most 8 flipped bits: sparse enough to stay near the palette.
+        _ => from_code(state.palette[0] ^ (flips & flips >> 7 & flips >> 13 & flips >> 29)),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The k-th place under pressure: tie-heavy stored codes, `k` at, just
+    /// below and beyond the candidate count, all-masked and all-`Z` keys,
+    /// and per-group forced columns that make chunks prune differently.
+    /// Hits *and* stats must match the interpreter and the oracle under
+    /// every chunk width, fault-free and under seeded faults.
+    #[test]
+    fn topk_boundary_is_engine_invariant(
+        state in tie_state_strategy(),
+        (kind, random, flips) in tie_query_strategy(),
+        rows in 1usize..=ROWS,
+        k_pick in 0usize..6,
+        faulty in any::<bool>(),
+    ) {
+        let candidates = PES * rows;
+        let k = [1, 2, 16, candidates - 1, candidates, candidates + 1][k_pick].max(1);
+        let loads = state.loads();
+        let query = tie_query(&state, kind, random, flips);
+        let reference = build_ap(&loads, &[], faulty);
+        let want = reference.hamming_topk(&query, rows, k);
+        let oracle = oracle_topk(&reference, &query, rows, k);
+        let got: Vec<(u32, u32, u32)> =
+            want.hits.iter().map(|h| (h.distance, h.pe, h.row)).collect();
+        prop_assert_eq!(got, oracle, "scalar engine diverged from oracle");
+        prop_assert_eq!(want.hits.len(), k.min(candidates));
+        for chunk_pes in CHUNK_WIDTHS {
+            let slab = build_slab(chunk_pes, &loads, &[], faulty);
+            let got = slab.hamming_topk(&query, rows, k);
+            prop_assert!(
+                got.hits.capacity() <= 2 * k,
+                "slab answer keeps capacity {} for k = {}", got.hits.capacity(), k
+            );
+            prop_assert_eq!(
+                &want.hits, &got.hits,
+                "hits diverged with {}-PE chunks (faulty={}, k={})", chunk_pes, faulty, k
+            );
+            prop_assert_eq!(
+                &want.stats, &got.stats,
+                "stats diverged with {}-PE chunks (faulty={}, k={})", chunk_pes, faulty, k
+            );
+        }
+    }
+}
+
 /// Transient search misses change architectural searches but must leave
 /// similarity distances untouched: the same stored state queried with and
 /// without a miss-only fault model gives identical outcomes.

@@ -35,10 +35,11 @@ const FLOOR: f64 = 0.75;
 
 /// Absolute floor for the word-parallel similarity query's speedup over
 /// the scalar per-PE reference engine (`speedup_sim_slab_vs_scalar` in the
-/// baseline). The bit-plane Hamming kernels measure >30× on the reference
-/// host; the acceptance bar for the similarity workload family is 20×, so
-/// a regenerated baseline below this is a kernel regression, not noise.
-const SIM_SPEEDUP_FLOOR: f64 = 20.0;
+/// baseline). Carry-save accumulation plus the exact k-th-distance select
+/// measure 250–360× on a 2-vCPU x86-64 host; 100× leaves room for that
+/// host's 2× speed swings, so a regenerated baseline below it is a kernel
+/// regression, not noise.
+const SIM_SPEEDUP_FLOOR: f64 = 100.0;
 
 /// Absolute floor for the slab engine's sequential throughput, in
 /// instructions per second. The bit-plane arena rework (word-parallel

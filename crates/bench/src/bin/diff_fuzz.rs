@@ -18,8 +18,11 @@
 //! ternary query keys, `rows` limits, and `k` values run through
 //! `hamming_topk` on the scalar engine and the slab engine over every
 //! chunk width, with and without stuck-at faults — hits and stats
-//! must be bit-identical. Divergent cases shrink by dropping loads and
-//! queries.
+//! must be bit-identical. Half the cases also fill every `(pe, row)` with
+//! a dense 64-bit code, drawn from a handful of palette codes or fully
+//! random, and add binary queries near a stored code, so the top-k
+//! readout must narrow to the k-th distance among many candidates and
+//! ties. Divergent cases shrink by dropping codes, loads and queries.
 //!
 //! Usage: `diff_fuzz [--smoke] [--seed N] [--iters N] [--case N] [--kernel-case N] [--sim-case N]`
 //!
@@ -497,6 +500,9 @@ fn minimize_kernel(case: &mut KernelCase) {
 /// One similarity-query fuzz case: stored codes, a batch of read-only
 /// top-k queries, and a (possibly inactive) fault configuration.
 struct SimCase {
+    /// Dense codes `(pe, row, bits)`: columns `0..64` of the row, loaded
+    /// before `loads`.
+    codes: Vec<(usize, usize, u64)>,
     loads: Vec<Load>,
     /// `(query, rows, k)` triples; queries are read-only so one machine
     /// build answers the whole batch.
@@ -516,7 +522,7 @@ fn generate_sim_case(case_seed: u64) -> SimCase {
             )
         })
         .collect();
-    let queries = (0..1 + rng.below(4))
+    let mut queries: Vec<(SearchKey, usize, usize)> = (0..1 + rng.below(4))
         .map(|_| {
             let key = random_key(&mut rng, 64);
             let rows = 1 + rng.below(ROWS as u64) as usize;
@@ -529,11 +535,59 @@ fn generate_sim_case(case_seed: u64) -> SimCase {
     // a near-exhausted array would make the fixture about wear, not
     // distances.
     faults.model.endurance_limit = None;
+    // The dense family draws from its own stream, so the sparse family
+    // above generates the same cases it always did.
+    let mut dense = Rng(case_seed ^ 0xDE05_C0DE);
+    let mut codes = Vec::new();
+    if dense.flag() {
+        // A handful of palette codes makes many candidates tie at the k-th
+        // distance; fresh random codes make almost every code distinct.
+        let palette: Vec<u64> = (0..1 + dense.below(4)).map(|_| dense.next()).collect();
+        let distinct = dense.flag();
+        for pe in 0..PES {
+            for row in 0..ROWS {
+                let bits = if distinct {
+                    dense.next()
+                } else {
+                    palette[dense.below(palette.len() as u64) as usize]
+                };
+                codes.push((pe, row, bits));
+            }
+        }
+        // Binary queries a few flips away from a stored code: distances
+        // spread over the whole range, so the k-th place is contested.
+        for _ in 0..1 + dense.below(3) {
+            let (_, _, near) = codes[dense.below(codes.len() as u64) as usize];
+            let flips = dense.next() & dense.next() & dense.next();
+            let key = (0..64)
+                .map(|col| {
+                    if ((near ^ flips) >> col) & 1 == 1 {
+                        KeyBit::One
+                    } else {
+                        KeyBit::Zero
+                    }
+                })
+                .collect();
+            let rows = 1 + dense.below(ROWS as u64) as usize;
+            let k = [1usize, 2, 5, 40, 200][dense.below(5) as usize];
+            queries.push((key, rows, k));
+        }
+    }
     SimCase {
+        codes,
         loads,
         queries,
         faults,
     }
+}
+
+/// Every cell load of `case` in order: dense codes first, then the sparse
+/// loads on top.
+fn sim_loads(case: &SimCase) -> impl Iterator<Item = Load> + '_ {
+    case.codes
+        .iter()
+        .flat_map(|&(pe, row, bits)| (0..64).map(move |col| (pe, row, col, (bits >> col) & 1 == 1)))
+        .chain(case.loads.iter().copied())
 }
 
 fn sim_config(case: &SimCase) -> ArchConfig {
@@ -546,12 +600,12 @@ fn sim_config(case: &SimCase) -> ArchConfig {
 /// first divergence from the scalar reference.
 fn check_sim(case: &SimCase) -> Option<String> {
     let mut reference = ApMachine::new(sim_config(case));
-    for &(pe, row, col, v) in &case.loads {
+    for (pe, row, col, v) in sim_loads(case) {
         reference.pe_mut(pe).load_bit(row, col, v);
     }
     for chunk_pes in CHUNK_WIDTHS {
         let mut slab = SlabMachine::with_chunk_pes(sim_config(case), chunk_pes);
-        for &(pe, row, col, v) in &case.loads {
+        for (pe, row, col, v) in sim_loads(case) {
             slab.load_bit(pe, row, col, v);
         }
         for (qi, (query, rows, k)) in case.queries.iter().enumerate() {
@@ -575,10 +629,21 @@ fn check_sim(case: &SimCase) -> Option<String> {
     None
 }
 
-/// Greedy delta-debugging over loads and queries, mirroring [`minimize`].
+/// Greedy delta-debugging over codes, loads and queries, mirroring
+/// [`minimize`].
 fn minimize_sim(case: &mut SimCase) {
     loop {
         let mut shrunk = false;
+        let mut i = 0;
+        while i < case.codes.len() {
+            let removed = case.codes.remove(i);
+            if check_sim(case).is_some() {
+                shrunk = true;
+            } else {
+                case.codes.insert(i, removed);
+                i += 1;
+            }
+        }
         let mut i = 0;
         while i < case.loads.len() {
             let removed = case.loads.remove(i);
@@ -619,6 +684,7 @@ fn run_sim_case(case_seed: u64, iteration: u64) -> bool {
     eprintln!("diff_fuzz: re-run just this case with: diff_fuzz --sim-case {case_seed}");
     eprintln!("diff_fuzz: minimized repro:");
     eprintln!("  faults: {:?}", case.faults);
+    eprintln!("  codes (pe, row, bits of cols 0..64): {:?}", case.codes);
     eprintln!("  loads (pe, row, col, value): {:?}", case.loads);
     for (qi, (query, rows, k)) in case.queries.iter().enumerate() {
         eprintln!("  query {qi} (rows {rows}, k {k}): {query:?}");

@@ -64,4 +64,4 @@ pub mod rtl;
 pub mod sema;
 
 pub use codegen::CompiledKernel;
-pub use pipeline::{compile, CompileError, CompileOptions, OPT_LEVEL_MAX};
+pub use pipeline::{compile, CompileError, CompileOptions, LUT_INPUTS_RANGE, OPT_LEVEL_MAX};

@@ -11,7 +11,8 @@ pub struct CompileOptions {
     /// Eq. 2's α = Twrite/Tsearch (10 for RRAM, 1 for CMOS).
     pub alpha: f64,
     /// Maximum LUT inputs (§V-B4 limits this to 12; smaller values map
-    /// faster and are plenty for the bundled workloads).
+    /// faster and are plenty for the bundled workloads). Must lie in
+    /// [`LUT_INPUTS_RANGE`].
     pub max_lut_inputs: usize,
     /// Operation merging (§V-B4b): map LUTs across DFG node boundaries.
     pub enable_merging: bool,
@@ -39,6 +40,11 @@ pub struct CompileOptions {
 
 /// Highest meaningful [`CompileOptions::opt_level`].
 pub const OPT_LEVEL_MAX: u8 = 2;
+
+/// Valid [`CompileOptions::max_lut_inputs`]: every AIG AND node needs its
+/// two-input cut, and truth tables and the MV-SOP minimizer hold at most
+/// 16 positions.
+pub const LUT_INPUTS_RANGE: std::ops::RangeInclusive<usize> = 2..=16;
 
 impl Default for CompileOptions {
     fn default() -> Self {
@@ -83,6 +89,8 @@ pub enum CompileError {
     Unsupported(String),
     /// Kernel execution error.
     Run(String),
+    /// A [`CompileOptions`] field outside its valid range.
+    InvalidOptions(String),
     /// Internal invariant violation (a compiler bug).
     Internal(String),
 }
@@ -94,6 +102,7 @@ impl std::fmt::Display for CompileError {
             CompileError::Sema(m) => write!(f, "semantic error: {m}"),
             CompileError::Unsupported(m) => write!(f, "unsupported: {m}"),
             CompileError::Run(m) => write!(f, "run error: {m}"),
+            CompileError::InvalidOptions(m) => write!(f, "invalid options: {m}"),
             CompileError::Internal(m) => write!(f, "internal error: {m}"),
         }
     }
@@ -105,9 +114,9 @@ impl std::error::Error for CompileError {}
 ///
 /// # Errors
 ///
-/// Returns [`CompileError`] for syntax/semantic errors and for constructs
-/// the target cannot express (data-dependent shifts, signed division,
-/// column overflow).
+/// Returns [`CompileError`] for options outside their valid range, for
+/// syntax/semantic errors and for constructs the target cannot express
+/// (data-dependent shifts, signed division, column overflow).
 ///
 /// # Example
 /// ```
@@ -119,6 +128,14 @@ impl std::error::Error for CompileError {}
 /// assert_eq!(k.run_rows(&[&[200, 100]]).unwrap(), vec![300]);
 /// ```
 pub fn compile(src: &str, opts: &CompileOptions) -> Result<CompiledKernel, CompileError> {
+    if !LUT_INPUTS_RANGE.contains(&opts.max_lut_inputs) {
+        return Err(CompileError::InvalidOptions(format!(
+            "max_lut_inputs is {}, must be in {}..={}",
+            opts.max_lut_inputs,
+            LUT_INPUTS_RANGE.start(),
+            LUT_INPUTS_RANGE.end()
+        )));
+    }
     let ast = parse::parse(src).map_err(|e| CompileError::Parse(e.to_string()))?;
     let lowered = sema::lower(&ast).map_err(|e| CompileError::Sema(e.to_string()))?;
     let dfg = if opts.opt_level >= 1 {

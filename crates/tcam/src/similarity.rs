@@ -25,16 +25,21 @@
 //!   counter-threshold match across all rows in parallel and one global
 //!   population count. The controller stops at the first round where the
 //!   count reaches `k` — or where `τ_r` covers the maximum possible
-//!   distance (every unmasked column missing). The winners are then read
-//!   out of the final threshold mask only. [`topk_schedule`] is this rule
-//!   as a pure function of the distance multiset, used by scalar engines
-//!   and by tests to pin the word-parallel implementation.
+//!   distance (every unmasked column missing). In hardware the winners
+//!   are then read out of the final threshold mask. [`topk_schedule`] is
+//!   this rule as a pure function of the distance multiset: it fixes the
+//!   priced rounds, and scalar engines and tests use it to pin the
+//!   word-parallel implementation.
 //!
 //! The word-parallel slab kernels implementing these semantics over 64 PEs
 //! per machine word live on [`TcamSlab`](crate::TcamSlab)
 //! ([`hamming_into`](crate::TcamSlab::hamming_into),
-//! [`hamming_topk`](crate::TcamSlab::hamming_topk)); the scalar per-PE
-//! reference over [`TcamArray`] is [`scalar_distances`].
+//! [`hamming_topk`](crate::TcamSlab::hamming_topk),
+//! [`hamming_topk_multi`](crate::slab::hamming_topk_multi)); the scalar
+//! per-PE reference over [`TcamArray`] is [`scalar_distances`]. How the
+//! simulator *reads out* the winners is not part of these semantics: the
+//! slab kernels select exactly the `k` nearest instead of gathering the
+//! whole final mask, and return the same winners in the same order.
 //!
 //! **Faults:** distance is a property of the *stored* state, which already
 //! has stuck-at bits enforced on every write path — so stuck cells perturb

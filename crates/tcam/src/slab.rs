@@ -2275,164 +2275,316 @@ impl TcamSlab {
 // engine-shared semantics and DESIGN.md §11 for the hardware mapping).
 // ---------------------------------------------------------------------------
 
-/// One similarity candidate of a slab: chunk-relative PE, row, and its
-/// distance to the query.
+/// One similarity candidate: PE (chunk-relative, or offset by the caller
+/// of [`hamming_topk_multi`]), row, and its distance to the query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SlabHit {
     /// Distance to the query (leading field: derived ordering is
     /// ascending-distance with `(pe, row)` tie-break).
     pub distance: u32,
-    /// Chunk-relative PE index.
+    /// PE index: chunk-relative plus the slab's offset.
     pub pe: u32,
     /// Row within the PE.
     pub row: u32,
 }
 
-/// Result of a progressive top-k search over one slab.
+/// Result of a progressive top-k search over one or more slabs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlabTopk {
-    /// Every candidate within the final budget, ascending
-    /// `(distance, pe, row)` — a superset of this slab's local top-k.
+    /// The `min(k, candidates)` nearest candidates, ascending
+    /// `(distance, pe, row)`.
     pub hits: Vec<SlabHit>,
-    /// Candidates within budget at each executed round. A multi-chunk
-    /// machine sums these across chunks per round to recover the *global*
-    /// stopping round (each chunk always runs at least as many rounds as
-    /// the global controller needs; see [`TcamSlab::hamming_topk`]).
-    pub round_counts: Vec<usize>,
-    /// Distance budget of the final executed round.
+    /// Threshold rounds of the priced widening schedule (≥ 1).
+    pub rounds: usize,
+    /// Distance budget of the final priced round.
     pub tau: u32,
     /// Maximum possible distance (in-range unmasked plan entries).
     pub active: u32,
 }
 
-/// Word-parallel Hamming counter stack for one query: `bplanes` counter
-/// bits per candidate, laid out word-major (`planes[w * bplanes + b]`) so
-/// the ripple-carry hot loop touches one contiguous run per plane word.
+/// Surviving columns summed per carry-save tree before one fixed-width add
+/// into the counter stack.
+const CSA_BATCH: usize = 8;
+
+/// Bit-planes of one batch sum (`0..=CSA_BATCH` needs four).
+const CSA_SUM_BITS: usize = 4;
+
+/// Counter words the adders process together: every step is one operation
+/// over a `[u64; LANES]` block, which the compiler maps onto SIMD registers.
+const LANES: usize = 8;
+
+type Lanes = [u64; LANES];
+
+/// Word-parallel distance stack for one query: `bplanes` bits per
+/// candidate, enough for the maximum distance `active`, laid out
+/// plane-major (`planes[b * stride + w]`). The value of a live candidate
+/// is its full distance, pruned `Full` columns included.
 struct HammingCounters {
     planes: Vec<u64>,
     bplanes: usize,
-    /// Words per counter bit-plane (`rows * pe_words`).
+    /// Words per bit-plane (`rows * pe_words`).
     words: usize,
-    /// Uniform offset from columns whose miss plane was summarized `Full`.
-    base: u32,
+    /// Allocated words per bit-plane: `words` padded to whole [`LANES`]
+    /// blocks.
+    stride: usize,
     /// Maximum possible distance (in-range unmasked plan entries).
     active: u32,
-    /// Columns that actually entered the ripple-carry accumulation.
+    /// Columns that actually entered the counter accumulation.
     accumulated: usize,
 }
 
-/// Ripple-carry add a miss plane into the counter stack: per word, a
-/// carry chain over at most `bplanes` counter bits, exiting as soon as the
-/// carry dies (the common case after the first couple of planes).
-fn ripple_accumulate(planes: &mut [u64], bplanes: usize, miss: &[u64]) {
-    for (w, &m) in miss.iter().enumerate() {
-        let mut carry = m;
-        if carry == 0 {
-            continue;
-        }
-        let cnt = &mut planes[w * bplanes..(w + 1) * bplanes];
-        for c in cnt {
-            let t = *c & carry;
-            *c ^= carry;
-            carry = t;
-            if carry == 0 {
-                break;
-            }
-        }
-        debug_assert_eq!(carry, 0, "counter stack overflow");
-    }
+/// Full adder over `LANES × 64` lanes: `(sum, carry)`.
+#[inline(always)]
+fn full_add(a: Lanes, b: Lanes, c: Lanes) -> (Lanes, Lanes) {
+    (
+        std::array::from_fn(|i| a[i] ^ b[i] ^ c[i]),
+        std::array::from_fn(|i| (a[i] & b[i]) | ((a[i] ^ b[i]) & c[i])),
+    )
 }
 
-/// [`ripple_accumulate`] with the miss plane formed on the fly as
-/// `z | o` — the `KeyBit::Z` case (stored 0 and stored 1 both miss).
-fn ripple_accumulate_pair(planes: &mut [u64], bplanes: usize, z: &[u64], o: &[u64]) {
-    for (w, (&zw, &ow)) in z.iter().zip(o).enumerate() {
-        let mut carry = zw | ow;
-        if carry == 0 {
-            continue;
-        }
-        let cnt = &mut planes[w * bplanes..(w + 1) * bplanes];
-        for c in cnt {
-            let t = *c & carry;
-            *c ^= carry;
-            carry = t;
-            if carry == 0 {
-                break;
-            }
-        }
-        debug_assert_eq!(carry, 0, "counter stack overflow");
-    }
+/// Half adder over `LANES × 64` lanes: `(sum, carry)`.
+#[inline(always)]
+fn half_add(a: Lanes, b: Lanes) -> (Lanes, Lanes) {
+    (
+        std::array::from_fn(|i| a[i] ^ b[i]),
+        std::array::from_fn(|i| a[i] & b[i]),
+    )
+}
+
+/// Carry-save tree: the [`CSA_SUM_BITS`] bit-planes of the per-lane count
+/// of set bits among [`CSA_BATCH`] inputs.
+#[inline(always)]
+fn csa8(x: [Lanes; CSA_BATCH]) -> [Lanes; CSA_SUM_BITS] {
+    let (s1, c1) = full_add(x[0], x[1], x[2]);
+    let (s2, c2) = full_add(x[3], x[4], x[5]);
+    let (s3, c3) = full_add(s1, s2, x[6]);
+    let (b0, c4) = half_add(s3, x[7]);
+    let (t, d1) = full_add(c1, c2, c3);
+    let (b1, d2) = half_add(t, c4);
+    let (b2, b3) = half_add(d1, d2);
+    [b0, b1, b2, b3]
 }
 
 impl HammingCounters {
-    /// Counter value of the candidate at plane word `w`, bit `p`.
-    fn value(&self, w: usize, p: usize) -> u32 {
-        let cnt = &self.planes[w * self.bplanes..(w + 1) * self.bplanes];
-        let mut v = 0u32;
-        for (b, &c) in cnt.iter().enumerate() {
-            v |= (((c >> p) & 1) as u32) << b;
+    /// Sum the miss planes `srcs` onto a uniform `base` into a fresh
+    /// `bplanes`-bit stack. Each batch of [`CSA_BATCH`] planes is streamed
+    /// once, [`LANES`] words at a time: a carry-save tree reduces the batch
+    /// to a [`CSA_SUM_BITS`]-bit sum, and a fixed-width ripple adder adds
+    /// it into every counter plane. No step branches on data.
+    fn accumulate(srcs: &[&[u64]], base: u32, bplanes: usize, words: usize) -> Vec<u64> {
+        // Planes are padded to whole blocks so every adder step is one
+        // full `Lanes` load and store.
+        let stride = Self::stride(words);
+        let mut planes: Vec<u64> = (0..bplanes)
+            .flat_map(|b| {
+                std::iter::repeat_n(0u64.wrapping_sub(u64::from((base >> b) & 1)), stride)
+            })
+            .collect();
+        for batch in srcs.chunks(CSA_BATCH) {
+            for w0 in (0..words).step_by(LANES) {
+                // Words `w0..` of one miss plane, zero-padded past `words`.
+                let load = |s: &&[u64]| -> Lanes {
+                    let s = &s[w0..words.min(w0 + LANES)];
+                    match <&Lanes>::try_from(s) {
+                        Ok(block) => *block,
+                        Err(_) => std::array::from_fn(|i| s.get(i).copied().unwrap_or(0)),
+                    }
+                };
+                let sum = csa8(std::array::from_fn(|i| {
+                    batch.get(i).map_or([0; LANES], load)
+                }));
+                // Distances never exceed `active < 2^bplanes`, so sum bits
+                // at or above `bplanes` are zero and the adder stops there.
+                let mut carry = [0u64; LANES];
+                for (b, cnt) in planes.chunks_exact_mut(stride).enumerate() {
+                    let c: &mut Lanes = (&mut cnt[w0..w0 + LANES]).try_into().expect("whole block");
+                    (*c, carry) = match sum.get(b) {
+                        Some(&sb) => full_add(*c, sb, carry),
+                        None => half_add(*c, carry),
+                    };
+                }
+                debug_assert_eq!(carry, [0; LANES], "counter stack overflow");
+            }
         }
-        v
+        planes
     }
 
-    /// Bit-sliced threshold compare: the `[row][pe_word]` mask of live
-    /// candidates whose counter is ≤ `m`, written into `out`; returns the
-    /// population count. One word-parallel pass over the counter stack —
-    /// the hardware analog is a single multi-bit threshold search on the
-    /// counter latches.
-    fn le_mask_into(&self, live: &[u64], m: u32, out: &mut [u64]) -> usize {
-        debug_assert_eq!(live.len(), self.words);
-        let mut count = 0usize;
-        if self.bplanes == 0 || m as u64 >= (1u64 << self.bplanes) - 1 {
-            for (o, &l) in out.iter_mut().zip(live) {
-                *o = l;
-                count += l.count_ones() as usize;
+    /// Allocated words per bit-plane for `words` candidate words.
+    fn stride(words: usize) -> usize {
+        words.next_multiple_of(LANES)
+    }
+
+    /// Bit-plane `b` of every candidate's distance.
+    fn plane(&self, b: usize) -> &[u64] {
+        &self.planes[b * self.stride..][..self.words]
+    }
+
+    /// Distance of the candidate at plane word `w`, bit `p`.
+    fn value(&self, w: usize, p: usize) -> u32 {
+        (0..self.bplanes).fold(0u32, |v, b| v | (((self.plane(b)[w] >> p) & 1) as u32) << b)
+    }
+
+    /// `counts[j]` = live candidates with distance `< 2^j` (all its bits
+    /// `j..` clear), for every `j < bplanes`: one pass over the stack,
+    /// OR-ing planes in from the top.
+    fn pow2_counts(&self, live: &[u64]) -> Vec<usize> {
+        let mut counts = vec![0usize; self.bplanes];
+        for (w, &l) in live.iter().enumerate() {
+            let mut high = 0u64;
+            for (j, count) in counts.iter_mut().enumerate().rev() {
+                high |= self.plane(j)[w];
+                *count += (l & !high).count_ones() as usize;
             }
-            return count;
         }
-        for (w, (o, &l)) in out.iter_mut().zip(live).enumerate() {
-            let cnt = &self.planes[w * self.bplanes..(w + 1) * self.bplanes];
-            let mut eq = l;
-            let mut gt = 0u64;
-            for b in (0..self.bplanes).rev() {
-                let c = cnt[b];
-                if (m >> b) & 1 == 0 {
-                    gt |= eq & c;
-                    eq &= !c;
+        counts
+    }
+}
+
+/// Progressive masked top-k over several slabs searched as one machine:
+/// `parts` pairs each slab with the offset added to its PE indices.
+///
+/// Each slab's distance stack is built once. The priced widening schedule
+/// ([`crate::similarity::round_tau`]) then runs once, on candidate counts
+/// summed across slabs, until at least `k` candidates fall within budget
+/// or the budget covers the maximum distance — that fixes
+/// [`SlabTopk::rounds`] and [`SlabTopk::tau`]. Every budget `2^j − 1`
+/// admits exactly the candidates whose distance bits `j..` are clear, so
+/// one pass over each stack yields every round's count.
+///
+/// The readout is a host-side exact select: a bitwise binary search over
+/// the same bit-sliced distances finds, most significant bit first, the
+/// smallest budget `d ≤ τ` holding at least `min(k, candidates)`
+/// candidates, touching one bit-plane per step. Only candidates within
+/// `d` are gathered, sorted by `(distance, pe, row)` and truncated to `k`,
+/// so the hits are exactly the first `min(k, candidates)` entries of the
+/// sorted distance list.
+///
+/// # Panics
+///
+/// Panics if `k == 0`, `rows` exceeds any slab's rows, or the slabs'
+/// column counts differ.
+pub fn hamming_topk_multi(
+    parts: &[(&TcamSlab, usize)],
+    plan: &[(usize, KeyBit)],
+    rows: usize,
+    k: usize,
+) -> SlabTopk {
+    assert!(k > 0, "top-k requires k >= 1");
+    assert!(
+        parts.windows(2).all(|p| p[0].0.cols == p[1].0.cols),
+        "slabs of one query must share their column count"
+    );
+    let counters: Vec<HammingCounters> = parts
+        .iter()
+        .map(|(slab, _)| slab.hamming_counters(plan, rows))
+        .collect();
+    let lives: Vec<&[u64]> = parts
+        .iter()
+        .zip(&counters)
+        .map(|((slab, _), hc)| &slab.live[..hc.words])
+        .collect();
+    let (active, bplanes) = counters.first().map_or((0, 0), |c| (c.active, c.bplanes));
+    let candidates: usize = lives
+        .iter()
+        .flat_map(|l| l.iter())
+        .map(|w| w.count_ones() as usize)
+        .sum();
+    let mut below_pow2 = vec![0usize; bplanes];
+    for (hc, live) in counters.iter().zip(&lives) {
+        for (sum, c) in below_pow2.iter_mut().zip(hc.pow2_counts(live)) {
+            *sum += c;
+        }
+    }
+    // Round `r` admits distances `≤ 2^(r-1) − 1`; from `r > bplanes` on
+    // that is every candidate.
+    let mut rounds = 1;
+    let tau = loop {
+        let tau = crate::similarity::round_tau(rounds);
+        let within = below_pow2.get(rounds - 1).copied().unwrap_or(candidates);
+        if within >= k || tau >= active {
+            break tau;
+        }
+        rounds += 1;
+    };
+    // Bitwise binary search for `d`, the `target`-th smallest distance:
+    // `eq` holds the candidates agreeing with `d` on the bits decided so
+    // far, `lt` those already below it (`below` of them). `τ` holds at
+    // least `target` candidates (with fewer than `k`, it covers every
+    // distance), so `d ≤ τ`.
+    let target = k.min(candidates);
+    let mut eq: Vec<Vec<u64>> = lives.iter().map(|l| l.to_vec()).collect();
+    let mut lt: Vec<Vec<u64>> = lives.iter().map(|l| vec![0; l.len()]).collect();
+    let mut below = 0usize;
+    for b in (0..bplanes).rev() {
+        let zeros: usize = counters
+            .iter()
+            .zip(&eq)
+            .flat_map(|(hc, e)| e.iter().zip(hc.plane(b)))
+            .map(|(&e, &p)| (e & !p).count_ones() as usize)
+            .sum();
+        let one = below + zeros < target;
+        if one {
+            below += zeros;
+        }
+        for ((hc, e), l) in counters.iter().zip(&mut eq).zip(&mut lt) {
+            for ((e, l), &p) in e.iter_mut().zip(l.iter_mut()).zip(hc.plane(b)) {
+                if one {
+                    *l |= *e & !p;
+                    *e &= p;
                 } else {
-                    eq &= c;
+                    *e &= !p;
                 }
             }
-            let le = l & !gt;
-            *o = le;
-            count += le.count_ones() as usize;
         }
-        count
+    }
+    let mut hits = Vec::with_capacity(target);
+    for (((hc, &(slab, offset)), e), l) in counters.iter().zip(parts).zip(&eq).zip(&lt) {
+        for (w, (&e, &l)) in e.iter().zip(l).enumerate() {
+            let (row, wp) = (w / slab.pw, w % slab.pw);
+            let mut bits = e | l;
+            while bits != 0 {
+                let p = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                hits.push(SlabHit {
+                    distance: hc.value(w, p),
+                    pe: (offset + wp * 64 + p) as u32,
+                    row: row as u32,
+                });
+            }
+        }
+    }
+    hits.sort_unstable();
+    hits.truncate(k);
+    // Answers outlive the query: drop the capacity of gathered ties.
+    hits.shrink_to_fit();
+    SlabTopk {
+        hits,
+        rounds,
+        tau,
+        active,
     }
 }
 
 impl TcamSlab {
-    /// Accumulate per-candidate miss counts for `plan` over the first
-    /// `rows` rows into a word-parallel counter stack.
+    /// Accumulate per-candidate distances for `plan` over the first `rows`
+    /// rows into a word-parallel distance stack.
     ///
     /// Column pruning reuses the [`PlaneSummary`] caches: an `AllZero`
     /// miss plane contributes nothing and is skipped outright; a `Full`
-    /// miss plane misses on *every* live candidate and becomes a uniform
-    /// `+1` base offset — neither ever enters the ripple-carry product.
-    /// The counter stack is sized by the columns that survive pruning.
+    /// miss plane misses on *every* live candidate and joins a uniform
+    /// base the stack starts from — neither ever enters the adder.
     fn hamming_counters(&self, plan: &[(usize, KeyBit)], rows: usize) -> HammingCounters {
         assert!(rows <= self.rows, "row limit exceeds slab");
-        let pw = self.pw;
-        let words = rows * pw;
+        let words = rows * self.pw;
         let plane = self.plane_words();
-        // Miss-plane source per surviving column: the `ones` plane for a
-        // key `0`, the `zeros` plane for a key `1`, both for `Z`.
-        enum Src {
-            Zeros(usize),
-            Ones(usize),
-            Both(usize),
-        }
-        let mut srcs: Vec<Src> = Vec::new();
+        let zeros = |c: usize| &self.zeros[c * plane..c * plane + words];
+        let ones = |c: usize| &self.ones[c * plane..c * plane + words];
+        // Miss plane per surviving column: the `ones` plane for a key `0`,
+        // the `zeros` plane for a key `1`. A `Z` key misses both stored
+        // values; when neither plane is summarized, its miss plane
+        // `zeros | ones` is formed once, in `pairs`.
+        let mut srcs: Vec<&[u64]> = Vec::new();
+        let mut pairs: Vec<usize> = Vec::new();
         let mut base = 0u32;
         let mut active = 0u32;
         for &(col, bit) in plan {
@@ -2444,52 +2596,39 @@ impl TcamSlab {
                 KeyBit::Zero => match self.osum[col] {
                     PlaneSummary::AllZero => {}
                     PlaneSummary::Full => base += 1,
-                    PlaneSummary::Unknown => srcs.push(Src::Ones(col)),
+                    PlaneSummary::Unknown => srcs.push(ones(col)),
                 },
                 KeyBit::One => match self.zsum[col] {
                     PlaneSummary::AllZero => {}
                     PlaneSummary::Full => base += 1,
-                    PlaneSummary::Unknown => srcs.push(Src::Zeros(col)),
+                    PlaneSummary::Unknown => srcs.push(zeros(col)),
                 },
                 KeyBit::Z => match (self.zsum[col], self.osum[col]) {
                     (PlaneSummary::AllZero, PlaneSummary::AllZero) => {}
                     (PlaneSummary::Full, _) | (_, PlaneSummary::Full) => base += 1,
-                    (PlaneSummary::AllZero, _) => srcs.push(Src::Ones(col)),
-                    (_, PlaneSummary::AllZero) => srcs.push(Src::Zeros(col)),
-                    _ => srcs.push(Src::Both(col)),
+                    (PlaneSummary::AllZero, _) => srcs.push(ones(col)),
+                    (_, PlaneSummary::AllZero) => srcs.push(zeros(col)),
+                    _ => pairs.push(col),
                 },
                 KeyBit::Masked => unreachable!("masked entries filtered above"),
             }
         }
-        let bplanes = (usize::BITS - srcs.len().leading_zeros()) as usize;
-        let mut planes = vec![0u64; words * bplanes];
-        for s in &srcs {
-            match *s {
-                Src::Zeros(c) => ripple_accumulate(
-                    &mut planes,
-                    bplanes,
-                    &self.zeros[c * plane..c * plane + words],
-                ),
-                Src::Ones(c) => ripple_accumulate(
-                    &mut planes,
-                    bplanes,
-                    &self.ones[c * plane..c * plane + words],
-                ),
-                Src::Both(c) => ripple_accumulate_pair(
-                    &mut planes,
-                    bplanes,
-                    &self.zeros[c * plane..c * plane + words],
-                    &self.ones[c * plane..c * plane + words],
-                ),
-            }
+        let accumulated = srcs.len() + pairs.len();
+        let pair_planes: Vec<u64> = pairs
+            .iter()
+            .flat_map(|&c| zeros(c).iter().zip(ones(c)).map(|(z, o)| z | o))
+            .collect();
+        if words > 0 {
+            srcs.extend(pair_planes.chunks_exact(words));
         }
+        let bplanes = (u32::BITS - active.leading_zeros()) as usize;
         HammingCounters {
-            planes,
+            planes: HammingCounters::accumulate(&srcs, base, bplanes, words),
             bplanes,
             words,
-            base,
+            stride: HammingCounters::stride(words),
             active,
-            accumulated: srcs.len(),
+            accumulated,
         }
     }
 
@@ -2518,73 +2657,21 @@ impl TcamSlab {
                     let p = bits.trailing_zeros() as usize;
                     bits &= bits - 1;
                     let pe = wp * 64 + p;
-                    out[pe * rows + row] = hc.base + hc.value(w, p);
+                    out[pe * rows + row] = hc.value(w, p);
                 }
             }
         }
     }
 
-    /// Progressive masked top-k search over the first `rows` rows: run
-    /// threshold rounds with the engine-shared widening schedule
-    /// ([`crate::similarity::round_tau`]) until at least `k` candidates
-    /// fall within budget or the budget covers the maximum distance, then
-    /// read the winners out of the final threshold mask only.
-    ///
-    /// Each round is one word-parallel counter-threshold pass plus a
-    /// population count — low counter bits below the budget boundary are
-    /// effectively `Masked`, which is what lets a round cost one search.
-    /// The returned [`SlabTopk::hits`] hold *every* candidate within the
-    /// final budget (at least `min(k, candidates)` of them), so a caller
-    /// merging several slabs keeps exact global top-k semantics.
+    /// Progressive masked top-k search over the first `rows` rows of this
+    /// slab: [`hamming_topk_multi`] with this slab alone, PEs
+    /// chunk-relative.
     ///
     /// # Panics
     ///
     /// Panics if `k == 0` or `rows` exceeds the slab's rows.
     pub fn hamming_topk(&self, plan: &[(usize, KeyBit)], rows: usize, k: usize) -> SlabTopk {
-        assert!(k > 0, "top-k requires k >= 1");
-        let hc = self.hamming_counters(plan, rows);
-        let live = &self.live[..hc.words];
-        let mut mask = vec![0u64; hc.words];
-        let mut round_counts = Vec::new();
-        let mut r = 1;
-        let tau = loop {
-            let tau = crate::similarity::round_tau(r);
-            let count = if tau < hc.base {
-                mask.fill(0);
-                0
-            } else {
-                hc.le_mask_into(live, tau - hc.base, &mut mask)
-            };
-            round_counts.push(count);
-            if count >= k || tau >= hc.active {
-                break tau;
-            }
-            r += 1;
-        };
-        let pw = self.pw;
-        let mut hits = Vec::new();
-        for row in 0..rows {
-            for wp in 0..pw {
-                let w = row * pw + wp;
-                let mut bits = mask[w];
-                while bits != 0 {
-                    let p = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    hits.push(SlabHit {
-                        distance: hc.base + hc.value(w, p),
-                        pe: (wp * 64 + p) as u32,
-                        row: row as u32,
-                    });
-                }
-            }
-        }
-        hits.sort_unstable();
-        SlabTopk {
-            hits,
-            round_counts,
-            tau,
-            active: hc.active,
-        }
+        hamming_topk_multi(&[(self, 0)], plan, rows, k)
     }
 
     /// Host words swept per column accumulation at this geometry and row
@@ -2596,7 +2683,7 @@ impl TcamSlab {
     }
 
     /// Columns of `plan` that survive `PlaneSummary` pruning and
-    /// actually enter the ripple-carry accumulation — the column count
+    /// actually enter the counter accumulation — the column count
     /// benchmarks multiply by [`hamming_words_per_col`](Self::hamming_words_per_col)
     /// to report real words swept (pruned columns cost nothing on the
     /// host, though hardware still drives them; see the accounting note on
@@ -3461,11 +3548,16 @@ mod tests {
             "all-zeros key matches every cell"
         );
         // The top-k on the base-offset path still reports exact distances
-        // and a schedule consistent with the shared rule.
+        // and a schedule consistent with the shared rule: the hits are the
+        // first two candidates in `(distance, pe, row)` order.
         let topk = slab.hamming_topk(&ones_plan, 5, 2);
-        assert_eq!(topk.hits.len(), 15, "uniform distances: all within τ");
-        assert!(topk.hits.iter().all(|h| h.distance == 8));
-        assert_eq!(topk.round_counts, vec![0, 0, 0, 0, 15]);
+        let first = |pe, row| SlabHit {
+            distance: 8,
+            pe,
+            row,
+        };
+        assert_eq!(topk.hits, vec![first(0, 0), first(0, 1)]);
+        assert_eq!(topk.rounds, 5);
         assert_eq!(topk.tau, 15);
     }
 
@@ -3480,15 +3572,14 @@ mod tests {
         for k in [1, 3, 64, 2000] {
             let topk = slab.hamming_topk(&plan, rows, k);
             let sched = crate::similarity::topk_schedule(&all, active, k);
-            assert_eq!(topk.round_counts.len(), sched.rounds);
+            assert_eq!(topk.rounds, sched.rounds);
             assert_eq!(topk.tau, sched.tau);
             assert_eq!(topk.active, active);
-            // Hits are exactly the candidates within the final budget,
+            // Hits are the first min(k, n) entries of the scalar reference
             // sorted ascending with the (pe, row) tie-break.
             let mut expect: Vec<SlabHit> = all
                 .iter()
                 .enumerate()
-                .filter(|&(_, &d)| d <= sched.tau)
                 .map(|(i, &d)| SlabHit {
                     distance: d,
                     pe: (i / rows) as u32,
@@ -3496,8 +3587,53 @@ mod tests {
                 })
                 .collect();
             expect.sort_unstable();
+            expect.truncate(k);
             assert_eq!(topk.hits, expect);
-            assert!(topk.hits.len() >= k.min(all.len()));
+        }
+    }
+
+    #[test]
+    fn carry_save_counters_cross_batch_and_plane_boundaries() {
+        // Each stored word is random, and the key fixes its first `n`
+        // columns and masks the rest, so exactly `n` columns survive
+        // pruning: the counts straddle the carry-save batch width and the
+        // counter stack's bit-plane boundaries.
+        let (pes, rows, cols) = (70, 3, 256);
+        let mut slab = TcamSlab::new(pes, rows, cols);
+        let mut arrays: Vec<TcamArray> = (0..pes).map(|_| TcamArray::new(rows, cols)).collect();
+        let mut state = 0x5EED_u64;
+        for (pe, array) in arrays.iter_mut().enumerate() {
+            for row in 0..rows {
+                for col in 0..cols {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let v = if state >> 63 == 1 {
+                        TernaryBit::One
+                    } else {
+                        TernaryBit::Zero
+                    };
+                    slab.set_cell(pe, row, col, v);
+                    array.set_cell(row, col, v);
+                }
+            }
+        }
+        for n in [0usize, 1, 7, 8, 9, 255, 256] {
+            let plan: Vec<(usize, KeyBit)> = (0..cols)
+                .map(|c| {
+                    let bit = match c {
+                        c if c >= n => KeyBit::Masked,
+                        c if c % 3 == 0 => KeyBit::Z,
+                        c if c % 2 == 0 => KeyBit::One,
+                        _ => KeyBit::Zero,
+                    };
+                    (c, bit)
+                })
+                .collect();
+            assert_eq!(slab.hamming_accumulated_cols(&plan, rows), n);
+            let mut got = vec![u32::MAX; pes * rows];
+            slab.hamming_into(&plan, rows, &mut got);
+            assert_eq!(got, reference_distances(&arrays, &plan, rows), "n = {n}");
         }
     }
 
