@@ -44,7 +44,7 @@ use hyperap_core::machine::HyperPe;
 use hyperap_isa::{Direction, Instruction};
 use hyperap_model::timing::OpCounts;
 use hyperap_tcam::bit::{KeyBit, TernaryBit};
-use hyperap_tcam::encoding::encode_pair;
+use hyperap_tcam::encoding::{decode_pair, encode_pair};
 use hyperap_tcam::key::SearchKey;
 use hyperap_tcam::slab::{hamming_topk_multi, SweepOp, TagSlab, TcamSlab};
 use hyperap_tcam::tags::TagVector;
@@ -510,6 +510,7 @@ impl SlabMachine {
     }
 
     /// Locate a PE: `(chunk index, chunk-relative slot)`.
+    #[inline]
     fn chunk_of(&self, pe: usize) -> (usize, usize) {
         locate(
             self.config.pes_per_group(),
@@ -763,23 +764,23 @@ impl SlabMachine {
     // ----- host data-load path (mirrors `HyperPe`'s; free) -----
 
     /// Host load: store a plain bit in one PE.
+    #[inline]
     pub fn load_bit(&mut self, pe: usize, row: usize, col: usize, value: bool) {
         let (c, s) = self.chunk_of(pe);
-        self.chunks[c].storage.set_cell(
-            s,
-            row,
-            col,
-            hyperap_tcam::bit::TernaryBit::from_bool(value),
-        );
+        self.chunks[c]
+            .storage
+            .set_cell(s, row, col, TernaryBit::from_bool(value));
     }
 
     /// Host load: store a logical bit pair `(hi, lo)` in two-bit-encoded
     /// form at columns `col`, `col + 1` of one PE.
+    #[inline]
     pub fn load_encoded_pair(&mut self, pe: usize, row: usize, col: usize, hi: bool, lo: bool) {
         let (c, s) = self.chunk_of(pe);
-        let cells = encode_pair(hi, lo);
-        self.chunks[c].storage.set_cell(s, row, col, cells[0]);
-        self.chunks[c].storage.set_cell(s, row, col + 1, cells[1]);
+        let [c0, c1] = encode_pair(hi, lo);
+        let storage = &mut self.chunks[c].storage;
+        storage.set_cell(s, row, col, c0);
+        storage.set_cell(s, row, col + 1, c1);
     }
 
     /// Host read: a plain bit (`None` if the cell stores `X`).
@@ -793,15 +794,21 @@ impl SlabMachine {
     ///
     /// # Panics
     ///
-    /// Panics if the cells do not hold a valid two-bit code.
+    /// Panics if the cells do not hold a valid two-bit code; see
+    /// [`try_read_encoded_pair`](Self::try_read_encoded_pair).
     pub fn read_encoded_pair(&self, pe: usize, row: usize, col: usize) -> (bool, bool) {
+        self.try_read_encoded_pair(pe, row, col)
+            .expect("valid two-bit code")
+    }
+
+    /// Like [`read_encoded_pair`](Self::read_encoded_pair), but `None`
+    /// when the cells do not hold a valid code (e.g. a never-written pair
+    /// of `0` cells, or an `X` where the code needs a bit).
+    pub fn try_read_encoded_pair(&self, pe: usize, row: usize, col: usize) -> Option<(bool, bool)> {
         let (c, s) = self.chunk_of(pe);
-        let v = hyperap_tcam::encoding::decode_pair([
-            self.chunks[c].storage.cell(s, row, col),
-            self.chunks[c].storage.cell(s, row, col + 1),
-        ])
-        .expect("valid two-bit code");
-        (v & 0b10 != 0, v & 0b01 != 0)
+        let storage = &self.chunks[c].storage;
+        let v = decode_pair([storage.cell(s, row, col), storage.cell(s, row, col + 1)])?;
+        Some((v & 0b10 != 0, v & 0b01 != 0))
     }
 
     /// CAM-native batch similarity query: the top-`k` stored words across
@@ -1220,9 +1227,21 @@ impl SlabMachine {
 /// Locate a PE in a group-major chunk layout of `per` PEs per group, `cpg`
 /// chunks per group and `width` PEs per chunk: `(chunk index,
 /// chunk-relative slot)`.
+///
+/// Power-of-two group and chunk widths (every default layout of a
+/// power-of-two group) take shifts and masks instead of two divisions.
+#[inline]
 fn locate(per: usize, cpg: usize, width: usize, pe: usize) -> (usize, usize) {
-    let (group, rel) = (pe / per, pe % per);
-    (group * cpg + rel / width, rel % width)
+    if per.is_power_of_two() && width.is_power_of_two() {
+        let (group, rel) = (pe >> per.trailing_zeros(), pe & (per - 1));
+        (
+            group * cpg + (rel >> width.trailing_zeros()),
+            rel & (width - 1),
+        )
+    } else {
+        let (group, rel) = (pe / per, pe % per);
+        (group * cpg + rel / width, rel % width)
+    }
 }
 
 #[cfg(test)]
@@ -1381,5 +1400,26 @@ mod tests {
         m.load_bit(1, 4, 20, true);
         assert_eq!(m.read_bit(1, 4, 20), Some(true));
         assert_eq!(m.read_bit(1, 4, 21), Some(false));
+    }
+
+    #[test]
+    fn try_read_encoded_pair_rejects_invalid_codes() {
+        let mut m = SlabMachine::new(ArchConfig::tiny());
+        // A never-written pair stores `0 0`, which is not a code.
+        assert_eq!(m.try_read_encoded_pair(2, 3, 6), None);
+        m.load_encoded_pair(2, 3, 6, false, true); // `X 1`
+        assert_eq!(m.try_read_encoded_pair(2, 3, 6), Some((false, true)));
+        // Tag every row of group 0, then write `X` into column 7: `X X`.
+        m.run(&[vec![
+            search_key("-"),
+            SEARCH,
+            search_key("-------Z"),
+            Instruction::Write {
+                col: 7,
+                encode: false,
+            },
+        ]]);
+        assert_eq!(m.read_bit(2, 3, 7), None);
+        assert_eq!(m.try_read_encoded_pair(2, 3, 6), None);
     }
 }

@@ -744,30 +744,72 @@ where
     clocks
 }
 
-/// Content hash of a multi-group program: FNV-1a over each stream's
-/// canonical ISA byte encoding ([`hyperap_isa::encoding::encode`]), with
-/// per-stream length separators so stream boundaries are part of the
-/// identity. Two stream sets with equal hashes are *probably* equal — a
-/// shared program cache must still validate candidates with full stream
-/// equality before reuse (the vectorized `SearchKey` comparison makes that
-/// cheap).
+/// Content hash of a multi-group program, computed from the instruction
+/// fields in 64-bit words with no allocation: one word per instruction
+/// (opcode and scalar operands), `SetKey` keys packed 32 key bits per word
+/// from [`SearchKey::bits`], `WriteR` immediates 8 bytes per word, and
+/// stream counts and lengths as separators so stream boundaries are part
+/// of the identity. Two stream sets with equal hashes are *probably*
+/// equal — a shared program cache must still validate candidates with
+/// full stream equality before reuse (the vectorized `SearchKey`
+/// comparison makes that cheap), so a collision costs a recompile, never a
+/// wrong program. The value is not persisted anywhere.
 pub fn stream_set_hash(streams: &[Vec<Instruction>]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    eat(&(streams.len() as u64).to_le_bytes());
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |w: u64| h = (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
+    eat(streams.len() as u64);
     for stream in streams {
-        let bytes = hyperap_isa::encoding::encode(stream);
-        eat(&(bytes.len() as u64).to_le_bytes());
-        eat(&bytes);
+        eat(stream.len() as u64);
+        for inst in stream {
+            // Opcode in the low byte, operands above it.
+            let head = match inst {
+                Instruction::Search { acc, encode } => {
+                    u64::from(*acc) << 8 | u64::from(*encode) << 9
+                }
+                Instruction::Write { col, encode } => {
+                    1 | u64::from(*col) << 8 | u64::from(*encode) << 16
+                }
+                Instruction::SetKey { key } => 2 | (key.width() as u64) << 8,
+                Instruction::Count => 3,
+                Instruction::Index => 4,
+                Instruction::MovR { dir } => 5 | u64::from(dir.code()) << 8,
+                Instruction::ReadR { addr } => 6 | u64::from(*addr) << 8,
+                Instruction::WriteR { addr, imm } => {
+                    7 | u64::from(*addr) << 8 | (imm.len() as u64) << 40
+                }
+                Instruction::SetTag => 8,
+                Instruction::ReadTag => 9,
+                Instruction::Broadcast { group_mask } => 10 | u64::from(*group_mask) << 8,
+                Instruction::Wait { cycles } => 11 | u64::from(*cycles) << 8,
+            };
+            eat(head);
+            match inst {
+                Instruction::SetKey { key } => {
+                    for bits in key.bits().chunks(32) {
+                        eat(bits
+                            .iter()
+                            .enumerate()
+                            .fold(0, |w, (i, &b)| w | (b as u64) << (2 * i)));
+                    }
+                }
+                Instruction::WriteR { imm, .. } => {
+                    for bytes in imm.chunks(8) {
+                        eat(bytes
+                            .iter()
+                            .enumerate()
+                            .fold(0, |w, (i, &b)| w | u64::from(b) << (8 * i)));
+                    }
+                }
+                _ => {}
+            }
+        }
     }
-    h
+    // Final avalanche (the splitmix64 finalizer): the per-word step mixes
+    // upward only, so fold the high bits back down.
+    let mut z = h;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 /// Compile every stream of a multi-group program, deriving each stream's
@@ -1237,5 +1279,72 @@ mod tests {
         assert!(matches!(&seg.ops[0], MicroOp::WriteMulti { writes } if writes.len() == MAX_FUSED));
         assert!(matches!(&seg.ops[1], MicroOp::WriteMulti { writes } if writes.len() == 2));
         assert_eq!(seg.pe_ops_delta(None).writes_single, 10);
+    }
+
+    #[test]
+    fn stream_set_hash_separates_every_field_and_boundary() {
+        let base = vec![
+            setkey("1Z-0"),
+            SEARCH,
+            Instruction::Write {
+                col: 3,
+                encode: false,
+            },
+            Instruction::WriteR {
+                addr: 5,
+                imm: vec![1, 2, 3],
+            },
+            Instruction::Wait { cycles: 2 },
+        ];
+        let h = stream_set_hash(std::slice::from_ref(&base));
+        let copy = vec![base.clone()];
+        assert_eq!(h, stream_set_hash(&copy), "equal streams, equal hash");
+        let mut variants: Vec<Vec<Vec<Instruction>>> = Vec::new();
+        let mut edit = |i: usize, inst: Instruction| {
+            let mut s = base.clone();
+            s[i] = inst;
+            variants.push(vec![s]);
+        };
+        edit(0, setkey("1Z-1"));
+        edit(0, setkey("1Z-0-")); // a wider key with the same active bits
+        edit(
+            1,
+            Instruction::Search {
+                acc: true,
+                encode: false,
+            },
+        );
+        edit(
+            2,
+            Instruction::Write {
+                col: 4,
+                encode: false,
+            },
+        );
+        edit(
+            3,
+            Instruction::WriteR {
+                addr: 5,
+                imm: vec![1, 2, 4],
+            },
+        );
+        edit(
+            3,
+            Instruction::WriteR {
+                addr: 5,
+                imm: vec![1, 2, 3, 0],
+            },
+        );
+        edit(4, Instruction::Wait { cycles: 3 });
+        // Stream boundaries and stream count are part of the identity.
+        variants.push(vec![base[..2].to_vec(), base[2..].to_vec()]);
+        variants.push(vec![base[..3].to_vec(), base[3..].to_vec()]);
+        variants.push(vec![base.clone(), Vec::new()]);
+        for v in &variants {
+            assert_ne!(stream_set_hash(v), h, "{v:?}");
+        }
+        let distinct: std::collections::HashSet<u64> =
+            variants.iter().map(|v| stream_set_hash(v)).collect();
+        assert_eq!(distinct.len(), variants.len());
     }
 }

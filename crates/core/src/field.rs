@@ -125,20 +125,41 @@ impl Field {
     /// # Panics
     ///
     /// Panics if a plain cell stores `X` (never the case for microcode
-    /// results) or a pair holds an invalid code.
+    /// results) or a pair holds an invalid code; see
+    /// [`try_read`](Self::try_read).
     pub fn read(&self, pe: &HyperPe, row: usize) -> u64 {
+        self.try_read(pe, row).unwrap_or_else(|| {
+            panic!(
+                "field {} at row {row} holds an X or invalid pair",
+                self.name
+            )
+        })
+    }
+
+    /// Read this field's value at `row`, or `None` if a plain cell stores
+    /// `X` or a pair does not hold a valid two-bit code (e.g. a pair that
+    /// was never written). Consecutive slots over the same pair share one
+    /// decode.
+    pub fn try_read(&self, pe: &HyperPe, row: usize) -> Option<u64> {
+        let mut last: Option<(usize, (bool, bool))> = None;
+        let mut pair = |col: usize| match last {
+            Some((c, bits)) if c == col => Some(bits),
+            _ => {
+                let bits = pe.try_read_encoded_pair(row, col)?;
+                last = Some((col, bits));
+                Some(bits)
+            }
+        };
         let mut v = 0u64;
         for (i, slot) in self.slots.iter().enumerate() {
             let bit = match *slot {
-                Slot::Single { col } => pe.read_bit(row, col).expect("plain bit is 0/1"),
-                Slot::PairHi { col } => pe.read_encoded_pair(row, col).0,
-                Slot::PairLo { col } => pe.read_encoded_pair(row, col).1,
+                Slot::Single { col } => pe.read_bit(row, col)?,
+                Slot::PairHi { col } => pair(col)?.0,
+                Slot::PairLo { col } => pair(col)?.1,
             };
-            if bit {
-                v |= 1 << i;
-            }
+            v |= u64::from(bit) << i;
         }
-        v
+        Some(v)
     }
 }
 
@@ -306,6 +327,48 @@ mod tests {
         assert_eq!(b.read(&pe, 0), 0b0110);
         a.store(&mut pe, 0, 0b0001);
         assert_eq!(b.read(&pe, 0), 0b0110, "partner unchanged");
+    }
+
+    #[test]
+    fn try_read_is_none_for_an_unwritten_pair() {
+        let mut pe = HyperPe::new(2, 8);
+        let mut alloc = FieldAllocator::new(8);
+        let (hi, lo, _) = alloc.alloc_paired("hi", "lo", 2);
+        // Fresh columns store `0 0`: not a two-bit code.
+        assert_eq!(hi.try_read(&pe, 0), None);
+        assert_eq!(lo.try_read(&pe, 1), None);
+        hi.store(&mut pe, 0, 0b10);
+        lo.store(&mut pe, 0, 0b11);
+        assert_eq!(hi.try_read(&pe, 0), Some(0b10));
+        assert_eq!(lo.try_read(&pe, 0), Some(0b11));
+        assert_eq!(hi.try_read(&pe, 1), None, "row 1 was never written");
+    }
+
+    #[test]
+    fn try_read_is_none_for_an_x_cell() {
+        let mut pe = HyperPe::new(2, 8);
+        let mut alloc = FieldAllocator::new(8);
+        let (f, _) = alloc.alloc_plain("x", 4);
+        f.store(&mut pe, 0, 0b1011);
+        f.store(&mut pe, 1, 0b0101);
+        assert_eq!(f.try_read(&pe, 0), Some(0b1011));
+        pe.tag_all();
+        pe.write(2, hyperap_tcam::bit::KeyBit::Z); // every row's bit 2 := X
+        assert_eq!(f.try_read(&pe, 0), None);
+        assert_eq!(f.try_read(&pe, 1), None);
+        assert_eq!(
+            f.bits(0..2).try_read(&pe, 1),
+            Some(0b01),
+            "X outside the view"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "holds an X or invalid pair")]
+    fn read_panics_where_try_read_is_none() {
+        let pe = HyperPe::new(1, 4);
+        let (hi, _, _) = FieldAllocator::new(4).alloc_paired("hi", "lo", 1);
+        hi.read(&pe, 0);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The functional TCAM array model.
 //!
 //! Words are rows, bits are columns (Fig 1a). The representation is
-//! column-major: each column keeps two row-bitmasks (`is_zero`, `is_one`;
-//! `X` = neither), so a search over all rows is two or three 64-bit boolean
-//! operations per active column per 64 rows — the word-parallel semantics of
-//! the hardware at software speed.
+//! column-major: each column keeps two row-bitmasks (stores-`0` and
+//! stores-`1`; `X` = neither), so a search over all rows is two or three
+//! 64-bit boolean operations per active column per 64 rows — the
+//! word-parallel semantics of the hardware at software speed.
 
 use crate::bit::{KeyBit, TernaryBit};
 use crate::fault::{FaultError, FaultModel, FaultState};
@@ -13,23 +13,25 @@ use crate::sweep;
 use crate::tags::TagVector;
 use serde::{Deserialize, Serialize};
 
-/// One bit column of the array: which rows store `0` and which store `1`
-/// (rows in neither set store `X`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-struct Column {
-    is_zero: Vec<u64>,
-    is_one: Vec<u64>,
-}
-
 /// A functional ternary CAM array of `rows` words × `cols` bits.
 ///
 /// All cells initialize to `0`, matching the paper's convention that output
 /// vectors are initialized to zero before a computation (§II-C).
+///
+/// Cells live in two flat arenas indexed `[col][block]` (`blocks =
+/// rows.div_ceil(64)` row-blocks per column): bit `r % 64` of word
+/// `col * blocks + r / 64` is row `r`'s cell. A 256 × 256 array is
+/// therefore four heap allocations (two arenas, the row mask, the wear
+/// table), not two small vectors per column.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TcamArray {
     rows: usize,
     cols: usize,
-    columns: Vec<Column>,
+    /// Rows storing `0`, indexed `[col][block]`.
+    zeros: Vec<u64>,
+    /// Rows storing `1`, indexed `[col][block]` (rows in neither arena
+    /// store `X`).
+    ones: Vec<u64>,
     row_mask: Vec<u64>,
     /// Associative-write pulses per column (RRAM endurance accounting; host
     /// loads are not counted).
@@ -37,6 +39,16 @@ pub struct TcamArray {
     /// Device-fault bookkeeping; `None` (the default) is the ideal array and
     /// keeps every kernel on its zero-fault path.
     fault: Option<Box<FaultState>>,
+}
+
+/// The live-row mask of a `rows`-row column: `rows.div_ceil(64)` blocks,
+/// bits `0..rows` set.
+fn row_mask(rows: usize) -> Vec<u64> {
+    let mut mask = vec![u64::MAX; rows.div_ceil(64)];
+    if !rows.is_multiple_of(64) {
+        mask[rows / 64] = (1u64 << (rows % 64)) - 1;
+    }
+    mask
 }
 
 impl TcamArray {
@@ -47,27 +59,60 @@ impl TcamArray {
     /// Panics if `rows` or `cols` is zero.
     pub fn new(rows: usize, cols: usize) -> Self {
         assert!(rows > 0 && cols > 0, "array dimensions must be non-zero");
-        let blocks = rows.div_ceil(64);
-        let mut row_mask = vec![u64::MAX; blocks];
-        let tail = rows % 64;
-        if tail != 0 {
-            row_mask[blocks - 1] = (1u64 << tail) - 1;
-        }
-        let full_zero = row_mask.clone();
+        let row_mask = row_mask(rows);
         TcamArray {
             rows,
             cols,
-            columns: vec![
-                Column {
-                    is_zero: full_zero,
-                    is_one: vec![0; blocks],
-                };
-                cols
-            ],
+            zeros: row_mask.repeat(cols),
+            ones: vec![0; cols * row_mask.len()],
             row_mask,
             wear: vec![0; cols],
             fault: None,
         }
+    }
+
+    /// Assemble an array from its raw parts — the slab conversion path,
+    /// which gathers the arenas itself instead of overwriting a fresh
+    /// array's. Fault bookkeeping is taken verbatim (the source storage
+    /// already reflects the stuck bits).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an arena's length disagrees with the geometry.
+    pub(crate) fn from_parts(
+        rows: usize,
+        cols: usize,
+        zeros: Vec<u64>,
+        ones: Vec<u64>,
+        wear: Vec<u64>,
+        fault: Option<Box<FaultState>>,
+    ) -> Self {
+        let row_mask = row_mask(rows);
+        let n = cols * row_mask.len();
+        assert!(
+            zeros.len() == n && ones.len() == n && wear.len() == cols,
+            "array part sizes disagree with the geometry"
+        );
+        TcamArray {
+            rows,
+            cols,
+            zeros,
+            ones,
+            row_mask,
+            wear,
+            fault,
+        }
+    }
+
+    /// Row-blocks per column.
+    fn blocks(&self) -> usize {
+        self.row_mask.len()
+    }
+
+    /// Arena index range of column `col`.
+    fn col_range(&self, col: usize) -> std::ops::Range<usize> {
+        let b = self.blocks();
+        col * b..(col + 1) * b
     }
 
     /// Attach a device-fault model: this array becomes global PE `pe` with
@@ -85,13 +130,6 @@ impl TcamArray {
     /// The fault bookkeeping, if a model is attached.
     pub fn fault(&self) -> Option<&FaultState> {
         self.fault.as_deref()
-    }
-
-    /// Restore fault bookkeeping verbatim (slab ⇄ array conversion path).
-    /// Storage is *not* re-enforced: the source storage already reflects the
-    /// stuck bits.
-    pub(crate) fn set_fault(&mut self, fault: Option<Box<FaultState>>) {
-        self.fault = fault;
     }
 
     /// Start a new run epoch (re-derives the transient search-miss set).
@@ -144,8 +182,8 @@ impl TcamArray {
     fn enforce_stuck_col(&mut self, col: usize) {
         if let Some(f) = &self.fault {
             let (s0, s1) = f.stuck_col(col);
-            let c = &mut self.columns[col];
-            sweep::enforce_stuck(&mut c.is_zero, &mut c.is_one, s0, s1);
+            let r = self.col_range(col);
+            sweep::enforce_stuck(&mut self.zeros[r.clone()], &mut self.ones[r], s0, s1);
         }
     }
 
@@ -169,13 +207,13 @@ impl TcamArray {
     /// # Panics
     ///
     /// Panics if out of range.
+    #[inline]
     pub fn cell(&self, row: usize, col: usize) -> TernaryBit {
         assert!(row < self.rows && col < self.cols, "cell out of range");
-        let (b, m) = (row / 64, 1u64 << (row % 64));
-        let c = &self.columns[col];
-        if c.is_zero[b] & m != 0 {
+        let (i, m) = (col * self.blocks() + row / 64, 1u64 << (row % 64));
+        if self.zeros[i] & m != 0 {
             TernaryBit::Zero
-        } else if c.is_one[b] & m != 0 {
+        } else if self.ones[i] & m != 0 {
             TernaryBit::One
         } else {
             TernaryBit::X
@@ -189,26 +227,23 @@ impl TcamArray {
     /// Panics if out of range.
     pub fn set_cell(&mut self, row: usize, col: usize, value: TernaryBit) {
         assert!(row < self.rows && col < self.cols, "cell out of range");
-        let (b, m) = (row / 64, 1u64 << (row % 64));
-        let c = &mut self.columns[col];
-        c.is_zero[b] &= !m;
-        c.is_one[b] &= !m;
+        let (i, m) = (col * self.blocks() + row / 64, 1u64 << (row % 64));
+        let (mut z, mut o) = (self.zeros[i] & !m, self.ones[i] & !m);
         match value {
-            TernaryBit::Zero => c.is_zero[b] |= m,
-            TernaryBit::One => c.is_one[b] |= m,
+            TernaryBit::Zero => z |= m,
+            TernaryBit::One => o |= m,
             TernaryBit::X => {}
         }
         if let Some(f) = &self.fault {
             let (s0, s1) = f.stuck_col(col);
-            let c = &mut self.columns[col];
-            if s0[b] & m != 0 {
-                c.is_zero[b] |= m;
-                c.is_one[b] &= !m;
-            } else if s1[b] & m != 0 {
-                c.is_one[b] |= m;
-                c.is_zero[b] &= !m;
-            }
+            // Stuck-at-0 wins where both masks are set.
+            let (s0, s1) = (s0[row / 64] & m, s1[row / 64] & m);
+            let s1 = s1 & !s0;
+            z = (z & !s1) | s0;
+            o = (o & !s0) | s1;
         }
+        self.zeros[i] = z;
+        self.ones[i] = o;
     }
 
     /// Store a whole word at `row` (shorter words leave later columns alone).
@@ -305,20 +340,21 @@ impl TcamArray {
 
     /// Narrow `acc` to the rows matching `bit` at `col`.
     fn search_col_step(&self, acc: &mut [u64], col: usize, bit: KeyBit) {
-        let c = &self.columns[col];
+        let r = self.col_range(col);
+        let (zeros, ones) = (&self.zeros[r.clone()], &self.ones[r]);
         match bit {
             KeyBit::Zero => {
-                for (a, one) in acc.iter_mut().zip(&c.is_one) {
+                for (a, one) in acc.iter_mut().zip(ones) {
                     *a &= !one;
                 }
             }
             KeyBit::One => {
-                for (a, zero) in acc.iter_mut().zip(&c.is_zero) {
+                for (a, zero) in acc.iter_mut().zip(zeros) {
                     *a &= !zero;
                 }
             }
             KeyBit::Z => {
-                for ((a, zero), one) in acc.iter_mut().zip(&c.is_zero).zip(&c.is_one) {
+                for ((a, zero), one) in acc.iter_mut().zip(zeros).zip(ones) {
                     *a &= !(zero | one);
                 }
             }
@@ -359,22 +395,23 @@ impl TcamArray {
         assert_eq!(tags.len(), self.rows, "tag/row count mismatch");
         let tag_blocks = tags.blocks();
         self.wear[col] += 1;
-        let c = &mut self.columns[col];
+        let r = self.col_range(col);
+        let (zeros, ones) = (&mut self.zeros[r.clone()], &mut self.ones[r]);
         match value {
             TernaryBit::Zero => {
-                for ((zero, one), t) in c.is_zero.iter_mut().zip(&mut c.is_one).zip(tag_blocks) {
+                for ((zero, one), t) in zeros.iter_mut().zip(ones).zip(tag_blocks) {
                     *zero |= t;
                     *one &= !t;
                 }
             }
             TernaryBit::One => {
-                for ((zero, one), t) in c.is_zero.iter_mut().zip(&mut c.is_one).zip(tag_blocks) {
+                for ((zero, one), t) in zeros.iter_mut().zip(ones).zip(tag_blocks) {
                     *one |= t;
                     *zero &= !t;
                 }
             }
             TernaryBit::X => {
-                for ((zero, one), t) in c.is_zero.iter_mut().zip(&mut c.is_one).zip(tag_blocks) {
+                for ((zero, one), t) in zeros.iter_mut().zip(ones).zip(tag_blocks) {
                     *zero &= !t;
                     *one &= !t;
                 }
@@ -414,23 +451,11 @@ impl TcamArray {
             .filter(|&(_, w)| w > 0)
     }
 
-    /// Raw row-blocks of one column, `(is_zero, is_one)` — the
+    /// Raw row-blocks of one column, `(zeros, ones)` — the
     /// [`crate::slab`] conversion path.
     pub(crate) fn column_bits(&self, col: usize) -> (&[u64], &[u64]) {
-        let c = &self.columns[col];
-        (&c.is_zero, &c.is_one)
-    }
-
-    /// Overwrite one column's row-blocks from raw slices (slab conversion).
-    pub(crate) fn set_column_bits(&mut self, col: usize, zeros: &[u64], ones: &[u64]) {
-        let c = &mut self.columns[col];
-        c.is_zero.copy_from_slice(zeros);
-        c.is_one.copy_from_slice(ones);
-    }
-
-    /// Mutable wear counters (slab conversion restores accounted wear).
-    pub(crate) fn wear_mut(&mut self) -> &mut [u64] {
-        &mut self.wear
+        let r = self.col_range(col);
+        (&self.zeros[r.clone()], &self.ones[r])
     }
 
     /// Copy the cells of column `src` into column `dst` for all rows (used by
@@ -444,17 +469,9 @@ impl TcamArray {
         if src == dst {
             return;
         }
-        // Split the column table so source and destination can be borrowed
-        // simultaneously, then `clone_from` to reuse the destination's
-        // existing block storage instead of allocating a fresh column.
-        let (lo, hi) = self.columns.split_at_mut(src.max(dst));
-        let (s, d) = if src < dst {
-            (&lo[src], &mut hi[0])
-        } else {
-            (&hi[0], &mut lo[dst])
-        };
-        d.is_zero.clone_from(&s.is_zero);
-        d.is_one.clone_from(&s.is_one);
+        let (r, d) = (self.col_range(src), self.col_range(dst).start);
+        self.zeros.copy_within(r.clone(), d);
+        self.ones.copy_within(r, d);
         self.enforce_stuck_col(dst);
     }
 }
@@ -574,9 +591,9 @@ mod tests {
     #[test]
     fn copy_column_works_in_both_directions_and_reuses_storage() {
         let mut a = array_with(&["10X", "01X", "1X0"]);
-        let ptr = a.columns[0].is_zero.as_ptr();
+        let ptr = a.zeros.as_ptr();
         a.copy_column(2, 0); // src > dst
-        assert_eq!(a.columns[0].is_zero.as_ptr(), ptr, "no reallocation");
+        assert_eq!(a.zeros.as_ptr(), ptr, "no reallocation");
         for r in 0..3 {
             assert_eq!(a.cell(r, 0), a.cell(r, 2));
         }

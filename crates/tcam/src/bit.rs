@@ -19,6 +19,7 @@ pub enum TernaryBit {
 
 impl TernaryBit {
     /// Construct from a boolean.
+    #[inline]
     pub fn from_bool(b: bool) -> Self {
         if b {
             TernaryBit::One
@@ -28,6 +29,7 @@ impl TernaryBit {
     }
 
     /// The boolean value, if this is not `X`.
+    #[inline]
     pub fn to_bool(self) -> Option<bool> {
         match self {
             TernaryBit::Zero => Some(false),

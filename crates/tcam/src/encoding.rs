@@ -20,6 +20,7 @@ use serde::{Deserialize, Serialize};
 /// Bit order: `(b1, b0)` are the (MSB, LSB) of the original pair value; the
 /// returned array is the two stored cells `[c1, c0]` in the same order used
 /// by the figures (so the value `0b10` encodes to `0X`).
+#[inline]
 pub fn encode_pair(b1: bool, b0: bool) -> [TernaryBit; 2] {
     match (b1, b0) {
         (false, false) => [TernaryBit::X, TernaryBit::Zero], // 00 -> X0
@@ -31,6 +32,7 @@ pub fn encode_pair(b1: bool, b0: bool) -> [TernaryBit; 2] {
 
 /// Decode an encoded TCAM pair back to the original pair value (0..=3),
 /// or `None` if the cells do not hold a valid code.
+#[inline]
 pub fn decode_pair(cells: [TernaryBit; 2]) -> Option<u8> {
     use TernaryBit as T;
     match cells {

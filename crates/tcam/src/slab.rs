@@ -1,10 +1,10 @@
 //! Slab-backed TCAM storage: one contiguous bit-plane arena for a whole
 //! chunk of PEs, with word-parallel kernels that process 64 PEs per ALU op.
 //!
-//! [`crate::array::TcamArray`] keeps each column's `is_zero`/`is_one`
-//! row-blocks in their own `Vec<u64>`, so a machine of 1024 PEs × 256
-//! columns owns ~half a million tiny heap allocations and a search-plan
-//! column step pays a pointer chase per column per PE. Real CAM
+//! [`crate::array::TcamArray`] is one PE: its row-blocks are PE-local,
+//! so a machine of 1024 PEs is 1024 separate arrays and every
+//! instruction becomes a per-PE loop over `rows / 64`-word slices with a
+//! pointer chase between PEs. Real CAM
 //! accelerators are banked arrays swept in lockstep; [`TcamSlab`] gives the
 //! simulator the same structure-of-arrays shape, with the innermost
 //! dimension **PE-major**:
@@ -110,6 +110,25 @@ fn summarize_plane(p: &[u64], live: &[u64]) -> PlaneSummary {
         PlaneSummary::Full
     } else {
         PlaneSummary::Unknown
+    }
+}
+
+/// Bit `s` of every `stride`-th word of `words` (starting at word 0),
+/// packed LSB first: one PE lane of up to 64 consecutive plane rows.
+#[inline]
+fn gather_lane(words: &[u64], stride: usize, s: u32) -> u64 {
+    let bit = |(i, &x): (usize, &u64)| (x >> s & 1) << i;
+    if stride == 1 {
+        // Contiguous rows (chunks of ≤ 64 PEs): a plain OR-reduction the
+        // compiler vectorizes.
+        words.iter().enumerate().map(bit).fold(0, |a, b| a | b)
+    } else {
+        words
+            .iter()
+            .step_by(stride)
+            .enumerate()
+            .map(bit)
+            .fold(0, |a, b| a | b)
     }
 }
 
@@ -913,6 +932,7 @@ impl TcamSlab {
         self.version
     }
 
+    #[inline]
     fn touch(&mut self) {
         self.version = self.version.wrapping_add(1);
     }
@@ -947,6 +967,7 @@ impl TcamSlab {
     /// [`recompute_summaries`](Self::recompute_summaries)) before or after
     /// the mutation — the summaries must never claim more than the arena
     /// holds.
+    #[inline]
     fn note_write_summary(&mut self, col: usize, value: TernaryBit) {
         match value {
             TernaryBit::Zero => {
@@ -1153,6 +1174,7 @@ impl TcamSlab {
     /// # Panics
     ///
     /// Panics if out of range.
+    #[inline]
     pub fn cell(&self, pe: usize, row: usize, col: usize) -> TernaryBit {
         assert!(
             pe < self.pes && row < self.rows && col < self.cols,
@@ -1169,11 +1191,14 @@ impl TcamSlab {
         }
     }
 
-    /// Write one cell directly (host data-load path; no wear).
+    /// Write one cell directly (host data-load path; no wear): one load
+    /// and one store per plane, with the stuck-at override applied in
+    /// registers.
     ///
     /// # Panics
     ///
     /// Panics if out of range.
+    #[inline]
     pub fn set_cell(&mut self, pe: usize, row: usize, col: usize, value: TernaryBit) {
         assert!(
             pe < self.pes && row < self.rows && col < self.cols,
@@ -1183,25 +1208,24 @@ impl TcamSlab {
         let m = 1u64 << (pe % 64);
         self.touch();
         self.note_write_summary(col, value);
-        self.zeros[idx] &= !m;
-        self.ones[idx] &= !m;
+        let (mut z, mut o) = (self.zeros[idx] & !m, self.ones[idx] & !m);
         match value {
-            TernaryBit::Zero => self.zeros[idx] |= m,
-            TernaryBit::One => self.ones[idx] |= m,
+            TernaryBit::Zero => z |= m,
+            TernaryBit::One => o |= m,
             TernaryBit::X => {}
         }
         if let Some(f) = &self.fault {
-            // The stuck override can set either plane regardless of `value`.
+            // The stuck override can set either plane regardless of `value`;
+            // stuck-at-0 wins where both masks are set.
             self.zsum[col] = PlaneSummary::Unknown;
             self.osum[col] = PlaneSummary::Unknown;
-            if f.stuck0[idx] & m != 0 {
-                self.zeros[idx] |= m;
-                self.ones[idx] &= !m;
-            } else if f.stuck1[idx] & m != 0 {
-                self.ones[idx] |= m;
-                self.zeros[idx] &= !m;
-            }
+            let s0 = f.stuck0[idx] & m;
+            let s1 = f.stuck1[idx] & m & !s0;
+            z = (z & !s1) | s0;
+            o = (o & !s0) | s1;
         }
+        self.zeros[idx] = z;
+        self.ones[idx] = o;
     }
 
     /// Fused search over the selected PEs: apply a precompiled
@@ -2009,34 +2033,30 @@ impl TcamSlab {
 
     /// Extract one PE as a standalone [`TcamArray`] (wear included).
     ///
+    /// Each 64-row block of each column is one branch-free gather of lane
+    /// `pe % 64` over the block's plane words, written straight into the
+    /// array's arenas.
+    ///
     /// # Panics
     ///
     /// Panics if `pe` is out of range.
     pub fn to_array(&self, pe: usize) -> TcamArray {
         assert!(pe < self.pes, "PE out of range");
-        let mut array = TcamArray::new(self.rows, self.cols);
-        let plane = self.plane_words();
-        let bpp = self.rows.div_ceil(64);
-        let mut z = vec![0u64; bpp];
-        let mut o = vec![0u64; bpp];
-        let (w, s) = (pe / 64, pe % 64);
-        for col in 0..self.cols {
-            z.fill(0);
-            o.fill(0);
-            for row in 0..self.rows {
-                let idx = col * plane + row * self.pw + w;
-                z[row / 64] |= (self.zeros[idx] >> s & 1) << (row % 64);
-                o[row / 64] |= (self.ones[idx] >> s & 1) << (row % 64);
+        let (pw, plane) = (self.pw, self.plane_words());
+        let (w, s) = (pe / 64, (pe % 64) as u32);
+        let n = self.cols * self.rows.div_ceil(64);
+        let (mut zeros, mut ones) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for (src, dst) in [(&self.zeros, &mut zeros), (&self.ones, &mut ones)] {
+            for col_plane in src.chunks_exact(plane) {
+                // Row `r`'s word for this PE is `col_plane[r * pw + w]`.
+                for block in col_plane[w..].chunks(64 * pw) {
+                    dst.push(gather_lane(block, pw, s));
+                }
             }
-            array.set_column_bits(col, &z, &o);
         }
-        for (col, w) in array.wear_mut().iter_mut().enumerate() {
-            *w = self.wear[col * self.pes + pe];
-        }
-        if let Some(f) = &self.fault {
-            array.set_fault(Some(Box::new(f.to_array(pe))));
-        }
-        array
+        let wear = self.pe_wear(pe);
+        let fault = self.fault.as_ref().map(|f| Box::new(f.to_array(pe)));
+        TcamArray::from_parts(self.rows, self.cols, zeros, ones, wear, fault)
     }
 
     /// Extract every PE as standalone arrays — the inverse of

@@ -434,3 +434,113 @@ mod wide {
         }
     }
 }
+
+/// The slab ⇄ array conversions (`to_array`'s word gather, `to_arrays`,
+/// `from_arrays`) against per-cell `cell()` reads, at row counts on both
+/// sides of every 64-row block boundary, on slabs of one 64-PE word and
+/// wider (so plane rows have a partial tail word and the gather strides),
+/// with wear set and, on half the cases, a seeded fault model attached.
+mod conversions {
+    use super::*;
+
+    const ROW_COUNTS: [usize; 6] = [1, 63, 64, 65, 130, 256];
+
+    /// One splitmix64 step: the cell contents come from it so a case
+    /// fills every cell without a per-cell strategy.
+    fn splitmix(x: &mut u64) -> u64 {
+        *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *x;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+        #[test]
+        fn conversions_match_per_cell_reads(
+            pes in prop_oneof![2usize..=64, 65usize..=140],
+            cols in 1usize..=4,
+            seed in any::<u64>(),
+            faulty in any::<bool>(),
+            worn in prop::collection::vec((0usize..4, 0u8..3), 1..6),
+        ) {
+            for rows in ROW_COUNTS {
+                let mut state = seed ^ rows as u64;
+                let mut slab = TcamSlab::new(pes, rows, cols);
+                if faulty {
+                    let model = FaultModel {
+                        seed,
+                        stuck_per_million: 60_000,
+                        miss_per_million: 0,
+                        endurance_limit: None,
+                    };
+                    slab.attach_fault(model, 1, 7);
+                }
+                for col in 0..cols {
+                    for row in 0..rows {
+                        for pe in 0..pes {
+                            let v = match splitmix(&mut state) % 3 {
+                                0 => TernaryBit::Zero,
+                                1 => TernaryBit::One,
+                                _ => TernaryBit::X,
+                            };
+                            slab.set_cell(pe, row, col, v);
+                        }
+                    }
+                }
+                // Wear (and a few tag-driven writes) over ragged selections:
+                // every PE, the upper half (past the first word when wide),
+                // every third PE.
+                // Random tags, padding lanes past `pes` kept clear.
+                let mut tags = TagSlab::zeros(pes, rows);
+                let pw = tags.pe_words();
+                for (i, w) in tags.words_mut().iter_mut().enumerate() {
+                    let lanes = 64.min(pes - i % pw * 64);
+                    *w = splitmix(&mut state) & (u64::MAX >> (64 - lanes));
+                }
+                for &(col, which) in std::iter::once(&(0, 0)).chain(&worn) {
+                    let sel = match which {
+                        0 => None,
+                        1 => Some(pe_range_mask(pes, pes / 2, pes)),
+                        _ => {
+                            let mut m = vec![0u64; pes.div_ceil(64)];
+                            for pe in (0..pes).step_by(3) {
+                                m[pe / 64] |= 1 << (pe % 64);
+                            }
+                            Some(m)
+                        }
+                    };
+                    slab.write_column_multi(col % cols, TernaryBit::X, tags.words(), sel.as_deref());
+                }
+                let arrays = slab.to_arrays();
+                prop_assert_eq!(arrays.len(), pes);
+                for (pe, array) in arrays.iter().enumerate() {
+                    prop_assert_eq!(array, &slab.to_array(pe));
+                    prop_assert_eq!((array.rows(), array.cols()), (rows, cols));
+                    for col in 0..cols {
+                        for row in 0..rows {
+                            prop_assert_eq!(
+                                array.cell(row, col), slab.cell(pe, row, col),
+                                "rows {} pe {} row {} col {}", rows, pe, row, col);
+                        }
+                    }
+                    prop_assert_eq!(array.column_wear(), &slab.pe_wear(pe)[..]);
+                    prop_assert_eq!(
+                        array.fault().cloned(),
+                        slab.fault().map(|f| f.to_array(pe)));
+                }
+                prop_assert!(slab.pe_wear(pes - 1).iter().any(|&w| w > 0), "wear reaches the last PE");
+                let back = TcamSlab::from_arrays(&arrays);
+                prop_assert_eq!(&back, &slab);
+                for pe in (0..pes).step_by(7) {
+                    for row in 0..rows {
+                        for col in 0..cols {
+                            prop_assert_eq!(back.cell(pe, row, col), slab.cell(pe, row, col));
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
