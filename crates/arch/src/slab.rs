@@ -360,8 +360,8 @@ pub enum RestoreError {
     /// group-boundary straddle, or wrong total).
     Coverage,
     /// A payload's internal geometry (rows, cols, tag shapes, op-counter
-    /// length, or fault-state presence/base) contradicts the machine's
-    /// config.
+    /// length, or fault-state presence, base, model, spare budget or
+    /// epoch) contradicts the machine's config or the other payloads.
     Geometry,
 }
 
@@ -669,6 +669,14 @@ impl SlabMachine {
         let (rows, cols) = (self.config.rows, self.config.cols);
         let per = self.config.pes_per_group();
         parts.sort_by_key(|p| p.global_base);
+        // Every chunk advances its fault epoch in the same run, so the
+        // bookkeeping of a legal machine shares one model, spare budget and
+        // epoch — the configured ones.
+        let faults = &self.config.faults;
+        let epoch = parts
+            .first()
+            .and_then(|p| p.storage.fault())
+            .map(|f| f.epoch);
         let mut next = 0usize;
         for p in &parts {
             let pes = p.storage.pes();
@@ -685,8 +693,13 @@ impl SlabMachine {
                     .iter()
                     .any(|t| t.pes() != pes || t.rows() != rows)
                 || p.ops.len() != pes
-                || p.storage.fault().is_some() != self.config.faults.is_active()
-                || p.storage.fault().is_some_and(|f| f.pe0 != p.global_base)
+                || p.storage.fault().is_some() != faults.is_active()
+                || p.storage.fault().is_some_and(|f| {
+                    f.pe0 != p.global_base
+                        || f.model != faults.model
+                        || f.spares != faults.spare_cols
+                        || Some(f.epoch) != epoch
+                })
             {
                 return Err(RestoreError::Geometry);
             }

@@ -11,6 +11,8 @@
 //!   to an **absolute** floor ([`SLAB_SEQ_FLOOR_IPS`]) in
 //!   release builds, so the bit-plane kernel win can't erode across
 //!   regenerated baselines.
+//!   It also re-runs `bench_sim`'s checkpoint workload and requires its
+//!   deterministic byte columns to equal the checked-in ones exactly.
 //! * **`--smoke`**: a small-geometry sanity pass for CI — validates that
 //!   the checked-in JSON parses and carries the slab- and
 //!   fusion-comparison entries, runs the interpreter and the slab engine
@@ -25,7 +27,7 @@
 //! `bench_sim` emits.
 
 use hyperap_arch::{ApMachine, ArchConfig, SlabMachine};
-use hyperap_bench::{add32_streams, best_secs, seed_machine, seed_slab};
+use hyperap_bench::{add32_streams, best_secs, checkpoint_workload, seed_machine, seed_slab};
 use hyperap_compiler::{compile, opt, CompileOptions, OPT_LEVEL_MAX};
 use hyperap_workloads::similarity as wsim;
 use std::hint::black_box;
@@ -374,6 +376,43 @@ fn guard_checkpoint(baseline: &str, path: &std::path::Path) -> bool {
     failed
 }
 
+/// Re-run `bench_sim`'s checkpoint workload ([`checkpoint_workload`]) and
+/// require the columns that do not vary with host noise — the full image
+/// size, the incremental commit's bytes and its dirty-chunk hit rate — to
+/// equal the checked-in `checkpoint` block. A chunk format or dirty
+/// tracking change moves them, and must come with a regenerated baseline.
+fn guard_checkpoint_bytes(
+    baseline: &str,
+    path: &std::path::Path,
+    cfg: &ArchConfig,
+    streams: &[Vec<hyperap_isa::Instruction>],
+) -> bool {
+    let (_, _, full, incr) = checkpoint_workload(cfg.clone(), streams);
+    let hit_rate = incr.chunks_clean as f64 / incr.chunks_total as f64;
+    let mut failed = false;
+    for (key, live, tolerance) in [
+        ("ckpt_payload_bytes", full.payload_bytes as f64, 0.0),
+        ("ckpt_incremental_bytes", incr.bytes_written as f64, 0.0),
+        // Printed with 4 decimals.
+        ("checkpoint_dirty_hit_rate", hit_rate, 5e-5),
+    ] {
+        match json_number(baseline, key) {
+            Some(want) if (live - want).abs() <= tolerance => {
+                println!("bench_guard: checkpoint {key} = {live} matches the baseline");
+            }
+            other => {
+                eprintln!(
+                    "bench_guard: checkpoint {key} measured {live}, baseline {} has {other:?} — \
+                     the checkpoint bytes changed; regenerate BENCH_SIM.json",
+                    path.display()
+                );
+                failed = true;
+            }
+        }
+    }
+    failed
+}
+
 fn smoke() -> i32 {
     // Baseline sanity: the checked-in JSON must parse and must carry the
     // engine entries bench_sim emits.
@@ -592,6 +631,7 @@ fn full() -> i32 {
     failed |= guard_serve(&baseline, &path);
     failed |= guard_similarity(&baseline, &path);
     failed |= guard_checkpoint(&baseline, &path);
+    failed |= guard_checkpoint_bytes(&baseline, &path, &cfg, &streams);
 
     // Similarity re-measure: the same stored codes and query as bench_sim
     // (seeds match), guarded relative to the baseline throughput column

@@ -39,7 +39,7 @@
 //! produced it.
 
 use hyperap_arch::{ApMachine, ArchConfig, SlabMachine};
-use hyperap_bench::{add32_streams, best_secs, seed_machine, seed_slab};
+use hyperap_bench::{add32_streams, best_secs, checkpoint_workload, seed_machine, seed_slab};
 use hyperap_compiler::{compile, opt, CompileOptions, OPT_LEVEL_MAX};
 use hyperap_tcam::array::TcamArray;
 use hyperap_tcam::key::SearchKey;
@@ -316,8 +316,8 @@ fn main() {
     });
     let hdc_accuracy = model.accuracy_host(&hdc.test, cfg.total_pes(), hdc_rows);
 
-    // 5. Checkpoint cost: full and incremental snapshots of the 1024-PE
-    // slab machine (post-add32 state) into an in-memory sink, plus restore
+    // 5. Checkpoint cost: full and incremental snapshots of the fault-free
+    // 1024-PE slab machine (post-add32 state) into an in-memory sink, plus restore
     // latency. The incremental column re-dirties only group 0 between
     // snapshots, so with the default one-group chunking 15/16 of the
     // chunks are clean — the dirty-chunk hit rate the delta path must
@@ -333,11 +333,9 @@ fn main() {
         ckpt_restore_ms,
     ) = {
         use hyperap_ckpt::{Checkpointer, MemSink};
-        let mut m = SlabMachine::new(engine_config());
-        seed_slab(&mut m);
-        black_box(m.run(&streams));
+        let (mut m, mut ck, full_stats, incr_stats) =
+            checkpoint_workload(engine_config(), &streams);
         // Full snapshot: a fresh checkpointer sees every chunk dirty.
-        let full_stats = Checkpointer::new(MemSink::new()).checkpoint(&m).unwrap();
         let full_s = best_secs(reps, || {
             let mut ck = Checkpointer::new(MemSink::new());
             black_box(ck.checkpoint(&m).unwrap());
@@ -345,10 +343,6 @@ fn main() {
         // Incremental snapshot: dirty group 0 only, then delta-checkpoint
         // against the committed epoch. Timed over the checkpoint call alone.
         let g0 = vec![streams[0].clone()];
-        let mut ck = Checkpointer::new(MemSink::new());
-        ck.checkpoint(&m).unwrap();
-        black_box(m.run(&g0));
-        let incr_stats = ck.checkpoint(&m).unwrap();
         let hit_rate = incr_stats.chunks_clean as f64 / incr_stats.chunks_total as f64;
         let mut incr_best = f64::INFINITY;
         for _ in 0..reps {
@@ -359,7 +353,7 @@ fn main() {
         }
         // Restore latency into a fresh machine of the same geometry.
         let restore_s = best_secs(reps, || {
-            let mut fresh = SlabMachine::new(engine_config());
+            let mut fresh = SlabMachine::new(m.config().clone());
             black_box(ck.resume(&mut fresh).unwrap());
         });
         (

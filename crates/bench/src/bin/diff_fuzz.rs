@@ -24,22 +24,43 @@
 //! readout must narrow to the k-th distance among many candidates and
 //! ties. Divergent cases shrink by dropping codes, loads and queries.
 //!
-//! Usage: `diff_fuzz [--smoke] [--seed N] [--iters N] [--case N] [--kernel-case N] [--sim-case N]`
+//! A fourth axis feeds damaged bytes to checkpoint resume. Each case takes
+//! the `ckpt_v1` or `ckpt_v2` golden fixture, mutates the manifest or one
+//! chunk file (bit flips, truncation, splices of other bytes, and
+//! overwrites of the count and length fields with extreme values), and
+//! usually re-seals the manifest checksum or re-addresses the chunk, so the
+//! damage reaches the structural decoders instead of stopping at a hash.
+//! Resume into a machine of a random chunk width must not panic. It must
+//! return a typed `CkptError` and leave the machine untouched, or `Ok`
+//! with a machine that is bit-identical to the fixture's. The exception is a sealed mutation,
+//! which may describe another valid machine: its `Ok` must survive a
+//! commit and resume of its own bit-identically. An unsealed mutation must
+//! come back as `NoCheckpoint` or the fixture's own machine.
+//!
+//! Usage: `diff_fuzz [--smoke] [--ckpt] [--seed N] [--iters N] [--case N] [--kernel-case N]
+//! [--sim-case N] [--ckpt-case N]`
 //!
 //! * `--smoke` — a short deterministic pass for CI (few iterations).
+//! * `--ckpt` — run only the checkpoint axis (`--smoke` then runs
+//!   [`CKPT_SMOKE_CASES`] cases).
 //! * `--seed N` — base seed; every iteration derives its own case seed.
 //! * `--iters N` — number of fuzz cases.
 //! * `--case N` — re-run exactly one case seed (the repro header prints
 //!   the value to pass here).
 //! * `--kernel-case N` — re-run exactly one compiler-kernel case seed.
 //! * `--sim-case N` — re-run exactly one similarity-query case seed.
+//! * `--ckpt-case N` — re-run exactly one checkpoint-bytes case seed.
 //!
 //! The RNG is a self-contained splitmix64 so repros are stable across
 //! hosts and toolchains.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use hyperap_arch::machine::BROADCAST_ADDR;
 use hyperap_arch::{ApMachine, ArchConfig, FaultConfig, SlabMachine};
 use hyperap_baselines::reference::OpKind;
+use hyperap_ckpt::testing::golden_machine;
+use hyperap_ckpt::{CheckpointSink, Checkpointer, CkptError, Manifest, MemSink};
 use hyperap_compiler::{compile, CompileOptions, OPT_LEVEL_MAX};
 use hyperap_isa::{Direction, Instruction};
 use hyperap_tcam::{FaultModel, KeyBit, SearchKey};
@@ -731,11 +752,18 @@ fn main() {
     let mut single_case: Option<u64> = None;
     let mut single_kernel_case: Option<u64> = None;
     let mut single_sim_case: Option<u64> = None;
+    let mut single_ckpt_case: Option<u64> = None;
+    let mut ckpt_only = false;
+    let mut smoke = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--smoke" => iters = 24,
-            "--seed" | "--iters" | "--case" | "--kernel-case" | "--sim-case" => {
+            "--smoke" => {
+                iters = 24;
+                smoke = true;
+            }
+            "--ckpt" => ckpt_only = true,
+            "--seed" | "--iters" | "--case" | "--kernel-case" | "--sim-case" | "--ckpt-case" => {
                 let Some(v) = args.get(i + 1).and_then(|v| v.parse::<u64>().ok()) else {
                     eprintln!("diff_fuzz: {} needs an integer argument", args[i]);
                     std::process::exit(2);
@@ -745,15 +773,16 @@ fn main() {
                     "--iters" => iters = v,
                     "--case" => single_case = Some(v),
                     "--kernel-case" => single_kernel_case = Some(v),
-                    _ => single_sim_case = Some(v),
+                    "--sim-case" => single_sim_case = Some(v),
+                    _ => single_ckpt_case = Some(v),
                 }
                 i += 1;
             }
             other => {
                 eprintln!("diff_fuzz: unknown argument {other}");
                 eprintln!(
-                    "usage: diff_fuzz [--smoke] [--seed N] [--iters N] [--case N] \
-                     [--kernel-case N] [--sim-case N]"
+                    "usage: diff_fuzz [--smoke] [--ckpt] [--seed N] [--iters N] [--case N] \
+                     [--kernel-case N] [--sim-case N] [--ckpt-case N]"
                 );
                 std::process::exit(2);
             }
@@ -783,6 +812,29 @@ fn main() {
         std::process::exit(i32::from(failed));
     }
 
+    if let Some(case_seed) = single_ckpt_case {
+        let failed = run_ckpt_case(&CkptFixtures::load(), case_seed, 0);
+        if !failed {
+            println!("diff_fuzz: checkpoint case {case_seed} is clean — resume stayed typed");
+        }
+        std::process::exit(i32::from(failed));
+    }
+    let fixtures = CkptFixtures::load();
+    if ckpt_only {
+        let cases = if smoke { CKPT_SMOKE_CASES } else { iters };
+        let mut derive = Rng(seed);
+        for iteration in 0..cases {
+            if run_ckpt_case(&fixtures, derive.next(), iteration) {
+                std::process::exit(1);
+            }
+        }
+        println!(
+            "diff_fuzz: {cases} damaged checkpoints resumed without a panic — typed errors or \
+             bit-identical machines"
+        );
+        return;
+    }
+
     let mut derive = Rng(seed);
     let mut kernel_cases = 0u64;
     let mut sim_cases = 0u64;
@@ -807,10 +859,440 @@ fn main() {
                 std::process::exit(1);
             }
         }
+        if run_ckpt_case(&fixtures, case_seed, iteration) {
+            std::process::exit(1);
+        }
     }
     println!(
         "diff_fuzz: {iters} cases clean — interpreter and slab engines bit-identical \
          (with and without faults); {kernel_cases} compiler kernels agree at opt levels 0 and \
-         {OPT_LEVEL_MAX}; {sim_cases} similarity-query cases agree across engines"
+         {OPT_LEVEL_MAX}; {sim_cases} similarity-query cases agree across engines; {iters} \
+         damaged checkpoints resumed typed"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Checkpoint byte axis: damaged fixtures through `Checkpointer::resume`.
+// ---------------------------------------------------------------------------
+
+/// Cases `--ckpt --smoke` runs (each is one resume of a ~70 KB fixture).
+const CKPT_SMOKE_CASES: u64 = 2000;
+
+/// Chunk widths a damaged fixture is resumed into: its own (3) and two
+/// that take the migration path.
+const CKPT_WIDTHS: [usize; 3] = [3, 1, 4];
+
+/// One golden checkpoint, files in name order (the manifest last: `m-`
+/// sorts after `c-`).
+struct Fixture {
+    name: &'static str,
+    files: Vec<(String, Vec<u8>)>,
+    manifest: Manifest,
+}
+
+/// Both frozen fixtures and the machine they hold.
+struct CkptFixtures {
+    fixtures: Vec<Fixture>,
+    machine: SlabMachine,
+}
+
+impl CkptFixtures {
+    fn load() -> Self {
+        let fixtures = [
+            (
+                "ckpt_v1",
+                concat!(env!("CARGO_MANIFEST_DIR"), "/../tcam/tests/golden/ckpt_v1"),
+            ),
+            (
+                "ckpt_v2",
+                concat!(env!("CARGO_MANIFEST_DIR"), "/../tcam/tests/golden/ckpt_v2"),
+            ),
+        ]
+        .into_iter()
+        .map(|(name, dir)| {
+            let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+                .expect("checkpoint fixture directory")
+                .map(|e| {
+                    let e = e.expect("fixture entry");
+                    let bytes = std::fs::read(e.path()).expect("fixture file");
+                    (e.file_name().to_string_lossy().into_owned(), bytes)
+                })
+                .collect();
+            files.sort();
+            let manifest = Manifest::decode(&files.last().expect("fixture files").1)
+                .expect("fixture manifest decodes");
+            Fixture {
+                name,
+                files,
+                manifest,
+            }
+        })
+        .collect();
+        CkptFixtures {
+            fixtures,
+            machine: golden_machine(),
+        }
+    }
+}
+
+/// One damage to a file's bytes.
+#[derive(Debug)]
+enum Damage {
+    /// Flip bit `bit % 8` of byte `at`.
+    Flip { at: usize, bit: u8 },
+    /// Keep only the first `len` bytes.
+    Truncate { len: usize },
+    /// Replace `at..at + cut` with `len` bytes of file `from` starting at
+    /// `src` (the length of the file can change).
+    Splice {
+        at: usize,
+        cut: usize,
+        from: usize,
+        src: usize,
+        len: usize,
+    },
+    /// Overwrite a count or length field (`width` bytes at `at`, in the
+    /// field's own byte order) with `value`.
+    Count {
+        at: usize,
+        width: usize,
+        le: bool,
+        value: u64,
+    },
+}
+
+/// One checkpoint-bytes case: which fixture, which file, what damage, and
+/// whether the damage is sealed (manifest checksum re-computed, or the
+/// chunk re-hashed and the manifest pointed at its new address).
+#[derive(Debug)]
+struct CkptCase {
+    fixture: usize,
+    file: usize,
+    damage: Vec<Damage>,
+    sealed: bool,
+    width: usize,
+}
+
+fn be(bytes: &[u8], at: usize, width: usize) -> Option<u64> {
+    let b = bytes.get(at..at + width)?;
+    Some(b.iter().fold(0u64, |v, &x| v << 8 | u64::from(x)))
+}
+
+fn le(bytes: &[u8], at: usize, width: usize) -> Option<u64> {
+    let b = bytes.get(at..at + width)?;
+    Some(b.iter().rev().fold(0u64, |v, &x| v << 8 | u64::from(x)))
+}
+
+/// `(offset, width, little-endian)` of every count and length field in a
+/// manifest, found by walking its documented layout.
+fn manifest_counts(m: &[u8]) -> Vec<(usize, usize, bool)> {
+    let mut out = vec![(13, 8, false)];
+    let mut at = 13 + 80 + 16;
+    let Some(flag) = m.get(at) else { return out };
+    at += if *flag == 1 { 9 } else { 1 } + 8;
+    let groups = be(m, 13, 8).unwrap_or(0).min(64);
+    for _ in 0..groups {
+        let Some(width) = be(m, at, 4) else {
+            return out;
+        };
+        out.push((at, 4, false));
+        at += 4 + width as usize;
+        let Some(plen) = be(m, at, 4) else { return out };
+        out.push((at, 4, false));
+        at += 4 + 5 * plen as usize + 1;
+        let Some(rows) = be(m, at, 4) else { return out };
+        out.push((at, 4, false));
+        at += 4 + 8 * (rows as usize).div_ceil(64);
+    }
+    out.push((at, 4, false));
+    let n = be(m, at, 4).unwrap_or(0).min(64) as usize;
+    for c in 0..n {
+        let entry = at + 4 + 28 * c;
+        out.push((entry + 8, 4, false));
+        out.push((entry + 12, 8, false));
+    }
+    out
+}
+
+/// `(offset, width, little-endian)` of the count and length fields of a
+/// chunk payload, by its version byte.
+fn chunk_counts(c: &[u8]) -> Vec<(usize, usize, bool)> {
+    match c.first() {
+        Some(1) => {
+            // Four length-prefixed slab images, each opening with a
+            // version byte and u16 dimensions (pes, rows, and cols for the
+            // storage image), then the op count.
+            let mut out = Vec::new();
+            let mut at = 9;
+            for image in 0..4 {
+                out.push((at, 8, false));
+                let dims = if image == 0 { 3 } else { 2 };
+                out.extend((0..dims).map(|d| (at + 9 + 2 * d, 2, false)));
+                at += 8 + be(c, at, 8).unwrap_or(0).min(1 << 20) as usize;
+            }
+            out.push((at, 4, false));
+            out
+        }
+        _ => {
+            // The plane-image header, then the wear bitmap behind the two
+            // arenas.
+            let mut out: Vec<_> = (0..4).map(|i| (9 + 4 * i, 4, true)).collect();
+            let dim = |i: usize| le(c, 9 + 4 * i, 4).unwrap_or(0) as usize;
+            let arena = dim(2).saturating_mul(dim(1)).saturating_mul(dim(3));
+            out.push((arena.saturating_mul(16).saturating_add(25), 8, true));
+            out
+        }
+    }
+}
+
+fn generate_ckpt_case(fx: &CkptFixtures, case_seed: u64) -> CkptCase {
+    let mut rng = Rng(case_seed ^ 0xC4EC_4B01);
+    let fixture = rng.below(fx.fixtures.len() as u64) as usize;
+    let files = &fx.fixtures[fixture].files;
+    let file = rng.below(files.len() as u64) as usize;
+    let bytes = &files[file].1;
+    let is_manifest = file + 1 == files.len();
+    let counts = if is_manifest {
+        manifest_counts(bytes)
+    } else {
+        chunk_counts(bytes)
+    };
+    let mut damage = Vec::new();
+    for _ in 0..1 + rng.below(3) {
+        let len = bytes.len() as u64;
+        damage.push(match rng.below(8) {
+            0..=2 => Damage::Flip {
+                at: rng.below(len) as usize,
+                bit: rng.below(8) as u8,
+            },
+            3 => Damage::Truncate {
+                len: rng.below(len) as usize,
+            },
+            4 => {
+                let from = rng.below(files.len() as u64) as usize;
+                Damage::Splice {
+                    at: rng.below(len) as usize,
+                    cut: rng.below(64) as usize,
+                    from,
+                    src: rng.below(files[from].1.len() as u64) as usize,
+                    len: rng.below(64) as usize,
+                }
+            }
+            _ => {
+                let (at, width, le) = counts[rng.below(counts.len() as u64) as usize];
+                let max = if width == 8 {
+                    u64::MAX
+                } else {
+                    (1 << (8 * width)) - 1
+                };
+                let old = if le {
+                    self::le(bytes, at, width)
+                } else {
+                    be(bytes, at, width)
+                };
+                let old = old.unwrap_or(0);
+                let value = match rng.below(6) {
+                    0 => 0,
+                    1 => max,
+                    2 => old.wrapping_add(1) & max,
+                    3 => old.wrapping_sub(1) & max,
+                    4 => max / 2 + 1,
+                    _ => rng.next() & max,
+                };
+                Damage::Count {
+                    at,
+                    width,
+                    le,
+                    value,
+                }
+            }
+        });
+    }
+    CkptCase {
+        fixture,
+        file,
+        damage,
+        sealed: rng.below(4) != 0,
+        width: CKPT_WIDTHS[rng.below(CKPT_WIDTHS.len() as u64) as usize],
+    }
+}
+
+fn apply_damage(bytes: &mut Vec<u8>, damage: &[Damage], files: &[(String, Vec<u8>)]) {
+    for d in damage {
+        match *d {
+            Damage::Flip { at, bit } => {
+                if let Some(b) = bytes.get_mut(at) {
+                    *b ^= 1 << (bit % 8);
+                }
+            }
+            Damage::Truncate { len } => bytes.truncate(len),
+            Damage::Splice {
+                at,
+                cut,
+                from,
+                src,
+                len,
+            } => {
+                let source = &files[from].1;
+                let src = src.min(source.len());
+                let piece = source[src..(src + len).min(source.len())].to_vec();
+                let at = at.min(bytes.len());
+                let end = (at + cut).min(bytes.len());
+                bytes.splice(at..end, piece);
+            }
+            Damage::Count {
+                at,
+                width,
+                le,
+                value,
+            } => {
+                if let Some(field) = bytes.get_mut(at..at + width) {
+                    let all = if le {
+                        value.to_le_bytes()
+                    } else {
+                        value.to_be_bytes()
+                    };
+                    let part = if le { &all[..width] } else { &all[8 - width..] };
+                    field.copy_from_slice(part);
+                }
+            }
+        }
+    }
+}
+
+/// The damaged disk image of `case`.
+fn damaged_sink(fx: &CkptFixtures, case: &CkptCase) -> MemSink {
+    let fixture = &fx.fixtures[case.fixture];
+    let files = &fixture.files;
+    let manifest_at = files.len() - 1;
+    let mut sink = MemSink::new();
+    for (name, bytes) in files {
+        sink.insert(name.clone(), bytes.clone());
+    }
+    let (name, original) = &files[case.file];
+    let mut bytes = original.clone();
+    apply_damage(&mut bytes, &case.damage, files);
+    if case.file == manifest_at {
+        if case.sealed && bytes.len() >= 8 {
+            let body = bytes.len() - 8;
+            let seal = hyperap_ckpt::fnv1a64(&bytes[..body]).to_be_bytes();
+            bytes[body..].copy_from_slice(&seal);
+        }
+        sink.insert(name.clone(), bytes);
+    } else if case.sealed {
+        // Re-address the chunk and point the manifest's entry at it.
+        let mut man = fixture.manifest.clone();
+        let entry = man
+            .chunks
+            .iter_mut()
+            .find(|c| format!("c-{:016x}-{}.bin", c.hash, c.len) == *name)
+            .expect("fixture manifest names every chunk file");
+        entry.hash = fixture.manifest.chunk_hash(&bytes);
+        entry.len = bytes.len() as u64;
+        let _ = CheckpointSink::remove(&mut sink, name);
+        sink.insert(format!("c-{:016x}-{}.bin", entry.hash, entry.len), bytes);
+        sink.insert(files[manifest_at].0.clone(), man.encode());
+    } else {
+        sink.insert(name.clone(), bytes);
+    }
+    sink
+}
+
+/// First state component on which two slab machines differ, if any.
+fn machine_divergence(a: &SlabMachine, b: &SlabMachine) -> Option<String> {
+    let total = a.config().total_pes();
+    for pe in 0..total {
+        let (sa, sb) = (a.pe_snapshot(pe), b.pe_snapshot(pe));
+        if sa != sb || sa.fault() != sb.fault() {
+            return Some(format!("PE {pe} state (cells/tags/wear/fault bookkeeping)"));
+        }
+        if a.data_reg(pe) != b.data_reg(pe) {
+            return Some(format!("PE {pe} data register"));
+        }
+    }
+    if a.machine_extras() != b.machine_extras() {
+        return Some("key/plan/mask registers or controller buffers".into());
+    }
+    let ops = |m: &SlabMachine| {
+        (0..m.num_chunks())
+            .flat_map(|c| m.chunk_state(c).ops.to_vec())
+            .collect::<Vec<_>>()
+    };
+    (ops(a) != ops(b)).then(|| "per-PE op counters".into())
+}
+
+/// A blank machine shaped like the fixtures' at `width`-PE chunks.
+fn ckpt_blank(fx: &CkptFixtures, width: usize) -> SlabMachine {
+    SlabMachine::with_chunk_pes(fx.machine.config().clone(), width)
+}
+
+/// Resume `case`'s damaged image; `Some(description)` when the outcome
+/// breaks the axis' contract.
+fn check_ckpt(fx: &CkptFixtures, case: &CkptCase) -> Option<String> {
+    let sink = damaged_sink(fx, case);
+    let mut restored = ckpt_blank(fx, case.width);
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        Checkpointer::new(sink).resume(&mut restored)
+    }));
+    let result = match outcome {
+        Ok(r) => r,
+        Err(_) => return Some("resume panicked".into()),
+    };
+    match result {
+        Ok(_) => {
+            // Bit-identical to the fixture's machine is always right.
+            let diff = machine_divergence(&restored, &fx.machine)?;
+            if !case.sealed {
+                return Some(format!(
+                    "an unsealed damage resumed Ok with a different machine: {diff}"
+                ));
+            }
+            // Another valid machine: it must survive its own commit and
+            // resume bit-identically.
+            let again = catch_unwind(AssertUnwindSafe(|| {
+                let mut ck = Checkpointer::new(MemSink::new());
+                ck.checkpoint(&restored)?;
+                let mut twin = ckpt_blank(fx, 3);
+                ck.resume(&mut twin).map(|_| twin)
+            }));
+            match again {
+                Err(_) => Some("re-committing the resumed machine panicked".into()),
+                Ok(Err(e)) => Some(format!("re-committing the resumed machine failed: {e}")),
+                Ok(Ok(twin)) => machine_divergence(&twin, &restored)
+                    .map(|d| format!("the resumed machine does not round-trip: {d}")),
+            }
+        }
+        Err(e) => {
+            // Every typed error is a legal answer to sealed damage; unsealed
+            // damage can only fail every epoch. Either way the machine must
+            // be left as it was.
+            if !case.sealed && e != CkptError::NoCheckpoint {
+                return Some(format!(
+                    "unsealed damage must fall back to NoCheckpoint, got {e:?}"
+                ));
+            }
+            machine_divergence(&restored, &ckpt_blank(fx, case.width))
+                .map(|d| format!("resume failed ({e:?}) but changed the machine: {d}"))
+        }
+    }
+}
+
+/// Run one checkpoint-bytes case; `true` on a contract violation (reported).
+fn run_ckpt_case(fx: &CkptFixtures, case_seed: u64, iteration: u64) -> bool {
+    let case = generate_ckpt_case(fx, case_seed);
+    let Some(problem) = check_ckpt(fx, &case) else {
+        return false;
+    };
+    let fixture = &fx.fixtures[case.fixture];
+    eprintln!("diff_fuzz: CHECKPOINT FAILURE at iteration {iteration} (case seed {case_seed})");
+    eprintln!("diff_fuzz: re-run just this case with: diff_fuzz --ckpt-case {case_seed}");
+    eprintln!(
+        "  fixture {} file {} (sealed: {}, resumed at {}-PE chunks)",
+        fixture.name, fixture.files[case.file].0, case.sealed, case.width
+    );
+    for d in &case.damage {
+        eprintln!("  damage: {d:?}");
+    }
+    eprintln!("diff_fuzz: {problem}");
+    true
 }

@@ -8,7 +8,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use hyperap_arch::{ApMachine, SlabMachine};
+use hyperap_arch::{ApMachine, ArchConfig, FaultConfig, SlabMachine};
+use hyperap_ckpt::{CheckpointStats, Checkpointer, MemSink};
 use hyperap_core::microcode::Microcode;
 use hyperap_isa::lower::lower;
 use hyperap_isa::Instruction;
@@ -90,4 +91,32 @@ pub fn seed_slab(m: &mut SlabMachine) {
             m.load_encoded_pair(pe, row, 0, row & 1 == 1, pe & 1 == 1);
         }
     }
+}
+
+/// The checkpoint workload behind `BENCH_SIM.json`'s `checkpoint` block:
+/// `streams` run once on a seeded, fault-free slab machine of `cfg`'s
+/// shape, a full commit, then group 0's stream re-run and an incremental
+/// commit. Returns the machine, the checkpointer holding both epochs, and
+/// the two commits' stats. The byte counts are deterministic, so
+/// `bench_guard` re-measures them and requires the checked-in values.
+pub fn checkpoint_workload(
+    mut cfg: ArchConfig,
+    streams: &[Vec<Instruction>],
+) -> (
+    SlabMachine,
+    Checkpointer<MemSink>,
+    CheckpointStats,
+    CheckpointStats,
+) {
+    // Pinned fault-free: `HYPERAP_FAULTS` would add fault bookkeeping to
+    // every chunk and move the byte counts.
+    cfg.faults = FaultConfig::default();
+    let mut m = SlabMachine::new(cfg);
+    seed_slab(&mut m);
+    m.run(streams);
+    let mut ck = Checkpointer::new(MemSink::new());
+    let full = ck.checkpoint(&m).expect("in-memory commit");
+    m.run(&streams[..1]);
+    let incremental = ck.checkpoint(&m).expect("in-memory commit");
+    (m, ck, full, incremental)
 }

@@ -1,4 +1,4 @@
-//! Regenerate the `ckpt_v1` golden checkpoint fixture.
+//! Regenerate the `ckpt_v2` golden checkpoint fixture.
 //!
 //! ```text
 //! cargo run -p hyperap-ckpt --example gen_golden_ckpt
@@ -6,16 +6,18 @@
 //!
 //! Writes a fully committed epoch-0 checkpoint of
 //! [`hyperap_ckpt::testing::golden_machine`] into
-//! `crates/tcam/tests/golden/ckpt_v1/` via the real [`DirSink`] commit
+//! `crates/tcam/tests/golden/ckpt_v2/` via the real [`DirSink`] commit
 //! protocol. Only rerun this when the on-disk format version is
-//! deliberately bumped — the fixture pins wire-format stability for
-//! `tests/golden_checkpoint.rs`.
+//! deliberately bumped (and then into a new `ckpt_v<N>` directory) — the
+//! fixture pins wire-format stability for `tests/golden_checkpoint.rs`.
+//! The `ckpt_v1` fixture beside it is frozen: nothing writes v1 any more,
+//! and resume must keep reading it.
 
 use hyperap_ckpt::testing::golden_machine;
 use hyperap_ckpt::{Checkpointer, DirSink};
 
 fn main() {
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../tcam/tests/golden/ckpt_v1");
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../tcam/tests/golden/ckpt_v2");
     // Start from a clean slate so stale chunk files can't linger.
     if std::path::Path::new(dir).exists() {
         std::fs::remove_dir_all(dir).expect("clear fixture dir");

@@ -5,8 +5,10 @@
 //! # Commit protocol
 //!
 //! A checkpoint under a prefix `p` is a set of content-addressed chunk
-//! files `p c-<fnv64>-<len>.bin` plus one manifest `p m-<epoch>.ckpt`
-//! naming them. Every file is written as `p tmp-<name>`, `sync`ed, then
+//! files `p c-<hash>-<len>.bin` plus one manifest `p m-<epoch>.ckpt`
+//! naming them. The hash is [`word_hash64`] of the payload (manifest v2;
+//! a v1 manifest, still readable, names its chunks by [`fnv1a64`] — see
+//! [`manifest`] for both wire formats). Every file is written as `p tmp-<name>`, `sync`ed, then
 //! `rename`d into place; the manifest rename is the **commit point** — a
 //! crash anywhere before it leaves the previous epoch fully intact, and a
 //! crash anywhere after it leaves the new epoch fully intact. Resume scans
@@ -45,7 +47,7 @@ use std::collections::{HashMap, HashSet};
 
 use hyperap_arch::SlabMachine;
 
-pub use manifest::{fnv1a64, ChunkEntry, CkptError, FaultWitness, Manifest};
+pub use manifest::{fnv1a64, word_hash64, ChunkEntry, CkptError, FaultWitness, Manifest};
 pub use sink::{CheckpointSink, DirSink, MemSink, SinkError};
 
 use manifest::{decode_chunk, encode_chunk};
@@ -203,7 +205,7 @@ impl<S: CheckpointSink> Checkpointer<S> {
                 }
                 None => {
                     let payload = encode_chunk(&state);
-                    let (hash, len) = (fnv1a64(&payload), payload.len() as u64);
+                    let (hash, len) = (word_hash64(&payload), payload.len() as u64);
                     let name = self.chunk_name(hash, len);
                     if !existing.contains(&name) {
                         self.put_atomic(&name, &payload)?;
@@ -224,6 +226,7 @@ impl<S: CheckpointSink> Checkpointer<S> {
             });
         }
         let manifest = Manifest {
+            version: manifest::MANIFEST_VERSION,
             epoch,
             geometry: machine.config().geometry_fields(),
             fault: FaultWitness::of(machine.config()),
@@ -305,6 +308,8 @@ impl<S: CheckpointSink> Checkpointer<S> {
     ///
     /// # Errors
     ///
+    /// Every error leaves `machine` as it was.
+    ///
     /// [`CkptError::NoCheckpoint`] when no manifest verifies;
     /// [`CkptError::BadVersion`] when an intact manifest or chunk uses an
     /// unknown future format; [`CkptError::GeometryMismatch`] when an
@@ -345,7 +350,7 @@ impl<S: CheckpointSink> Checkpointer<S> {
                     }
                     Err(e) => return Err(e.into()),
                 };
-                if payload.len() as u64 != entry.len || fnv1a64(&payload) != entry.hash {
+                if payload.len() as u64 != entry.len || man.chunk_hash(&payload) != entry.hash {
                     damaged = true;
                     break;
                 }
@@ -366,8 +371,17 @@ impl<S: CheckpointSink> Checkpointer<S> {
             if damaged {
                 continue;
             }
-            machine.restore_chunks(parts)?;
+            // Both calls validate before they mutate; the extras go first
+            // and are put back if the chunks are refused, so an error
+            // leaves the machine as it was.
+            let previous = machine.machine_extras();
             machine.set_machine_extras(man.extras.clone())?;
+            if let Err(e) = machine.restore_chunks(parts) {
+                machine
+                    .set_machine_extras(previous)
+                    .expect("a machine's own extras fit it");
+                return Err(e.into());
+            }
             self.committed.clear();
             self.next_epoch = man.epoch + 1;
             return Ok(man.epoch);

@@ -1,8 +1,9 @@
 //! Checkpoint wire formats: the versioned manifest and the per-chunk
-//! payload, both hand-encoded big-endian (the workspace's `serde` is a
-//! no-op shim; every durable format in this repo is explicit bytes).
+//! payload. Everything is hand-encoded (the workspace's `serde` is a no-op
+//! shim; every durable format in this repo is explicit bytes). Commit
+//! writes manifest v2 and chunk v2; resume also reads v1 of both.
 //!
-//! # Manifest (`m-<epoch>.ckpt`)
+//! # Manifest (`m-<epoch>.ckpt`), big-endian
 //!
 //! ```text
 //! magic "HAPC" | version u8 | epoch u64
@@ -12,22 +13,40 @@
 //!                    key plan (u32 len + (u32 col, u8 bit) entries)
 //!                    bank mask u8
 //!                    data buffer (u32 rows + row-blocks as u64)
-//! chunks: u32 count, each { base u64 | pes u32 | payload len u64 | fnv64 }
-//! trailing fnv64 checksum of everything above
+//! chunks: u32 count, each { base u64 | pes u32 | payload len u64 | hash u64 }
+//! trailing fnv1a64 seal of everything above
 //! ```
+//!
+//! | version | chunk `hash` (and the `<hash>` of its file name) |
+//! |---------|--------------------------------------------------|
+//! | 1 (read only) | [`fnv1a64`] of the payload bytes |
+//! | 2 (written)   | [`word_hash64`] of the payload bytes |
+//!
+//! The layout is the same in both versions. The seal is FNV-1a in both and
+//! is checked before the version byte, so a bit-flipped version byte is a
+//! soft [`CkptError::BadChecksum`] (resume falls back an epoch), and only
+//! an intact manifest of an unknown version is a hard
+//! [`CkptError::BadVersion`]. Every count is checked against the bytes
+//! that remain before anything is allocated for it.
 //!
 //! The manifest is **deterministic** — no timestamps, no absolute paths —
 //! so a frozen fixture stays byte-stable and content-addressed chunk reuse
 //! works across processes.
 //!
-//! # Chunk payload (`c-<fnv64>-<len>.bin`)
+//! # Chunk payload (`c-<hash>-<len>.bin`)
 //!
-//! ```text
-//! version u8 | global base u64
-//! 4 × length-prefixed blob (u64 len + bytes):
-//!     TcamSlab::to_bytes | tags | latch | regs (TagSlab::to_bytes)
-//! ops: u32 count + count × OpCounts::ENCODED_LEN records
-//! ```
+//! The first byte is the chunk version; a reader dispatches on it, not on
+//! the manifest's version.
+//!
+//! | version | layout after the version byte |
+//! |---------|-------------------------------|
+//! | 1 (read only) | big-endian: global base u64; 4 × (u64 len + blob): `TcamSlab::to_bytes`, then tags, latch, regs as `TagSlab::to_bytes` (per-PE `[pe][block]` words, transposed from the planes); ops as u32 count + count × `OpCounts::ENCODED_LEN` records |
+//! | 2 (written) | global base u64 LE; `TcamSlab::write_plane_image` (`(pes, rows, cols, pe_words)` header, `zeros`/`ones` arenas as little-endian words in memory order, sparse wear, fault flag + bookkeeping tail); tags, latch, regs as `TagSlab::write_plane` (`rows × pe_words` LE words each); `pes` × `OpCounts::ENCODED_LEN` op records |
+//!
+//! v2 restores with word copies and no transposes, and its sparse wear
+//! drops the all-zero counters that were a third of a v1 chunk. Its planes
+//! are padded to 64-PE words, so chunks much narrower than 64 PEs are
+//! larger in v2 than in v1.
 
 use bytes::{Buf, BufMut, BytesMut};
 use hyperap_arch::slab::{ChunkPayload, ChunkState, MachineExtras, RestoreError};
@@ -42,10 +61,16 @@ use crate::sink::SinkError;
 
 /// Magic bytes opening every manifest.
 pub const MANIFEST_MAGIC: [u8; 4] = *b"HAPC";
-/// Version byte of the manifest format.
-pub const MANIFEST_VERSION: u8 = 1;
-/// Version byte of the chunk payload format.
-pub const CHUNK_VERSION: u8 = 1;
+/// Version byte of the manifest format commit writes (chunk hashes are
+/// [`word_hash64`]).
+pub const MANIFEST_VERSION: u8 = 2;
+/// Version byte of the read-only v1 manifest (chunk hashes are
+/// [`fnv1a64`]).
+pub const MANIFEST_VERSION_V1: u8 = 1;
+/// Version byte of the chunk payload format commit writes.
+pub const CHUNK_VERSION: u8 = 2;
+/// Version byte of the read-only v1 chunk payload.
+pub const CHUNK_VERSION_V1: u8 = 1;
 
 /// Failure modes of checkpoint commit, decode, and resume.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -116,8 +141,8 @@ impl From<SlabDecodeError> for CkptError {
     }
 }
 
-/// FNV-1a 64 over a byte slice — the content hash for chunk addressing and
-/// the manifest's self-checksum (same constants as
+/// FNV-1a 64 over a byte slice — the manifest's self-checksum, and the
+/// chunk content hash of v1 manifests (same constants as
 /// [`ArchConfig::geometry_hash`]).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -128,6 +153,40 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(PRIME);
     }
     h
+}
+
+/// The chunk content hash of v2 manifests, a word hash in the style of
+/// `hyperap_arch::trace::stream_set_hash`: the step `h = (h.rotl(5) ^ w) * K`
+/// over the bytes as little-endian 64-bit words, the tail bytes
+/// zero-padded into one more word, then the byte length, then the
+/// splitmix64 finalizer. It takes a word per step where [`fnv1a64`] takes
+/// a byte.
+///
+/// For a fixed word the step is a bijection of the state, and for a fixed
+/// state it is injective in the word; the finalizer is a bijection. So two
+/// inputs of the same length that differ in a single word always hash
+/// differently — in particular, every single-bit flip of a chunk changes
+/// its address.
+pub fn word_hash64(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let step = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(K);
+    let mut words = bytes.chunks_exact(8);
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for c in words.by_ref() {
+        let mut w = [0u8; 8];
+        w.copy_from_slice(c);
+        h = step(h, u64::from_le_bytes(w));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut w = [0u8; 8];
+        w[..tail.len()].copy_from_slice(tail);
+        h = step(h, u64::from_le_bytes(w));
+    }
+    h = step(h, bytes.len() as u64);
+    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    h ^ (h >> 31)
 }
 
 /// The fault-model witness embedded in every manifest: resuming into a
@@ -169,7 +228,8 @@ pub struct ChunkEntry {
     pub pes: u32,
     /// Payload length in bytes.
     pub len: u64,
-    /// FNV-1a 64 of the payload bytes (also its content address).
+    /// Content hash of the payload bytes (also its address): [`fnv1a64`]
+    /// in a v1 manifest, [`word_hash64`] in v2.
     pub hash: u64,
 }
 
@@ -177,6 +237,10 @@ pub struct ChunkEntry {
 /// one committed epoch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Manifest {
+    /// Format version: [`MANIFEST_VERSION`] for everything commit writes,
+    /// [`MANIFEST_VERSION_V1`] for an older manifest read back. It selects
+    /// the chunk hash ([`chunk_hash`](Self::chunk_hash)).
+    pub version: u8,
     /// Monotonic commit epoch.
     pub epoch: u64,
     /// [`ArchConfig::geometry_fields`] of the writing machine.
@@ -236,6 +300,22 @@ impl<'a> Cursor<'a> {
         Ok(self.0.get_u64())
     }
 
+    /// Check that `n` records of at least `each` bytes can still follow,
+    /// before anything is allocated for them; returns `n`.
+    fn fits(&self, n: u64, each: usize) -> Result<usize, CkptError> {
+        usize::try_from(n)
+            .ok()
+            .filter(|&n| n <= self.0.remaining() / each)
+            .ok_or(CkptError::Truncated)
+    }
+
+    /// Read a u32 count of records of at least `each` bytes, checked by
+    /// [`fits`](Self::fits).
+    fn count(&mut self, each: usize) -> Result<usize, CkptError> {
+        let n = self.u32()?;
+        self.fits(n.into(), each)
+    }
+
     fn bytes(&mut self, n: usize) -> Result<&'a [u8], CkptError> {
         self.need(n)?;
         let (head, tail) = self.0.split_at(n);
@@ -245,11 +325,23 @@ impl<'a> Cursor<'a> {
 }
 
 impl Manifest {
-    /// Serialize, appending the trailing self-checksum.
+    /// The content hash this manifest's chunk entries use: [`fnv1a64`] for
+    /// v1, [`word_hash64`] for v2.
+    pub fn chunk_hash(&self, payload: &[u8]) -> u64 {
+        if self.version == MANIFEST_VERSION_V1 {
+            fnv1a64(payload)
+        } else {
+            word_hash64(payload)
+        }
+    }
+
+    /// Serialize, appending the trailing self-checksum. The layout is the
+    /// same in every version; the version byte is [`version`](Self::version),
+    /// so a decoded manifest re-encodes byte for byte.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = BytesMut::new();
         buf.put_slice(&MANIFEST_MAGIC);
-        buf.put_u8(MANIFEST_VERSION);
+        buf.put_u8(self.version);
         buf.put_u64(self.epoch);
         for field in self.geometry {
             buf.put_u64(field);
@@ -293,7 +385,7 @@ impl Manifest {
             buf.put_u64(c.len);
             buf.put_u64(c.hash);
         }
-        let mut out = buf.to_vec();
+        let mut out = Vec::from(buf);
         let sum = fnv1a64(&out);
         out.extend_from_slice(&sum.to_be_bytes());
         out
@@ -304,7 +396,8 @@ impl Manifest {
     /// # Errors
     ///
     /// [`CkptError::Truncated`] / [`CkptError::BadChecksum`] for damaged
-    /// blobs (a resume falls back to an older epoch on these);
+    /// blobs (a resume falls back to an older epoch on these), including
+    /// any count that promises more bytes than remain;
     /// [`CkptError::BadVersion`] for an intact blob from an unknown future
     /// format (a hard error — falling back would silently ignore newer
     /// state).
@@ -322,7 +415,7 @@ impl Manifest {
             return Err(CkptError::BadChecksum);
         }
         let version = cur.u8()?;
-        if version != MANIFEST_VERSION {
+        if version != MANIFEST_VERSION && version != MANIFEST_VERSION_V1 {
             return Err(CkptError::BadVersion(version));
         }
         let epoch = cur.u64()?;
@@ -341,7 +434,8 @@ impl Manifest {
             },
             spare_cols: cur.u64()?,
         };
-        let groups = geometry[0] as usize;
+        // Every group record holds at least three u32 lengths and a mask.
+        let groups = cur.fits(geometry[0], 4 + 4 + 1 + 4)?;
         let mut extras = MachineExtras {
             keys: Vec::with_capacity(groups),
             key_plans: Vec::with_capacity(groups),
@@ -349,13 +443,13 @@ impl Manifest {
             data_buffers: Vec::with_capacity(groups),
         };
         for _ in 0..groups {
-            let width = cur.u32()? as usize;
+            let width = cur.count(1)?;
             let mut bits = Vec::with_capacity(width);
             for _ in 0..width {
                 bits.push(key_bit_from_u8(cur.u8()?).ok_or(CkptError::Truncated)?);
             }
             extras.keys.push(SearchKey::from_bits(bits));
-            let plen = cur.u32()? as usize;
+            let plen = cur.count(4 + 1)?;
             let mut plan = Vec::with_capacity(plen);
             for _ in 0..plen {
                 let col = cur.u32()? as usize;
@@ -367,13 +461,14 @@ impl Manifest {
             if rows == 0 {
                 return Err(CkptError::Truncated);
             }
+            cur.fits(rows.div_ceil(64) as u64, 8)?;
             let mut db = TagVector::zeros(rows);
             for w in db.blocks_mut() {
                 *w = cur.u64()?;
             }
             extras.data_buffers.push(db);
         }
-        let nchunks = cur.u32()? as usize;
+        let nchunks = cur.count(8 + 4 + 8 + 8)?;
         let mut chunks = Vec::with_capacity(nchunks);
         for _ in 0..nchunks {
             chunks.push(ChunkEntry {
@@ -387,6 +482,7 @@ impl Manifest {
             return Err(CkptError::Truncated);
         }
         Ok(Manifest {
+            version,
             epoch,
             geometry,
             fault,
@@ -396,42 +492,75 @@ impl Manifest {
     }
 }
 
-/// Serialize one chunk's state into a payload blob.
+/// Serialize one chunk's state into a v2 payload blob (see the
+/// [module docs](self)).
 pub fn encode_chunk(state: &ChunkState<'_>) -> Vec<u8> {
-    let mut buf = BytesMut::new();
-    buf.put_u8(CHUNK_VERSION);
-    buf.put_u64(state.global_base as u64);
-    for blob in [
-        state.storage.to_bytes(),
-        state.tags.to_bytes(),
-        state.latch.to_bytes(),
-        state.regs.to_bytes(),
-    ] {
-        buf.put_u64(blob.len() as u64);
-        buf.put_slice(&blob);
+    debug_assert_eq!(state.ops.len(), state.pes, "one op record per PE");
+    let storage = state.storage;
+    let planes = storage.cols() * storage.plane_words();
+    let mut out = Vec::with_capacity(
+        64 + 16 * planes + 24 * storage.plane_words() + state.ops.len() * OpCounts::ENCODED_LEN,
+    );
+    out.push(CHUNK_VERSION);
+    out.extend_from_slice(&(state.global_base as u64).to_le_bytes());
+    storage.write_plane_image(&mut out);
+    for t in [state.tags, state.latch, state.regs] {
+        t.write_plane(&mut out);
     }
-    buf.put_u32(state.ops.len() as u32);
-    let mut ops = Vec::with_capacity(state.ops.len() * OpCounts::ENCODED_LEN);
     for o in state.ops {
-        o.encode_into(&mut ops);
+        o.encode_into(&mut out);
     }
-    buf.put_slice(&ops);
-    buf.to_vec()
+    out
 }
 
-/// Decode one chunk payload blob.
+/// Decode one chunk payload blob of either version.
 ///
 /// # Errors
 ///
-/// [`CkptError::Truncated`] on short blobs, [`CkptError::BadVersion`] on
-/// unknown payload versions, [`CkptError::ChunkDecode`] when an embedded
-/// slab image is damaged.
+/// [`CkptError::Truncated`] on short blobs or trailing bytes,
+/// [`CkptError::BadVersion`] on unknown payload versions,
+/// [`CkptError::ChunkDecode`] when an embedded slab image is damaged.
 pub fn decode_chunk(bytes: &[u8]) -> Result<ChunkPayload, CkptError> {
     let mut cur = Cursor(bytes);
-    let version = cur.u8()?;
-    if version != CHUNK_VERSION {
-        return Err(CkptError::BadVersion(version));
+    match cur.u8()? {
+        CHUNK_VERSION => decode_chunk_v2(cur.0),
+        CHUNK_VERSION_V1 => decode_chunk_v1(cur),
+        v => Err(CkptError::BadVersion(v)),
     }
+}
+
+/// The v2 payload after its version byte.
+fn decode_chunk_v2(mut buf: &[u8]) -> Result<ChunkPayload, CkptError> {
+    let Some((base, rest)) = buf.split_first_chunk::<8>() else {
+        return Err(CkptError::Truncated);
+    };
+    let global_base =
+        usize::try_from(u64::from_le_bytes(*base)).map_err(|_| CkptError::Truncated)?;
+    buf = rest;
+    let storage = TcamSlab::read_plane_image(&mut buf)?;
+    let (pes, rows) = (storage.pes(), storage.rows());
+    let tags = TagSlab::read_plane(&mut buf, pes, rows)?;
+    let latch = TagSlab::read_plane(&mut buf, pes, rows)?;
+    let regs = TagSlab::read_plane(&mut buf, pes, rows)?;
+    if Some(buf.len()) != pes.checked_mul(OpCounts::ENCODED_LEN) {
+        return Err(CkptError::Truncated);
+    }
+    let ops = buf
+        .chunks_exact(OpCounts::ENCODED_LEN)
+        .filter_map(OpCounts::decode)
+        .collect();
+    Ok(ChunkPayload {
+        global_base,
+        storage,
+        tags,
+        latch,
+        regs,
+        ops,
+    })
+}
+
+/// The v1 payload after its version byte.
+fn decode_chunk_v1(mut cur: Cursor<'_>) -> Result<ChunkPayload, CkptError> {
     let global_base = cur.u64()? as usize;
     let mut blobs: Vec<&[u8]> = Vec::with_capacity(4);
     for _ in 0..4 {
@@ -442,11 +571,11 @@ pub fn decode_chunk(bytes: &[u8]) -> Result<ChunkPayload, CkptError> {
     let tags = TagSlab::from_bytes(blobs[1])?;
     let latch = TagSlab::from_bytes(blobs[2])?;
     let regs = TagSlab::from_bytes(blobs[3])?;
-    let nops = cur.u32()? as usize;
+    let nops = cur.count(OpCounts::ENCODED_LEN)?;
     let mut ops = Vec::with_capacity(nops);
     for _ in 0..nops {
         let rec = cur.bytes(OpCounts::ENCODED_LEN)?;
-        ops.push(OpCounts::decode(rec).expect("exact-length record"));
+        ops.push(OpCounts::decode(rec).ok_or(CkptError::Truncated)?);
     }
     if cur.0.has_remaining() {
         return Err(CkptError::Truncated);
@@ -459,4 +588,199 @@ pub fn decode_chunk(bytes: &[u8]) -> Result<ChunkPayload, CkptError> {
         regs,
         ops,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A one-group manifest with every variable-length field non-empty: a
+    /// 3-bit key, a 2-entry plan, a 70-row data buffer and 2 chunks.
+    fn sample() -> Manifest {
+        let mut geometry = [0u64; 10];
+        geometry[0] = 1;
+        Manifest {
+            version: MANIFEST_VERSION,
+            epoch: 7,
+            geometry,
+            fault: FaultWitness {
+                seed: 1,
+                stuck_per_million: 2,
+                miss_per_million: 3,
+                endurance_limit: None,
+                spare_cols: 4,
+            },
+            extras: MachineExtras {
+                keys: vec![SearchKey::from_bits(vec![
+                    KeyBit::One,
+                    KeyBit::Z,
+                    KeyBit::Masked,
+                ])],
+                key_plans: vec![vec![(0, KeyBit::One), (1, KeyBit::Z)]],
+                bank_masks: vec![1],
+                data_buffers: vec![TagVector::zeros(70)],
+            },
+            chunks: vec![
+                ChunkEntry {
+                    base: 0,
+                    pes: 2,
+                    len: 10,
+                    hash: 11,
+                },
+                ChunkEntry {
+                    base: 2,
+                    pes: 2,
+                    len: 12,
+                    hash: 13,
+                },
+            ],
+        }
+    }
+
+    // Field offsets in `sample().encode()`.
+    const GROUPS_AT: usize = 4 + 1 + 8;
+    const WIDTH_AT: usize = GROUPS_AT + 10 * 8 + 8 + 4 + 4 + 1 + 8;
+    const PLAN_AT: usize = WIDTH_AT + 4 + 3;
+    const ROWS_AT: usize = PLAN_AT + 4 + 2 * 5 + 1;
+    const NCHUNKS_AT: usize = ROWS_AT + 4 + 2 * 8;
+
+    /// Overwrite the bytes at `at` with `field`, re-seal, and decode: the
+    /// blob passes its checksum, so only the structural checks stand
+    /// between a bad count and an allocation.
+    fn decode_with(at: usize, field: &[u8]) -> Result<Manifest, CkptError> {
+        let mut b = sample().encode();
+        b[at..at + field.len()].copy_from_slice(field);
+        let body = b.len() - 8;
+        let seal = fnv1a64(&b[..body]).to_be_bytes();
+        b[body..].copy_from_slice(&seal);
+        Manifest::decode(&b)
+    }
+
+    #[test]
+    fn sample_round_trips_and_offsets_hold() {
+        let m = sample();
+        assert_eq!(Manifest::decode(&m.encode()), Ok(m.clone()));
+        // Rewriting each count with its own value changes nothing, so the
+        // offsets the tests below overwrite are the counts' own.
+        assert_eq!(decode_with(GROUPS_AT, &1u64.to_be_bytes()), Ok(m.clone()));
+        for (at, v) in [
+            (WIDTH_AT, 3u32),
+            (PLAN_AT, 2),
+            (ROWS_AT, 70),
+            (NCHUNKS_AT, 2),
+        ] {
+            assert_eq!(decode_with(at, &v.to_be_bytes()), Ok(m.clone()), "{at}");
+        }
+    }
+
+    #[test]
+    fn huge_group_count_is_truncated_not_allocated() {
+        assert_eq!(
+            decode_with(GROUPS_AT, &u64::MAX.to_be_bytes()),
+            Err(CkptError::Truncated)
+        );
+    }
+
+    #[test]
+    fn huge_key_width_is_truncated_not_allocated() {
+        assert_eq!(
+            decode_with(WIDTH_AT, &u32::MAX.to_be_bytes()),
+            Err(CkptError::Truncated)
+        );
+    }
+
+    #[test]
+    fn huge_plan_length_is_truncated_not_allocated() {
+        assert_eq!(
+            decode_with(PLAN_AT, &u32::MAX.to_be_bytes()),
+            Err(CkptError::Truncated)
+        );
+    }
+
+    #[test]
+    fn huge_data_buffer_rows_are_truncated_not_allocated() {
+        assert_eq!(
+            decode_with(ROWS_AT, &u32::MAX.to_be_bytes()),
+            Err(CkptError::Truncated)
+        );
+    }
+
+    #[test]
+    fn huge_chunk_count_is_truncated_not_allocated() {
+        assert_eq!(
+            decode_with(NCHUNKS_AT, &u32::MAX.to_be_bytes()),
+            Err(CkptError::Truncated)
+        );
+    }
+
+    /// One chunk file of a golden fixture directory.
+    fn fixture_chunk(version: &str) -> Vec<u8> {
+        let dir = format!(
+            "{}/../tcam/tests/golden/ckpt_{version}",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let mut names: Vec<_> = std::fs::read_dir(&dir)
+            .expect("fixture dir")
+            .map(|e| e.expect("dir entry").path())
+            .filter(|p| {
+                p.file_name()
+                    .is_some_and(|n| n.to_string_lossy().starts_with("c-"))
+            })
+            .collect();
+        names.sort();
+        std::fs::read(&names[0]).expect("chunk file")
+    }
+
+    #[test]
+    fn huge_v1_op_count_is_truncated_not_allocated() {
+        let mut chunk = fixture_chunk("v1");
+        assert!(decode_chunk(&chunk).is_ok());
+        // Skip the version byte, the base, and the four length-prefixed
+        // slab images to reach the op count.
+        let mut at = 1 + 8;
+        for _ in 0..4 {
+            let len = u64::from_be_bytes(chunk[at..at + 8].try_into().unwrap());
+            at += 8 + len as usize;
+        }
+        chunk[at..at + 4].copy_from_slice(&u32::MAX.to_be_bytes());
+        assert!(matches!(decode_chunk(&chunk), Err(CkptError::Truncated)));
+    }
+
+    #[test]
+    fn huge_v2_dimensions_are_truncated_not_allocated() {
+        let chunk = fixture_chunk("v2");
+        assert!(decode_chunk(&chunk).is_ok());
+        // The plane-image header follows the version byte and the base.
+        let header = 1 + 8;
+        for (dims, want) in [
+            // rows, then cols, far past the bytes present.
+            (vec![(1, u32::MAX)], SlabDecodeError::Truncated),
+            (vec![(2, u32::MAX)], SlabDecodeError::Truncated),
+            // The most PEs the header can name, with matching pe_words.
+            (
+                vec![(0, u32::MAX), (3, u32::MAX.div_ceil(64))],
+                SlabDecodeError::Truncated,
+            ),
+            // pe_words that contradict pes.
+            (vec![(3, 7)], SlabDecodeError::BadGeometry),
+        ] {
+            let mut c = chunk.clone();
+            for &(i, v) in &dims {
+                c[header + 4 * i..header + 4 * i + 4].copy_from_slice(&v.to_le_bytes());
+            }
+            assert_eq!(
+                decode_chunk(&c).err(),
+                Some(CkptError::ChunkDecode(want)),
+                "{dims:?}"
+            );
+        }
+        // Trailing or missing op-record bytes.
+        let mut long = chunk.clone();
+        long.push(0);
+        assert_eq!(decode_chunk(&long).err(), Some(CkptError::Truncated));
+        assert_eq!(
+            decode_chunk(&chunk[..chunk.len() - 1]).err(),
+            Some(CkptError::Truncated)
+        );
+    }
 }

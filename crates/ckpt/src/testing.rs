@@ -22,9 +22,9 @@ use hyperap_tcam::{FaultModel, SearchKey};
 
 use crate::sink::{CheckpointSink, MemSink, SinkError};
 
-/// The deterministic machine behind the `ckpt_v1` golden fixture
-/// (`crates/tcam/tests/golden/ckpt_v1/`, regenerated by
-/// `examples/gen_golden_ckpt.rs`): a `tiny()` geometry with an explicit
+/// The deterministic machine behind the `ckpt_v1` and `ckpt_v2` golden
+/// fixtures (`crates/tcam/tests/golden/ckpt_v*/`; `ckpt_v2` is regenerated
+/// by `examples/gen_golden_ckpt.rs`): a `tiny()` geometry with an explicit
 /// seeded fault model (immune to the `HYPERAP_FAULTS` override), loaded
 /// and driven through every state class a checkpoint carries — storage
 /// and wear, tags/latches, data registers, controller buffers, key and

@@ -1,24 +1,33 @@
-//! Wire-format stability and typed decode errors, pinned by the on-disk
-//! `ckpt_v1` fixture (`crates/tcam/tests/golden/ckpt_v1/`, written by
-//! `examples/gen_golden_ckpt.rs`): the fixture must restore bit-identically
-//! into today's machine (including across a different chunk width), today's
-//! encoder must reproduce the fixture byte-for-byte, and damaged variants
-//! must fail with the right typed [`CkptError`].
+//! Wire-format stability and typed decode errors, pinned by two on-disk
+//! fixtures of the same machine under `crates/tcam/tests/golden/`:
+//! `ckpt_v1` (frozen — nothing writes v1 any more) and `ckpt_v2` (written
+//! by `examples/gen_golden_ckpt.rs`). Both must restore bit-identically
+//! into today's machine (including across a different chunk width),
+//! today's encoder must reproduce the v2 fixture byte-for-byte, and
+//! damaged variants of either must fail with the right typed
+//! [`CkptError`].
 
 mod common;
 
 use common::assert_identical;
 use hyperap_arch::{ArchConfig, SlabMachine};
-use hyperap_ckpt::manifest::MANIFEST_VERSION;
+use hyperap_ckpt::manifest::{CHUNK_VERSION, MANIFEST_VERSION};
 use hyperap_ckpt::testing::golden_machine;
-use hyperap_ckpt::{fnv1a64, CheckpointSink, Checkpointer, CkptError, Manifest, MemSink};
+use hyperap_ckpt::{
+    fnv1a64, word_hash64, CheckpointSink, Checkpointer, CkptError, Manifest, MemSink,
+};
 
-const FIXTURE_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../tcam/tests/golden/ckpt_v1");
+const V1_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../tcam/tests/golden/ckpt_v1");
+const V2_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../tcam/tests/golden/ckpt_v2");
 
-/// Load the fixture directory into a [`MemSink`].
-fn fixture_sink() -> MemSink {
+/// Both fixtures: every check below that is not about the encoder runs
+/// on each.
+const FIXTURES: [&str; 2] = [V1_DIR, V2_DIR];
+
+/// Load a fixture directory into a [`MemSink`].
+fn fixture_sink(dir: &str) -> MemSink {
     let mut sink = MemSink::new();
-    for entry in std::fs::read_dir(FIXTURE_DIR).expect("fixture dir present") {
+    for entry in std::fs::read_dir(dir).expect("fixture dir present") {
         let entry = entry.unwrap();
         let name = entry.file_name().into_string().unwrap();
         sink.insert(name, std::fs::read(entry.path()).unwrap());
@@ -50,16 +59,18 @@ fn fixture_restores_bit_identically_and_reencodes_byte_identically() {
     let rebuilt = golden_machine();
 
     // Restore at the native chunk width and through a migration.
-    for chunk_pes in [3usize, 1, 4] {
-        let mut restored = blank(chunk_pes);
-        let mut ck = Checkpointer::new(fixture_sink());
-        assert_eq!(ck.resume(&mut restored).unwrap(), 0);
-        assert_identical(&restored, &rebuilt, &format!("fixture @ chunk {chunk_pes}"));
+    for dir in FIXTURES {
+        for chunk_pes in [3usize, 1, 4] {
+            let mut restored = blank(chunk_pes);
+            let mut ck = Checkpointer::new(fixture_sink(dir));
+            assert_eq!(ck.resume(&mut restored).unwrap(), 0);
+            assert_identical(&restored, &rebuilt, &format!("{dir} @ chunk {chunk_pes}"));
+        }
     }
 
-    // Today's encoder must reproduce the fixture exactly: same manifest
+    // Today's encoder must reproduce the v2 fixture exactly: same manifest
     // bytes, same content-addressed chunk files.
-    let fixture = fixture_sink();
+    let fixture = fixture_sink(V2_DIR);
     let mut ck = Checkpointer::new(MemSink::new());
     ck.set_keep(1);
     ck.checkpoint(&rebuilt).unwrap();
@@ -81,7 +92,13 @@ fn fixture_restores_bit_identically_and_reencodes_byte_identically() {
 
 #[test]
 fn truncated_manifest_fails_typed_at_every_byte_boundary() {
-    let sink = fixture_sink();
+    for dir in FIXTURES {
+        truncated_manifest_fails_typed(dir);
+    }
+}
+
+fn truncated_manifest_fails_typed(dir: &str) {
+    let sink = fixture_sink(dir);
     let blob = sink.read(&manifest_name(&sink)).unwrap();
     assert!(Manifest::decode(&blob).is_ok());
     for len in 0..blob.len() {
@@ -101,7 +118,13 @@ fn truncated_manifest_fails_typed_at_every_byte_boundary() {
 
 #[test]
 fn version_skew_is_a_hard_typed_error() {
-    let mut sink = fixture_sink();
+    for dir in FIXTURES {
+        version_skew_fails_hard(dir);
+    }
+}
+
+fn version_skew_fails_hard(dir: &str) {
+    let mut sink = fixture_sink(dir);
     let name = manifest_name(&sink);
     let mut blob = sink.read(&name).unwrap();
     // Bump the version byte (after the 4-byte magic) and re-seal the
@@ -124,12 +147,18 @@ fn version_skew_is_a_hard_typed_error() {
 
 #[test]
 fn geometry_mismatch_is_a_hard_typed_error() {
+    for dir in FIXTURES {
+        geometry_mismatch_fails_hard(dir);
+    }
+}
+
+fn geometry_mismatch_fails_hard(dir: &str) {
     // Wrong shape.
     let mut cfg = ArchConfig::tiny();
     cfg.rows = 8;
     cfg.faults = golden_machine().config().faults;
     let mut wrong = SlabMachine::new(cfg);
-    let mut ck = Checkpointer::new(fixture_sink());
+    let mut ck = Checkpointer::new(fixture_sink(dir));
     assert!(matches!(
         ck.resume(&mut wrong),
         Err(CkptError::GeometryMismatch)
@@ -141,7 +170,7 @@ fn geometry_mismatch_is_a_hard_typed_error() {
     faults.model.seed ^= 1;
     cfg.faults = faults;
     let mut wrong_faults = SlabMachine::with_chunk_pes(cfg, 3);
-    let mut ck = Checkpointer::new(fixture_sink());
+    let mut ck = Checkpointer::new(fixture_sink(dir));
     assert!(matches!(
         ck.resume(&mut wrong_faults),
         Err(CkptError::GeometryMismatch)
@@ -150,17 +179,23 @@ fn geometry_mismatch_is_a_hard_typed_error() {
 
 #[test]
 fn chunk_version_skew_is_a_hard_typed_error() {
+    for dir in FIXTURES {
+        chunk_version_skew_fails_hard(dir);
+    }
+}
+
+fn chunk_version_skew_fails_hard(dir: &str) {
     // Re-version one chunk payload (first byte), re-address it, and point
     // the manifest at the new file: the manifest is intact, the chunk is
     // intact-but-future — a hard BadVersion, not a silent fallback.
-    let mut sink = fixture_sink();
+    let mut sink = fixture_sink(dir);
     let name = manifest_name(&sink);
     let mut man = Manifest::decode(&sink.read(&name).unwrap()).unwrap();
     let old = man.chunks[0];
     let old_name = format!("c-{:016x}-{}.bin", old.hash, old.len);
     let mut payload = sink.read(&old_name).unwrap();
-    payload[0] += 1;
-    let (hash, len) = (fnv1a64(&payload), payload.len() as u64);
+    payload[0] = CHUNK_VERSION + 1;
+    let (hash, len) = (man.chunk_hash(&payload), payload.len() as u64);
     sink.insert(format!("c-{hash:016x}-{len}.bin"), payload);
     man.chunks[0].hash = hash;
     man.chunks[0].len = len;
@@ -174,10 +209,16 @@ fn chunk_version_skew_is_a_hard_typed_error() {
 
 #[test]
 fn damaged_chunks_fall_back_softly() {
+    for dir in FIXTURES {
+        damaged_chunks_fall_back(dir);
+    }
+}
+
+fn damaged_chunks_fall_back(dir: &str) {
     // Corrupt one chunk file: the only epoch no longer verifies, and with
     // no older epoch the typed result is NoCheckpoint — never a partial
     // restore.
-    let mut sink = fixture_sink();
+    let mut sink = fixture_sink(dir);
     let chunk = sink
         .files()
         .keys()
@@ -195,11 +236,82 @@ fn damaged_chunks_fall_back_softly() {
     ));
 
     // Remove it entirely: same typed fallback.
-    let mut sink = fixture_sink();
+    let mut sink = fixture_sink(dir);
     CheckpointSink::remove(&mut sink, &chunk).unwrap();
     let mut ck = Checkpointer::new(sink);
     assert!(matches!(
         ck.resume(&mut blank(3)),
         Err(CkptError::NoCheckpoint)
     ));
+}
+
+#[test]
+fn fixtures_address_chunks_by_their_versions_hash() {
+    for (dir, version, hash) in [
+        (V1_DIR, 1, fnv1a64 as fn(&[u8]) -> u64),
+        (V2_DIR, MANIFEST_VERSION, word_hash64),
+    ] {
+        let sink = fixture_sink(dir);
+        let man = Manifest::decode(&sink.read(&manifest_name(&sink)).unwrap()).unwrap();
+        assert_eq!(man.version, version, "{dir}");
+        for c in &man.chunks {
+            let payload = sink
+                .read(&format!("c-{:016x}-{}.bin", c.hash, c.len))
+                .unwrap();
+            assert_eq!(payload.len() as u64, c.len, "{dir}");
+            assert_eq!(hash(&payload), c.hash, "{dir}");
+            assert_eq!(man.chunk_hash(&payload), c.hash, "{dir}");
+        }
+    }
+}
+
+#[test]
+fn every_single_bit_flip_of_a_v2_chunk_changes_its_hash() {
+    // Exhaustive over the fixture's chunk bytes: the hash step is a
+    // bijection of the state and injective in the word, so no flip may
+    // leave a chunk at its old address.
+    let sink = fixture_sink(V2_DIR);
+    let mut flips = 0usize;
+    for (name, bytes) in sink.files().iter().filter(|(n, _)| n.starts_with("c-")) {
+        let want = word_hash64(bytes);
+        let mut flipped = bytes.clone();
+        for i in 0..flipped.len() {
+            for bit in 0..8 {
+                flipped[i] ^= 1 << bit;
+                assert_ne!(word_hash64(&flipped), want, "{name}: byte {i} bit {bit}");
+                flipped[i] ^= 1 << bit;
+                flips += 1;
+            }
+        }
+    }
+    assert!(flips > 0, "fixture has chunk files");
+}
+
+#[test]
+fn refused_extras_or_chunks_leave_the_machine_untouched() {
+    // An intact, sealed manifest whose extras or chunk table contradict
+    // the machine: resume fails typed, and nothing of the fixture's state
+    // may have been installed by then.
+    for dir in FIXTURES {
+        let mut bad_plan = fixture_sink(dir);
+        let name = manifest_name(&bad_plan);
+        let mut man = Manifest::decode(&bad_plan.read(&name).unwrap()).unwrap();
+        man.extras.key_plans[0].push((9999, hyperap_tcam::KeyBit::One));
+        bad_plan.insert(name.clone(), man.encode());
+
+        let mut short = fixture_sink(dir);
+        let mut man = Manifest::decode(&short.read(&name).unwrap()).unwrap();
+        man.chunks.pop();
+        short.insert(name.clone(), man.encode());
+
+        for (sink, what) in [(bad_plan, "key plan"), (short, "chunk table")] {
+            let mut m = blank(3);
+            let err = Checkpointer::new(sink).resume(&mut m).unwrap_err();
+            assert!(
+                matches!(err, CkptError::Restore(_)),
+                "{dir} {what}: {err:?}"
+            );
+            assert_identical(&m, &blank(3), &format!("{dir} {what}"));
+        }
+    }
 }

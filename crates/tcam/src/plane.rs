@@ -4,10 +4,10 @@
 //!
 //! The slab arenas ([`crate::slab::TcamSlab`], [`crate::slab::TagSlab`])
 //! store one *cell position* across 64 PEs per `u64` word — bit `p` of a
-//! plane word is PE `p`'s bit for that row. Everything outside the kernels
-//! (byte images, per-PE snapshots, the reference arrays) speaks the
-//! historical per-PE layout of 64-*row* blocks, so conversions are bit
-//! transposes. They run tile-wise with the Hacker's Delight in-register
+//! plane word is PE `p`'s bit for that row. Per-PE snapshots, the
+//! reference arrays and the `to_bytes` images speak the historical per-PE
+//! layout of 64-*row* blocks, so conversions are bit transposes (the
+//! checkpoint plane images store the planes as they are and need none). They run tile-wise with the Hacker's Delight in-register
 //! 64×64 transpose, which keeps whole-slab conversions O(words) instead of
 //! O(bits).
 

@@ -44,9 +44,12 @@
 //! [`TcamArray`] search and write sequence (property-tested in
 //! `tests/slab_properties.rs`), and
 //! [`from_arrays`](TcamSlab::from_arrays) / [`to_arrays`](TcamSlab::to_arrays)
-//! convert losslessly in both directions, wear included. Byte images keep
-//! the historical per-PE wire layout (`[col][pe][block]`), converted at the
-//! encode/decode boundary by the tile transposes in `crate::plane`.
+//! convert losslessly in both directions, wear included. The
+//! [`to_bytes`](TcamSlab::to_bytes) images keep the historical per-PE wire
+//! layout (`[col][pe][block]`), converted at the encode/decode boundary by
+//! the tile transposes in `crate::plane`; the plane images
+//! ([`write_plane_image`](TcamSlab::write_plane_image),
+//! [`TagSlab::write_plane`]) store the arenas as they are.
 
 use crate::array::TcamArray;
 use crate::bit::{KeyBit, TernaryBit};
@@ -483,6 +486,42 @@ impl TagSlab {
             version: 0,
         })
     }
+
+    /// Append the plane's `rows * pe_words` words, little-endian in memory
+    /// order — one tag plane of a checkpoint chunk v2, whose `(pes, rows)`
+    /// travel in the storage header ([`TcamSlab::write_plane_image`]).
+    pub fn write_plane(&self, out: &mut Vec<u8>) {
+        put_words_le(out, &self.blocks);
+    }
+
+    /// Read a [`write_plane`](Self::write_plane) plane of a `pes × rows`
+    /// slab off the front of `buf`, advancing it.
+    ///
+    /// # Errors
+    ///
+    /// [`SlabDecodeError::BadGeometry`] on a zero dimension or a set bit in
+    /// the PE padding of a row, [`SlabDecodeError::Truncated`] when `buf`
+    /// is short.
+    pub fn read_plane(buf: &mut &[u8], pes: usize, rows: usize) -> Result<Self, SlabDecodeError> {
+        if pes == 0 || rows == 0 {
+            return Err(SlabDecodeError::BadGeometry);
+        }
+        let pe_mask = plane::pe_mask(pes);
+        let n = rows
+            .checked_mul(pe_mask.len())
+            .ok_or(SlabDecodeError::Truncated)?;
+        let blocks = take_words_le(buf, n)?;
+        if pe_padding_set(&blocks, &pe_mask) {
+            return Err(SlabDecodeError::BadGeometry);
+        }
+        Ok(TagSlab {
+            pes,
+            rows,
+            pw: pe_mask.len(),
+            blocks,
+            version: 0,
+        })
+    }
 }
 
 /// Failure modes of [`TcamSlab::from_bytes`] and [`TagSlab::from_bytes`].
@@ -493,10 +532,17 @@ pub enum SlabDecodeError {
     Truncated,
     /// The version byte is not [`TcamSlab::FORMAT_VERSION`].
     BadVersion(u8),
-    /// A header dimension is zero.
+    /// A header dimension is zero or contradicts another, or a bit is set
+    /// in the padding of a plane (rows past `rows`, PEs past `pes`, or
+    /// columns past `cols` of a wear bitmap).
     BadGeometry,
     /// Bytes remain after the payload.
     TrailingBytes(usize),
+    /// The fault bookkeeping contradicts the slab: a flag byte other than
+    /// 0 or 1, a PE base that overflows, more spares used than the budget,
+    /// or a remap, retirement or failure naming a column past the slab's
+    /// columns and spares.
+    BadFault,
 }
 
 impl std::fmt::Display for SlabDecodeError {
@@ -506,11 +552,213 @@ impl std::fmt::Display for SlabDecodeError {
             SlabDecodeError::BadVersion(v) => write!(f, "unknown slab format version {v}"),
             SlabDecodeError::BadGeometry => write!(f, "slab header has a zero dimension"),
             SlabDecodeError::TrailingBytes(n) => write!(f, "{n} trailing bytes after slab image"),
+            SlabDecodeError::BadFault => write!(f, "slab fault bookkeeping is inconsistent"),
         }
     }
 }
 
 impl std::error::Error for SlabDecodeError {}
+
+/// Append `words` as little-endian bytes — the plane images' word codec,
+/// a straight copy on little-endian hosts.
+fn put_words_le(out: &mut Vec<u8>, words: &[u64]) {
+    let at = out.len();
+    out.resize(at + words.len() * 8, 0);
+    for (dst, w) in out[at..].chunks_exact_mut(8).zip(words) {
+        dst.copy_from_slice(&w.to_le_bytes());
+    }
+}
+
+/// Split the first `n` bytes off `buf`.
+fn take_bytes<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], SlabDecodeError> {
+    if buf.len() < n {
+        return Err(SlabDecodeError::Truncated);
+    }
+    let (head, tail) = buf.split_at(n);
+    *buf = tail;
+    Ok(head)
+}
+
+/// Read `n` little-endian words off `buf`. The length is checked against
+/// the bytes present before anything is allocated.
+fn take_words_le(buf: &mut &[u8], n: usize) -> Result<Vec<u64>, SlabDecodeError> {
+    let len = n.checked_mul(8).ok_or(SlabDecodeError::Truncated)?;
+    let bytes = take_bytes(buf, len)?;
+    Ok(bytes
+        .chunks_exact(8)
+        .map(|c| {
+            let mut w = [0u8; 8];
+            w.copy_from_slice(c);
+            u64::from_le_bytes(w)
+        })
+        .collect())
+}
+
+/// True when any row of a `[row][pe_word]` plane (or a run of them) has a
+/// bit set past the live PEs, given the live mask `pe_mask` of one row.
+fn pe_padding_set(words: &[u64], pe_mask: &[u64]) -> bool {
+    let pw = pe_mask.len();
+    let pad = !pe_mask[pw - 1];
+    pad != 0 && words.chunks_exact(pw).any(|row| row[pw - 1] & pad != 0)
+}
+
+/// Append a slab's fault bookkeeping as big-endian fields: model, PE base,
+/// spare budget and epoch, then per PE the spares used, the latched
+/// failure, the remap table and the retirement log. Stuck and search
+/// masks are not written — they are pure functions of this bookkeeping
+/// and are recomputed on decode. The one codec behind both
+/// [`TcamSlab::to_bytes`] and [`TcamSlab::write_plane_image`].
+///
+/// # Panics
+///
+/// Panics if the spare budget exceeds `u16::MAX`.
+fn put_fault_tail<B: BufMut>(buf: &mut B, f: &SlabFaultState) {
+    assert!(
+        f.spares <= u16::MAX as usize,
+        "spare count exceeds image format"
+    );
+    buf.put_u64(f.model.seed);
+    buf.put_u32(f.model.stuck_per_million);
+    buf.put_u32(f.model.miss_per_million);
+    match f.model.endurance_limit {
+        Some(limit) => {
+            buf.put_u8(1);
+            buf.put_u64(limit);
+        }
+        None => buf.put_u8(0),
+    }
+    buf.put_u64(f.pe0 as u64);
+    buf.put_u16(f.spares as u16);
+    buf.put_u64(f.epoch);
+    for pe in 0..f.pes {
+        buf.put_u16(f.next_spare[pe]);
+        match f.failed[pe] {
+            Some((col, wear)) => {
+                buf.put_u8(1);
+                buf.put_u16(col);
+                buf.put_u64(wear);
+            }
+            None => buf.put_u8(0),
+        }
+        for &r in &f.remap[pe * f.cols..(pe + 1) * f.cols] {
+            buf.put_u16(r);
+        }
+        buf.put_u16(f.retired[pe].len() as u16);
+        for &(col, phys) in &f.retired[pe] {
+            buf.put_u16(col);
+            buf.put_u16(phys);
+        }
+    }
+}
+
+/// Decode a [`put_fault_tail`] record for a `pes × rows × cols` slab,
+/// advancing `buf` past it. Every count is checked against the bytes
+/// that remain before it allocates, and the bookkeeping is checked for
+/// consistency with the slab so no later kernel can index past it.
+fn get_fault_tail(
+    buf: &mut &[u8],
+    pes: usize,
+    rows: usize,
+    cols: usize,
+) -> Result<SlabFaultState, SlabDecodeError> {
+    use SlabDecodeError::{BadFault, Truncated};
+    // Fixed part: seed + rates + limit flag.
+    if buf.remaining() < 8 + 4 + 4 + 1 {
+        return Err(Truncated);
+    }
+    let seed = buf.get_u64();
+    let stuck_per_million = buf.get_u32();
+    let miss_per_million = buf.get_u32();
+    let endurance_limit = match buf.get_u8() {
+        0 => None,
+        1 => {
+            if buf.remaining() < 8 {
+                return Err(Truncated);
+            }
+            Some(buf.get_u64())
+        }
+        _ => return Err(BadFault),
+    };
+    if buf.remaining() < 8 + 2 + 8 {
+        return Err(Truncated);
+    }
+    let pe0 = usize::try_from(buf.get_u64())
+        .ok()
+        .filter(|p| p.checked_add(pes).is_some())
+        .ok_or(BadFault)?;
+    let spares = buf.get_u16() as usize;
+    let epoch = buf.get_u64();
+    // Each PE record takes at least spares-used, a failure flag, the remap
+    // table and the log length.
+    if buf.remaining() / (2 + 1 + 2 * cols + 2) < pes {
+        return Err(Truncated);
+    }
+    let devices = cols + spares;
+    let mut next_spare = Vec::with_capacity(pes);
+    let mut failed = Vec::with_capacity(pes);
+    let mut remap = Vec::with_capacity(pes * cols);
+    let mut retired = Vec::with_capacity(pes);
+    for _ in 0..pes {
+        if buf.remaining() < 2 + 1 {
+            return Err(Truncated);
+        }
+        let used = buf.get_u16();
+        if used as usize > spares {
+            return Err(BadFault);
+        }
+        next_spare.push(used);
+        failed.push(match buf.get_u8() {
+            0 => None,
+            1 => {
+                if buf.remaining() < 2 + 8 {
+                    return Err(Truncated);
+                }
+                let (col, wear) = (buf.get_u16(), buf.get_u64());
+                if col as usize >= cols {
+                    return Err(BadFault);
+                }
+                Some((col, wear))
+            }
+            _ => return Err(BadFault),
+        });
+        if buf.remaining() < cols * 2 + 2 {
+            return Err(Truncated);
+        }
+        for _ in 0..cols {
+            let r = buf.get_u16();
+            if r as usize >= devices {
+                return Err(BadFault);
+            }
+            remap.push(r);
+        }
+        // One log entry per spare used.
+        let n = buf.get_u16() as usize;
+        if n != used as usize {
+            return Err(BadFault);
+        }
+        if buf.remaining() < n * 4 {
+            return Err(Truncated);
+        }
+        let mut log = Vec::with_capacity(n);
+        for _ in 0..n {
+            let (col, phys) = (buf.get_u16(), buf.get_u16());
+            if col as usize >= cols || phys as usize >= devices {
+                return Err(BadFault);
+            }
+            log.push((col, phys));
+        }
+        retired.push(log);
+    }
+    let model = FaultModel {
+        seed,
+        stuck_per_million,
+        miss_per_million,
+        endurance_limit,
+    };
+    Ok(SlabFaultState::restore(
+        model, pe0, spares, pes, rows, cols, epoch, next_spare, remap, retired, failed,
+    ))
+}
 
 /// Whole-plane match core for one plan pre-resolved to exactly `K`
 /// *miss planes* — bit-line planes whose set bits rule a lane out.
@@ -2114,42 +2362,7 @@ impl TcamSlab {
             buf.put_slice(&w.to_be_bytes());
         }
         if let Some(f) = &self.fault {
-            assert!(
-                f.spares <= u16::MAX as usize,
-                "spare count exceeds image format"
-            );
-            buf.put_u64(f.model.seed);
-            buf.put_u32(f.model.stuck_per_million);
-            buf.put_u32(f.model.miss_per_million);
-            match f.model.endurance_limit {
-                Some(limit) => {
-                    buf.put_u8(1);
-                    buf.put_u64(limit);
-                }
-                None => buf.put_u8(0),
-            }
-            buf.put_u64(f.pe0 as u64);
-            buf.put_u16(f.spares as u16);
-            buf.put_u64(f.epoch);
-            for pe in 0..self.pes {
-                buf.put_u16(f.next_spare[pe]);
-                match f.failed[pe] {
-                    Some((col, wear)) => {
-                        buf.put_u8(1);
-                        buf.put_u16(col);
-                        buf.put_u64(wear);
-                    }
-                    None => buf.put_u8(0),
-                }
-                for &r in &f.remap[pe * self.cols..(pe + 1) * self.cols] {
-                    buf.put_u16(r);
-                }
-                buf.put_u16(f.retired[pe].len() as u16);
-                for &(col, phys) in &f.retired[pe] {
-                    buf.put_u16(col);
-                    buf.put_u16(phys);
-                }
-            }
+            put_fault_tail(&mut buf, f);
         }
         buf.to_vec()
     }
@@ -2194,73 +2407,7 @@ impl TcamSlab {
         let ones_w = read_words(arena);
         let wear = read_words(cols * pes);
         let fault = if version == Self::FORMAT_VERSION_FAULT {
-            // Fixed part: seed + rates + limit flag + pe0 + spares + epoch.
-            if buf.remaining() < 8 + 4 + 4 + 1 {
-                return Err(SlabDecodeError::Truncated);
-            }
-            let seed = buf.get_u64();
-            let stuck_per_million = buf.get_u32();
-            let miss_per_million = buf.get_u32();
-            let endurance_limit = match buf.get_u8() {
-                0 => None,
-                _ => {
-                    if buf.remaining() < 8 {
-                        return Err(SlabDecodeError::Truncated);
-                    }
-                    Some(buf.get_u64())
-                }
-            };
-            if buf.remaining() < 8 + 2 + 8 {
-                return Err(SlabDecodeError::Truncated);
-            }
-            let pe0 = buf.get_u64() as usize;
-            let spares = buf.get_u16() as usize;
-            let epoch = buf.get_u64();
-            let mut next_spare = Vec::with_capacity(pes);
-            let mut failed = Vec::with_capacity(pes);
-            let mut remap = Vec::with_capacity(pes * cols);
-            let mut retired = Vec::with_capacity(pes);
-            for _ in 0..pes {
-                if buf.remaining() < 2 + 1 {
-                    return Err(SlabDecodeError::Truncated);
-                }
-                next_spare.push(buf.get_u16());
-                failed.push(match buf.get_u8() {
-                    0 => None,
-                    _ => {
-                        if buf.remaining() < 2 + 8 {
-                            return Err(SlabDecodeError::Truncated);
-                        }
-                        Some((buf.get_u16(), buf.get_u64()))
-                    }
-                });
-                if buf.remaining() < cols * 2 + 2 {
-                    return Err(SlabDecodeError::Truncated);
-                }
-                for _ in 0..cols {
-                    remap.push(buf.get_u16());
-                }
-                let n = buf.get_u16() as usize;
-                if buf.remaining() < n * 4 {
-                    return Err(SlabDecodeError::Truncated);
-                }
-                let mut log = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let col = buf.get_u16();
-                    let phys = buf.get_u16();
-                    log.push((col, phys));
-                }
-                retired.push(log);
-            }
-            let model = FaultModel {
-                seed,
-                stuck_per_million,
-                miss_per_million,
-                endurance_limit,
-            };
-            Some(Box::new(SlabFaultState::restore(
-                model, pe0, spares, pes, rows, cols, epoch, next_spare, remap, retired, failed,
-            )))
+            Some(Box::new(get_fault_tail(&mut buf, pes, rows, cols)?))
         } else {
             None
         };
@@ -2285,6 +2432,131 @@ impl TcamSlab {
         }
         slab.wear = wear;
         slab.fault = fault;
+        slab.recompute_summaries();
+        Ok(slab)
+    }
+
+    /// Append the plane image: the storage layout of a checkpoint chunk
+    /// v2. It is a `(pes, rows, cols, pe_words)` header of little-endian
+    /// `u32`s, then the `zeros` and `ones` arenas as little-endian words in
+    /// their in-memory `[col][row][pe_word]` order, then wear as a
+    /// `cols.div_ceil(64)`-word bitmap of the columns with any nonzero
+    /// counter followed by only those columns' `pes` counters, then a fault
+    /// flag byte and, when it is 1, the fault bookkeeping tail that
+    /// [`to_bytes`](Self::to_bytes) also writes. Unlike `to_bytes` there is
+    /// no transpose: both directions are word copies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a dimension exceeds `u32::MAX`.
+    pub fn write_plane_image(&self, out: &mut Vec<u8>) {
+        for dim in [self.pes, self.rows, self.cols, self.pw] {
+            let dim = u32::try_from(dim).expect("dimension exceeds image format");
+            out.extend_from_slice(&dim.to_le_bytes());
+        }
+        out.reserve(16 * self.zeros.len() + 8 * self.cols.div_ceil(64));
+        put_words_le(out, &self.zeros);
+        put_words_le(out, &self.ones);
+        let worn: Vec<bool> = self
+            .wear
+            .chunks_exact(self.pes)
+            .map(|col| col.iter().any(|&w| w != 0))
+            .collect();
+        let mut bitmap = vec![0u64; self.cols.div_ceil(64)];
+        for (c, _) in worn.iter().enumerate().filter(|(_, &w)| w) {
+            bitmap[c / 64] |= 1u64 << (c % 64);
+        }
+        put_words_le(out, &bitmap);
+        for (col, _) in self
+            .wear
+            .chunks_exact(self.pes)
+            .zip(&worn)
+            .filter(|(_, &w)| w)
+        {
+            put_words_le(out, col);
+        }
+        match &self.fault {
+            Some(f) => {
+                out.push(1);
+                put_fault_tail(out, f);
+            }
+            None => out.push(0),
+        }
+    }
+
+    /// Read a [`write_plane_image`](Self::write_plane_image) image off the
+    /// front of `buf`, advancing it. Every length is checked against the
+    /// bytes that remain before anything is allocated.
+    ///
+    /// # Errors
+    ///
+    /// [`SlabDecodeError::Truncated`] when `buf` is short;
+    /// [`SlabDecodeError::BadGeometry`] on a zero dimension, a `pe_words`
+    /// that is not `pes.div_ceil(64)`, a set bit in the PE padding of a
+    /// plane or past `cols` in the wear bitmap, or a listed wear column
+    /// whose counters are all zero (so every slab has exactly one image);
+    /// [`SlabDecodeError::BadFault`] on inconsistent fault bookkeeping.
+    pub fn read_plane_image(buf: &mut &[u8]) -> Result<Self, SlabDecodeError> {
+        use SlabDecodeError::{BadFault, BadGeometry, Truncated};
+        let head = take_bytes(buf, 16)?;
+        let dim = |i: usize| {
+            let mut w = [0u8; 4];
+            w.copy_from_slice(&head[4 * i..4 * i + 4]);
+            u32::from_le_bytes(w) as usize
+        };
+        let (pes, rows, cols, pw) = (dim(0), dim(1), dim(2), dim(3));
+        if pes == 0 || rows == 0 || cols == 0 || pw != pes.div_ceil(64) {
+            return Err(BadGeometry);
+        }
+        let arena = cols
+            .checked_mul(rows)
+            .and_then(|n| n.checked_mul(pw))
+            .ok_or(Truncated)?;
+        let zeros = take_words_le(buf, arena)?;
+        let ones = take_words_le(buf, arena)?;
+        let pe_mask = plane::pe_mask(pes);
+        if pe_padding_set(&zeros, &pe_mask) || pe_padding_set(&ones, &pe_mask) {
+            return Err(BadGeometry);
+        }
+        let bitmap = take_words_le(buf, cols.div_ceil(64))?;
+        if cols % 64 != 0 && bitmap[cols / 64] >> (cols % 64) != 0 {
+            return Err(BadGeometry);
+        }
+        let listed = bitmap
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum::<usize>();
+        let counters = take_words_le(buf, listed.checked_mul(pes).ok_or(Truncated)?)?;
+        // `cols * pes` is at most 64 words per arena word already read.
+        let mut wear = vec![0u64; cols * pes];
+        let set_cols = (0..cols).filter(|c| bitmap[c / 64] >> (c % 64) & 1 == 1);
+        for (c, src) in set_cols.zip(counters.chunks_exact(pes)) {
+            if src.iter().all(|&w| w == 0) {
+                return Err(BadGeometry);
+            }
+            wear[c * pes..(c + 1) * pes].copy_from_slice(src);
+        }
+        let fault = match take_bytes(buf, 1)?[0] {
+            0 => None,
+            1 => Some(Box::new(get_fault_tail(buf, pes, rows, cols)?)),
+            _ => return Err(BadFault),
+        };
+        let live = pe_mask.repeat(rows);
+        let mut slab = TcamSlab {
+            pes,
+            rows,
+            cols,
+            pw,
+            zeros,
+            ones,
+            pe_mask,
+            live,
+            wear,
+            fault,
+            zsum: vec![PlaneSummary::Unknown; cols],
+            osum: vec![PlaneSummary::Unknown; cols],
+            version: 0,
+        };
         slab.recompute_summaries();
         Ok(slab)
     }
@@ -3524,6 +3796,159 @@ mod tests {
             TcamSlab::from_bytes(&bytes[..bytes.len() - 3]),
             Err(SlabDecodeError::Truncated)
         );
+    }
+
+    /// A slab with cells, wear on some columns, and (optionally) fault
+    /// bookkeeping with a retired column — every field the plane image
+    /// carries.
+    fn imaged(pes: usize, faulty: bool) -> TcamSlab {
+        let (mut slab, _) = seeded(pes, 70, 4);
+        if faulty {
+            let model = FaultModel {
+                seed: 99,
+                stuck_per_million: 25_000,
+                miss_per_million: 10_000,
+                endurance_limit: Some(1),
+            };
+            slab.attach_fault(model, 2, 5);
+        }
+        let tags = tag_pattern(&slab, 2);
+        slab.write_column_multi(1, TernaryBit::One, tags.words(), None);
+        slab.write_column_multi(3, TernaryBit::Zero, tags.words(), None);
+        if faulty {
+            slab.service_endurance().expect("two spares per PE");
+        }
+        slab
+    }
+
+    fn plane_image(slab: &TcamSlab) -> Vec<u8> {
+        let mut out = Vec::new();
+        slab.write_plane_image(&mut out);
+        out
+    }
+
+    #[test]
+    fn plane_image_round_trips_and_stores_only_worn_columns() {
+        for (pes, faulty) in [(3, false), (67, false), (64, true), (67, true)] {
+            let slab = imaged(pes, faulty);
+            let bytes = plane_image(&slab);
+            let mut buf = bytes.as_slice();
+            let back = TcamSlab::read_plane_image(&mut buf).expect("own image decodes");
+            assert!(buf.is_empty(), "pes {pes}: the image is consumed exactly");
+            assert_eq!(back, slab, "pes {pes} faulty {faulty}");
+            assert_eq!(
+                plane_image(&back),
+                bytes,
+                "pes {pes}: re-encodes byte for byte"
+            );
+            if !faulty {
+                // Header, two arenas, a one-word bitmap, two worn columns,
+                // the fault flag.
+                let arena = 4 * 70 * pes.div_ceil(64) * 8;
+                assert_eq!(bytes.len(), 16 + 2 * arena + 8 + 2 * pes * 8 + 1);
+            }
+        }
+        let tags = tag_pattern(&TcamSlab::new(67, 70, 1), 5);
+        let mut out = Vec::new();
+        tags.write_plane(&mut out);
+        let mut buf = out.as_slice();
+        assert_eq!(TagSlab::read_plane(&mut buf, 67, 70), Ok(tags));
+        assert!(buf.is_empty());
+    }
+
+    #[test]
+    fn plane_image_rejects_malformed_images_typed() {
+        let slab = imaged(3, true);
+        let bytes = plane_image(&slab);
+        let decode = |b: &[u8]| TcamSlab::read_plane_image(&mut &b[..]);
+        for len in [0, 15, 16, 100, bytes.len() - 1] {
+            assert_eq!(
+                decode(&bytes[..len]),
+                Err(SlabDecodeError::Truncated),
+                "{len}"
+            );
+        }
+        let dim = |i: usize, v: u32| {
+            let mut b = bytes.clone();
+            b[4 * i..4 * i + 4].copy_from_slice(&v.to_le_bytes());
+            decode(&b)
+        };
+        assert_eq!(dim(0, 0), Err(SlabDecodeError::BadGeometry));
+        assert_eq!(dim(3, 2), Err(SlabDecodeError::BadGeometry), "pe_words");
+        // Counts far past the bytes present fail before allocating.
+        assert_eq!(dim(2, u32::MAX), Err(SlabDecodeError::Truncated));
+        assert_eq!(dim(1, u32::MAX), Err(SlabDecodeError::Truncated));
+        // A set bit in the PE padding of a plane row (PE 63 of 3).
+        let mut padded = bytes.clone();
+        padded[16 + 7] |= 0x80;
+        assert_eq!(decode(&padded), Err(SlabDecodeError::BadGeometry));
+        // The wear bitmap: a column past `cols`, then a listed column of
+        // all-zero counters.
+        let bitmap_at = 16 + 2 * 4 * 70 * 8;
+        let mut past = bytes.clone();
+        past[bitmap_at] |= 1 << 5;
+        assert_eq!(decode(&past), Err(SlabDecodeError::BadGeometry));
+        let mut zero_col = bytes.clone();
+        zero_col[bitmap_at] = 1 << 1;
+        let counters = bitmap_at + 8;
+        zero_col[counters..counters + 3 * 8].fill(0);
+        assert_eq!(decode(&zero_col), Err(SlabDecodeError::BadGeometry));
+        // A fault flag byte other than 0 or 1.
+        let flag_at = bitmap_at
+            + 8
+            + slab
+                .wear
+                .chunks(3)
+                .filter(|c| c.iter().any(|&w| w != 0))
+                .count()
+                * 3
+                * 8;
+        let mut flag = bytes.clone();
+        assert_eq!(flag[flag_at], 1);
+        flag[flag_at] = 2;
+        assert_eq!(decode(&flag), Err(SlabDecodeError::BadFault));
+        // Tag planes reject PE padding too.
+        let mut out = Vec::new();
+        TagSlab::zeros(3, 2).write_plane(&mut out);
+        out[8] = 0x08;
+        assert_eq!(
+            TagSlab::read_plane(&mut out.as_slice(), 3, 2),
+            Err(SlabDecodeError::BadGeometry)
+        );
+        assert_eq!(
+            TagSlab::read_plane(&mut &out[..15], 3, 2),
+            Err(SlabDecodeError::Truncated)
+        );
+    }
+
+    #[test]
+    fn fault_tail_rejects_inconsistent_bookkeeping() {
+        let slab = imaged(2, true);
+        let bytes = slab.to_bytes();
+        let tail = bytes.len() - slab_fault_tail_len(&slab);
+        // Spares used past the budget of 2 (first PE record).
+        let pe_at = tail + 8 + 4 + 4 + 1 + 8 + 8 + 2 + 8;
+        let mut over = bytes.clone();
+        over[pe_at..pe_at + 2].copy_from_slice(&3u16.to_be_bytes());
+        assert_eq!(TcamSlab::from_bytes(&over), Err(SlabDecodeError::BadFault));
+        // A remap entry past the columns and spares.
+        let f = slab.fault().unwrap();
+        let remap_at = pe_at + 2 + if f.failed[0].is_some() { 11 } else { 1 };
+        let mut wild = bytes.clone();
+        wild[remap_at..remap_at + 2].copy_from_slice(&9u16.to_be_bytes());
+        assert_eq!(TcamSlab::from_bytes(&wild), Err(SlabDecodeError::BadFault));
+        // A PE base that overflows.
+        let pe0_at = tail + 8 + 4 + 4 + 1 + 8;
+        let mut base = bytes;
+        base[pe0_at..pe0_at + 8].copy_from_slice(&u64::MAX.to_be_bytes());
+        assert_eq!(TcamSlab::from_bytes(&base), Err(SlabDecodeError::BadFault));
+    }
+
+    /// Bytes of the fault bookkeeping tail `to_bytes` appends.
+    fn slab_fault_tail_len(slab: &TcamSlab) -> usize {
+        let mut tail = Vec::new();
+        put_fault_tail(&mut tail, slab.fault().expect("fault state"));
+        tail.len()
     }
 
     /// Distances of every `(pe, row)` candidate from the scalar per-PE
