@@ -88,6 +88,13 @@ struct SlabChunk {
     /// them, so checkpoint dirty-detection needs this one too. Bumped
     /// conservatively wherever `ops` can change; never reset.
     ops_version: u64,
+    /// The chunk's [`fingerprint`](Self::fingerprint) when it was last in
+    /// its as-constructed state (set once the machine has built it, and
+    /// by every scrub). Equal version counters prove freshness only
+    /// across a span on one object, so every path that installs the
+    /// arenas wholesale (a restore, a chunk-width migration) clears it to
+    /// `None`: a decoded slab starts at version 0 whatever it holds.
+    clean: Option<[u64; 5]>,
 }
 
 impl SlabChunk {
@@ -104,7 +111,50 @@ impl SlabChunk {
             all_active: false,
             any_active: false,
             ops_version: 0,
+            clean: None,
         }
+    }
+
+    /// Write-tracking fingerprint; see [`SlabMachine::chunk_fingerprint`].
+    fn fingerprint(&self) -> [u64; 5] {
+        [
+            self.storage.version(),
+            self.tags.version(),
+            self.latch.version(),
+            self.regs.version(),
+            self.ops_version,
+        ]
+    }
+
+    /// Return the chunk to its as-constructed state, resetting only the
+    /// parts whose version moved since the [`clean`](Self::clean) mark —
+    /// nothing at all when the fingerprint still equals it. `faults`
+    /// forces the full reset: a fault model's epoch and remaps must be
+    /// re-seeded whatever the counters say.
+    fn scrub(&mut self, faults: bool) {
+        let mark = self.clean.filter(|_| !faults);
+        let fp = self.fingerprint();
+        let moved = |i: usize| mark.is_none_or(|m| m[i] != fp[i]);
+        if moved(0) {
+            self.storage.reset();
+        }
+        if moved(1) {
+            self.tags.clear();
+        }
+        if moved(2) {
+            self.latch.clear();
+        }
+        if moved(3) {
+            self.regs.clear();
+        }
+        if moved(4) {
+            self.ops.fill(OpCounts::default());
+            self.ops_version = self.ops_version.wrapping_add(1);
+        }
+        self.active.fill(0);
+        self.all_active = false;
+        self.any_active = false;
+        self.clean = Some(self.fingerprint());
     }
 
     /// Recompute the chunk's word-granular active-PE mask from the group
@@ -444,6 +494,7 @@ impl SlabMachine {
                         g * per + base,
                     );
                 }
+                chunk.clean = Some(chunk.fingerprint());
                 chunks.push(chunk);
             }
         }
@@ -472,17 +523,23 @@ impl SlabMachine {
     /// between tenants so one job can never observe another's state. The
     /// content-addressed trace cache survives (it is invisible in results
     /// and exactly what a steady-state pool wants warm).
+    ///
+    /// The cost is proportional to what was written since the last scrub.
+    /// Each chunk keeps a clean mark — its
+    /// [`chunk_fingerprint`](Self::chunk_fingerprint) when it was last
+    /// fresh — and a chunk whose fingerprint still equals it is skipped
+    /// entirely (so scrubbing a clean machine bumps no fingerprint and a
+    /// following incremental checkpoint rewrites nothing); in a dirty chunk
+    /// only the arenas whose version moved are reset, and the cell arena
+    /// only in the columns it holds non-fresh data in
+    /// ([`TcamSlab::reset`]). [`restore_chunks`](Self::restore_chunks)
+    /// clears the marks, so the next scrub after a restore resets every
+    /// chunk in full. A machine with an attached fault model always takes
+    /// the full path.
     pub fn scrub(&mut self) {
+        let faults = self.config.faults.is_active();
         for chunk in &mut self.chunks {
-            chunk.storage.reset();
-            chunk.tags.clear();
-            chunk.latch.clear();
-            chunk.regs.clear();
-            chunk.ops.fill(OpCounts::default());
-            chunk.ops_version = chunk.ops_version.wrapping_add(1);
-            chunk.active.fill(0);
-            chunk.all_active = false;
-            chunk.any_active = false;
+            chunk.scrub(faults);
         }
         for key in &mut self.keys {
             *key = SearchKey::masked(self.config.cols);
@@ -591,14 +648,7 @@ impl SlabMachine {
     ///
     /// Panics if `chunk` is out of range.
     pub fn chunk_fingerprint(&self, chunk: usize) -> [u64; 5] {
-        let c = &self.chunks[chunk];
-        [
-            c.storage.version(),
-            c.tags.version(),
-            c.latch.version(),
-            c.regs.version(),
-            c.ops_version,
-        ]
+        self.chunks[chunk].fingerprint()
     }
 
     /// Copy out the per-group controller state outside the chunk arenas.
@@ -655,8 +705,11 @@ impl SlabMachine {
     /// `pe_snapshot`, data register, wear counter, spare remap, and fault
     /// latch matches.
     ///
-    /// The derived caches (active sets, scratch, trace cache) are reset;
-    /// the controller extras are restored separately via
+    /// The derived caches (active sets, scratch, trace cache) are reset,
+    /// and so is every chunk's clean mark: the installed arenas carry
+    /// version counters of their own, so the next [`scrub`](Self::scrub)
+    /// resets every chunk in full. The controller extras are restored
+    /// separately via
     /// [`set_machine_extras`](Self::set_machine_extras).
     ///
     /// # Errors
@@ -766,6 +819,7 @@ impl SlabMachine {
             chunk.active.fill(0);
             chunk.all_active = false;
             chunk.any_active = false;
+            chunk.clean = None;
         }
         self.active.fill(ActiveSet::default());
         self.mov_scratch.clear();

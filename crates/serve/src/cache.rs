@@ -144,7 +144,7 @@ impl ProgramCache {
 
     /// Resident entry count.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("cache lock").entries.len()
+        crate::lock(&self.inner).entries.len()
     }
 
     /// Whether the cache is empty.
@@ -178,7 +178,7 @@ impl ProgramCache {
         let key = (stream_set_hash(streams), config.geometry_hash());
         let mut collision = false;
         {
-            let mut inner = self.inner.lock().expect("cache lock");
+            let mut inner = crate::lock(&self.inner);
             inner.clock += 1;
             let clock = inner.clock;
             if let Some(entry) = inner.entries.get_mut(&key) {
@@ -202,7 +202,7 @@ impl ProgramCache {
             geometry,
             traces: hyperap_arch::trace::compile_streams(streams, config),
         });
-        let mut inner = self.inner.lock().expect("cache lock");
+        let mut inner = crate::lock(&self.inner);
         inner.clock += 1;
         let clock = inner.clock;
         // A racing thread may have inserted the same program while we

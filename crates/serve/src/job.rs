@@ -210,7 +210,7 @@ impl Slot {
     }
 
     pub(crate) fn fulfill(&self, result: Result<JobOutput, JobError>) {
-        let mut slot = self.result.lock().expect("slot lock");
+        let mut slot = crate::lock(&self.result);
         debug_assert!(slot.is_none(), "job fulfilled twice");
         *slot = Some(result);
         self.done.notify_all();
@@ -230,12 +230,12 @@ pub struct JobHandle {
 impl JobHandle {
     /// Block until the job completes or fails.
     pub fn wait(self) -> Result<JobOutput, JobError> {
-        let mut slot = self.slot.result.lock().expect("slot lock");
+        let mut slot = crate::lock(&self.slot.result);
         loop {
             if let Some(result) = slot.take() {
                 return result;
             }
-            slot = self.slot.done.wait(slot).expect("slot lock");
+            slot = crate::wait(&self.slot.done, slot);
         }
     }
 
@@ -244,6 +244,6 @@ impl JobHandle {
     /// calls keep returning it, and a later [`wait`](Self::wait) still
     /// resolves immediately.
     pub fn try_wait(&self) -> Option<Result<JobOutput, JobError>> {
-        self.slot.result.lock().expect("slot lock").clone()
+        crate::lock(&self.slot.result).clone()
     }
 }

@@ -42,6 +42,22 @@ pub mod cache;
 pub mod job;
 pub mod pool;
 
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+
 pub use cache::{CacheStats, CachedProgram, ProgramCache};
 pub use job::{CellLoad, JobError, JobHandle, JobOutput, JobSpec, SubmitError, TenantId};
 pub use pool::{PoolStats, QuarantineCause, QuarantineReport, ServeConfig, ServePool, TenantStats};
+
+/// Lock `mutex`, recovering the guard when an earlier holder panicked.
+/// That panic already reached its own caller (a worker's sweep panics
+/// outside every lock and is quarantined); recovering keeps each later
+/// submitter, waiter and stats call working instead of panicking them all
+/// in turn on the poisoned lock.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`Condvar::wait`] with the same poison recovery as [`lock`].
+pub(crate) fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
+}

@@ -419,7 +419,7 @@ impl ServePool {
             .cache
             .get_or_compile(&spec.streams, &self.shared.cfg.arch);
         let batchable = !remote && !self.shared.cfg.arch.faults.is_active();
-        let mut sched = self.shared.sched.lock().expect("sched lock");
+        let mut sched = crate::lock(&self.shared.sched);
         if sched.shutdown {
             return Err(SubmitError::ShuttingDown);
         }
@@ -464,7 +464,7 @@ impl ServePool {
 
     /// Snapshot the pool's counters and health.
     pub fn stats(&self) -> PoolStats {
-        let sched = self.shared.sched.lock().expect("sched lock");
+        let sched = crate::lock(&self.shared.sched);
         let mut tenants: Vec<(TenantId, TenantStats)> =
             sched.tenants.iter().map(|(&t, &s)| (t, s)).collect();
         tenants.sort_by_key(|&(t, _)| t);
@@ -496,7 +496,7 @@ impl ServePool {
 
     fn shutdown_impl(&mut self) {
         {
-            let mut sched = self.shared.sched.lock().expect("sched lock");
+            let mut sched = crate::lock(&self.shared.sched);
             sched.shutdown = true;
             for w in 0..sched.deques.len() {
                 while let Some(job) = sched.deques[w].pop_front() {
@@ -528,7 +528,7 @@ fn worker_loop(shared: &Shared, w: usize) {
     let per = shared.cfg.arch.pes_per_group();
     loop {
         let batch = {
-            let mut sched = shared.sched.lock().expect("sched lock");
+            let mut sched = crate::lock(&shared.sched);
             loop {
                 if sched.shutdown || !sched.healthy[w] {
                     return;
@@ -539,7 +539,7 @@ fn worker_loop(shared: &Shared, w: usize) {
                     batch.insert(0, primary);
                     break batch;
                 }
-                sched = shared.work.wait(sched).expect("sched lock");
+                sched = crate::wait(&shared.work, sched);
             }
         };
         // A panic inside the sweep (an internal assert, not a modeled
@@ -560,7 +560,7 @@ fn worker_loop(shared: &Shared, w: usize) {
                 return;
             }
             Ok(Ok(outputs)) => {
-                let mut sched = shared.sched.lock().expect("sched lock");
+                let mut sched = crate::lock(&shared.sched);
                 sched.sweeps += 1;
                 if batch.len() > 1 {
                     sched.batched_jobs += batch.len() as u64;
@@ -690,7 +690,7 @@ fn quarantine(
     batch: &[QueuedJob],
     postmortem: Option<std::path::PathBuf>,
 ) {
-    let mut sched = shared.sched.lock().expect("sched lock");
+    let mut sched = crate::lock(&shared.sched);
     sched.healthy[w] = false;
     sched.quarantined.push(QuarantineReport {
         machine: w,
@@ -755,10 +755,19 @@ mod tests {
         ]
     }
 
-    /// ~`n` instructions of busywork to keep a worker occupied.
+    /// `n` searches of busywork that keep a worker occupied: each one
+    /// accumulates into the tags, so the trace compiler can elide none of
+    /// them (a run of plain re-searches compiles to a single search and
+    /// leaves the worker idle).
     fn slow_stream(n: usize) -> Vec<Instruction> {
         let mut s = vec![setkey("1-")];
-        s.extend(std::iter::repeat_n(SEARCH, n));
+        s.extend(std::iter::repeat_n(
+            Instruction::Search {
+                acc: true,
+                encode: false,
+            },
+            n,
+        ));
         s.push(Instruction::Count);
         s
     }
@@ -948,7 +957,7 @@ mod tests {
         let program = pool.cache().get_or_compile(&[probe_stream()], &arch);
         let slot = Slot::new();
         {
-            let mut sched = pool.shared.sched.lock().expect("sched lock");
+            let mut sched = crate::lock(&pool.shared.sched);
             sched.deques[0].push_back(QueuedJob {
                 tenant: 9,
                 program,
@@ -984,6 +993,30 @@ mod tests {
         assert_eq!(stats.quarantined.len(), 1);
         assert_eq!(stats.quarantined[0].machine, machine);
         assert_eq!(stats.quarantined[0].cause, QuarantineCause::WorkerPanic);
+    }
+
+    #[test]
+    fn poisoned_sched_lock_does_not_panic_later_callers() {
+        let pool = tiny_pool(1);
+        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _sched = pool.shared.sched.lock();
+            panic!("poison the scheduler lock");
+        }));
+        assert!(poisoned.is_err() && pool.shared.sched.is_poisoned());
+        // Submit, the worker's wait loop, the waiter and every stats call
+        // go through the poisoned lock and must still return.
+        pool.submit(JobSpec {
+            tenant: 3,
+            streams: vec![probe_stream()],
+            loads: vec![],
+        })
+        .unwrap()
+        .wait()
+        .unwrap();
+        assert_eq!(pool.stats().completed_jobs, 1);
+        assert_eq!(pool.cache().len(), 1);
+        let stats = pool.shutdown();
+        assert_eq!(stats.tenants[0].1.completed, 1);
     }
 
     #[test]

@@ -1186,22 +1186,38 @@ impl TcamSlab {
     }
 
     /// Reset the slab to its as-constructed state — every cell `0`, wear
-    /// cleared — without reallocating the arenas. If a fault model is
-    /// attached it is re-seeded from scratch (same model, same global PE
-    /// base, same spare budget): remaps, retirements, the latched failure,
-    /// and the epoch all return to their initial values, and the initial
-    /// devices' stuck bits are re-enforced on the cleared storage. The
-    /// result is indistinguishable from a fresh [`new`](Self::new) +
-    /// [`attach_fault`](Self::attach_fault) slab — the serving layer's
-    /// scrub-on-assign isolation guarantee rests on this.
+    /// cleared — without reallocating the arenas. The result is
+    /// indistinguishable from a fresh [`new`](Self::new) slab (plus
+    /// [`attach_fault`](Self::attach_fault) when a fault model is
+    /// attached) — the serving layer's scrub-on-assign isolation guarantee
+    /// rests on this.
+    ///
+    /// The cost is proportional to what was written since the slab was
+    /// last fresh: only columns whose plane summaries are not already
+    /// `(zeros Full, ones AllZero)` are rewritten (summaries are exact
+    /// after decode and conservative everywhere else, so a fresh summary
+    /// proves a fresh plane), and a wear column is zeroed only where it is
+    /// non-zero (a write of `0` keeps the summaries fresh but still wears
+    /// the column). A fault-attached slab takes the full path instead:
+    /// every plane and wear counter is rewritten and the fault model is
+    /// re-seeded from scratch (same model, same global PE base, same spare
+    /// budget), so remaps, retirements, the latched failure and the epoch
+    /// return to their initial values and the initial devices' stuck bits
+    /// are re-enforced on the cleared storage.
     pub fn reset(&mut self) {
         self.touch();
-        self.ones.fill(0);
         let plane = self.rows * self.pw;
+        let full = self.fault.is_some();
         for c in 0..self.cols {
-            self.zeros[c * plane..(c + 1) * plane].copy_from_slice(&self.live);
+            if full || (self.zsum[c], self.osum[c]) != (PlaneSummary::Full, PlaneSummary::AllZero) {
+                self.ones[c * plane..(c + 1) * plane].fill(0);
+                self.zeros[c * plane..(c + 1) * plane].copy_from_slice(&self.live);
+            }
+            let wear = &mut self.wear[c * self.pes..(c + 1) * self.pes];
+            if full || wear.iter().any(|&w| w != 0) {
+                wear.fill(0);
+            }
         }
-        self.wear.fill(0);
         self.zsum.fill(PlaneSummary::Full);
         self.osum.fill(PlaneSummary::AllZero);
         if let Some(f) = self.fault.take() {
@@ -3194,6 +3210,24 @@ mod tests {
             assert_eq!(slab.to_arrays(), arrays, "value {value:?}");
             assert_eq!(slab.pe_wear(0)[3], 0, "PE outside the range unworn");
             assert_eq!(slab.pe_wear(2)[3], 1);
+        }
+    }
+
+    #[test]
+    fn reset_clears_wear_behind_fresh_summaries() {
+        // A `0` written into fresh columns keeps their summaries fresh, so
+        // the reset skips the planes — but the wear must still clear, on a
+        // live slab and on one decoded from its image (exact summaries).
+        let mut slab = TcamSlab::new(70, 5, 4);
+        let tags = tag_pattern(&slab, 0);
+        slab.write_column_multi(2, TernaryBit::Zero, tags.words(), None);
+        slab.set_cell(69, 4, 3, TernaryBit::Zero);
+        assert_eq!(slab.pe_wear(0)[2], 1);
+        let mut decoded = TcamSlab::from_bytes(&slab.to_bytes()).unwrap();
+        let fresh = TcamSlab::new(70, 5, 4);
+        for s in [&mut slab, &mut decoded] {
+            s.reset();
+            assert_eq!(*s, fresh);
         }
     }
 
