@@ -198,11 +198,6 @@ impl ArchConfig {
         self.subarrays_per_bank * self.pes_per_subarray
     }
 
-    /// Total SIMD slots.
-    pub fn total_slots(&self) -> usize {
-        self.total_pes() * self.rows
-    }
-
     /// The PE-mesh dimensions for `MovR`: PEs are arranged row-major,
     /// either in the explicitly configured shape or a near-square grid.
     pub fn mesh_dims(&self) -> (usize, usize) {
@@ -257,11 +252,6 @@ impl ArchConfig {
         ]
     }
 
-    /// Group index owning a PE id.
-    pub fn group_of(&self, pe: usize) -> usize {
-        pe / self.pes_per_group()
-    }
-
     /// Bank index (within its group) owning a PE id.
     pub fn bank_of(&self, pe: usize) -> usize {
         pe % self.pes_per_group() / self.pes_per_bank()
@@ -277,7 +267,6 @@ mod tests {
         let c = ArchConfig::tiny();
         assert_eq!(c.total_pes(), 8);
         assert_eq!(c.pes_per_group(), 4);
-        assert_eq!(c.total_slots(), 128);
     }
 
     #[test]
@@ -290,9 +279,6 @@ mod tests {
     #[test]
     fn group_and_bank_indexing() {
         let c = ArchConfig::tiny();
-        assert_eq!(c.group_of(0), 0);
-        assert_eq!(c.group_of(3), 0);
-        assert_eq!(c.group_of(4), 1);
         assert_eq!(c.bank_of(5), 0);
     }
 }

@@ -58,7 +58,6 @@ pub mod similarity;
 pub mod slab;
 pub mod stats;
 pub mod trace;
-pub mod transfer;
 
 pub use config::{env_faults, ArchConfig, ExecMode, FaultConfig};
 pub use hyperap_tcam::{FaultError, FaultModel};

@@ -1,6 +1,5 @@
 //! Execution statistics: cycles, energy, and reduction results.
 
-use hyperap_model::tech::TechParams;
 use hyperap_model::timing::OpCounts;
 use serde::{Deserialize, Serialize};
 
@@ -71,19 +70,5 @@ impl RunStats {
     /// Machine makespan: the cycle at which the last group finished.
     pub fn makespan(&self) -> u64 {
         self.group_cycles.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Makespan in nanoseconds.
-    pub fn makespan_ns(&self, tech: &TechParams) -> f64 {
-        self.makespan() as f64 * tech.clock_period_ns()
-    }
-
-    /// Total dynamic energy in picojoules for `active_pes` PEs per group
-    /// (every PE in a group executes each SIMD instruction).
-    pub fn energy_pj(&self, tech: &TechParams, active_pes: usize) -> f64 {
-        self.group_ops
-            .iter()
-            .map(|ops| ops.energy_pj_per_pe(tech) * active_pes as f64)
-            .sum()
     }
 }

@@ -479,24 +479,25 @@ mod peephole {
     /// Remove searches whose tags nothing ever observes: every micro-op
     /// either reads the tags (`Write*`, `ReadTag`, an accumulating
     /// `Search`) or overwrites them (`SetTag`, a non-accumulating
-    /// `Search`), so a non-latching search is dead exactly when the *next*
-    /// op overwrites. Looping handles cascades (a chain of overwritten
-    /// searches dies back to front). Tags are live at segment end — a sync
+    /// `Search`), so a non-latching search is dead exactly when the next
+    /// *surviving* op overwrites. One right-to-left pass decides every op
+    /// against its final successor, so cascades (a chain of overwritten
+    /// searches) die in linear time. Tags are live at segment end — a sync
     /// point or a later run may read them.
     pub(super) fn eliminate_dead_searches(seg: &mut Segment) {
-        loop {
-            let dead = (0..seg.ops.len()).find(|&i| {
-                matches!(seg.ops[i], MicroOp::Search { encode: false, .. })
-                    && matches!(
-                        seg.ops.get(i + 1),
-                        Some(MicroOp::SetTag | MicroOp::Search { acc: false, .. })
-                    )
-            });
-            let Some(i) = dead else { break };
-            seg.ops.remove(i);
-            seg.elided.searches += 1;
-            seg.elided.set_keys += 1;
+        let mut overwritten = false;
+        let mut dead = vec![false; seg.ops.len()];
+        for (i, op) in seg.ops.iter().enumerate().rev() {
+            if overwritten && matches!(op, MicroOp::Search { encode: false, .. }) {
+                dead[i] = true;
+                seg.elided.searches += 1;
+                seg.elided.set_keys += 1;
+            } else {
+                overwritten = matches!(op, MicroOp::SetTag | MicroOp::Search { acc: false, .. });
+            }
         }
+        let mut dead = dead.into_iter();
+        seg.ops.retain(|_| !dead.next().unwrap_or(false));
     }
 
     /// What pass 2 does with a repeated search.
@@ -865,6 +866,7 @@ fn compile_streams_with(
 mod tests {
     use super::*;
     use hyperap_isa::Direction;
+    use proptest::prelude::*;
 
     fn cfg() -> ArchConfig {
         ArchConfig::tiny()
@@ -1180,6 +1182,81 @@ mod tests {
         let u = CompiledTrace::compile_unfused(&stream, &cfg(), false);
         assert_eq!(u.segments[0].pe_ops_delta(None), seg.pe_ops_delta(None));
         assert_eq!(u.segments[0].ops_delta, seg.ops_delta);
+    }
+
+    /// The dead-search rule as a fixpoint loop: remove the first
+    /// non-latching search whose next op overwrites the tags, and repeat.
+    fn eliminate_dead_searches_fixpoint(seg: &mut Segment) {
+        loop {
+            let dead = (0..seg.ops.len()).find(|&i| {
+                matches!(seg.ops[i], MicroOp::Search { encode: false, .. })
+                    && matches!(
+                        seg.ops.get(i + 1),
+                        Some(MicroOp::SetTag | MicroOp::Search { acc: false, .. })
+                    )
+            });
+            let Some(i) = dead else { break };
+            seg.ops.remove(i);
+            seg.elided.searches += 1;
+            seg.elided.set_keys += 1;
+        }
+    }
+
+    /// A micro-op drawn from the kinds the dead-search rule distinguishes:
+    /// searches with every `acc`/`encode` combination (on entry and
+    /// compiled plans), `SetTag`, writes, and other tag readers.
+    fn dead_search_op() -> impl Strategy<Value = MicroOp> {
+        (0u8..12, 0usize..3).prop_map(|(kind, p)| {
+            let plan = if p == 0 {
+                PlanRef::Entry
+            } else {
+                PlanRef::Compiled(p)
+            };
+            match kind {
+                0..=5 => MicroOp::Search {
+                    plan,
+                    acc: kind & 1 == 1,
+                    encode: kind & 2 == 2,
+                },
+                6 => MicroOp::SetTag,
+                7 => MicroOp::Write {
+                    col: p as u8,
+                    value: KeyBit::One,
+                },
+                8 => MicroOp::WriteEntry { col: p as u8 },
+                9 => MicroOp::WriteEncoded { col: p as u8 },
+                10 => MicroOp::ReadTag,
+                _ => MicroOp::SearchDelta {
+                    plan: p,
+                    encode: p == 2,
+                },
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// The one-pass dead-search elimination reaches the fixpoint loop's
+        /// result: the same surviving ops in the same order and the same
+        /// elided counts.
+        #[test]
+        fn dead_search_pass_matches_fixpoint_loop(
+            ops in prop::collection::vec(dead_search_op(), 0..40),
+            searches in 0u64..3,
+        ) {
+            let mut fast = Segment {
+                ops,
+                ..Segment::default()
+            };
+            fast.elided.searches = searches;
+            let mut oracle = fast.clone();
+            peephole::eliminate_dead_searches(&mut fast);
+            eliminate_dead_searches_fixpoint(&mut oracle);
+            prop_assert_eq!(&fast, &oracle);
+            let once = fast.clone();
+            peephole::eliminate_dead_searches(&mut fast);
+            prop_assert_eq!(fast, once, "the pass is idempotent");
+        }
     }
 
     /// Re-searching the same still-valid key is elided entirely; searching

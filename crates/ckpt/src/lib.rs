@@ -1,22 +1,22 @@
 //! Atomic, incremental, crash-safe checkpoint/restore for
-//! [`SlabMachine`] state — the durability substrate for sharded scale-out
-//! and long-horizon wear studies (DESIGN.md §12, ROADMAP item 4).
+//! [`SlabMachine`] state (DESIGN.md §12).
 //!
 //! # Commit protocol
 //!
-//! A checkpoint under a prefix `p` is a set of content-addressed chunk
-//! files `p c-<hash>-<len>.bin` plus one manifest `p m-<epoch>.ckpt`
-//! naming them. The hash is [`word_hash64`] of the payload (manifest v2;
-//! a v1 manifest, still readable, names its chunks by [`fnv1a64`] — see
-//! [`manifest`] for both wire formats). Every file is written as `p tmp-<name>`, `sync`ed, then
-//! `rename`d into place; the manifest rename is the **commit point** — a
-//! crash anywhere before it leaves the previous epoch fully intact, and a
-//! crash anywhere after it leaves the new epoch fully intact. Resume scans
-//! manifests newest-first and applies the first one that passes its
-//! self-checksum and whose chunk files all verify; torn leftovers are
-//! skipped (and garbage-collected by the next commit). There is no state
-//! in between: the crash-injection suite (`tests/checkpoint_crash.rs`)
-//! proves every kill point lands on exactly the prior or the new epoch.
+//! A checkpoint is a set of content-addressed chunk files
+//! `c-<hash>-<len>.bin` plus one manifest `m-<epoch>.ckpt` naming them.
+//! The hash is [`word_hash64`] of the payload (manifest v2; a v1
+//! manifest, still readable, names its chunks by [`fnv1a64`] — see
+//! [`manifest`] for both wire formats). Every file is written as
+//! `tmp-<name>`, `sync`ed, then `rename`d into place; the manifest rename
+//! is the **commit point** — a crash anywhere before it leaves the
+//! previous epoch fully intact, and a crash anywhere after it leaves the
+//! new epoch fully intact. Resume scans manifests newest-first and applies
+//! the first one that passes its self-checksum and whose chunk files all
+//! verify; torn leftovers are skipped (and garbage-collected by the next
+//! commit). There is no state in between: the crash-injection suite
+//! (`tests/checkpoint_crash.rs`) proves every kill point lands on exactly
+//! the prior or the new epoch.
 //!
 //! # Incremental snapshots
 //!
@@ -33,8 +33,8 @@
 //! The manifest witnesses the machine **geometry** (groups, PEs, rows,
 //! cols, mesh, timing) and the fault model, not the chunk width: a
 //! checkpoint written by one chunking restores into any other via the
-//! lossless per-PE conversions ([`SlabMachine::restore_chunks`]), which is
-//! how a shard migrates across processes with different host widths.
+//! lossless per-PE conversions ([`SlabMachine::restore_chunks`]), so a
+//! checkpoint moves between machines built with different chunk widths.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -74,12 +74,10 @@ pub struct CheckpointStats {
 
 /// Drives the commit protocol over a [`CheckpointSink`], tracking per-chunk
 /// fingerprints for incremental snapshots. One `Checkpointer` per machine
-/// per prefix; several (e.g. one per shard) may share a sink under
-/// different prefixes.
+/// and sink.
 #[derive(Debug)]
 pub struct Checkpointer<S> {
     sink: S,
-    prefix: String,
     keep: usize,
     next_epoch: u64,
     /// Per-chunk `(fingerprint, payload hash, payload len)` as of the last
@@ -89,18 +87,10 @@ pub struct Checkpointer<S> {
 }
 
 impl<S: CheckpointSink> Checkpointer<S> {
-    /// A checkpointer over `sink` with an empty prefix, keeping the last 2
-    /// epochs.
+    /// A checkpointer over `sink`, keeping the last 2 epochs.
     pub fn new(sink: S) -> Self {
-        Self::with_prefix(sink, "")
-    }
-
-    /// A checkpointer whose files all start with `prefix` — the namespace
-    /// for one shard inside a shared sink.
-    pub fn with_prefix(sink: S, prefix: impl Into<String>) -> Self {
         Checkpointer {
             sink,
-            prefix: prefix.into(),
             keep: 2,
             next_epoch: 0,
             committed: HashMap::new(),
@@ -128,23 +118,19 @@ impl<S: CheckpointSink> Checkpointer<S> {
     }
 
     fn manifest_name(&self, epoch: u64) -> String {
-        format!("{}m-{epoch:020}.ckpt", self.prefix)
+        format!("m-{epoch:020}.ckpt")
     }
 
     fn chunk_name(&self, hash: u64, len: u64) -> String {
-        format!("{}c-{hash:016x}-{len}.bin", self.prefix)
+        format!("c-{hash:016x}-{len}.bin")
     }
 
-    fn tmp_name(&self, suffix: &str) -> String {
-        format!("{}tmp-{suffix}", self.prefix)
-    }
-
-    /// `(epoch, name)` of every manifest under the prefix, newest first.
+    /// `(epoch, name)` of every manifest in the sink, newest first.
     fn manifest_epochs(&self, names: &[String]) -> Vec<(u64, String)> {
         let mut out: Vec<(u64, String)> = names
             .iter()
             .filter_map(|n| {
-                let tail = n.strip_prefix(&self.prefix)?.strip_prefix("m-")?;
+                let tail = n.strip_prefix("m-")?;
                 let digits = tail.strip_suffix(".ckpt")?;
                 digits.parse::<u64>().ok().map(|e| (e, n.clone()))
             })
@@ -156,7 +142,7 @@ impl<S: CheckpointSink> Checkpointer<S> {
     /// Write `data` as `name` through the atomic temp-write + sync + rename
     /// sequence.
     fn put_atomic(&mut self, name: &str, data: &[u8]) -> Result<(), CkptError> {
-        let tmp = self.tmp_name(name.strip_prefix(&self.prefix).unwrap_or(name));
+        let tmp = format!("tmp-{name}");
         self.sink.write(&tmp, data)?;
         self.sink.sync(&tmp)?;
         self.sink.rename(&tmp, name)?;
@@ -276,23 +262,13 @@ impl<S: CheckpointSink> Checkpointer<S> {
             self.sink.remove(name)?;
         }
         for name in &names {
-            let Some(tail) = name.strip_prefix(&self.prefix) else {
-                continue;
-            };
-            let stale_tmp = tail.starts_with("tmp-");
-            let orphan_chunk = chunks_known && tail.starts_with("c-") && !referenced.contains(name);
+            let stale_tmp = name.starts_with("tmp-");
+            let orphan_chunk = chunks_known && name.starts_with("c-") && !referenced.contains(name);
             if stale_tmp || orphan_chunk {
                 self.sink.remove(name)?;
             }
         }
         Ok(())
-    }
-
-    /// The epoch of the newest manifest under the prefix, by name only (no
-    /// content verification).
-    pub fn latest_epoch(&self) -> Result<Option<u64>, CkptError> {
-        let names = self.sink.list()?;
-        Ok(self.manifest_epochs(&names).first().map(|(e, _)| *e))
     }
 
     /// Restore `machine` from the newest committed epoch that verifies:

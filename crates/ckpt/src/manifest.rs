@@ -75,7 +75,7 @@ pub const CHUNK_VERSION_V1: u8 = 1;
 /// Failure modes of checkpoint commit, decode, and resume.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CkptError {
-    /// No committed checkpoint exists under the prefix.
+    /// No committed checkpoint exists in the sink.
     NoCheckpoint,
     /// A manifest or chunk carries an unknown format version.
     BadVersion(u8),

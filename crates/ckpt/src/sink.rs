@@ -206,11 +206,6 @@ impl MemSink {
     pub fn files(&self) -> &BTreeMap<String, Vec<u8>> {
         &self.files
     }
-
-    /// Total bytes stored across every blob.
-    pub fn total_bytes(&self) -> usize {
-        self.files.values().map(|v| v.len()).sum()
-    }
 }
 
 impl CheckpointSink for MemSink {

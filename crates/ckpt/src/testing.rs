@@ -176,19 +176,9 @@ impl CrashSink {
         }
     }
 
-    /// Mutating ops executed (or attempted) so far.
-    pub fn ops_executed(&self) -> u64 {
-        self.ops
-    }
-
     /// The mutating-op schedule so far, in order.
     pub fn op_log(&self) -> &[OpKind] {
         &self.log
-    }
-
-    /// Whether the kill point was reached.
-    pub fn is_killed(&self) -> bool {
-        self.killed
     }
 
     /// The disk image a crash at this moment leaves behind: durable

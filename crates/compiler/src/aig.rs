@@ -87,11 +87,6 @@ impl Aig {
             .count()
     }
 
-    /// Number of primary inputs.
-    pub fn input_count(&self) -> u32 {
-        self.n_inputs
-    }
-
     /// Node accessor.
     pub fn node(&self, id: u32) -> AigNode {
         self.nodes[id as usize]

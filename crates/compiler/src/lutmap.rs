@@ -60,28 +60,6 @@ pub struct Mapping {
     pub luts: Vec<MappedLut>,
 }
 
-impl Mapping {
-    /// Total estimated searches (Σ N_patterns over LUTs, single-bit
-    /// positions — the pairing step may reduce this further).
-    pub fn total_patterns(&self) -> usize {
-        self.luts.iter().map(estimate_patterns_exact).sum()
-    }
-}
-
-fn estimate_patterns_exact(l: &MappedLut) -> usize {
-    let cover = Cover::new(
-        vec![PosKind::Single; l.leaves.len()],
-        min_to_vecs(&l.on_set, l.leaves.len()),
-    );
-    minimize(&cover).num_searches()
-}
-
-fn min_to_vecs(on: &[u16], k: usize) -> Vec<Vec<u8>> {
-    on.iter()
-        .map(|&m| (0..k).map(|i| (m >> i & 1) as u8).collect())
-        .collect()
-}
-
 /// The ON-set of ¬f over `k` inputs: every minterm *not* in `on_set`.
 /// Used by inverted-literal absorption — a LUT whose output is only ever
 /// consumed inverted writes the complemented function instead of paying a

@@ -8,7 +8,8 @@ use crate::sema;
 /// studies.
 #[derive(Debug, Clone)]
 pub struct CompileOptions {
-    /// Eq. 2's α = Twrite/Tsearch (10 for RRAM, 1 for CMOS).
+    /// Eq. 2's α = Twrite/Tsearch (10 for RRAM, 1 for CMOS). Must be
+    /// finite and non-negative.
     pub alpha: f64,
     /// Maximum LUT inputs (§V-B4 limits this to 12; smaller values map
     /// faster and are plenty for the bundled workloads). Must lie in
@@ -20,7 +21,9 @@ pub struct CompileOptions {
     pub enable_embedding: bool,
     /// Pair operand inputs for two-bit encoding (§V-B4a).
     pub pair_inputs: bool,
-    /// Columns per PE (256 in the paper's geometry).
+    /// Columns per PE (256 in the paper's geometry). Must lie in
+    /// `1..=`[`hyperap_isa::KEY_COLUMNS`]: `Write` addresses a column
+    /// with one byte.
     pub pe_columns: usize,
     /// Optimization level.
     ///
@@ -35,6 +38,8 @@ pub struct CompileOptions {
     ///   second argument are stored self-paired so the radix-4 digit
     ///   searches use real two-bit keys instead of degenerate plain-column
     ///   patterns.
+    ///
+    /// Levels above [`OPT_LEVEL_MAX`] are rejected.
     pub opt_level: u8,
 }
 
@@ -110,6 +115,40 @@ impl std::fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
+/// Reject option values no pass can honour, before any pass runs.
+fn check_options(opts: &CompileOptions) -> Result<(), CompileError> {
+    let invalid = |m: String| Err(CompileError::InvalidOptions(m));
+    if !LUT_INPUTS_RANGE.contains(&opts.max_lut_inputs) {
+        return invalid(format!(
+            "max_lut_inputs is {}, must be in {}..={}",
+            opts.max_lut_inputs,
+            LUT_INPUTS_RANGE.start(),
+            LUT_INPUTS_RANGE.end()
+        ));
+    }
+    if opts.opt_level > OPT_LEVEL_MAX {
+        return invalid(format!(
+            "opt_level is {}, must be in 0..={OPT_LEVEL_MAX}",
+            opts.opt_level
+        ));
+    }
+    // A NaN cost would rank arbitrarily in the mapper's cut sort.
+    if !opts.alpha.is_finite() || opts.alpha < 0.0 {
+        return invalid(format!(
+            "alpha is {}, must be finite and non-negative",
+            opts.alpha
+        ));
+    }
+    if !(1..=hyperap_isa::KEY_COLUMNS).contains(&opts.pe_columns) {
+        return invalid(format!(
+            "pe_columns is {}, must be in 1..={}",
+            opts.pe_columns,
+            hyperap_isa::KEY_COLUMNS
+        ));
+    }
+    Ok(())
+}
+
 /// Compile C-like source to a Hyper-AP kernel.
 ///
 /// # Errors
@@ -128,14 +167,7 @@ impl std::error::Error for CompileError {}
 /// assert_eq!(k.run_rows(&[&[200, 100]]).unwrap(), vec![300]);
 /// ```
 pub fn compile(src: &str, opts: &CompileOptions) -> Result<CompiledKernel, CompileError> {
-    if !LUT_INPUTS_RANGE.contains(&opts.max_lut_inputs) {
-        return Err(CompileError::InvalidOptions(format!(
-            "max_lut_inputs is {}, must be in {}..={}",
-            opts.max_lut_inputs,
-            LUT_INPUTS_RANGE.start(),
-            LUT_INPUTS_RANGE.end()
-        )));
-    }
+    check_options(opts)?;
     let ast = parse::parse(src).map_err(|e| CompileError::Parse(e.to_string()))?;
     let lowered = sema::lower(&ast).map_err(|e| CompileError::Sema(e.to_string()))?;
     let dfg = if opts.opt_level >= 1 {

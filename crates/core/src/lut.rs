@@ -76,12 +76,6 @@ struct Positions {
 }
 
 impl Lut {
-    /// Evaluate one ON-set against concrete logical input bits (bit `i` of
-    /// `inputs` = logical input `i`).
-    pub fn eval_on_set(on_set: &[u16], inputs: u16) -> bool {
-        on_set.contains(&inputs)
-    }
-
     /// Number of logical inputs.
     pub fn n_inputs(&self) -> usize {
         self.inputs.len()

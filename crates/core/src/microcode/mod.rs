@@ -222,26 +222,6 @@ impl Microcode {
         };
         self.apply_lut(&lut);
     }
-
-    /// Apply a LUT writing an encoded pair output (hi, lo) at `col`.
-    pub fn lut_encoded_into(
-        &mut self,
-        inputs: Vec<Slot>,
-        f_hi: impl Fn(u16) -> bool,
-        f_lo: impl Fn(u16) -> bool,
-        col: usize,
-    ) {
-        let n = inputs.len();
-        let lut = Lut {
-            inputs,
-            outputs: vec![LutOutput::EncodedPair {
-                col,
-                hi_on_set: on_set(n, f_hi),
-                lo_on_set: on_set(n, f_lo),
-            }],
-        };
-        self.apply_lut(&lut);
-    }
 }
 
 #[cfg(test)]

@@ -110,15 +110,6 @@ impl Program {
         self.push(ApOp::Write { col, value });
     }
 
-    /// Append "zero column `col` for all rows": TagAll + Write 0.
-    pub fn zero_column(&mut self, col: usize) {
-        self.push(ApOp::TagAll);
-        self.push(ApOp::Write {
-            col,
-            value: KeyBit::Zero,
-        });
-    }
-
     /// Append zeroing writes for a batch of columns (one TagAll, then one
     /// write per column).
     pub fn zero_columns(&mut self, cols: &[usize]) {
@@ -226,7 +217,8 @@ mod tests {
         p.push(ApOp::Latch);
         p.push(ApOp::Count);
         p.push(ApOp::Index);
-        p.zero_column(3);
+        p.push(ApOp::TagAll);
+        p.write(3, KeyBit::Zero);
         let c = p.op_counts();
         assert_eq!(c.searches, 2);
         assert_eq!(c.set_keys, 2);

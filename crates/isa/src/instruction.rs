@@ -198,11 +198,6 @@ impl Instruction {
         }
     }
 
-    /// True for unconditional segment boundaries ([`SyncClass::SyncPoint`]).
-    pub fn is_sync_point(&self) -> bool {
-        self.sync_class() == SyncClass::SyncPoint
-    }
-
     /// True if this instruction can read or write the data register of a PE
     /// **outside the issuing group**: `MovR` pushes across group borders,
     /// `ReadR`/`WriteR` address the global data path. A stream containing
@@ -382,7 +377,6 @@ mod tests {
         ];
         for (inst, class) in cases {
             assert_eq!(inst.sync_class(), class, "{}", inst.mnemonic());
-            assert_eq!(inst.is_sync_point(), class == SyncClass::SyncPoint);
         }
     }
 

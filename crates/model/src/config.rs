@@ -1,7 +1,7 @@
 //! Table II system configurations: GPU (1-card), IMP, and Hyper-AP.
 
 use crate::area::AreaModel;
-use crate::tech::{TechParams, Technology};
+use crate::tech::TechParams;
 use serde::{Deserialize, Serialize};
 
 /// A system configuration row of Table II.
@@ -60,27 +60,6 @@ impl SystemConfig {
             memory: "1GB RRAM",
         }
     }
-
-    /// A Hyper-AP built in CMOS TCAM (for the §VI-E comparison).
-    pub fn hyper_ap_cmos() -> Self {
-        let area = AreaModel::cmos();
-        SystemConfig {
-            name: "Hyper-AP (CMOS)",
-            simd_slots: area.simd_slots(),
-            frequency_ghz: TechParams::cmos().clock_ghz,
-            area_mm2: area.chip_area_mm2,
-            tdp_w: 335.0,
-            memory: "64MB CMOS TCAM",
-        }
-    }
-
-    /// Configuration for a given technology.
-    pub fn for_technology(tech: Technology) -> Self {
-        match tech {
-            Technology::Rram => Self::hyper_ap(),
-            Technology::Cmos => Self::hyper_ap_cmos(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -104,17 +83,5 @@ mod tests {
     fn hyper_ap_area_similar_to_imp() {
         let hp = SystemConfig::hyper_ap();
         assert!(hp.area_mm2 < IMP_SYSTEM.area_mm2);
-    }
-
-    #[test]
-    fn for_technology_dispatches() {
-        assert_eq!(
-            SystemConfig::for_technology(Technology::Rram).name,
-            "Hyper-AP"
-        );
-        assert_eq!(
-            SystemConfig::for_technology(Technology::Cmos).name,
-            "Hyper-AP (CMOS)"
-        );
     }
 }

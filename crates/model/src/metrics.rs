@@ -46,14 +46,6 @@ impl Metrics {
             area_eff_gops_mm2: throughput_gops / area.chip_area_mm2,
         }
     }
-
-    /// Energy in joules to process `n` elements (n/slots passes).
-    pub fn energy_j(&self, n: u64) -> f64 {
-        // throughput_gops = 1e9 ops/s; power = throughput/power_eff.
-        let power_w = self.throughput_gops / self.power_eff_gops_w;
-        let time_s = n as f64 / (self.throughput_gops * 1e9);
-        power_w * time_s
-    }
 }
 
 #[cfg(test)]
@@ -102,13 +94,5 @@ mod tests {
             "power eff = {}",
             m.power_eff_gops_w
         );
-    }
-
-    #[test]
-    fn energy_scales_linearly_with_elements() {
-        let m = Metrics::compute(&add32_ops(), &TechParams::rram(), &AreaModel::rram());
-        let e1 = m.energy_j(1_000_000);
-        let e2 = m.energy_j(2_000_000);
-        assert!((e2 / e1 - 2.0).abs() < 1e-9);
     }
 }

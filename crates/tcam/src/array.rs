@@ -258,31 +258,12 @@ impl TcamArray {
         }
     }
 
-    /// Read the whole word at `row`.
-    pub fn read_word(&self, row: usize) -> Vec<TernaryBit> {
-        (0..self.cols).map(|c| self.cell(row, c)).collect()
-    }
-
     /// Store the low `width` bits of `value` at columns
     /// `col..col + width` of `row` (LSB first — the Fig 2a layout).
     pub fn store_field(&mut self, row: usize, col: usize, width: usize, value: u64) {
         for i in 0..width {
             self.set_cell(row, col + i, TernaryBit::from_bool(value >> i & 1 == 1));
         }
-    }
-
-    /// Read `width` bits starting at column `col` of `row` as a `u64`
-    /// (`None` if any cell stores `X`).
-    pub fn read_field(&self, row: usize, col: usize, width: usize) -> Option<u64> {
-        let mut v = 0u64;
-        for i in 0..width {
-            match self.cell(row, col + i).to_bool() {
-                Some(true) => v |= 1 << i,
-                Some(false) => {}
-                None => return None,
-            }
-        }
-        Some(v)
     }
 
     /// Search all rows in parallel against `key`; returns one tag per row.
@@ -440,17 +421,6 @@ impl TcamArray {
         self.wear[col] += 1;
     }
 
-    /// The most-written column and its pulse count (`None` for a
-    /// never-written array).
-    pub fn max_wear(&self) -> Option<(usize, u64)> {
-        self.wear
-            .iter()
-            .copied()
-            .enumerate()
-            .max_by_key(|&(_, w)| w)
-            .filter(|&(_, w)| w > 0)
-    }
-
     /// Raw row-blocks of one column, `(zeros, ones)` — the
     /// [`crate::slab`] conversion path.
     pub(crate) fn column_bits(&self, col: usize) -> (&[u64], &[u64]) {
@@ -490,6 +460,16 @@ mod tests {
         a
     }
 
+    /// `width` bits from column `col` of `row`, LSB first (`None` if any
+    /// cell stores `X`).
+    fn read_field(a: &TcamArray, row: usize, col: usize, width: usize) -> Option<u64> {
+        (0..width).try_fold(0u64, |v, i| {
+            a.cell(row, col + i)
+                .to_bool()
+                .map(|b| v | u64::from(b) << i)
+        })
+    }
+
     #[test]
     fn new_array_is_all_zero() {
         let a = TcamArray::new(3, 4);
@@ -520,8 +500,8 @@ mod tests {
         let tags = TagVector::from_bools([true, false]);
         let key = SearchKey::parse("11-1-").unwrap();
         a.write(&key, &tags);
-        assert_eq!(a.read_field(0, 0, 5), Some(0b11011)); // cols 0,1,3 set
-        assert_eq!(a.read_field(1, 0, 5), Some(0b01001)); // untouched
+        assert_eq!(read_field(&a, 0, 0, 5), Some(0b11011)); // cols 0,1,3 set
+        assert_eq!(read_field(&a, 1, 0, 5), Some(0b01001)); // untouched
     }
 
     #[test]
@@ -568,7 +548,7 @@ mod tests {
     fn field_round_trip() {
         let mut a = TcamArray::new(4, 16);
         a.store_field(2, 3, 8, 0xA5);
-        assert_eq!(a.read_field(2, 3, 8), Some(0xA5));
+        assert_eq!(read_field(&a, 2, 3, 8), Some(0xA5));
     }
 
     #[test]
@@ -576,8 +556,8 @@ mod tests {
         let mut a = array_with(&["0000", "0000"]);
         let tags = TagVector::from_bools([false, true]);
         a.write(&SearchKey::parse("1111").unwrap(), &tags);
-        assert_eq!(a.read_field(0, 0, 4), Some(0));
-        assert_eq!(a.read_field(1, 0, 4), Some(0xF));
+        assert_eq!(read_field(&a, 0, 0, 4), Some(0));
+        assert_eq!(read_field(&a, 1, 0, 4), Some(0xF));
     }
 
     #[test]
@@ -659,12 +639,11 @@ mod tests {
     fn wear_counts_associative_writes_only() {
         let mut a = TcamArray::new(4, 4);
         a.store_field(0, 0, 4, 0xF); // host load: not counted
-        assert_eq!(a.max_wear(), None);
+        assert_eq!(a.column_wear(), &[0, 0, 0, 0]);
         let tags = TagVector::ones(4);
         a.write(&SearchKey::parse("1-1-").unwrap(), &tags);
         a.write(&SearchKey::parse("1---").unwrap(), &tags);
         assert_eq!(a.column_wear(), &[2, 0, 1, 0]);
-        assert_eq!(a.max_wear(), Some((0, 2)));
     }
 
     #[test]
@@ -684,7 +663,6 @@ mod tests {
             a.set_cell(row, 3, TernaryBit::X);
         }
         assert_eq!(a.column_wear(), &[1, 0, 2, 0], "set_cell adds no wear");
-        assert_eq!(a.max_wear(), Some((2, 2)));
     }
 
     #[test]
@@ -784,7 +762,9 @@ mod tests {
         let key = SearchKey::parse("101--").unwrap();
         assert_eq!(a.search(&key), reference.search(&key));
         for r in 0..5 {
-            assert_eq!(a.read_word(r), reference.read_word(r));
+            for c in 0..5 {
+                assert_eq!(a.cell(r, c), reference.cell(r, c));
+            }
         }
     }
 

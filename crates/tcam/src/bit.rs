@@ -174,37 +174,6 @@ pub fn word_from_str(s: &str) -> Result<Vec<TernaryBit>, char> {
         .collect()
 }
 
-/// Render a word of ternary bits as a `0`/`1`/`X` string.
-pub fn word_to_string(word: &[TernaryBit]) -> String {
-    word.iter().map(|b| b.as_char()).collect()
-}
-
-/// Pack the low `width` bits of `value` into a ternary word, LSB first.
-///
-/// Bit `i` of `value` lands at index `i`, matching the column-wise data
-/// layout of Fig 2a where a vector element's LSB occupies the first of its
-/// assigned bit columns.
-pub fn word_from_u64(value: u64, width: usize) -> Vec<TernaryBit> {
-    (0..width)
-        .map(|i| TernaryBit::from_bool(value >> i & 1 == 1))
-        .collect()
-}
-
-/// Reassemble a `u64` from a ternary word (LSB first).
-///
-/// Returns `None` if any bit is `X`.
-pub fn word_to_u64(word: &[TernaryBit]) -> Option<u64> {
-    let mut v = 0u64;
-    for (i, b) in word.iter().enumerate() {
-        match b.to_bool() {
-            Some(true) => v |= 1 << i,
-            Some(false) => {}
-            None => return None,
-        }
-    }
-    Some(v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,33 +213,12 @@ mod tests {
     fn word_round_trip_string() {
         let w = word_from_str("10X1_0").unwrap();
         assert_eq!(w.len(), 5);
-        assert_eq!(word_to_string(&w), "10X10");
+        assert_eq!(w.iter().map(|b| b.as_char()).collect::<String>(), "10X10");
     }
 
     #[test]
     fn word_from_str_rejects_bad_chars() {
         assert_eq!(word_from_str("10Q"), Err('Q'));
-    }
-
-    #[test]
-    fn word_u64_round_trip() {
-        for v in [0u64, 1, 5, 0b1011, u16::MAX as u64] {
-            assert_eq!(word_to_u64(&word_from_u64(v, 20)), Some(v));
-        }
-    }
-
-    #[test]
-    fn word_with_x_has_no_u64() {
-        let mut w = word_from_u64(3, 4);
-        w[2] = TernaryBit::X;
-        assert_eq!(word_to_u64(&w), None);
-    }
-
-    #[test]
-    fn lsb_first_layout() {
-        let w = word_from_u64(0b01, 2);
-        assert_eq!(w[0], TernaryBit::One);
-        assert_eq!(w[1], TernaryBit::Zero);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!
 //! It is deliberately slower than [`crate::array::TcamArray`]; its purpose is
 //! to validate the functional model (see the equivalence property tests) and
-//! to expose device-level observability (discharge current counts, half-
-//! selected cell counts for the V/3 scheme).
+//! to expose device-level observability (discharge current counts, cell
+//! programming pulses).
 
 use crate::bit::{KeyBit, TernaryBit};
 use crate::key::SearchKey;
@@ -105,10 +105,6 @@ pub struct DeviceTcam {
     array1: CrossbarArray,
     device: RramDevice,
     cell_writes: u64,
-    /// Per-bit stuck faults (row-major): `Some(v)` freezes the RRAM pair so
-    /// the bit permanently reads `v`; programming pulses still count toward
-    /// [`cell_writes`](Self::cell_writes) but no longer change resistance.
-    stuck: Vec<Option<bool>>,
 }
 
 impl DeviceTcam {
@@ -121,7 +117,6 @@ impl DeviceTcam {
             array1: CrossbarArray::new(rows, cols),
             device: RramDevice::default(),
             cell_writes: 0,
-            stuck: vec![None; rows * cols],
         };
         for r in 0..rows {
             for c in 0..cols {
@@ -157,30 +152,8 @@ impl DeviceTcam {
         self.cell_writes
     }
 
-    /// Freeze a bit at `value` (forming failure / oxide breakdown): the pair
-    /// is reprogrammed one last time to read `value`, and every later
-    /// programming pulse leaves the resistance unchanged. This is the
-    /// device-level realization of [`crate::fault::FaultModel`]'s stuck-at
-    /// cells; the equivalence test below pins the two models together.
-    pub fn mark_stuck(&mut self, row: usize, col: usize, value: bool) {
-        self.stuck[row * self.cols + col] = None;
-        let bit = if value {
-            TernaryBit::One
-        } else {
-            TernaryBit::Zero
-        };
-        self.program_bit(row, col, bit);
-        self.cell_writes -= 2;
-        self.stuck[row * self.cols + col] = Some(value);
-    }
-
     fn program_bit(&mut self, row: usize, col: usize, value: TernaryBit) {
-        // A stuck pair still receives the pulses (the write driver cannot
-        // tell), but its resistance no longer moves.
         self.cell_writes += 2;
-        if self.stuck[row * self.cols + col].is_some() {
-            return;
-        }
         let (a0, a1) = match value {
             TernaryBit::Zero => (Resistance::Low, Resistance::High),
             TernaryBit::One => (Resistance::High, Resistance::Low),
@@ -260,17 +233,6 @@ impl DeviceTcam {
             }
         }
     }
-
-    /// Number of half-selected cells during a V/3 write of `n_tagged` rows in
-    /// one column: cells sharing the selected column or a selected row see
-    /// V/3 stress; all others see ±V/3 or 0 (Fig 3c). Used to verify the
-    /// scheme keeps sneak-path leakage bounded in tests.
-    pub fn half_selected_cells(&self, n_tagged: usize) -> usize {
-        // Selected column: (rows - tagged) unselected cells see 2V/3? No —
-        // under V/3 biasing, cells on the selected column but unselected rows
-        // and cells on selected rows but unselected columns see V/3.
-        (self.rows - n_tagged) + n_tagged * (self.cols - 1)
-    }
 }
 
 #[cfg(test)]
@@ -343,88 +305,6 @@ mod tests {
         t.write(&SearchKey::parse("1-").unwrap(), &tags);
         // One column × two rows × two arrays = 4 cell pulses.
         assert_eq!(t.cell_writes(), 4);
-    }
-
-    #[test]
-    fn half_selected_count_is_linear() {
-        let t = DeviceTcam::new(256, 256);
-        assert_eq!(t.half_selected_cells(1), 255 + 255);
-        assert!(t.half_selected_cells(256) > t.half_selected_cells(1));
-    }
-
-    #[test]
-    fn stuck_bits_ignore_programming_but_count_pulses() {
-        let mut t = DeviceTcam::new(2, 2);
-        t.mark_stuck(0, 1, true);
-        assert_eq!(t.read_bit(0, 1), TernaryBit::One);
-        let pulses = t.cell_writes();
-        t.store_word(0, &word_from_str("XX").unwrap());
-        assert_eq!(t.read_bit(0, 0), TernaryBit::X, "healthy bit programs");
-        assert_eq!(t.read_bit(0, 1), TernaryBit::One, "stuck bit does not");
-        assert_eq!(t.cell_writes(), pulses + 4, "pulses are still issued");
-    }
-
-    /// The device overlay and the functional [`FaultModel`] describe the
-    /// same silicon: seeding the overlay from `stuck_at` makes the two
-    /// models agree bit-for-bit through host loads, associative writes,
-    /// and searches.
-    #[test]
-    fn stuck_overlay_matches_functional_fault_model() {
-        use crate::fault::FaultModel;
-
-        let model = FaultModel {
-            seed: 7,
-            stuck_per_million: 120_000,
-            miss_per_million: 0,
-            endurance_limit: None,
-        };
-        let (rows, cols, pe) = (9, 7, 3);
-        let mut dev = DeviceTcam::new(rows, cols);
-        let mut fun = TcamArray::new(rows, cols);
-        fun.attach_fault(model, 0, pe);
-        let mut any = false;
-        for row in 0..rows {
-            for col in 0..cols {
-                if let Some(v) = model.stuck_at(pe, col, row) {
-                    dev.mark_stuck(row, col, v);
-                    any = true;
-                }
-            }
-        }
-        assert!(any, "12% stuck rate must hit a 9x7 array");
-        let check = |dev: &DeviceTcam, fun: &TcamArray, when: &str| {
-            for row in 0..rows {
-                for col in 0..cols {
-                    assert_eq!(
-                        dev.read_bit(row, col),
-                        fun.cell(row, col),
-                        "({row},{col}) {when}"
-                    );
-                }
-            }
-        };
-        check(&dev, &fun, "after attach");
-        for row in 0..rows {
-            let word: Vec<TernaryBit> = (0..cols)
-                .map(|c| match (row + 2 * c) % 3 {
-                    0 => TernaryBit::Zero,
-                    1 => TernaryBit::One,
-                    _ => TernaryBit::X,
-                })
-                .collect();
-            dev.store_word(row, &word);
-            for (c, b) in word.iter().enumerate() {
-                fun.set_cell(row, c, *b);
-            }
-        }
-        check(&dev, &fun, "after host load");
-        let key = SearchKey::parse("10-1Z--").unwrap();
-        assert_eq!(dev.search(&key), fun.search(&key), "search under faults");
-        let wkey = SearchKey::parse("-01----").unwrap();
-        let tags = fun.search(&key);
-        dev.write(&wkey, &tags);
-        fun.write(&wkey, &tags);
-        check(&dev, &fun, "after associative write");
     }
 
     #[test]

@@ -76,11 +76,6 @@ impl PairSubset {
         PairSubset(self.0 | other.0)
     }
 
-    /// Is this a subset of `other`?
-    pub fn is_subset_of(self, other: PairSubset) -> bool {
-        self.0 & !other.0 == 0
-    }
-
     /// Number of values in the subset.
     pub fn len(self) -> u32 {
         self.0.count_ones()
@@ -177,19 +172,6 @@ pub fn key_for_subset(subset: PairSubset) -> Option<[KeyBit; 2]> {
         }
     }
     None
-}
-
-/// Coverage algebra for a *non-encoded* single bit (e.g. `Cin` in Fig 5d,
-/// which "is stored without encoding"). Key `0` covers {0}, `1` covers {1},
-/// masked covers {0, 1}; `Z` covers nothing (no `X` is ever stored in a
-/// plain data bit).
-pub fn single_bit_coverage(key: KeyBit) -> PairSubset {
-    match key {
-        KeyBit::Zero => PairSubset(0b01),
-        KeyBit::One => PairSubset(0b10),
-        KeyBit::Masked => PairSubset(0b11),
-        KeyBit::Z => PairSubset::EMPTY,
-    }
 }
 
 /// The key bit matching exactly the given subset of {0, 1} for a non-encoded
@@ -304,14 +286,13 @@ mod tests {
 
     #[test]
     fn single_bit_algebra() {
-        assert_eq!(single_bit_coverage(KeyBit::Zero), PairSubset(0b01));
-        assert_eq!(single_bit_coverage(KeyBit::One), PairSubset(0b10));
-        assert_eq!(single_bit_coverage(KeyBit::Masked), PairSubset(0b11));
-        assert!(single_bit_coverage(KeyBit::Z).is_empty());
-        for mask in [0b01u8, 0b10, 0b11] {
-            let k = single_key_for_subset(PairSubset(mask)).unwrap();
-            assert_eq!(single_bit_coverage(k), PairSubset(mask));
-        }
+        // A non-encoded bit (e.g. `Cin` in Fig 5d) stores only 0 or 1.
+        assert_eq!(single_key_for_subset(PairSubset(0b01)), Some(KeyBit::Zero));
+        assert_eq!(single_key_for_subset(PairSubset(0b10)), Some(KeyBit::One));
+        assert_eq!(
+            single_key_for_subset(PairSubset(0b11)),
+            Some(KeyBit::Masked)
+        );
         assert_eq!(single_key_for_subset(PairSubset::EMPTY), None);
     }
 
@@ -320,8 +301,6 @@ mod tests {
         let s = PairSubset::singleton(2).union(PairSubset::singleton(0));
         assert_eq!(s.0, 0b0101);
         assert_eq!(s.len(), 2);
-        assert!(s.is_subset_of(PairSubset::FULL));
-        assert!(!PairSubset::FULL.is_subset_of(s));
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 2]);
         assert_eq!(s.to_string(), "{00,10}");
     }

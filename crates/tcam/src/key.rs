@@ -161,11 +161,6 @@ impl SearchKey {
     pub fn active_count(&self) -> usize {
         self.active_columns().count()
     }
-
-    /// True if every column is masked (matches all words, writes nothing).
-    pub fn is_fully_masked(&self) -> bool {
-        self.bits.iter().all(|b| *b == KeyBit::Masked)
-    }
 }
 
 impl std::fmt::Display for SearchKey {
@@ -221,8 +216,6 @@ mod tests {
         let k = SearchKey::parse("-1-Z").unwrap();
         assert_eq!(k.active_columns().collect::<Vec<_>>(), vec![1, 3]);
         assert_eq!(k.active_count(), 2);
-        assert!(!k.is_fully_masked());
-        assert!(SearchKey::masked(4).is_fully_masked());
     }
 
     #[test]

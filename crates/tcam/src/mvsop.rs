@@ -57,25 +57,9 @@ pub struct Term {
 }
 
 impl Term {
-    /// The term admitting exactly one minterm.
-    pub fn from_minterm(values: &[u8]) -> Self {
-        Term {
-            subsets: values.iter().map(|&v| PairSubset::singleton(v)).collect(),
-        }
-    }
-
     /// Does this term cover the minterm `values`?
     pub fn covers(&self, values: &[u8]) -> bool {
         self.subsets.iter().zip(values).all(|(s, &v)| s.contains(v))
-    }
-
-    /// Is `self` contained in `other` (every minterm of self covered by
-    /// other)?
-    pub fn is_contained_in(&self, other: &Term) -> bool {
-        self.subsets
-            .iter()
-            .zip(&other.subsets)
-            .all(|(a, b)| a.is_subset_of(*b))
     }
 }
 
@@ -99,11 +83,6 @@ impl Cover {
             on_set,
             dc_set: Vec::new(),
         }
-    }
-
-    /// Total number of minterms in the input space.
-    pub fn space_size(&self) -> usize {
-        self.positions.iter().map(|p| p.arity() as usize).product()
     }
 
     /// Enumerate the OFF-set: all minterms not in ON ∪ DC.

@@ -1553,59 +1553,6 @@ impl TcamSlab {
         }
     }
 
-    /// OR-accumulating form of
-    /// [`search_plan_multi_into`](Self::search_plan_multi_into):
-    /// `out |= match(plan)` for the selected lanes — the slab kernel behind
-    /// an accumulating (`acc`) search micro-op. Unselected lanes are
-    /// untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len()` differs from [`plane_words`](Self::plane_words).
-    pub fn search_plan_multi_or_into(
-        &self,
-        plan: &[(usize, KeyBit)],
-        sel: Option<&[u64]>,
-        out: &mut [u64],
-    ) {
-        let plane = self.plane_words();
-        assert_eq!(out.len(), plane, "output/plane word count mismatch");
-        let full = self.pes.is_multiple_of(64);
-        let (zeros, ones) = (&self.zeros, &self.ones);
-        const TILE: usize = 256;
-        let mut s = [0u64; TILE];
-        let mut tt = [0u64; TILE];
-        let mut w0 = 0;
-        while w0 < plane {
-            let n = TILE.min(plane - w0);
-            let mask = match &self.fault {
-                Some(f) => Some(&f.search_mask[w0..w0 + n]),
-                None => (!full).then(|| &self.live[w0..w0 + n]),
-            };
-            let col = |c: usize| {
-                let off = c * plane + w0;
-                (&zeros[off..off + n], &ones[off..off + n])
-            };
-            match sel {
-                None => sweep::plan_or_into(
-                    &mut out[w0..w0 + n],
-                    &mut s[..n],
-                    plan,
-                    self.cols,
-                    &col,
-                    mask,
-                ),
-                Some(m) => {
-                    sweep::plan_and_into(&mut tt[..n], plan, self.cols, &col, mask);
-                    for i in 0..n {
-                        out[w0 + i] |= tt[i] & m[(w0 + i) % self.pw];
-                    }
-                }
-            }
-            w0 += n;
-        }
-    }
-
     /// Fused associative write over the selected PEs: program `value` into
     /// column `col` of every tagged row of every selected PE, in one linear
     /// sweep. `tags` is a full `[row][pe_word]` plane. Each selected PE's
@@ -3121,26 +3068,6 @@ mod tests {
             out.words_mut(),
         );
         assert_eq!(out.count(0) + out.count(1), 32, "no-op plan matches all");
-    }
-
-    #[test]
-    fn search_plan_multi_or_into_accumulates_per_array() {
-        let (slab, arrays) = seeded(5, 70, 9);
-        let k1 = SearchKey::parse("10-1Z----").unwrap();
-        let k2 = SearchKey::parse("-----01--").unwrap();
-        let mut out = tag_pattern(&slab, 3);
-        let before = out.clone();
-        let sel = pe_range_mask(5, 1, 4);
-        slab.search_plan_multi_or_into(&k1.compile_plan(), Some(&sel), out.words_mut());
-        slab.search_plan_multi_or_into(&k2.compile_plan(), None, out.words_mut());
-        for (pe, array) in arrays.iter().enumerate() {
-            let mut expect = before.to_tagvector(pe);
-            if (1..4).contains(&pe) {
-                expect.accumulate(&array.search(&k1));
-            }
-            expect.accumulate(&array.search(&k2));
-            assert_eq!(out.to_tagvector(pe), expect, "pe {pe}");
-        }
     }
 
     #[test]

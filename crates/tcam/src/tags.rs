@@ -109,19 +109,6 @@ impl TagVector {
         }
     }
 
-    /// AND another tag vector into this one (used to combine the two
-    /// crossbar-array sensing results of one PE, §IV-B).
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ.
-    pub fn intersect(&mut self, other: &TagVector) {
-        assert_eq!(self.len, other.len, "tag length mismatch");
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
-            *a &= b;
-        }
-    }
-
     /// Population count — the `Count` instruction (adder tree).
     pub fn count(&self) -> usize {
         self.blocks.iter().map(|b| b.count_ones() as usize).sum()
@@ -240,8 +227,6 @@ mod tests {
         a.accumulate(&b);
         assert_eq!(a.count(), 70);
         assert_eq!(a.blocks()[1], (1u64 << 6) - 1, "OR left padding zero");
-        a.intersect(&b);
-        assert_eq!(a.count(), 70);
         assert_eq!(a.iter_set().last(), Some(69));
     }
 
@@ -281,15 +266,6 @@ mod tests {
             (0..4).map(|i| a.get(i)).collect::<Vec<_>>(),
             vec![true, false, true, true]
         );
-    }
-
-    #[test]
-    fn intersect_is_and() {
-        let mut a = TagVector::from_bools([true, true, false, true]);
-        let b = TagVector::from_bools([true, false, false, true]);
-        a.intersect(&b);
-        assert_eq!(a.count(), 2);
-        assert!(a.get(0) && a.get(3));
     }
 
     #[test]

@@ -22,7 +22,6 @@
 
 pub mod kernels;
 pub mod perf;
-pub mod scaleout;
 pub mod similarity;
 pub mod synthetic;
 

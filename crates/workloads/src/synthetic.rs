@@ -195,23 +195,6 @@ impl SyntheticBench {
     pub fn stream(&self) -> Vec<hyperap_isa::Instruction> {
         hyperap_isa::lower(self.mc.program())
     }
-
-    /// Store one input tuple into `pe` at `row` using the benchmark's own
-    /// column layout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tuple` is shorter than [`Self::arity`].
-    pub fn store_inputs(&self, pe: &mut HyperPe, row: usize, tuple: &[u64]) {
-        for (f, &v) in self.inputs.iter().zip(tuple) {
-            f.store(pe, row, v);
-        }
-    }
-
-    /// Read the output field of `row` back from `pe`.
-    pub fn read_output(&self, pe: &HyperPe, row: usize) -> u64 {
-        self.output.read(pe, row)
-    }
 }
 
 /// Measure per-pass operation counts for an op at a width (the harness
