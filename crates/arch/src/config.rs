@@ -2,11 +2,10 @@
 
 use hyperap_model::tech::TechParams;
 use hyperap_tcam::FaultModel;
-use serde::{Deserialize, Serialize};
 
 /// Former slab-engine threading policy. Both machines always run on
 /// their caller's thread; the only variant has no effect.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
     /// Run on the calling thread (the only behaviour).
     #[default]
@@ -27,7 +26,7 @@ pub fn default_chunk_pes(per: usize) -> usize {
 /// The default (no faults, no spares) compiles the engines down to
 /// exactly the fault-free kernels — `bench_guard` holds the zero-fault
 /// path to the fault-free baselines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultConfig {
     /// Seeded fault model shared by every PE (each PE derives its own
     /// faults from its global id).
@@ -96,7 +95,7 @@ pub fn env_faults() -> Option<FaultConfig> {
 /// numbers are obtained by scaling per-PE results with
 /// [`hyperap_model::AreaModel`] (the paper itself computes performance
 /// analytically from compilation results, §VI-A3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArchConfig {
     /// Number of instruction-stream groups (the 8-bit group mask bounds
     /// banks-per-group gating, §IV-A11).

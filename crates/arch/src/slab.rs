@@ -35,6 +35,8 @@
 //!   module. The event loop (`trace::drive_steps`) schedules steps by the
 //!   interpreter's `(issue cycle, group)` key.
 
+use std::borrow::Borrow;
+
 use crate::config::ArchConfig;
 use crate::control::{self, ActiveSet, MovStep, WriteTarget};
 use crate::similarity::{SimilarityHit, SimilarityOutcome};
@@ -1031,22 +1033,11 @@ impl SlabMachine {
     /// running a segment as one block commutes with every other group's
     /// work; synchronization points retire in exactly the interpreter's
     /// order because all cycle costs are static.
-    pub fn try_run_compiled(&mut self, traces: &[CompiledTrace]) -> Result<RunStats, FaultError> {
-        self.try_run_compiled_inner(traces)
-    }
-
-    /// [`try_run_compiled`](Self::try_run_compiled) over borrowed traces —
-    /// the shared-cache execution path: a serving layer holding compiled
+    ///
+    /// Traces may be owned or borrowed: a serving layer holding compiled
     /// programs behind `Arc`s (possibly the same program repeated across
-    /// groups) runs them without cloning a single trace.
-    pub fn try_run_compiled_refs(
-        &mut self,
-        traces: &[&CompiledTrace],
-    ) -> Result<RunStats, FaultError> {
-        self.try_run_compiled_inner(traces)
-    }
-
-    fn try_run_compiled_inner<T: std::borrow::Borrow<CompiledTrace>>(
+    /// groups) passes `&[&CompiledTrace]` and clones no trace.
+    pub fn try_run_compiled<T: Borrow<CompiledTrace>>(
         &mut self,
         traces: &[T],
     ) -> Result<RunStats, FaultError> {
@@ -1422,7 +1413,7 @@ mod tests {
         refs.load_bit(2, 0, 0, true);
         let a = owned.try_run_compiled(&traces).unwrap();
         let trace_refs: Vec<&CompiledTrace> = traces.iter().collect();
-        let b = refs.try_run_compiled_refs(&trace_refs).unwrap();
+        let b = refs.try_run_compiled(&trace_refs).unwrap();
         assert_eq!(a, b);
     }
 

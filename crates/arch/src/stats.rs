@@ -1,14 +1,13 @@
 //! Execution statistics: cycles, energy, and reduction results.
 
 use hyperap_model::timing::OpCounts;
-use serde::{Deserialize, Serialize};
 
 /// Degradation report for one PE that has retired columns onto spares.
 ///
 /// Emitted by the end-of-run endurance service (see
 /// `ArchConfig::faults`); PEs with an empty retirement log are omitted
 /// from [`RunStats::pe_health`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PeHealth {
     /// Global PE id.
     pub pe: usize,
@@ -21,7 +20,7 @@ pub struct PeHealth {
 /// The slab engine's resolved execution geometry for one run — a
 /// diagnostic record of how the word-parallel kernels were shaped, logged
 /// in [`RunStats::geometry`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunGeometry {
     /// PEs per slab chunk (64-aligned by default so every chunk sweeps
     /// whole PE words).
@@ -33,7 +32,7 @@ pub struct RunGeometry {
 }
 
 /// Results of one [`crate::ApMachine::run`] or [`crate::SlabMachine::run`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RunStats {
     /// Cycle at which each group finished its stream.
     pub group_cycles: Vec<u64>,

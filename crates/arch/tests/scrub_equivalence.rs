@@ -210,15 +210,24 @@ fn assert_same_state(m: &SlabMachine, fresh: &SlabMachine) {
 }
 
 /// `m`'s chunks as a checkpoint would restore them: every arena decoded
-/// from its byte image, so each starts at version 0 whatever it holds.
+/// from its plane image, so each starts at version 0 whatever it holds.
 fn decoded_payloads(m: &SlabMachine) -> Vec<ChunkPayload> {
-    let tags = |t: &TagSlab| TagSlab::from_bytes(&t.to_bytes()).expect("tag image");
+    let tags = |t: &TagSlab| {
+        let mut out = Vec::new();
+        t.write_plane(&mut out);
+        TagSlab::read_plane(&mut out.as_slice(), t.pes(), t.rows()).expect("tag plane")
+    };
+    let storage = |s: &TcamSlab| {
+        let mut out = Vec::new();
+        s.write_plane_image(&mut out);
+        TcamSlab::read_plane_image(&mut out.as_slice()).expect("plane image")
+    };
     (0..m.num_chunks())
         .map(|i| {
             let s = m.chunk_state(i);
             ChunkPayload {
                 global_base: s.global_base,
-                storage: TcamSlab::from_bytes(&s.storage.to_bytes()).expect("slab image"),
+                storage: storage(s.storage),
                 tags: tags(s.tags),
                 latch: tags(s.latch),
                 regs: tags(s.regs),

@@ -10,10 +10,9 @@
 use crate::imp::KernelOps;
 use crate::reference::{OpKind, OpRecord};
 use hyperap_model::config::GPU_TITAN_XP;
-use serde::{Deserialize, Serialize};
 
 /// GPU model parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuModel {
     /// Off-chip memory round-trip latency in ns (GDDR5X).
     pub memory_latency_ns: f64,

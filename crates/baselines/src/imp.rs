@@ -11,10 +11,9 @@
 
 use crate::reference::{record, OpKind, FIG15_IMP, FIG17_IMP};
 use hyperap_model::config::IMP_SYSTEM;
-use serde::{Deserialize, Serialize};
 
 /// Per-element operation tallies of a kernel (architecture-neutral).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct KernelOps {
     /// Additions/subtractions/comparisons per element.
     pub adds: f64,
@@ -31,7 +30,7 @@ pub struct KernelOps {
 }
 
 /// The IMP analytical performance model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ImpModel {
     /// Router-network latency per inter-slot word transfer, in ns (the
     /// "relatively higher synchronization cost" of §VI-D; several hops at

@@ -7,10 +7,8 @@
 //! harness can print *paper vs measured* rows; all measured Hyper-AP values
 //! are produced by this repository's simulator and compiler.
 
-use serde::{Deserialize, Serialize};
-
 /// The evaluated arithmetic operations of Figs 15-17.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// 32/16-bit addition.
     Add,
@@ -50,7 +48,7 @@ impl std::fmt::Display for OpKind {
 }
 
 /// One operation's performance record (the four y-axes of Figs 15-17).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpRecord {
     /// Operation.
     pub op: OpKind,

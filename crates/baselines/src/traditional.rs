@@ -17,10 +17,9 @@ use hyperap_core::lut::{full_adder_lut, ExecutionModel};
 use hyperap_model::area::AreaModel;
 use hyperap_model::tech::{TechParams, Technology};
 use hyperap_model::timing::OpCounts;
-use serde::{Deserialize, Serialize};
 
 /// Ablation variant (cumulative).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ApVariant {
     /// Prior-work traditional AP.
     Traditional,
@@ -55,7 +54,7 @@ impl std::fmt::Display for ApVariant {
 }
 
 /// Cost of a variant executing one operation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VariantCost {
     /// Operation counts per element pass.
     pub ops: OpCounts,

@@ -25,7 +25,7 @@
 //! ties. Divergent cases shrink by dropping codes, loads and queries.
 //!
 //! A fourth axis feeds damaged bytes to checkpoint resume. Each case takes
-//! the `ckpt_v1` or `ckpt_v2` golden fixture, mutates the manifest or one
+//! the `ckpt_v2` golden fixture, mutates the manifest or one
 //! chunk file (bit flips, truncation, splices of other bytes, and
 //! overwrites of the count and length fields with extreme values), and
 //! usually re-seals the manifest checksum or re-addresses the chunk, so the
@@ -60,7 +60,7 @@ use hyperap_arch::machine::BROADCAST_ADDR;
 use hyperap_arch::{ApMachine, ArchConfig, FaultConfig, SlabMachine};
 use hyperap_baselines::reference::OpKind;
 use hyperap_ckpt::testing::golden_machine;
-use hyperap_ckpt::{CheckpointSink, Checkpointer, CkptError, Manifest, MemSink};
+use hyperap_ckpt::{word_hash64, CheckpointSink, Checkpointer, CkptError, Manifest, MemSink};
 use hyperap_compiler::{compile, CompileOptions, OPT_LEVEL_MAX};
 use hyperap_isa::{Direction, Instruction};
 use hyperap_tcam::{FaultModel, KeyBit, SearchKey};
@@ -813,18 +813,18 @@ fn main() {
     }
 
     if let Some(case_seed) = single_ckpt_case {
-        let failed = run_ckpt_case(&CkptFixtures::load(), case_seed, 0);
+        let failed = run_ckpt_case(&CkptFixture::load(), case_seed, 0);
         if !failed {
             println!("diff_fuzz: checkpoint case {case_seed} is clean — resume stayed typed");
         }
         std::process::exit(i32::from(failed));
     }
-    let fixtures = CkptFixtures::load();
+    let fixture = CkptFixture::load();
     if ckpt_only {
         let cases = if smoke { CKPT_SMOKE_CASES } else { iters };
         let mut derive = Rng(seed);
         for iteration in 0..cases {
-            if run_ckpt_case(&fixtures, derive.next(), iteration) {
+            if run_ckpt_case(&fixture, derive.next(), iteration) {
                 std::process::exit(1);
             }
         }
@@ -859,7 +859,7 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        if run_ckpt_case(&fixtures, case_seed, iteration) {
+        if run_ckpt_case(&fixture, case_seed, iteration) {
             std::process::exit(1);
         }
     }
@@ -882,54 +882,31 @@ const CKPT_SMOKE_CASES: u64 = 2000;
 /// that take the migration path.
 const CKPT_WIDTHS: [usize; 3] = [3, 1, 4];
 
-/// One golden checkpoint, files in name order (the manifest last: `m-`
-/// sorts after `c-`).
-struct Fixture {
-    name: &'static str,
+/// The `ckpt_v2` golden checkpoint and the machine it holds.
+struct CkptFixture {
+    /// Files in name order (the manifest last: `m-` sorts after `c-`).
     files: Vec<(String, Vec<u8>)>,
     manifest: Manifest,
-}
-
-/// Both frozen fixtures and the machine they hold.
-struct CkptFixtures {
-    fixtures: Vec<Fixture>,
     machine: SlabMachine,
 }
 
-impl CkptFixtures {
+impl CkptFixture {
     fn load() -> Self {
-        let fixtures = [
-            (
-                "ckpt_v1",
-                concat!(env!("CARGO_MANIFEST_DIR"), "/../tcam/tests/golden/ckpt_v1"),
-            ),
-            (
-                "ckpt_v2",
-                concat!(env!("CARGO_MANIFEST_DIR"), "/../tcam/tests/golden/ckpt_v2"),
-            ),
-        ]
-        .into_iter()
-        .map(|(name, dir)| {
-            let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
-                .expect("checkpoint fixture directory")
-                .map(|e| {
-                    let e = e.expect("fixture entry");
-                    let bytes = std::fs::read(e.path()).expect("fixture file");
-                    (e.file_name().to_string_lossy().into_owned(), bytes)
-                })
-                .collect();
-            files.sort();
-            let manifest = Manifest::decode(&files.last().expect("fixture files").1)
-                .expect("fixture manifest decodes");
-            Fixture {
-                name,
-                files,
-                manifest,
-            }
-        })
-        .collect();
-        CkptFixtures {
-            fixtures,
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../tcam/tests/golden/ckpt_v2");
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+            .expect("checkpoint fixture directory")
+            .map(|e| {
+                let e = e.expect("fixture entry");
+                let bytes = std::fs::read(e.path()).expect("fixture file");
+                (e.file_name().to_string_lossy().into_owned(), bytes)
+            })
+            .collect();
+        files.sort();
+        let manifest = Manifest::decode(&files.last().expect("fixture files").1)
+            .expect("fixture manifest decodes");
+        CkptFixture {
+            files,
+            manifest,
             machine: golden_machine(),
         }
     }
@@ -961,12 +938,11 @@ enum Damage {
     },
 }
 
-/// One checkpoint-bytes case: which fixture, which file, what damage, and
-/// whether the damage is sealed (manifest checksum re-computed, or the
-/// chunk re-hashed and the manifest pointed at its new address).
+/// One checkpoint-bytes case: which file, what damage, and whether the
+/// damage is sealed (manifest checksum re-computed, or the chunk re-hashed
+/// and the manifest pointed at its new address).
 #[derive(Debug)]
 struct CkptCase {
-    fixture: usize,
     file: usize,
     damage: Vec<Damage>,
     sealed: bool,
@@ -1015,40 +991,19 @@ fn manifest_counts(m: &[u8]) -> Vec<(usize, usize, bool)> {
 }
 
 /// `(offset, width, little-endian)` of the count and length fields of a
-/// chunk payload, by its version byte.
+/// chunk payload: the plane-image header, then the wear bitmap behind the
+/// two arenas.
 fn chunk_counts(c: &[u8]) -> Vec<(usize, usize, bool)> {
-    match c.first() {
-        Some(1) => {
-            // Four length-prefixed slab images, each opening with a
-            // version byte and u16 dimensions (pes, rows, and cols for the
-            // storage image), then the op count.
-            let mut out = Vec::new();
-            let mut at = 9;
-            for image in 0..4 {
-                out.push((at, 8, false));
-                let dims = if image == 0 { 3 } else { 2 };
-                out.extend((0..dims).map(|d| (at + 9 + 2 * d, 2, false)));
-                at += 8 + be(c, at, 8).unwrap_or(0).min(1 << 20) as usize;
-            }
-            out.push((at, 4, false));
-            out
-        }
-        _ => {
-            // The plane-image header, then the wear bitmap behind the two
-            // arenas.
-            let mut out: Vec<_> = (0..4).map(|i| (9 + 4 * i, 4, true)).collect();
-            let dim = |i: usize| le(c, 9 + 4 * i, 4).unwrap_or(0) as usize;
-            let arena = dim(2).saturating_mul(dim(1)).saturating_mul(dim(3));
-            out.push((arena.saturating_mul(16).saturating_add(25), 8, true));
-            out
-        }
-    }
+    let mut out: Vec<_> = (0..4).map(|i| (9 + 4 * i, 4, true)).collect();
+    let dim = |i: usize| le(c, 9 + 4 * i, 4).unwrap_or(0) as usize;
+    let arena = dim(2).saturating_mul(dim(1)).saturating_mul(dim(3));
+    out.push((arena.saturating_mul(16).saturating_add(25), 8, true));
+    out
 }
 
-fn generate_ckpt_case(fx: &CkptFixtures, case_seed: u64) -> CkptCase {
+fn generate_ckpt_case(fx: &CkptFixture, case_seed: u64) -> CkptCase {
     let mut rng = Rng(case_seed ^ 0xC4EC_4B01);
-    let fixture = rng.below(fx.fixtures.len() as u64) as usize;
-    let files = &fx.fixtures[fixture].files;
+    let files = &fx.files;
     let file = rng.below(files.len() as u64) as usize;
     let bytes = &files[file].1;
     let is_manifest = file + 1 == files.len();
@@ -1109,7 +1064,6 @@ fn generate_ckpt_case(fx: &CkptFixtures, case_seed: u64) -> CkptCase {
         });
     }
     CkptCase {
-        fixture,
         file,
         damage,
         sealed: rng.below(4) != 0,
@@ -1161,9 +1115,8 @@ fn apply_damage(bytes: &mut Vec<u8>, damage: &[Damage], files: &[(String, Vec<u8
 }
 
 /// The damaged disk image of `case`.
-fn damaged_sink(fx: &CkptFixtures, case: &CkptCase) -> MemSink {
-    let fixture = &fx.fixtures[case.fixture];
-    let files = &fixture.files;
+fn damaged_sink(fx: &CkptFixture, case: &CkptCase) -> MemSink {
+    let files = &fx.files;
     let manifest_at = files.len() - 1;
     let mut sink = MemSink::new();
     for (name, bytes) in files {
@@ -1181,13 +1134,13 @@ fn damaged_sink(fx: &CkptFixtures, case: &CkptCase) -> MemSink {
         sink.insert(name.clone(), bytes);
     } else if case.sealed {
         // Re-address the chunk and point the manifest's entry at it.
-        let mut man = fixture.manifest.clone();
+        let mut man = fx.manifest.clone();
         let entry = man
             .chunks
             .iter_mut()
             .find(|c| format!("c-{:016x}-{}.bin", c.hash, c.len) == *name)
             .expect("fixture manifest names every chunk file");
-        entry.hash = fixture.manifest.chunk_hash(&bytes);
+        entry.hash = word_hash64(&bytes);
         entry.len = bytes.len() as u64;
         let _ = CheckpointSink::remove(&mut sink, name);
         sink.insert(format!("c-{:016x}-{}.bin", entry.hash, entry.len), bytes);
@@ -1221,14 +1174,14 @@ fn machine_divergence(a: &SlabMachine, b: &SlabMachine) -> Option<String> {
     (ops(a) != ops(b)).then(|| "per-PE op counters".into())
 }
 
-/// A blank machine shaped like the fixtures' at `width`-PE chunks.
-fn ckpt_blank(fx: &CkptFixtures, width: usize) -> SlabMachine {
+/// A blank machine shaped like the fixture's at `width`-PE chunks.
+fn ckpt_blank(fx: &CkptFixture, width: usize) -> SlabMachine {
     SlabMachine::with_chunk_pes(fx.machine.config().clone(), width)
 }
 
 /// Resume `case`'s damaged image; `Some(description)` when the outcome
 /// breaks the axis' contract.
-fn check_ckpt(fx: &CkptFixtures, case: &CkptCase) -> Option<String> {
+fn check_ckpt(fx: &CkptFixture, case: &CkptCase) -> Option<String> {
     let sink = damaged_sink(fx, case);
     let mut restored = ckpt_blank(fx, case.width);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -1278,17 +1231,16 @@ fn check_ckpt(fx: &CkptFixtures, case: &CkptCase) -> Option<String> {
 }
 
 /// Run one checkpoint-bytes case; `true` on a contract violation (reported).
-fn run_ckpt_case(fx: &CkptFixtures, case_seed: u64, iteration: u64) -> bool {
+fn run_ckpt_case(fx: &CkptFixture, case_seed: u64, iteration: u64) -> bool {
     let case = generate_ckpt_case(fx, case_seed);
     let Some(problem) = check_ckpt(fx, &case) else {
         return false;
     };
-    let fixture = &fx.fixtures[case.fixture];
     eprintln!("diff_fuzz: CHECKPOINT FAILURE at iteration {iteration} (case seed {case_seed})");
     eprintln!("diff_fuzz: re-run just this case with: diff_fuzz --ckpt-case {case_seed}");
     eprintln!(
-        "  fixture {} file {} (sealed: {}, resumed at {}-PE chunks)",
-        fixture.name, fixture.files[case.file].0, case.sealed, case.width
+        "  file {} (sealed: {}, resumed at {}-PE chunks)",
+        fx.files[case.file].0, case.sealed, case.width
     );
     for d in &case.damage {
         eprintln!("  damage: {d:?}");

@@ -10,8 +10,8 @@
 //! protocol. Only rerun this when the on-disk format version is
 //! deliberately bumped (and then into a new `ckpt_v<N>` directory) — the
 //! fixture pins wire-format stability for `tests/golden_checkpoint.rs`.
-//! The `ckpt_v1` fixture beside it is frozen: nothing writes v1 any more,
-//! and resume must keep reading it.
+//! Resume reads only the current version, so a bump retires the old
+//! fixture directory with its reader.
 
 use hyperap_ckpt::testing::golden_machine;
 use hyperap_ckpt::{Checkpointer, DirSink};

@@ -5,9 +5,8 @@
 //!
 //! A checkpoint is a set of content-addressed chunk files
 //! `c-<hash>-<len>.bin` plus one manifest `m-<epoch>.ckpt` naming them.
-//! The hash is [`word_hash64`] of the payload (manifest v2; a v1
-//! manifest, still readable, names its chunks by [`fnv1a64`] — see
-//! [`manifest`] for both wire formats). Every file is written as
+//! The hash is [`word_hash64`] of the payload (see [`manifest`] for the
+//! wire formats). Every file is written as
 //! `tmp-<name>`, `sync`ed, then `rename`d into place; the manifest rename
 //! is the **commit point** — a crash anywhere before it leaves the
 //! previous epoch fully intact, and a crash anywhere after it leaves the
@@ -212,7 +211,6 @@ impl<S: CheckpointSink> Checkpointer<S> {
             });
         }
         let manifest = Manifest {
-            version: manifest::MANIFEST_VERSION,
             epoch,
             geometry: machine.config().geometry_fields(),
             fault: FaultWitness::of(machine.config()),
@@ -326,7 +324,7 @@ impl<S: CheckpointSink> Checkpointer<S> {
                     }
                     Err(e) => return Err(e.into()),
                 };
-                if payload.len() as u64 != entry.len || man.chunk_hash(&payload) != entry.hash {
+                if payload.len() as u64 != entry.len || word_hash64(&payload) != entry.hash {
                     damaged = true;
                     break;
                 }

@@ -1,7 +1,7 @@
 //! Checkpoint wire formats: the versioned manifest and the per-chunk
-//! payload. Everything is hand-encoded (the workspace's `serde` is a no-op
-//! shim; every durable format in this repo is explicit bytes). Commit
-//! writes manifest v2 and chunk v2; resume also reads v1 of both.
+//! payload. Everything is hand-encoded as explicit bytes. Commit writes
+//! manifest v2 and chunk v2, and resume reads only those; any other
+//! version byte is [`CkptError::BadVersion`].
 //!
 //! # Manifest (`m-<epoch>.ckpt`), big-endian
 //!
@@ -17,17 +17,13 @@
 //! trailing fnv1a64 seal of everything above
 //! ```
 //!
-//! | version | chunk `hash` (and the `<hash>` of its file name) |
-//! |---------|--------------------------------------------------|
-//! | 1 (read only) | [`fnv1a64`] of the payload bytes |
-//! | 2 (written)   | [`word_hash64`] of the payload bytes |
-//!
-//! The layout is the same in both versions. The seal is FNV-1a in both and
-//! is checked before the version byte, so a bit-flipped version byte is a
-//! soft [`CkptError::BadChecksum`] (resume falls back an epoch), and only
-//! an intact manifest of an unknown version is a hard
-//! [`CkptError::BadVersion`]. Every count is checked against the bytes
-//! that remain before anything is allocated for it.
+//! A chunk's `hash` (and the `<hash>` of its file name) is [`word_hash64`]
+//! of the payload bytes. The seal is [`fnv1a64`] and is checked before the
+//! version byte, so a bit-flipped version byte is a soft
+//! [`CkptError::BadChecksum`] (resume falls back an epoch), and only an
+//! intact manifest of another version is a hard [`CkptError::BadVersion`].
+//! Every count is checked against the bytes that remain before anything is
+//! allocated for it.
 //!
 //! The manifest is **deterministic** — no timestamps, no absolute paths —
 //! so a frozen fixture stays byte-stable and content-addressed chunk reuse
@@ -35,18 +31,18 @@
 //!
 //! # Chunk payload (`c-<hash>-<len>.bin`)
 //!
-//! The first byte is the chunk version; a reader dispatches on it, not on
-//! the manifest's version.
+//! The first byte is the chunk version, [`CHUNK_VERSION`] (2). After it
+//! come the global base as a little-endian u64; the
+//! `TcamSlab::write_plane_image` image (a `(pes, rows, cols, pe_words)`
+//! header, the `zeros`/`ones` arenas as little-endian words in memory
+//! order, sparse wear, a fault flag and the fault bookkeeping tail); tags,
+//! latch and regs as `TagSlab::write_plane` (`rows × pe_words`
+//! little-endian words each); and `pes` op records of
+//! `OpCounts::ENCODED_LEN` bytes.
 //!
-//! | version | layout after the version byte |
-//! |---------|-------------------------------|
-//! | 1 (read only) | big-endian: global base u64; 4 × (u64 len + blob): `TcamSlab::to_bytes`, then tags, latch, regs as `TagSlab::to_bytes` (per-PE `[pe][block]` words, transposed from the planes); ops as u32 count + count × `OpCounts::ENCODED_LEN` records |
-//! | 2 (written) | global base u64 LE; `TcamSlab::write_plane_image` (`(pes, rows, cols, pe_words)` header, `zeros`/`ones` arenas as little-endian words in memory order, sparse wear, fault flag + bookkeeping tail); tags, latch, regs as `TagSlab::write_plane` (`rows × pe_words` LE words each); `pes` × `OpCounts::ENCODED_LEN` op records |
-//!
-//! v2 restores with word copies and no transposes, and its sparse wear
-//! drops the all-zero counters that were a third of a v1 chunk. Its planes
-//! are padded to 64-PE words, so chunks much narrower than 64 PEs are
-//! larger in v2 than in v1.
+//! A chunk restores with word copies and no transposes. Its planes are
+//! padded to 64-PE words, so a chunk much narrower than 64 PEs carries
+//! mostly padding.
 
 use bytes::{Buf, BufMut, BytesMut};
 use hyperap_arch::slab::{ChunkPayload, ChunkState, MachineExtras, RestoreError};
@@ -61,16 +57,11 @@ use crate::sink::SinkError;
 
 /// Magic bytes opening every manifest.
 pub const MANIFEST_MAGIC: [u8; 4] = *b"HAPC";
-/// Version byte of the manifest format commit writes (chunk hashes are
+/// Version byte of the manifest format (chunk hashes are
 /// [`word_hash64`]).
 pub const MANIFEST_VERSION: u8 = 2;
-/// Version byte of the read-only v1 manifest (chunk hashes are
-/// [`fnv1a64`]).
-pub const MANIFEST_VERSION_V1: u8 = 1;
-/// Version byte of the chunk payload format commit writes.
+/// Version byte of the chunk payload format.
 pub const CHUNK_VERSION: u8 = 2;
-/// Version byte of the read-only v1 chunk payload.
-pub const CHUNK_VERSION_V1: u8 = 1;
 
 /// Failure modes of checkpoint commit, decode, and resume.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -141,9 +132,8 @@ impl From<SlabDecodeError> for CkptError {
     }
 }
 
-/// FNV-1a 64 over a byte slice — the manifest's self-checksum, and the
-/// chunk content hash of v1 manifests (same constants as
-/// [`ArchConfig::geometry_hash`]).
+/// FNV-1a 64 over a byte slice — the manifest's self-checksum (same
+/// constants as [`ArchConfig::geometry_hash`]).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -155,7 +145,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The chunk content hash of v2 manifests, a word hash in the style of
+/// The chunk content hash of a manifest, a word hash in the style of
 /// `hyperap_arch::trace::stream_set_hash`: the step `h = (h.rotl(5) ^ w) * K`
 /// over the bytes as little-endian 64-bit words, the tail bytes
 /// zero-padded into one more word, then the byte length, then the
@@ -228,8 +218,8 @@ pub struct ChunkEntry {
     pub pes: u32,
     /// Payload length in bytes.
     pub len: u64,
-    /// Content hash of the payload bytes (also its address): [`fnv1a64`]
-    /// in a v1 manifest, [`word_hash64`] in v2.
+    /// Content hash of the payload bytes (also its address):
+    /// [`word_hash64`].
     pub hash: u64,
 }
 
@@ -237,10 +227,6 @@ pub struct ChunkEntry {
 /// one committed epoch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Manifest {
-    /// Format version: [`MANIFEST_VERSION`] for everything commit writes,
-    /// [`MANIFEST_VERSION_V1`] for an older manifest read back. It selects
-    /// the chunk hash ([`chunk_hash`](Self::chunk_hash)).
-    pub version: u8,
     /// Monotonic commit epoch.
     pub epoch: u64,
     /// [`ArchConfig::geometry_fields`] of the writing machine.
@@ -325,23 +311,12 @@ impl<'a> Cursor<'a> {
 }
 
 impl Manifest {
-    /// The content hash this manifest's chunk entries use: [`fnv1a64`] for
-    /// v1, [`word_hash64`] for v2.
-    pub fn chunk_hash(&self, payload: &[u8]) -> u64 {
-        if self.version == MANIFEST_VERSION_V1 {
-            fnv1a64(payload)
-        } else {
-            word_hash64(payload)
-        }
-    }
-
-    /// Serialize, appending the trailing self-checksum. The layout is the
-    /// same in every version; the version byte is [`version`](Self::version),
-    /// so a decoded manifest re-encodes byte for byte.
+    /// Serialize as [`MANIFEST_VERSION`], appending the trailing
+    /// self-checksum. A decoded manifest re-encodes byte for byte.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = BytesMut::new();
         buf.put_slice(&MANIFEST_MAGIC);
-        buf.put_u8(self.version);
+        buf.put_u8(MANIFEST_VERSION);
         buf.put_u64(self.epoch);
         for field in self.geometry {
             buf.put_u64(field);
@@ -398,8 +373,8 @@ impl Manifest {
     /// [`CkptError::Truncated`] / [`CkptError::BadChecksum`] for damaged
     /// blobs (a resume falls back to an older epoch on these), including
     /// any count that promises more bytes than remain;
-    /// [`CkptError::BadVersion`] for an intact blob from an unknown future
-    /// format (a hard error — falling back would silently ignore newer
+    /// [`CkptError::BadVersion`] for an intact blob of any other format
+    /// version (a hard error — falling back would silently ignore its
     /// state).
     pub fn decode(bytes: &[u8]) -> Result<Manifest, CkptError> {
         if bytes.len() < MANIFEST_MAGIC.len() + 8 {
@@ -415,7 +390,7 @@ impl Manifest {
             return Err(CkptError::BadChecksum);
         }
         let version = cur.u8()?;
-        if version != MANIFEST_VERSION && version != MANIFEST_VERSION_V1 {
+        if version != MANIFEST_VERSION {
             return Err(CkptError::BadVersion(version));
         }
         let epoch = cur.u64()?;
@@ -482,7 +457,6 @@ impl Manifest {
             return Err(CkptError::Truncated);
         }
         Ok(Manifest {
-            version,
             epoch,
             geometry,
             fault,
@@ -513,24 +487,21 @@ pub fn encode_chunk(state: &ChunkState<'_>) -> Vec<u8> {
     out
 }
 
-/// Decode one chunk payload blob of either version.
+/// Decode one chunk payload blob.
 ///
 /// # Errors
 ///
 /// [`CkptError::Truncated`] on short blobs or trailing bytes,
-/// [`CkptError::BadVersion`] on unknown payload versions,
-/// [`CkptError::ChunkDecode`] when an embedded slab image is damaged.
+/// [`CkptError::BadVersion`] on any payload version but
+/// [`CHUNK_VERSION`], [`CkptError::ChunkDecode`] when an embedded slab
+/// image is damaged.
 pub fn decode_chunk(bytes: &[u8]) -> Result<ChunkPayload, CkptError> {
-    let mut cur = Cursor(bytes);
-    match cur.u8()? {
-        CHUNK_VERSION => decode_chunk_v2(cur.0),
-        CHUNK_VERSION_V1 => decode_chunk_v1(cur),
-        v => Err(CkptError::BadVersion(v)),
+    let Some((&version, mut buf)) = bytes.split_first() else {
+        return Err(CkptError::Truncated);
+    };
+    if version != CHUNK_VERSION {
+        return Err(CkptError::BadVersion(version));
     }
-}
-
-/// The v2 payload after its version byte.
-fn decode_chunk_v2(mut buf: &[u8]) -> Result<ChunkPayload, CkptError> {
     let Some((base, rest)) = buf.split_first_chunk::<8>() else {
         return Err(CkptError::Truncated);
     };
@@ -559,37 +530,6 @@ fn decode_chunk_v2(mut buf: &[u8]) -> Result<ChunkPayload, CkptError> {
     })
 }
 
-/// The v1 payload after its version byte.
-fn decode_chunk_v1(mut cur: Cursor<'_>) -> Result<ChunkPayload, CkptError> {
-    let global_base = cur.u64()? as usize;
-    let mut blobs: Vec<&[u8]> = Vec::with_capacity(4);
-    for _ in 0..4 {
-        let len = cur.u64()? as usize;
-        blobs.push(cur.bytes(len)?);
-    }
-    let storage = TcamSlab::from_bytes(blobs[0])?;
-    let tags = TagSlab::from_bytes(blobs[1])?;
-    let latch = TagSlab::from_bytes(blobs[2])?;
-    let regs = TagSlab::from_bytes(blobs[3])?;
-    let nops = cur.count(OpCounts::ENCODED_LEN)?;
-    let mut ops = Vec::with_capacity(nops);
-    for _ in 0..nops {
-        let rec = cur.bytes(OpCounts::ENCODED_LEN)?;
-        ops.push(OpCounts::decode(rec).ok_or(CkptError::Truncated)?);
-    }
-    if cur.0.has_remaining() {
-        return Err(CkptError::Truncated);
-    }
-    Ok(ChunkPayload {
-        global_base,
-        storage,
-        tags,
-        latch,
-        regs,
-        ops,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -600,7 +540,6 @@ mod tests {
         let mut geometry = [0u64; 10];
         geometry[0] = 1;
         Manifest {
-            version: MANIFEST_VERSION,
             epoch: 7,
             geometry,
             fault: FaultWitness {
@@ -713,13 +652,10 @@ mod tests {
         );
     }
 
-    /// One chunk file of a golden fixture directory.
-    fn fixture_chunk(version: &str) -> Vec<u8> {
-        let dir = format!(
-            "{}/../tcam/tests/golden/ckpt_{version}",
-            env!("CARGO_MANIFEST_DIR")
-        );
-        let mut names: Vec<_> = std::fs::read_dir(&dir)
+    /// One chunk file of the `ckpt_v2` golden fixture.
+    fn fixture_chunk() -> Vec<u8> {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../tcam/tests/golden/ckpt_v2");
+        let mut names: Vec<_> = std::fs::read_dir(dir)
             .expect("fixture dir")
             .map(|e| e.expect("dir entry").path())
             .filter(|p| {
@@ -732,23 +668,8 @@ mod tests {
     }
 
     #[test]
-    fn huge_v1_op_count_is_truncated_not_allocated() {
-        let mut chunk = fixture_chunk("v1");
-        assert!(decode_chunk(&chunk).is_ok());
-        // Skip the version byte, the base, and the four length-prefixed
-        // slab images to reach the op count.
-        let mut at = 1 + 8;
-        for _ in 0..4 {
-            let len = u64::from_be_bytes(chunk[at..at + 8].try_into().unwrap());
-            at += 8 + len as usize;
-        }
-        chunk[at..at + 4].copy_from_slice(&u32::MAX.to_be_bytes());
-        assert!(matches!(decode_chunk(&chunk), Err(CkptError::Truncated)));
-    }
-
-    #[test]
     fn huge_v2_dimensions_are_truncated_not_allocated() {
-        let chunk = fixture_chunk("v2");
+        let chunk = fixture_chunk();
         assert!(decode_chunk(&chunk).is_ok());
         // The plane-image header follows the version byte and the base.
         let header = 1 + 8;

@@ -5,7 +5,6 @@
 // Each test binary uses a different subset of these helpers.
 #![allow(dead_code)]
 
-use hyperap_arch::slab::ChunkState;
 use hyperap_arch::{ArchConfig, FaultConfig, MachineExtras, SlabMachine};
 use hyperap_core::HyperPe;
 use hyperap_isa::{Direction, Instruction};
@@ -159,28 +158,4 @@ pub fn assert_identical(a: &SlabMachine, b: &SlabMachine, what: &str) {
 /// Assert a machine matches a previously captured snapshot.
 pub fn assert_matches_snap(m: &SlabMachine, s: &MachineSnap, what: &str) {
     assert_eq!(&snap(m), s, "{what}");
-}
-
-/// A chunk in the v1 payload format (see `hyperap_ckpt::manifest`): the
-/// version byte, the base, four length-prefixed slab images from
-/// `to_bytes`, then a counted run of op records, all big-endian. Commit
-/// writes only v2, so the tests that compare the two formats build v1
-/// payloads here.
-pub fn encode_chunk_v1(state: &ChunkState<'_>) -> Vec<u8> {
-    let mut out = vec![hyperap_ckpt::manifest::CHUNK_VERSION_V1];
-    out.extend_from_slice(&(state.global_base as u64).to_be_bytes());
-    for blob in [
-        state.storage.to_bytes(),
-        state.tags.to_bytes(),
-        state.latch.to_bytes(),
-        state.regs.to_bytes(),
-    ] {
-        out.extend_from_slice(&(blob.len() as u64).to_be_bytes());
-        out.extend_from_slice(&blob);
-    }
-    out.extend_from_slice(&(state.ops.len() as u32).to_be_bytes());
-    for o in state.ops {
-        o.encode_into(&mut out);
-    }
-    out
 }

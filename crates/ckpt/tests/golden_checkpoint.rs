@@ -1,11 +1,10 @@
-//! Wire-format stability and typed decode errors, pinned by two on-disk
-//! fixtures of the same machine under `crates/tcam/tests/golden/`:
-//! `ckpt_v1` (frozen — nothing writes v1 any more) and `ckpt_v2` (written
-//! by `examples/gen_golden_ckpt.rs`). Both must restore bit-identically
-//! into today's machine (including across a different chunk width),
-//! today's encoder must reproduce the v2 fixture byte-for-byte, and
-//! damaged variants of either must fail with the right typed
-//! [`CkptError`].
+//! Wire-format stability and typed decode errors, pinned by the on-disk
+//! fixture `crates/tcam/tests/golden/ckpt_v2` (written by
+//! `examples/gen_golden_ckpt.rs`). It must restore bit-identically into
+//! today's machine (including across a different chunk width), today's
+//! encoder must reproduce it byte-for-byte, and damaged variants must fail
+//! with the right typed [`CkptError`]. Any other version byte, the retired
+//! v1 included, is a hard [`CkptError::BadVersion`].
 
 mod common;
 
@@ -17,17 +16,12 @@ use hyperap_ckpt::{
     fnv1a64, word_hash64, CheckpointSink, Checkpointer, CkptError, Manifest, MemSink,
 };
 
-const V1_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../tcam/tests/golden/ckpt_v1");
 const V2_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../tcam/tests/golden/ckpt_v2");
 
-/// Both fixtures: every check below that is not about the encoder runs
-/// on each.
-const FIXTURES: [&str; 2] = [V1_DIR, V2_DIR];
-
-/// Load a fixture directory into a [`MemSink`].
-fn fixture_sink(dir: &str) -> MemSink {
+/// Load the fixture directory into a [`MemSink`].
+fn fixture_sink() -> MemSink {
     let mut sink = MemSink::new();
-    for entry in std::fs::read_dir(dir).expect("fixture dir present") {
+    for entry in std::fs::read_dir(V2_DIR).expect("fixture dir present") {
         let entry = entry.unwrap();
         let name = entry.file_name().into_string().unwrap();
         sink.insert(name, std::fs::read(entry.path()).unwrap());
@@ -59,18 +53,16 @@ fn fixture_restores_bit_identically_and_reencodes_byte_identically() {
     let rebuilt = golden_machine();
 
     // Restore at the native chunk width and through a migration.
-    for dir in FIXTURES {
-        for chunk_pes in [3usize, 1, 4] {
-            let mut restored = blank(chunk_pes);
-            let mut ck = Checkpointer::new(fixture_sink(dir));
-            assert_eq!(ck.resume(&mut restored).unwrap(), 0);
-            assert_identical(&restored, &rebuilt, &format!("{dir} @ chunk {chunk_pes}"));
-        }
+    for chunk_pes in [3usize, 1, 4] {
+        let mut restored = blank(chunk_pes);
+        let mut ck = Checkpointer::new(fixture_sink());
+        assert_eq!(ck.resume(&mut restored).unwrap(), 0);
+        assert_identical(&restored, &rebuilt, &format!("chunk {chunk_pes}"));
     }
 
-    // Today's encoder must reproduce the v2 fixture exactly: same manifest
+    // Today's encoder must reproduce the fixture exactly: same manifest
     // bytes, same content-addressed chunk files.
-    let fixture = fixture_sink(V2_DIR);
+    let fixture = fixture_sink();
     let mut ck = Checkpointer::new(MemSink::new());
     ck.set_keep(1);
     ck.checkpoint(&rebuilt).unwrap();
@@ -92,13 +84,7 @@ fn fixture_restores_bit_identically_and_reencodes_byte_identically() {
 
 #[test]
 fn truncated_manifest_fails_typed_at_every_byte_boundary() {
-    for dir in FIXTURES {
-        truncated_manifest_fails_typed(dir);
-    }
-}
-
-fn truncated_manifest_fails_typed(dir: &str) {
-    let sink = fixture_sink(dir);
+    let sink = fixture_sink();
     let blob = sink.read(&manifest_name(&sink)).unwrap();
     assert!(Manifest::decode(&blob).is_ok());
     for len in 0..blob.len() {
@@ -118,47 +104,34 @@ fn truncated_manifest_fails_typed(dir: &str) {
 
 #[test]
 fn version_skew_is_a_hard_typed_error() {
-    for dir in FIXTURES {
-        version_skew_fails_hard(dir);
+    // A future version and the retired v1.
+    for version in [MANIFEST_VERSION + 1, 1] {
+        let mut sink = fixture_sink();
+        let name = manifest_name(&sink);
+        let mut blob = sink.read(&name).unwrap();
+        // Rewrite the version byte (after the 4-byte magic) and re-seal the
+        // checksum so the manifest is intact but of another version.
+        blob[4] = version;
+        let body_len = blob.len() - 8;
+        let sum = fnv1a64(&blob[..body_len]).to_be_bytes();
+        blob[body_len..].copy_from_slice(&sum);
+        assert_eq!(Manifest::decode(&blob), Err(CkptError::BadVersion(version)));
+        sink.insert(name, blob);
+        let mut m = blank(3);
+        let err = Checkpointer::new(sink).resume(&mut m).unwrap_err();
+        assert_eq!(err, CkptError::BadVersion(version));
+        assert_identical(&m, &blank(3), &format!("manifest version {version}"));
     }
-}
-
-fn version_skew_fails_hard(dir: &str) {
-    let mut sink = fixture_sink(dir);
-    let name = manifest_name(&sink);
-    let mut blob = sink.read(&name).unwrap();
-    // Bump the version byte (after the 4-byte magic) and re-seal the
-    // checksum so the manifest is intact-but-future.
-    blob[4] = MANIFEST_VERSION + 1;
-    let body_len = blob.len() - 8;
-    let sum = fnv1a64(&blob[..body_len]).to_be_bytes();
-    blob[body_len..].copy_from_slice(&sum);
-    assert!(matches!(
-        Manifest::decode(&blob),
-        Err(CkptError::BadVersion(v)) if v == MANIFEST_VERSION + 1
-    ));
-    sink.insert(name, blob);
-    let mut ck = Checkpointer::new(sink);
-    assert!(matches!(
-        ck.resume(&mut blank(3)),
-        Err(CkptError::BadVersion(_))
-    ));
 }
 
 #[test]
 fn geometry_mismatch_is_a_hard_typed_error() {
-    for dir in FIXTURES {
-        geometry_mismatch_fails_hard(dir);
-    }
-}
-
-fn geometry_mismatch_fails_hard(dir: &str) {
     // Wrong shape.
     let mut cfg = ArchConfig::tiny();
     cfg.rows = 8;
     cfg.faults = golden_machine().config().faults;
     let mut wrong = SlabMachine::new(cfg);
-    let mut ck = Checkpointer::new(fixture_sink(dir));
+    let mut ck = Checkpointer::new(fixture_sink());
     assert!(matches!(
         ck.resume(&mut wrong),
         Err(CkptError::GeometryMismatch)
@@ -170,7 +143,7 @@ fn geometry_mismatch_fails_hard(dir: &str) {
     faults.model.seed ^= 1;
     cfg.faults = faults;
     let mut wrong_faults = SlabMachine::with_chunk_pes(cfg, 3);
-    let mut ck = Checkpointer::new(fixture_sink(dir));
+    let mut ck = Checkpointer::new(fixture_sink());
     assert!(matches!(
         ck.resume(&mut wrong_faults),
         Err(CkptError::GeometryMismatch)
@@ -179,46 +152,36 @@ fn geometry_mismatch_fails_hard(dir: &str) {
 
 #[test]
 fn chunk_version_skew_is_a_hard_typed_error() {
-    for dir in FIXTURES {
-        chunk_version_skew_fails_hard(dir);
-    }
-}
-
-fn chunk_version_skew_fails_hard(dir: &str) {
     // Re-version one chunk payload (first byte), re-address it, and point
     // the manifest at the new file: the manifest is intact, the chunk is
-    // intact-but-future — a hard BadVersion, not a silent fallback.
-    let mut sink = fixture_sink(dir);
-    let name = manifest_name(&sink);
-    let mut man = Manifest::decode(&sink.read(&name).unwrap()).unwrap();
-    let old = man.chunks[0];
-    let old_name = format!("c-{:016x}-{}.bin", old.hash, old.len);
-    let mut payload = sink.read(&old_name).unwrap();
-    payload[0] = CHUNK_VERSION + 1;
-    let (hash, len) = (man.chunk_hash(&payload), payload.len() as u64);
-    sink.insert(format!("c-{hash:016x}-{len}.bin"), payload);
-    man.chunks[0].hash = hash;
-    man.chunks[0].len = len;
-    sink.insert(name, man.encode());
-    let mut ck = Checkpointer::new(sink);
-    assert!(matches!(
-        ck.resume(&mut blank(3)),
-        Err(CkptError::BadVersion(_))
-    ));
+    // intact but of a future version or the retired v1 — a hard
+    // BadVersion, not a silent fallback.
+    for version in [CHUNK_VERSION + 1, 1] {
+        let mut sink = fixture_sink();
+        let name = manifest_name(&sink);
+        let mut man = Manifest::decode(&sink.read(&name).unwrap()).unwrap();
+        let old = man.chunks[0];
+        let old_name = format!("c-{:016x}-{}.bin", old.hash, old.len);
+        let mut payload = sink.read(&old_name).unwrap();
+        payload[0] = version;
+        let (hash, len) = (word_hash64(&payload), payload.len() as u64);
+        sink.insert(format!("c-{hash:016x}-{len}.bin"), payload);
+        man.chunks[0].hash = hash;
+        man.chunks[0].len = len;
+        sink.insert(name, man.encode());
+        let mut m = blank(3);
+        let err = Checkpointer::new(sink).resume(&mut m).unwrap_err();
+        assert_eq!(err, CkptError::BadVersion(version));
+        assert_identical(&m, &blank(3), &format!("chunk version {version}"));
+    }
 }
 
 #[test]
 fn damaged_chunks_fall_back_softly() {
-    for dir in FIXTURES {
-        damaged_chunks_fall_back(dir);
-    }
-}
-
-fn damaged_chunks_fall_back(dir: &str) {
     // Corrupt one chunk file: the only epoch no longer verifies, and with
     // no older epoch the typed result is NoCheckpoint — never a partial
     // restore.
-    let mut sink = fixture_sink(dir);
+    let mut sink = fixture_sink();
     let chunk = sink
         .files()
         .keys()
@@ -236,7 +199,7 @@ fn damaged_chunks_fall_back(dir: &str) {
     ));
 
     // Remove it entirely: same typed fallback.
-    let mut sink = fixture_sink(dir);
+    let mut sink = fixture_sink();
     CheckpointSink::remove(&mut sink, &chunk).unwrap();
     let mut ck = Checkpointer::new(sink);
     assert!(matches!(
@@ -247,21 +210,17 @@ fn damaged_chunks_fall_back(dir: &str) {
 
 #[test]
 fn fixtures_address_chunks_by_their_versions_hash() {
-    for (dir, version, hash) in [
-        (V1_DIR, 1, fnv1a64 as fn(&[u8]) -> u64),
-        (V2_DIR, MANIFEST_VERSION, word_hash64),
-    ] {
-        let sink = fixture_sink(dir);
-        let man = Manifest::decode(&sink.read(&manifest_name(&sink)).unwrap()).unwrap();
-        assert_eq!(man.version, version, "{dir}");
-        for c in &man.chunks {
-            let payload = sink
-                .read(&format!("c-{:016x}-{}.bin", c.hash, c.len))
-                .unwrap();
-            assert_eq!(payload.len() as u64, c.len, "{dir}");
-            assert_eq!(hash(&payload), c.hash, "{dir}");
-            assert_eq!(man.chunk_hash(&payload), c.hash, "{dir}");
-        }
+    let sink = fixture_sink();
+    let blob = sink.read(&manifest_name(&sink)).unwrap();
+    assert_eq!(blob[4], MANIFEST_VERSION);
+    let man = Manifest::decode(&blob).unwrap();
+    for c in &man.chunks {
+        let payload = sink
+            .read(&format!("c-{:016x}-{}.bin", c.hash, c.len))
+            .unwrap();
+        assert_eq!(payload[0], CHUNK_VERSION);
+        assert_eq!(payload.len() as u64, c.len);
+        assert_eq!(word_hash64(&payload), c.hash);
     }
 }
 
@@ -270,7 +229,7 @@ fn every_single_bit_flip_of_a_v2_chunk_changes_its_hash() {
     // Exhaustive over the fixture's chunk bytes: the hash step is a
     // bijection of the state and injective in the word, so no flip may
     // leave a chunk at its old address.
-    let sink = fixture_sink(V2_DIR);
+    let sink = fixture_sink();
     let mut flips = 0usize;
     for (name, bytes) in sink.files().iter().filter(|(n, _)| n.starts_with("c-")) {
         let want = word_hash64(bytes);
@@ -292,26 +251,21 @@ fn refused_extras_or_chunks_leave_the_machine_untouched() {
     // An intact, sealed manifest whose extras or chunk table contradict
     // the machine: resume fails typed, and nothing of the fixture's state
     // may have been installed by then.
-    for dir in FIXTURES {
-        let mut bad_plan = fixture_sink(dir);
-        let name = manifest_name(&bad_plan);
-        let mut man = Manifest::decode(&bad_plan.read(&name).unwrap()).unwrap();
-        man.extras.key_plans[0].push((9999, hyperap_tcam::KeyBit::One));
-        bad_plan.insert(name.clone(), man.encode());
+    let mut bad_plan = fixture_sink();
+    let name = manifest_name(&bad_plan);
+    let mut man = Manifest::decode(&bad_plan.read(&name).unwrap()).unwrap();
+    man.extras.key_plans[0].push((9999, hyperap_tcam::KeyBit::One));
+    bad_plan.insert(name.clone(), man.encode());
 
-        let mut short = fixture_sink(dir);
-        let mut man = Manifest::decode(&short.read(&name).unwrap()).unwrap();
-        man.chunks.pop();
-        short.insert(name.clone(), man.encode());
+    let mut short = fixture_sink();
+    let mut man = Manifest::decode(&short.read(&name).unwrap()).unwrap();
+    man.chunks.pop();
+    short.insert(name.clone(), man.encode());
 
-        for (sink, what) in [(bad_plan, "key plan"), (short, "chunk table")] {
-            let mut m = blank(3);
-            let err = Checkpointer::new(sink).resume(&mut m).unwrap_err();
-            assert!(
-                matches!(err, CkptError::Restore(_)),
-                "{dir} {what}: {err:?}"
-            );
-            assert_identical(&m, &blank(3), &format!("{dir} {what}"));
-        }
+    for (sink, what) in [(bad_plan, "key plan"), (short, "chunk table")] {
+        let mut m = blank(3);
+        let err = Checkpointer::new(sink).resume(&mut m).unwrap_err();
+        assert!(matches!(err, CkptError::Restore(_)), "{what}: {err:?}");
+        assert_identical(&m, &blank(3), what);
     }
 }

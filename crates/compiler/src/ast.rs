@@ -1,9 +1,7 @@
 //! Abstract syntax tree for the C-like language (§V-A, Fig 8).
 
-use serde::{Deserialize, Serialize};
-
 /// A data type: arbitrary-width integers, `bool`, or a user struct.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Type {
     /// `unsigned int (N)`.
     UInt(usize),
@@ -33,7 +31,7 @@ impl Type {
 }
 
 /// Binary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     /// `+`
     Add,
@@ -74,7 +72,7 @@ pub enum BinOp {
 }
 
 /// Unary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnOp {
     /// `~`
     Not,
@@ -85,7 +83,7 @@ pub enum UnOp {
 }
 
 /// An expression.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// Integer literal.
     Lit(u64),
@@ -103,7 +101,7 @@ pub enum Expr {
 }
 
 /// An assignable location.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LValue {
     /// Plain variable.
     Var(String),
@@ -112,7 +110,7 @@ pub enum LValue {
 }
 
 /// A statement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Stmt {
     /// Declaration with optional initializer.
     Decl {
@@ -156,7 +154,7 @@ pub enum Stmt {
 }
 
 /// A struct definition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StructDef {
     /// Struct name.
     pub name: String,
@@ -165,7 +163,7 @@ pub struct StructDef {
 }
 
 /// A function.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Function {
     /// Return type.
     pub ret: Type,
@@ -178,7 +176,7 @@ pub struct Function {
 }
 
 /// A whole translation unit.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Program {
     /// Struct definitions.
     pub structs: Vec<StructDef>,

@@ -1,12 +1,10 @@
 //! The dataflow graph produced by semantic analysis (§V-B1).
 
-use serde::{Deserialize, Serialize};
-
 /// Node identifier.
 pub type NodeId = usize;
 
 /// DFG operation kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DfgOp {
     /// Kernel scalar input (parameter or flattened struct field).
     Input {
@@ -87,7 +85,7 @@ impl DfgOp {
 }
 
 /// One DFG node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DfgNode {
     /// Operation.
     pub op: DfgOp,
@@ -101,7 +99,7 @@ pub struct DfgNode {
 
 /// A dataflow graph: nodes in creation (= topological) order plus the
 /// output node list.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Dfg {
     /// Nodes; `inputs` ids always precede the node (DAG in topo order).
     pub nodes: Vec<DfgNode>,

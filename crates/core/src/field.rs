@@ -7,10 +7,9 @@
 //! layer pairs same-index operand bits like the paper's examples.
 
 use crate::machine::HyperPe;
-use serde::{Deserialize, Serialize};
 
 /// Physical placement of one logical bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Slot {
     /// A plain bit stored directly in column `col`.
     Single {
@@ -54,7 +53,7 @@ impl Slot {
 }
 
 /// A named multi-bit value: slots LSB first.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Field {
     /// Human-readable name (for diagnostics).
     pub name: String,
@@ -169,7 +168,7 @@ impl Field {
 /// initial state). Recycled columns are returned as *dirty*; callers must
 /// zero them (the microcode context does, emitting the corresponding write
 /// operations, because on real hardware that costs a write per column).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FieldAllocator {
     n_cols: usize,
     next_fresh: usize,

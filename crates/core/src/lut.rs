@@ -21,10 +21,9 @@ use hyperap_tcam::bit::KeyBit;
 use hyperap_tcam::encoding::{key_for_subset, single_key_for_subset, PairSubset};
 use hyperap_tcam::key::SearchKey;
 use hyperap_tcam::mvsop::{minimize, Cover, PosKind, Solution, Term};
-use serde::{Deserialize, Serialize};
 
 /// Which execution model to lower a LUT under (§II-D vs §III).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecutionModel {
     /// Single-Search-Single-Pattern + Single-Search-Single-Write.
     Traditional,
@@ -33,7 +32,7 @@ pub enum ExecutionModel {
 }
 
 /// One output of a LUT.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LutOutput {
     /// Write `1` into a plain column for matching rows.
     Plain {
@@ -55,7 +54,7 @@ pub enum LutOutput {
 }
 
 /// A lookup table: placed inputs and outputs.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Lut {
     /// Input bit placements; logical input `i` is `inputs[i]`.
     pub inputs: Vec<Slot>,

@@ -7,7 +7,6 @@ use hyperap_tcam::encoding::encode_pair;
 use hyperap_tcam::fault::{FaultError, FaultModel, FaultState};
 use hyperap_tcam::key::SearchKey;
 use hyperap_tcam::tags::TagVector;
-use serde::{Deserialize, Serialize};
 
 /// The Hyper-AP abstract machine (Fig 4a): TCAM array + ternary key +
 /// accumulation unit + encoder latch + reduction tree, with Table-I-faithful
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// One instance models one PE (§IV-B); the default geometry is the paper's
 /// 256 words × 256 bits, but tests may use smaller arrays (operation counts
 /// are row-count independent).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HyperPe {
     array: TcamArray,
     tags: TagVector,
@@ -312,7 +311,7 @@ impl HyperPe {
 /// Differences from [`HyperPe`] (§II-D): no stored `X` state, no `Z` input,
 /// and **no accumulation unit** — every search overwrites the tags, so a
 /// write must follow each search (Single-Search-Single-Write).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraditionalPe {
     array: TcamArray,
     tags: TagVector,

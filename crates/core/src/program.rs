@@ -14,10 +14,9 @@ use crate::machine::{HyperPe, TraditionalPe};
 use hyperap_model::timing::OpCounts;
 use hyperap_tcam::bit::KeyBit;
 use hyperap_tcam::key::SearchKey;
-use serde::{Deserialize, Serialize};
 
 /// One primitive associative operation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ApOp {
     /// Compare the key against all words; `accumulate` selects the
     /// accumulation unit (`<acc>` of the Search instruction).
@@ -55,7 +54,7 @@ pub enum ApOp {
 }
 
 /// Observable results of the reduction-tree operations of a program run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Outcome {
     /// Results of `Count` ops, in program order.
     pub counts: Vec<usize>,
@@ -64,7 +63,7 @@ pub struct Outcome {
 }
 
 /// A straight-line sequence of associative operations.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Program {
     ops: Vec<ApOp>,
 }

@@ -2,13 +2,12 @@
 
 use hyperap_model::tech::TechParams;
 use hyperap_tcam::key::SearchKey;
-use serde::{Deserialize, Serialize};
 
 /// Number of key/mask register columns (one PE word, Fig 7).
 pub const KEY_COLUMNS: usize = 256;
 
 /// Neighbor direction for `MovR` (§IV-A6: 2-bit `<dir>`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// `<dir>` = 00.
     Up,
@@ -55,7 +54,7 @@ impl Direction {
 ///   them, so their ordering against those instructions matters.
 /// * **Cross-PE / controller** state: reductions, mesh shifts, global data
 ///   path, the bank-enable mask. These are hard synchronization points.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SyncClass {
     /// `Search`, `Write`, `SetKey`, `Wait`: strictly PE-/group-private;
     /// always safe inside a trace segment.
@@ -70,7 +69,7 @@ pub enum SyncClass {
 }
 
 /// One Hyper-AP instruction (Table I).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Instruction {
     /// Compare key register against all words; `acc` enables the
     /// accumulation unit, `encode` routes the result to the two-bit encoder.

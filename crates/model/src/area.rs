@@ -8,7 +8,6 @@
 //! slots (§VI-E).
 
 use crate::tech::Technology;
-use serde::{Deserialize, Serialize};
 
 /// PE width in micrometres (Fig 14).
 pub const PE_WIDTH_UM: f64 = 53.12;
@@ -20,7 +19,7 @@ pub const PE_ROWS: usize = 256;
 pub const PE_COLS: usize = 256;
 
 /// Area model for one implementation technology.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaModel {
     /// Implementation technology.
     pub technology: Technology,

@@ -2,10 +2,9 @@
 
 use crate::area::AreaModel;
 use crate::tech::TechParams;
-use serde::{Deserialize, Serialize};
 
 /// A system configuration row of Table II.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     /// Human-readable system name.
     pub name: &'static str,

@@ -8,10 +8,9 @@
 use crate::area::AreaModel;
 use crate::tech::TechParams;
 use crate::timing::OpCounts;
-use serde::{Deserialize, Serialize};
 
 /// The four evaluation metrics the paper reports per operation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Metrics {
     /// Latency of one operation in nanoseconds.
     pub latency_ns: f64,

@@ -5,13 +5,11 @@
 //! asymmetry the paper builds on is `Twrite/Tsearch = 10` for RRAM versus `1`
 //! for CMOS (§I contribution 5, §VI-E).
 
-use serde::{Deserialize, Serialize};
-
 /// The memory technology an associative processor is built from.
 ///
 /// The paper's execution-model improvements are generic, but benefit RRAM more
 /// because of its asymmetric write/search latency (§VI-E, Fig 19).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Technology {
     /// RRAM 2D2R TCAM (1D1R cells: one bidirectional diode + one RRAM element).
     Rram,
@@ -35,7 +33,7 @@ impl std::fmt::Display for Technology {
 /// paper's Table II configuration reproduce the published 32-bit-add operating
 /// point (≈56.7 TOPS at ≈233 GOPS/W for RRAM Hyper-AP, Fig 15); see
 /// `DESIGN.md` §2.1 for the substitution rationale.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TechParams {
     /// Which technology these parameters describe.
     pub technology: Technology,
@@ -148,7 +146,7 @@ impl TechParams {
 
 /// Paper-reported RRAM device characteristics (§VI-A3), kept for the
 /// device-level TCAM model and documentation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RramDevice {
     /// Low-resistance (SET) state, in ohms: 20 kΩ.
     pub r_on_ohm: f64,

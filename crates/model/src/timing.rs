@@ -7,7 +7,6 @@
 //! converts it to nanoseconds/picojoules with a [`TechParams`].
 
 use crate::tech::TechParams;
-use serde::{Deserialize, Serialize};
 
 /// Instruction-level cycle costs from Table I that are independent of the
 /// memory technology.
@@ -40,7 +39,7 @@ pub mod instruction_cycles {
 /// `writes_single` are `Write` instructions targeting one TCAM bit column
 /// (12 cycles on RRAM: 1 decode + 1 key + 10 cell-write). `writes_encoded`
 /// target two columns via the two-bit encoder (23 cycles: 1 + 2 + 20).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpCounts {
     /// Number of `Search` operations.
     pub searches: u64,
@@ -65,12 +64,10 @@ pub struct OpCounts {
     /// Number of similarity-search column accumulations: one match-line
     /// evaluation plus a ripple-carry update of the per-row Hamming
     /// counter latches (CAM-native similarity search, DESIGN.md §11).
-    #[serde(default)]
     pub sim_accums: u64,
     /// Number of similarity top-k threshold rounds: one bit-serial
     /// counter-compare search plus a global population count, repeated as
     /// the controller widens the distance threshold.
-    #[serde(default)]
     pub sim_rounds: u64,
 }
 

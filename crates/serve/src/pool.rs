@@ -614,7 +614,7 @@ fn run_batch(
         refs.extend(job.program.traces.iter());
         off += job.program.streams.len();
     }
-    let stats = machine.try_run_compiled_refs(&refs)?;
+    let stats = machine.try_run_compiled(&refs)?;
     let mut outputs = Vec::with_capacity(batch.len());
     let mut off = 0;
     for job in batch {

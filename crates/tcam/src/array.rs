@@ -11,7 +11,6 @@ use crate::fault::{FaultError, FaultModel, FaultState};
 use crate::key::SearchKey;
 use crate::sweep;
 use crate::tags::TagVector;
-use serde::{Deserialize, Serialize};
 
 /// A functional ternary CAM array of `rows` words × `cols` bits.
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// `col * blocks + r / 64` is row `r`'s cell. A 256 × 256 array is
 /// therefore four heap allocations (two arenas, the row mask, the wear
 /// table), not two small vectors per column.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TcamArray {
     rows: usize,
     cols: usize,
@@ -427,23 +426,6 @@ impl TcamArray {
         let r = self.col_range(col);
         (&self.zeros[r.clone()], &self.ones[r])
     }
-
-    /// Copy the cells of column `src` into column `dst` for all rows (used by
-    /// data-movement helpers in higher layers).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either column is out of range.
-    pub fn copy_column(&mut self, src: usize, dst: usize) {
-        assert!(src < self.cols && dst < self.cols, "column out of range");
-        if src == dst {
-            return;
-        }
-        let (r, d) = (self.col_range(src), self.col_range(dst).start);
-        self.zeros.copy_within(r.clone(), d);
-        self.ones.copy_within(r, d);
-        self.enforce_stuck_col(dst);
-    }
 }
 
 #[cfg(test)]
@@ -558,31 +540,6 @@ mod tests {
         a.write(&SearchKey::parse("1111").unwrap(), &tags);
         assert_eq!(read_field(&a, 0, 0, 4), Some(0));
         assert_eq!(read_field(&a, 1, 0, 4), Some(0xF));
-    }
-
-    #[test]
-    fn copy_column_duplicates_state() {
-        let mut a = array_with(&["10X", "01X"]);
-        a.copy_column(0, 2);
-        assert_eq!(a.cell(0, 2), TernaryBit::One);
-        assert_eq!(a.cell(1, 2), TernaryBit::Zero);
-    }
-
-    #[test]
-    fn copy_column_works_in_both_directions_and_reuses_storage() {
-        let mut a = array_with(&["10X", "01X", "1X0"]);
-        let ptr = a.zeros.as_ptr();
-        a.copy_column(2, 0); // src > dst
-        assert_eq!(a.zeros.as_ptr(), ptr, "no reallocation");
-        for r in 0..3 {
-            assert_eq!(a.cell(r, 0), a.cell(r, 2));
-        }
-        a.copy_column(0, 1); // src < dst
-        for r in 0..3 {
-            assert_eq!(a.cell(r, 1), a.cell(r, 0));
-        }
-        a.copy_column(1, 1); // no-op
-        assert_eq!(a.cell(2, 1), TernaryBit::Zero);
     }
 
     #[test]

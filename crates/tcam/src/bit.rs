@@ -1,12 +1,10 @@
 //! Ternary stored bits and quaternary key bits (Fig 4b/c).
 
-use serde::{Deserialize, Serialize};
-
 /// A stored TCAM bit: `0`, `1`, or the don't-care state `X`.
 ///
 /// `X` matches both a `0` and a `1` search input (Fig 4b) and is the *only*
 /// state matched by the `Z` input (Fig 4c).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TernaryBit {
     /// Logic zero.
     #[default]
@@ -76,7 +74,7 @@ impl From<bool> for TernaryBit {
 /// stored {X} only; a masked bit matches everything (the column does not
 /// participate in the search). During a write, `0`/`1` program the stored bit
 /// and `Z` programs the `X` state (Fig 4d); masked columns are untouched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KeyBit {
     /// Search for / write a logic zero.
     Zero,

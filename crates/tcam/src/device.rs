@@ -16,10 +16,9 @@ use crate::bit::{KeyBit, TernaryBit};
 use crate::key::SearchKey;
 use crate::tags::TagVector;
 use hyperap_model::tech::RramDevice;
-use serde::{Deserialize, Serialize};
 
 /// Resistance state of one RRAM element.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Resistance {
     /// Low-resistance (SET) state — conducts when selected.
     Low,
@@ -28,7 +27,7 @@ pub enum Resistance {
 }
 
 /// One crossbar array of 1D1R cells: `rows` match lines × `cols` search lines.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrossbarArray {
     rows: usize,
     cols: usize,
@@ -97,7 +96,7 @@ impl CrossbarArray {
 /// | `0` | LRS (mismatch on key 1) | HRS |
 /// | `1` | HRS | LRS (mismatch on key 0) |
 /// | `X` | HRS | HRS (never mismatches) |
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceTcam {
     rows: usize,
     cols: usize,

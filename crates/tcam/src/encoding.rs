@@ -12,7 +12,6 @@
 //! Single-Search-Multi-Pattern.
 
 use crate::bit::{KeyBit, TernaryBit};
-use serde::{Deserialize, Serialize};
 
 /// Encode one original pair of data bits into its two-bit-encoded TCAM pair
 /// (Fig 5a): `00 ↦ X0`, `01 ↦ X1`, `10 ↦ 0X`, `11 ↦ 1X`.
@@ -46,7 +45,7 @@ pub fn decode_pair(cells: [TernaryBit; 2]) -> Option<u8> {
 
 /// A subset of the four original pair values {00, 01, 10, 11}, stored as a
 /// 4-bit mask (bit `v` set ⇔ value `v` in the subset).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PairSubset(pub u8);
 
 impl PairSubset {

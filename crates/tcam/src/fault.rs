@@ -32,8 +32,6 @@
 //! observable only through that device's stuck bits (recomputed from the
 //! model) and its fresh wear counter (reset to zero).
 
-use serde::{Deserialize, Serialize};
-
 /// Domain-separation salt for stuck-cell decisions.
 const STUCK_SALT: u64 = 0x5EED_57AC_C311_0001;
 /// Domain-separation salt for transient search-miss decisions.
@@ -58,7 +56,7 @@ fn mix3(seed: u64, a: u64, b: u64, c: u64) -> u64 {
 /// engines given the same model agree on every fault without sharing
 /// state. Rates are expressed in events per million to keep the type
 /// `Eq`/`Hash`-able (no floats).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FaultModel {
     /// Seed mixed into every fault decision.
     pub seed: u64,
@@ -211,7 +209,7 @@ fn full_row_mask_into(rows: usize, out: &mut [u64]) {
 ///
 /// All fields participate in `PartialEq`; two engines that executed the
 /// same runs agree on the whole structure, remap tables included.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultState {
     /// The fault model every decision is derived from.
     pub model: FaultModel,
@@ -365,7 +363,7 @@ impl FaultState {
 /// one [`FaultState`] per PE, but with the stuck and search masks laid out
 /// to match the slab's arenas so fused kernels read them with the same
 /// strides as the storage itself.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlabFaultState {
     /// The fault model every decision is derived from.
     pub model: FaultModel,

@@ -7,13 +7,12 @@
 //! [`SearchKey`] is the logical view of that pair.
 
 use crate::bit::KeyBit;
-use serde::{Deserialize, Serialize};
 
 /// A search/write key over a word of TCAM columns.
 ///
 /// Unspecified (masked) columns do not participate in a search and are left
 /// untouched by a write.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SearchKey {
     bits: Vec<KeyBit>,
 }

@@ -17,11 +17,10 @@
 //! developed by experts") and the compiler's LUT-generation step (§V-B4).
 
 use crate::encoding::PairSubset;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// The kind of one input position of a lookup table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PosKind {
     /// An encoded pair of data bits: values 0..=3, arbitrary subsets allowed.
     Pair,
@@ -50,7 +49,7 @@ impl PosKind {
 /// One multi-valued product term: for each position, the subset of values it
 /// admits. A term covers a minterm iff every position's value is in the
 /// term's subset. One term = one Hyper-AP search operation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Term {
     /// Per-position admitted value subsets.
     pub subsets: Vec<PairSubset>,
@@ -65,7 +64,7 @@ impl Term {
 
 /// A minimization problem: positions, ON-set minterms, and (implicitly)
 /// everything else is the OFF-set unless listed as don't-care.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cover {
     /// Kinds of the input positions.
     pub positions: Vec<PosKind>,
@@ -111,7 +110,7 @@ impl Cover {
 }
 
 /// Result of a minimization: the covering terms (search operations).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Solution {
     /// Product terms; one per required search operation.
     pub terms: Vec<Term>,

@@ -1,15 +1,14 @@
-//! Bit-plane layout helpers: 64×64 bit transposes between the slab's
-//! PE-major word planes and the per-PE row-block layout of
-//! [`crate::tags::TagVector`] / [`crate::array::TcamArray`].
+//! Bit-plane layout helpers: the 64×64 bit transpose from the per-PE
+//! row-block layout of [`crate::array::TcamArray`] into the slab's PE-major
+//! word planes.
 //!
 //! The slab arenas ([`crate::slab::TcamSlab`], [`crate::slab::TagSlab`])
 //! store one *cell position* across 64 PEs per `u64` word — bit `p` of a
-//! plane word is PE `p`'s bit for that row. Per-PE snapshots, the
-//! reference arrays and the `to_bytes` images speak the historical per-PE
-//! layout of 64-*row* blocks, so conversions are bit transposes (the
-//! checkpoint plane images store the planes as they are and need none). They run tile-wise with the Hacker's Delight in-register
-//! 64×64 transpose, which keeps whole-slab conversions O(words) instead of
-//! O(bits).
+//! plane word is PE `p`'s bit for that row. Reference arrays keep 64-*row*
+//! blocks per PE, so [`crate::slab::TcamSlab::from_arrays`] transposes
+//! tile-wise with the Hacker's Delight in-register 64×64 transpose, which
+//! keeps whole-slab conversions O(words) instead of O(bits). The checkpoint
+//! plane images store the planes as they are and need no transpose.
 
 /// In-place 64×64 bit-matrix transpose with LSB-first indexing: on return,
 /// bit `i` of word `j` is the input's bit `j` of word `i`.
@@ -29,38 +28,8 @@ pub(crate) fn transpose64(a: &mut [u64; 64]) {
     }
 }
 
-/// Convert a `[row][pe_word]` plane (`rows * pes.div_ceil(64)` words) into
-/// per-PE row-blocks `[pe][block]` (`pes * rows.div_ceil(64)` words).
-/// Plane bits at PE positions `>= pes` are ignored; output row-padding
-/// bits are zero.
-pub(crate) fn plane_to_pe_major(plane: &[u64], rows: usize, pes: usize) -> Vec<u64> {
-    let pw = pes.div_ceil(64);
-    let bpp = rows.div_ceil(64);
-    assert_eq!(plane.len(), rows * pw, "plane word count mismatch");
-    let mut out = vec![0u64; pes * bpp];
-    let mut tile = [0u64; 64];
-    for rb in 0..bpp {
-        let rn = 64.min(rows - rb * 64);
-        for pb in 0..pw {
-            for (i, t) in tile.iter_mut().enumerate() {
-                *t = if i < rn {
-                    plane[(rb * 64 + i) * pw + pb]
-                } else {
-                    0
-                };
-            }
-            transpose64(&mut tile);
-            let pn = 64.min(pes - pb * 64);
-            for (j, t) in tile.iter().take(pn).enumerate() {
-                out[(pb * 64 + j) * bpp + rb] = *t;
-            }
-        }
-    }
-    out
-}
-
-/// Convert per-PE row-blocks `[pe][block]` into a `[row][pe_word]` plane —
-/// the inverse of [`plane_to_pe_major`]. Input bits at row positions
+/// Convert per-PE row-blocks `[pe][block]` into a `[row][pe_word]` plane.
+/// Input bits at row positions
 /// `>= rows` in a PE's last block are ignored; output PE-padding bits are
 /// zero.
 pub(crate) fn pe_major_to_plane(words: &[u64], rows: usize, pes: usize) -> Vec<u64> {
@@ -161,16 +130,14 @@ mod tests {
                     set_bit(&mut plane, pw, row, pe, (row * 31 + pe * 7) % 3 == 0);
                 }
             }
-            let pm = plane_to_pe_major(&plane, rows, pes);
-            // Spot-check orientation against the scalar definition.
+            // Per-PE row-blocks by the scalar definition.
             let bpp = rows.div_ceil(64);
+            let mut pm = vec![0u64; pes * bpp];
             for pe in 0..pes {
                 for row in 0..rows {
-                    assert_eq!(
-                        pm[pe * bpp + row / 64] >> (row % 64) & 1 != 0,
-                        get_bit(&plane, pw, row, pe),
-                        "rows {rows} pes {pes} pe {pe} row {row}"
-                    );
+                    if get_bit(&plane, pw, row, pe) {
+                        pm[pe * bpp + row / 64] |= 1u64 << (row % 64);
+                    }
                 }
             }
             assert_eq!(
@@ -186,15 +153,10 @@ mod tests {
         // Row-tail garbage in pe-major input must not leak into the plane.
         let (rows, pes) = (70usize, 5usize);
         let bpp = rows.div_ceil(64);
-        let mut pm = vec![!0u64; pes * bpp];
-        let plane = pe_major_to_plane(&pm, rows, pes);
+        let plane = pe_major_to_plane(&vec![!0u64; pes * bpp], rows, pes);
+        assert_eq!(plane.len(), rows, "one word per row");
         for w in &plane {
-            assert_eq!(w >> pes, 0, "PE padding must stay clear");
-        }
-        // And PE-tail garbage in a plane must not leak into pe-major words.
-        pm = plane_to_pe_major(&vec![!0u64; rows], rows, pes);
-        for pe in 0..pes {
-            assert_eq!(pm[pe * bpp + bpp - 1] >> (rows % 64), 0, "row padding");
+            assert_eq!(*w, (1u64 << pes) - 1, "PE padding must stay clear");
         }
     }
 

@@ -34,7 +34,6 @@
 //!
 //! The fused kernels ([`TcamSlab::search_plan_multi_into`],
 //! [`write_column_multi`](TcamSlab::write_column_multi),
-//! [`copy_column_multi`](TcamSlab::copy_column_multi),
 //! [`write_encoded_multi`](TcamSlab::write_encoded_multi)) are
 //! bit-identical to looping the corresponding [`TcamArray`] kernel over
 //! per-PE objects, and the single-sweep search→write kernels
@@ -44,12 +43,10 @@
 //! [`TcamArray`] search and write sequence (property-tested in
 //! `tests/slab_properties.rs`), and
 //! [`from_arrays`](TcamSlab::from_arrays) / [`to_arrays`](TcamSlab::to_arrays)
-//! convert losslessly in both directions, wear included. The
-//! [`to_bytes`](TcamSlab::to_bytes) images keep the historical per-PE wire
-//! layout (`[col][pe][block]`), converted at the encode/decode boundary by
-//! the tile transposes in `crate::plane`; the plane images
+//! convert losslessly in both directions, wear included. The one byte
+//! image of a slab is the plane image
 //! ([`write_plane_image`](TcamSlab::write_plane_image),
-//! [`TagSlab::write_plane`]) store the arenas as they are.
+//! [`TagSlab::write_plane`]), which stores the arenas as they are.
 
 use crate::array::TcamArray;
 use crate::bit::{KeyBit, TernaryBit};
@@ -57,8 +54,7 @@ use crate::fault::{FaultError, FaultModel, FaultState, SlabFaultState};
 use crate::plane;
 use crate::sweep;
 use crate::tags::TagVector;
-use bytes::{Buf, BufMut, BytesMut};
-use serde::{Deserialize, Serialize};
+use bytes::{Buf, BufMut};
 
 const EMPTY: &[u64] = &[];
 
@@ -78,7 +74,7 @@ const EMPTY: &[u64] = &[];
 /// payoff is workload sparsity: a fresh slab stores `0` everywhere
 /// (`zeros` planes `Full`, `ones` planes `AllZero`), so searches over
 /// never-written columns never touch their arenas at all.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PlaneSummary {
     AllZero,
     Full,
@@ -155,7 +151,7 @@ pub fn pe_range_mask(pes: usize, lo: usize, hi: usize) -> Vec<u64> {
 /// [`TcamSlab`], so slab search kernels write straight into this arena.
 /// Bits at PE positions `>= pes` in each row's last word are always zero
 /// (the padding invariant of the [module docs](self)).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TagSlab {
     pes: usize,
     rows: usize,
@@ -409,84 +405,6 @@ impl TagSlab {
         self.set_pe_blocks(pe, tags.blocks());
     }
 
-    /// Version byte of the [`to_bytes`](Self::to_bytes) image format.
-    pub const FORMAT_VERSION: u8 = 1;
-
-    /// Serialize to a versioned byte image (header + per-PE `[pe][block]`
-    /// row-blocks as big-endian words — the historical wire layout, so
-    /// images written by the pre-bit-plane slab decode unchanged). The
-    /// in-memory plane is transposed at this boundary.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a dimension exceeds `u16::MAX`.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        for dim in [self.pes, self.rows] {
-            assert!(dim <= u16::MAX as usize, "dimension exceeds image format");
-        }
-        let pm = plane::plane_to_pe_major(&self.blocks, self.rows, self.pes);
-        let mut buf = BytesMut::with_capacity(5 + pm.len() * 8);
-        buf.put_u8(Self::FORMAT_VERSION);
-        buf.put_u16(self.pes as u16);
-        buf.put_u16(self.rows as u16);
-        for w in &pm {
-            buf.put_slice(&w.to_be_bytes());
-        }
-        buf.to_vec()
-    }
-
-    /// Deserialize a [`to_bytes`](Self::to_bytes) image.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SlabDecodeError`] on truncation, version or geometry
-    /// problems, trailing bytes, or set bits in a PE's row padding (the
-    /// always-zero invariant the kernels rely on).
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SlabDecodeError> {
-        let mut buf = bytes;
-        if buf.remaining() < 5 {
-            return Err(SlabDecodeError::Truncated);
-        }
-        let version = buf.get_u8();
-        if version != Self::FORMAT_VERSION {
-            return Err(SlabDecodeError::BadVersion(version));
-        }
-        let pes = buf.get_u16() as usize;
-        let rows = buf.get_u16() as usize;
-        if pes == 0 || rows == 0 {
-            return Err(SlabDecodeError::BadGeometry);
-        }
-        let bpp = rows.div_ceil(64);
-        if buf.remaining() < pes * bpp * 8 {
-            return Err(SlabDecodeError::Truncated);
-        }
-        let mut pm = Vec::with_capacity(pes * bpp);
-        let mut word = [0u8; 8];
-        for _ in 0..pes * bpp {
-            buf.copy_to_slice(&mut word);
-            pm.push(u64::from_be_bytes(word));
-        }
-        if buf.has_remaining() {
-            return Err(SlabDecodeError::TrailingBytes(buf.remaining()));
-        }
-        let tail = rows % 64;
-        if tail != 0 {
-            let pad = !((1u64 << tail) - 1);
-            for pe in 0..pes {
-                if pm[pe * bpp + bpp - 1] & pad != 0 {
-                    return Err(SlabDecodeError::BadGeometry);
-                }
-            }
-        }
-        Ok(TagSlab {
-            pes,
-            rows,
-            pw: pes.div_ceil(64),
-            blocks: plane::pe_major_to_plane(&pm, rows, pes),
-            version: 0,
-        })
-    }
-
     /// Append the plane's `rows * pe_words` words, little-endian in memory
     /// order — one tag plane of a checkpoint chunk v2, whose `(pes, rows)`
     /// travel in the storage header ([`TcamSlab::write_plane_image`]).
@@ -524,20 +442,17 @@ impl TagSlab {
     }
 }
 
-/// Failure modes of [`TcamSlab::from_bytes`] and [`TagSlab::from_bytes`].
+/// Failure modes of [`TcamSlab::read_plane_image`] and
+/// [`TagSlab::read_plane`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SlabDecodeError {
     /// The buffer is shorter than the header or the payload its header
     /// promises.
     Truncated,
-    /// The version byte is not [`TcamSlab::FORMAT_VERSION`].
-    BadVersion(u8),
     /// A header dimension is zero or contradicts another, or a bit is set
     /// in the padding of a plane (rows past `rows`, PEs past `pes`, or
     /// columns past `cols` of a wear bitmap).
     BadGeometry,
-    /// Bytes remain after the payload.
-    TrailingBytes(usize),
     /// The fault bookkeeping contradicts the slab: a flag byte other than
     /// 0 or 1, a PE base that overflows, more spares used than the budget,
     /// or a remap, retirement or failure naming a column past the slab's
@@ -549,9 +464,7 @@ impl std::fmt::Display for SlabDecodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SlabDecodeError::Truncated => write!(f, "slab image truncated"),
-            SlabDecodeError::BadVersion(v) => write!(f, "unknown slab format version {v}"),
             SlabDecodeError::BadGeometry => write!(f, "slab header has a zero dimension"),
-            SlabDecodeError::TrailingBytes(n) => write!(f, "{n} trailing bytes after slab image"),
             SlabDecodeError::BadFault => write!(f, "slab fault bookkeeping is inconsistent"),
         }
     }
@@ -606,13 +519,12 @@ fn pe_padding_set(words: &[u64], pe_mask: &[u64]) -> bool {
 /// spare budget and epoch, then per PE the spares used, the latched
 /// failure, the remap table and the retirement log. Stuck and search
 /// masks are not written — they are pure functions of this bookkeeping
-/// and are recomputed on decode. The one codec behind both
-/// [`TcamSlab::to_bytes`] and [`TcamSlab::write_plane_image`].
+/// and are recomputed on decode.
 ///
 /// # Panics
 ///
 /// Panics if the spare budget exceeds `u16::MAX`.
-fn put_fault_tail<B: BufMut>(buf: &mut B, f: &SlabFaultState) {
+fn put_fault_tail(buf: &mut Vec<u8>, f: &SlabFaultState) {
     assert!(
         f.spares <= u16::MAX as usize,
         "spare count exceeds image format"
@@ -1058,7 +970,7 @@ pub struct SweepOp<'a> {
 /// [module docs](self)).
 ///
 /// All cells initialize to `0`, matching [`TcamArray::new`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TcamSlab {
     pes: usize,
     rows: usize,
@@ -1124,14 +1036,6 @@ impl PartialEq for TcamSlab {
 impl Eq for TcamSlab {}
 
 impl TcamSlab {
-    /// Version byte of the [`to_bytes`](Self::to_bytes) image format
-    /// without fault state (the original format, still decoded).
-    pub const FORMAT_VERSION: u8 = 1;
-
-    /// Version byte of the [`to_bytes`](Self::to_bytes) image format with
-    /// a fault-bookkeeping payload appended.
-    pub const FORMAT_VERSION_FAULT: u8 = 2;
-
     /// A slab of `pes` arrays of `rows` × `cols`, all cells `0`.
     ///
     /// # Panics
@@ -1608,63 +1512,6 @@ impl TcamSlab {
             }
         }
         self.enforce_stuck_col(col, sel);
-    }
-
-    /// Fused column copy over the selected PEs: duplicate column `src`
-    /// into column `dst` for every row of every selected PE (`sel = None`
-    /// is two `copy_within` calls on the arenas; no wear, like
-    /// [`TcamArray::copy_column`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either column is out of range.
-    pub fn copy_column_multi(&mut self, src: usize, dst: usize, sel: Option<&[u64]>) {
-        assert!(src < self.cols && dst < self.cols, "column out of range");
-        if src == dst {
-            return;
-        }
-        self.touch();
-        let plane = self.plane_words();
-        match sel {
-            None => {
-                // A whole-plane copy carries the source's summaries over.
-                self.zsum[dst] = self.zsum[src];
-                self.osum[dst] = self.osum[src];
-                self.zeros
-                    .copy_within(src * plane..(src + 1) * plane, dst * plane);
-                self.ones
-                    .copy_within(src * plane..(src + 1) * plane, dst * plane);
-            }
-            Some(m) => {
-                // A masked blend proves nothing unless both sides agree.
-                self.zsum[dst] = if self.zsum[dst] == self.zsum[src] {
-                    self.zsum[dst]
-                } else {
-                    PlaneSummary::Unknown
-                };
-                self.osum[dst] = if self.osum[dst] == self.osum[src] {
-                    self.osum[dst]
-                } else {
-                    PlaneSummary::Unknown
-                };
-                let pw = self.pw;
-                for arena in [&mut self.zeros, &mut self.ones] {
-                    let (s, d): (&[u64], &mut [u64]) = if src < dst {
-                        let (a, b) = arena.split_at_mut(dst * plane);
-                        (&a[src * plane..(src + 1) * plane], &mut b[..plane])
-                    } else {
-                        let (a, b) = arena.split_at_mut(src * plane);
-                        let d = &mut a[dst * plane..(dst + 1) * plane];
-                        (&b[..plane], d)
-                    };
-                    for i in 0..plane {
-                        let mm = m[i % pw];
-                        d[i] = (d[i] & !mm) | (s[i] & mm);
-                    }
-                }
-            }
-        }
-        self.enforce_stuck_col(dst, sel);
     }
 
     /// Fused encoded write over the selected PEs: for **every** row of
@@ -2276,137 +2123,13 @@ impl TcamSlab {
         (0..self.pes).map(|pe| self.to_array(pe)).collect()
     }
 
-    /// Serialize to the versioned byte image (header + `zeros`, `ones`,
-    /// `wear` arenas as big-endian words, cell arenas in the historical
-    /// `[col][pe][block]` wire layout — transposed from the in-memory
-    /// planes at this boundary, so pre-bit-plane images stay decodable and
-    /// re-encode byte-identically). The offline `serde` shim cannot produce
-    /// real bytes, so snapshots go through the `bytes` buffer directly,
-    /// like the ISA's instruction encoding.
-    ///
-    /// A fault-free slab emits [`FORMAT_VERSION`](Self::FORMAT_VERSION);
-    /// with fault state attached the image is
-    /// [`FORMAT_VERSION_FAULT`](Self::FORMAT_VERSION_FAULT) and appends the
-    /// fault *bookkeeping* (model, remap tables, counters — stuck and
-    /// search masks are recomputed on decode, since they are pure functions
-    /// of the bookkeeping).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a dimension exceeds `u16::MAX` (the paper-scale geometry
-    /// is 256×256 with small chunks).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        for dim in [self.pes, self.rows, self.cols] {
-            assert!(dim <= u16::MAX as usize, "dimension exceeds image format");
-        }
-        let plane = self.plane_words();
-        let words = 2 * self.cols * self.pes * self.rows.div_ceil(64) + self.wear.len();
-        let mut buf = BytesMut::with_capacity(7 + words * 8);
-        buf.put_u8(match self.fault {
-            Some(_) => Self::FORMAT_VERSION_FAULT,
-            None => Self::FORMAT_VERSION,
-        });
-        buf.put_u16(self.pes as u16);
-        buf.put_u16(self.rows as u16);
-        buf.put_u16(self.cols as u16);
-        for arena in [&self.zeros, &self.ones] {
-            for col in 0..self.cols {
-                let pm = plane::plane_to_pe_major(
-                    &arena[col * plane..(col + 1) * plane],
-                    self.rows,
-                    self.pes,
-                );
-                for w in &pm {
-                    buf.put_slice(&w.to_be_bytes());
-                }
-            }
-        }
-        for w in &self.wear {
-            buf.put_slice(&w.to_be_bytes());
-        }
-        if let Some(f) = &self.fault {
-            put_fault_tail(&mut buf, f);
-        }
-        buf.to_vec()
-    }
-
-    /// Deserialize a [`to_bytes`](Self::to_bytes) image.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SlabDecodeError`] on truncation, version or geometry
-    /// problems, or trailing bytes.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SlabDecodeError> {
-        let mut buf = bytes;
-        if buf.remaining() < 7 {
-            return Err(SlabDecodeError::Truncated);
-        }
-        let version = buf.get_u8();
-        if version != Self::FORMAT_VERSION && version != Self::FORMAT_VERSION_FAULT {
-            return Err(SlabDecodeError::BadVersion(version));
-        }
-        let pes = buf.get_u16() as usize;
-        let rows = buf.get_u16() as usize;
-        let cols = buf.get_u16() as usize;
-        if pes == 0 || rows == 0 || cols == 0 {
-            return Err(SlabDecodeError::BadGeometry);
-        }
-        let bpp = rows.div_ceil(64);
-        let arena = cols * pes * bpp;
-        let words = 2 * arena + cols * pes;
-        if buf.remaining() < words * 8 {
-            return Err(SlabDecodeError::Truncated);
-        }
-        let mut read_words = |n: usize| {
-            let mut v = Vec::with_capacity(n);
-            let mut word = [0u8; 8];
-            for _ in 0..n {
-                buf.copy_to_slice(&mut word);
-                v.push(u64::from_be_bytes(word));
-            }
-            v
-        };
-        let zeros_w = read_words(arena);
-        let ones_w = read_words(arena);
-        let wear = read_words(cols * pes);
-        let fault = if version == Self::FORMAT_VERSION_FAULT {
-            Some(Box::new(get_fault_tail(&mut buf, pes, rows, cols)?))
-        } else {
-            None
-        };
-        if buf.has_remaining() {
-            return Err(SlabDecodeError::TrailingBytes(buf.remaining()));
-        }
-        let mut slab = TcamSlab::new(pes, rows, cols);
-        let plane = slab.plane_words();
-        for col in 0..cols {
-            let z = plane::pe_major_to_plane(
-                &zeros_w[col * pes * bpp..(col + 1) * pes * bpp],
-                rows,
-                pes,
-            );
-            slab.zeros[col * plane..(col + 1) * plane].copy_from_slice(&z);
-            let o = plane::pe_major_to_plane(
-                &ones_w[col * pes * bpp..(col + 1) * pes * bpp],
-                rows,
-                pes,
-            );
-            slab.ones[col * plane..(col + 1) * plane].copy_from_slice(&o);
-        }
-        slab.wear = wear;
-        slab.fault = fault;
-        slab.recompute_summaries();
-        Ok(slab)
-    }
-
     /// Append the plane image: the storage layout of a checkpoint chunk
     /// v2. It is a `(pes, rows, cols, pe_words)` header of little-endian
     /// `u32`s, then the `zeros` and `ones` arenas as little-endian words in
     /// their in-memory `[col][row][pe_word]` order, then wear as a
     /// `cols.div_ceil(64)`-word bitmap of the columns with any nonzero
     /// counter followed by only those columns' `pes` counters, then a fault
-    /// flag byte and, when it is 1, the fault bookkeeping tail that
-    /// [`to_bytes`](Self::to_bytes) also writes. Unlike `to_bytes` there is
+    /// flag byte and, when it is 1, the fault bookkeeping tail. There is
     /// no transpose: both directions are word copies.
     ///
     /// # Panics
@@ -3150,7 +2873,7 @@ mod tests {
         slab.write_column_multi(2, TernaryBit::Zero, tags.words(), None);
         slab.set_cell(69, 4, 3, TernaryBit::Zero);
         assert_eq!(slab.pe_wear(0)[2], 1);
-        let mut decoded = TcamSlab::from_bytes(&slab.to_bytes()).unwrap();
+        let mut decoded = TcamSlab::read_plane_image(&mut plane_image(&slab).as_slice()).unwrap();
         let fresh = TcamSlab::new(70, 5, 4);
         for s in [&mut slab, &mut decoded] {
             s.reset();
@@ -3165,45 +2888,6 @@ mod tests {
         slab.write_column_multi(1, TernaryBit::One, empty.words(), None);
         assert_eq!(slab.pe_wear(0)[1], 1);
         assert_eq!(slab.pe_wear(1)[1], 1);
-    }
-
-    #[test]
-    fn copy_column_multi_matches_per_array_copy() {
-        let (mut slab, mut arrays) = seeded(3, 66, 7);
-        slab.copy_column_multi(2, 5, None);
-        for array in &mut arrays {
-            array.copy_column(2, 5);
-        }
-        assert_eq!(slab.to_arrays(), arrays);
-        slab.copy_column_multi(4, 4, None); // src == dst: no-op
-        assert_eq!(slab.to_arrays(), arrays);
-    }
-
-    #[test]
-    fn copy_column_multi_respects_pe_subranges() {
-        let (mut slab, arrays) = seeded(3, 20, 4);
-        let sel = pe_range_mask(3, 1, 2);
-        slab.copy_column_multi(0, 3, Some(&sel));
-        // Copy downward too, to exercise the src > dst split.
-        slab.copy_column_multi(3, 1, Some(&pe_range_mask(3, 2, 3)));
-        for row in 0..20 {
-            assert_eq!(slab.cell(1, row, 3), arrays[1].cell(row, 0));
-            assert_eq!(
-                slab.cell(0, row, 3),
-                arrays[0].cell(row, 3),
-                "PE 0 untouched"
-            );
-            assert_eq!(
-                slab.cell(2, row, 3),
-                arrays[2].cell(row, 3),
-                "PE 2 untouched"
-            );
-            assert_eq!(
-                slab.cell(2, row, 1),
-                arrays[2].cell(row, 3),
-                "downward copy"
-            );
-        }
     }
 
     #[test]
@@ -3288,7 +2972,6 @@ mod tests {
         let mut tags = tag_pattern(&slab, 1);
         slab.search_plan_multi_into(&plan, Some(&sel), tags.words_mut());
         slab.write_column_multi(2, TernaryBit::One, tags.words(), Some(&sel));
-        slab.copy_column_multi(6, 3, Some(&sel));
         let latch = tag_pattern(&slab, 4);
         slab.write_encoded_multi(4, latch.words(), tags.words(), Some(&sel));
         slab.search_write_multi(
@@ -3305,7 +2988,6 @@ mod tests {
             }
             let t = array.search(&key);
             array.write_column(2, TernaryBit::One, &t);
-            array.copy_column(6, 3);
             let lv = latch.to_tagvector(pe);
             for row in 0..70 {
                 let cells = crate::encoding::encode_pair(lv.get(row), t.get(row));
@@ -3330,50 +3012,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn bytes_round_trip() {
-        for pes in [3, 67] {
-            let (mut slab, _) = seeded(pes, 70, 4);
-            let tags = tag_pattern(&slab, 3);
-            slab.write_column_multi(1, TernaryBit::Zero, tags.words(), None);
-            let bytes = slab.to_bytes();
-            assert_eq!(TcamSlab::from_bytes(&bytes), Ok(slab), "pes {pes}");
-        }
-    }
-
-    #[test]
-    fn from_bytes_rejects_malformed_images() {
-        let slab = TcamSlab::new(2, 16, 3);
-        let bytes = slab.to_bytes();
-        assert_eq!(
-            TcamSlab::from_bytes(&bytes[..3]),
-            Err(SlabDecodeError::Truncated)
-        );
-        assert_eq!(
-            TcamSlab::from_bytes(&bytes[..bytes.len() - 1]),
-            Err(SlabDecodeError::Truncated)
-        );
-        let mut versioned = bytes.clone();
-        versioned[0] = 9;
-        assert_eq!(
-            TcamSlab::from_bytes(&versioned),
-            Err(SlabDecodeError::BadVersion(9))
-        );
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        assert_eq!(
-            TcamSlab::from_bytes(&trailing),
-            Err(SlabDecodeError::TrailingBytes(1))
-        );
-        let mut zeroed = bytes;
-        zeroed[1] = 0;
-        zeroed[2] = 0;
-        assert_eq!(
-            TcamSlab::from_bytes(&zeroed),
-            Err(SlabDecodeError::BadGeometry)
-        );
     }
 
     /// The single-sweep fused kernel must equal the unfused composition:
@@ -3493,56 +3131,6 @@ mod tests {
         slab.search_plan_multi_into(prefix, None, narrowed.words_mut());
         slab.search_narrow_multi(rest, None, narrowed.words_mut());
         assert_eq!(narrowed, whole);
-    }
-
-    #[test]
-    fn tag_slab_bytes_round_trip() {
-        let slab = TcamSlab::new(3, 70, 2);
-        let tags = tag_pattern(&slab, 6);
-        assert_eq!(TagSlab::from_bytes(&tags.to_bytes()), Ok(tags));
-    }
-
-    #[test]
-    fn tag_slab_from_bytes_rejects_malformed_images() {
-        let slab = TcamSlab::new(2, 70, 2);
-        let tags = tag_pattern(&slab, 0);
-        let bytes = tags.to_bytes();
-        assert_eq!(
-            TagSlab::from_bytes(&bytes[..2]),
-            Err(SlabDecodeError::Truncated)
-        );
-        assert_eq!(
-            TagSlab::from_bytes(&bytes[..bytes.len() - 1]),
-            Err(SlabDecodeError::Truncated)
-        );
-        let mut versioned = bytes.clone();
-        versioned[0] = 7;
-        assert_eq!(
-            TagSlab::from_bytes(&versioned),
-            Err(SlabDecodeError::BadVersion(7))
-        );
-        let mut trailing = bytes.clone();
-        trailing.push(1);
-        assert_eq!(
-            TagSlab::from_bytes(&trailing),
-            Err(SlabDecodeError::TrailingBytes(1))
-        );
-        let mut zeroed = bytes.clone();
-        zeroed[1] = 0;
-        zeroed[2] = 0;
-        assert_eq!(
-            TagSlab::from_bytes(&zeroed),
-            Err(SlabDecodeError::BadGeometry)
-        );
-        // 70 rows → the last 58 bits of each PE's second block are padding
-        // and must decode as zero.
-        let mut padded = bytes;
-        let last = padded.len() - 1;
-        padded[last] |= 0x80;
-        assert_eq!(
-            TagSlab::from_bytes(&padded),
-            Err(SlabDecodeError::BadGeometry)
-        );
     }
 
     #[test]
@@ -3728,37 +3316,6 @@ mod tests {
         assert_eq!(slab.to_arrays(), arrays, "after endurance service");
     }
 
-    #[test]
-    fn fault_bytes_round_trip_uses_version_two() {
-        let (mut slab, _) = seeded(2, 70, 4);
-        assert_eq!(slab.to_bytes()[0], TcamSlab::FORMAT_VERSION);
-        slab.attach_fault(
-            FaultModel {
-                seed: 99,
-                stuck_per_million: 25_000,
-                miss_per_million: 10_000,
-                endurance_limit: Some(1),
-            },
-            1,
-            5,
-        );
-        let tags = tag_pattern(&slab, 2);
-        slab.write_column_multi(1, TernaryBit::One, tags.words(), None);
-        slab.service_endurance().expect("one spare per PE");
-        assert!(
-            slab.fault().unwrap().retired.iter().any(|r| !r.is_empty()),
-            "the write plus limit 1 must retire a column"
-        );
-        let bytes = slab.to_bytes();
-        assert_eq!(bytes[0], TcamSlab::FORMAT_VERSION_FAULT);
-        assert_eq!(TcamSlab::from_bytes(&bytes), Ok(slab));
-        // A truncated fault payload is rejected, not misread.
-        assert_eq!(
-            TcamSlab::from_bytes(&bytes[..bytes.len() - 3]),
-            Err(SlabDecodeError::Truncated)
-        );
-    }
-
     /// A slab with cells, wear on some columns, and (optionally) fault
     /// bookkeeping with a retired column — every field the plane image
     /// carries.
@@ -3885,27 +3442,28 @@ mod tests {
     #[test]
     fn fault_tail_rejects_inconsistent_bookkeeping() {
         let slab = imaged(2, true);
-        let bytes = slab.to_bytes();
+        let bytes = plane_image(&slab);
         let tail = bytes.len() - slab_fault_tail_len(&slab);
+        let decode = |b: &[u8]| TcamSlab::read_plane_image(&mut &b[..]);
         // Spares used past the budget of 2 (first PE record).
         let pe_at = tail + 8 + 4 + 4 + 1 + 8 + 8 + 2 + 8;
         let mut over = bytes.clone();
         over[pe_at..pe_at + 2].copy_from_slice(&3u16.to_be_bytes());
-        assert_eq!(TcamSlab::from_bytes(&over), Err(SlabDecodeError::BadFault));
+        assert_eq!(decode(&over), Err(SlabDecodeError::BadFault));
         // A remap entry past the columns and spares.
         let f = slab.fault().unwrap();
         let remap_at = pe_at + 2 + if f.failed[0].is_some() { 11 } else { 1 };
         let mut wild = bytes.clone();
         wild[remap_at..remap_at + 2].copy_from_slice(&9u16.to_be_bytes());
-        assert_eq!(TcamSlab::from_bytes(&wild), Err(SlabDecodeError::BadFault));
+        assert_eq!(decode(&wild), Err(SlabDecodeError::BadFault));
         // A PE base that overflows.
         let pe0_at = tail + 8 + 4 + 4 + 1 + 8;
         let mut base = bytes;
         base[pe0_at..pe0_at + 8].copy_from_slice(&u64::MAX.to_be_bytes());
-        assert_eq!(TcamSlab::from_bytes(&base), Err(SlabDecodeError::BadFault));
+        assert_eq!(decode(&base), Err(SlabDecodeError::BadFault));
     }
 
-    /// Bytes of the fault bookkeeping tail `to_bytes` appends.
+    /// Bytes of the fault bookkeeping tail that ends a faulty plane image.
     fn slab_fault_tail_len(slab: &TcamSlab) -> usize {
         let mut tail = Vec::new();
         put_fault_tail(&mut tail, slab.fault().expect("fault state"));

@@ -5,10 +5,8 @@
 //! population count (`Count` instruction, adder tree) and priority encoding
 //! (`Index` instruction).
 
-use serde::{Deserialize, Serialize};
-
 /// A bit-vector of per-row tags.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TagVector {
     blocks: Vec<u64>,
     len: usize,

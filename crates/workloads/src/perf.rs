@@ -7,7 +7,6 @@ use hyperap_baselines::imp::ImpModel;
 use hyperap_model::area::AreaModel;
 use hyperap_model::metrics::Metrics;
 use hyperap_model::tech::TechParams;
-use serde::{Deserialize, Serialize};
 
 /// Measured chip-level metrics for a synthetic operation (RRAM Hyper-AP).
 pub fn synthetic_metrics(op: SyntheticOp, width: usize) -> Metrics {
@@ -37,7 +36,7 @@ pub fn synthetic_metrics_tech(
 }
 
 /// One kernel's cross-system comparison (the Fig 18 rows).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KernelComparison {
     /// Kernel name.
     pub name: &'static str,
