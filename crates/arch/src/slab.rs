@@ -9,11 +9,12 @@
 //! group's PEs are partitioned into a few 64-aligned chunks,
 //! and a segment micro-op runs **once per chunk** as a fused bit-plane
 //! kernel — each 64-bit ALU op processes the same cell position across 64
-//! PEs at once ([`TcamSlab::search_plan_multi_into`] and friends), with
-//! partially-active chunks driven through a word-granular selection mask
-//! instead of per-PE loops. The engine runs on its caller's thread; host
-//! parallelism lives one level up, in the serving pool's one machine per
-//! worker.
+//! PEs at once. Every run of search/write sweeps is one
+//! [`TcamSlab::sweep_program`] call; encoded writes, delta narrows and tag
+//! transfers have kernels of their own. Partially-active chunks are driven
+//! through a word-granular selection mask instead of per-PE loops. The
+//! engine runs on its caller's thread; host parallelism lives one level
+//! up, in the serving pool's one machine per worker.
 //!
 //! # Equivalence guarantee
 //!
@@ -36,6 +37,7 @@
 //!   interpreter's `(issue cycle, group)` key.
 
 use std::borrow::Borrow;
+use std::ops::Range;
 
 use crate::config::ArchConfig;
 use crate::control::{self, ActiveSet, MovStep, WriteTarget};
@@ -211,124 +213,51 @@ impl SlabChunk {
                 PlanRef::Compiled(p) => plans[*p].as_slice(),
             }
         };
-        let store = |value: KeyBit| -> TernaryBit {
-            value.write_value().expect("compiler emits storing writes")
-        };
-        // Batch every run of search/write micro-ops into one
-        // [`TcamSlab::sweep_program`] call so the whole run executes tile by
-        // tile over cache-resident windows instead of one full-arena sweep
-        // per op. Ops that touch the latch, registers, or the narrow path
-        // (`encode`, `SetTag`/`ReadTag`, `WriteEncoded`, `SearchDelta`)
-        // flush the pending batch first and run as before — they need the
-        // tags exactly as the batch leaves them.
-        let mut plan_arena: Vec<&[(usize, KeyBit)]> = Vec::with_capacity(seg.ops.len() * 2);
-        let mut write_arena: Vec<(usize, TernaryBit)> = Vec::with_capacity(seg.ops.len());
-        // (plan range, acc, write range) into the arenas, one per batched op.
-        let mut pend: Vec<(std::ops::Range<usize>, bool, std::ops::Range<usize>)> =
-            Vec::with_capacity(seg.ops.len());
-        macro_rules! flush {
-            () => {
-                if !pend.is_empty() {
-                    let sweep_ops: Vec<SweepOp<'_>> = pend
-                        .drain(..)
-                        .map(|(pr, acc, wr)| SweepOp {
-                            plans: &plan_arena[pr],
-                            acc,
-                            writes: &write_arena[wr],
-                        })
-                        .collect();
-                    storage.sweep_program(&sweep_ops, tags.words_mut(), sel);
-                    drop(sweep_ops);
-                    plan_arena.clear();
-                    write_arena.clear();
-                }
-            };
-        }
+        // Every run of sweeps executes as one [`TcamSlab::sweep_program`]
+        // call, tile by tile over cache-resident windows instead of one
+        // full-arena pass per op. Ops that need the tags exactly as the run
+        // leaves them (a latch, `SetTag`/`ReadTag`, `WriteEncoded`,
+        // `SearchDelta`) run the pending sweeps first.
+        let mut run = SweepRun::with_capacity(seg.ops.len());
         for op in &seg.ops {
             match op {
-                MicroOp::Search { plan, acc, encode } => {
-                    let p0 = plan_arena.len();
-                    plan_arena.push(resolve(plan));
-                    let w = write_arena.len();
-                    pend.push((p0..p0 + 1, *acc, w..w));
-                    if *encode {
-                        flush!();
-                        latch.copy_from_masked(tags, sel);
-                    }
-                }
-                MicroOp::Write { col, value } => {
-                    let (p, w0) = (plan_arena.len(), write_arena.len());
-                    write_arena.push((*col as usize, store(*value)));
-                    pend.push((p..p, true, w0..w0 + 1));
-                }
-                MicroOp::WriteEntry { col } => {
-                    let value = entry.expect("entry key snapshotted").0.bit(*col as usize);
-                    if let Some(v) = value.write_value() {
-                        let (p, w0) = (plan_arena.len(), write_arena.len());
-                        write_arena.push((*col as usize, v));
-                        pend.push((p..p, true, w0..w0 + 1));
-                    }
-                }
-                MicroOp::WriteEncoded { col } => {
-                    flush!();
-                    storage.write_encoded_multi(*col as usize, latch.words(), tags.words(), sel);
-                }
-                MicroOp::SetTag => {
-                    flush!();
-                    tags.copy_from_masked(regs, sel);
-                }
-                MicroOp::ReadTag => {
-                    flush!();
-                    regs.copy_from_masked(tags, sel);
-                }
-                MicroOp::SearchWrite {
-                    plan,
-                    acc,
-                    encode,
-                    col,
-                    value,
-                } => {
-                    let (p0, w0) = (plan_arena.len(), write_arena.len());
-                    plan_arena.push(resolve(plan));
-                    write_arena.push((*col as usize, store(*value)));
-                    pend.push((p0..p0 + 1, *acc, w0..w0 + 1));
-                    if *encode {
-                        flush!();
-                        latch.copy_from_masked(tags, sel);
-                    }
-                }
-                MicroOp::SearchWriteMulti {
+                MicroOp::Sweep {
                     plans: chain,
                     acc,
                     encode,
                     writes,
                 } => {
-                    let (p0, w0) = (plan_arena.len(), write_arena.len());
-                    plan_arena.extend(chain.iter().map(&resolve));
-                    write_arena.extend(
-                        writes
-                            .iter()
-                            .map(|&(col, value)| (col as usize, store(value))),
+                    let writes = &seg.sweep_writes[writes.clone()];
+                    run.push(
+                        seg.sweep_plans[chain.clone()].iter().map(resolve),
+                        *acc,
+                        writes.iter().map(|&(col, value)| (col as usize, value)),
                     );
-                    pend.push((p0..p0 + chain.len(), *acc, w0..w0 + writes.len()));
                     if *encode {
-                        flush!();
+                        run.execute(storage, tags, sel);
                         latch.copy_from_masked(tags, sel);
                     }
                 }
-                MicroOp::WriteMulti { writes } => {
-                    // An empty-chain fused sweep: `acc` keeps the tags, so the
-                    // kernel degenerates to "apply every write in one pass".
-                    let (p0, w0) = (plan_arena.len(), write_arena.len());
-                    write_arena.extend(
-                        writes
-                            .iter()
-                            .map(|&(col, value)| (col as usize, store(value))),
-                    );
-                    pend.push((p0..p0, true, w0..w0 + writes.len()));
+                MicroOp::WriteEntry { col } => {
+                    let value = entry.expect("entry key snapshotted").0.bit(*col as usize);
+                    if let Some(v) = value.write_value() {
+                        run.push([], true, [(*col as usize, v)]);
+                    }
+                }
+                MicroOp::WriteEncoded { col } => {
+                    run.execute(storage, tags, sel);
+                    storage.write_encoded_multi(*col as usize, latch.words(), tags.words(), sel);
+                }
+                MicroOp::SetTag => {
+                    run.execute(storage, tags, sel);
+                    tags.copy_from_masked(regs, sel);
+                }
+                MicroOp::ReadTag => {
+                    run.execute(storage, tags, sel);
+                    regs.copy_from_masked(tags, sel);
                 }
                 MicroOp::SearchDelta { plan, encode } => {
-                    flush!();
+                    run.execute(storage, tags, sel);
                     storage.search_narrow_multi(plans[*plan].as_slice(), sel, tags.words_mut());
                     if *encode {
                         latch.copy_from_masked(tags, sel);
@@ -336,13 +265,68 @@ impl SlabChunk {
                 }
             }
         }
-        flush!();
+        run.execute(storage, tags, sel);
         self.ops_version = self.ops_version.wrapping_add(1);
         for (i, pe_ops) in self.ops.iter_mut().enumerate() {
             if group_mask[base + i] {
                 pe_ops.add(pe_delta);
             }
         }
+    }
+}
+
+/// Resolved [`MicroOp::Sweep`]s waiting for one
+/// [`TcamSlab::sweep_program`] call: plan and write arenas plus each op's
+/// ranges into them.
+struct SweepRun<'a> {
+    plans: Vec<&'a [(usize, KeyBit)]>,
+    writes: Vec<(usize, TernaryBit)>,
+    ops: Vec<(Range<usize>, bool, Range<usize>)>,
+}
+
+impl<'a> SweepRun<'a> {
+    /// An empty run sized for a segment of `ops` micro-ops.
+    fn with_capacity(ops: usize) -> Self {
+        SweepRun {
+            plans: Vec::with_capacity(ops * 2),
+            writes: Vec::with_capacity(ops),
+            ops: Vec::with_capacity(ops),
+        }
+    }
+
+    /// Queue one sweep.
+    fn push(
+        &mut self,
+        plans: impl IntoIterator<Item = &'a [(usize, KeyBit)]>,
+        acc: bool,
+        writes: impl IntoIterator<Item = (usize, TernaryBit)>,
+    ) {
+        let (p0, w0) = (self.plans.len(), self.writes.len());
+        self.plans.extend(plans);
+        self.writes.extend(writes);
+        self.ops
+            .push((p0..self.plans.len(), acc, w0..self.writes.len()));
+    }
+
+    /// Run every queued sweep over `storage` under `tags`, then empty the
+    /// run.
+    fn execute(&mut self, storage: &mut TcamSlab, tags: &mut TagSlab, sel: Option<&[u64]>) {
+        if self.ops.is_empty() {
+            return;
+        }
+        let ops: Vec<SweepOp<'_>> = self
+            .ops
+            .drain(..)
+            .map(|(plans, acc, writes)| SweepOp {
+                plans: &self.plans[plans],
+                acc,
+                writes: &self.writes[writes],
+            })
+            .collect();
+        storage.sweep_program(&ops, tags.words_mut(), sel);
+        drop(ops);
+        self.plans.clear();
+        self.writes.clear();
     }
 }
 
@@ -941,6 +925,11 @@ impl SlabMachine {
     /// streams (the steady state of a kernel executed many times) skips
     /// recompilation entirely. Caching is invisible in the results —
     /// identical streams compile to identical traces.
+    ///
+    /// # Panics
+    ///
+    /// Panics on fault degradation; [`try_run`](Self::try_run) reports it
+    /// as a typed error instead.
     pub fn run(&mut self, streams: &[Vec<Instruction>]) -> RunStats {
         self.try_run(streams)
             .unwrap_or_else(|e| panic!("fault degradation: {e}"))

@@ -12,27 +12,29 @@
 //!
 //! * **Resolved micro-ops** ([`MicroOp`]): every `SetKey` is folded into a
 //!   precompiled `(column, bit)` search plan (shared by all PEs of the
-//!   group), every `Write` is resolved to its store value at compile time,
-//!   and the per-instruction bookkeeping (`OpCounts` deltas, Table-I
-//!   cycles) is pre-aggregated per segment.
+//!   group), every `Search` and storing `Write` becomes one
+//!   [`MicroOp::Sweep`] with its store value resolved at compile time, and
+//!   the per-instruction bookkeeping (`OpCounts` deltas, Table-I cycles) is
+//!   pre-aggregated per segment.
 //! * **Segments** split at cross-PE synchronization points (`Count`,
 //!   `Index`, `MovR`, `ReadR`/`WriteR` host transfers, `Broadcast`; see
 //!   [`SyncClass`]). Within a segment every PE is independent, so execution
 //!   inverts the loop: each chunk of PEs runs through the *entire segment*
 //!   in turn — one pass over the chunks per segment instead of one per
 //!   instruction.
-//! * **Fused micro-ops** from the peephole pass ([`CompiledTrace::peephole`],
+//! * **Fused sweeps** from the peephole pass ([`CompiledTrace::peephole`],
 //!   applied by [`compile`](CompiledTrace::compile) and skipped by
 //!   [`compile_unfused`](CompiledTrace::compile_unfused)): the canonical AP
-//!   rhythm `Search → [Search acc]* → Write…` collapses into
-//!   [`MicroOp::SearchWrite`] / [`MicroOp::SearchWriteMulti`], consecutive
-//!   writes batch into [`MicroOp::WriteMulti`], dead and redundant searches
-//!   are elided (billed through [`Segment::elided`] so per-PE `OpCounts`
-//!   stay architecturally unfused), and a search whose plan extends the
+//!   rhythm `Search → [Search acc]* → Write…` collapses into one
+//!   [`MicroOp::Sweep`] of several plans and writes, consecutive writes
+//!   batch into one plan-less sweep, dead and redundant searches are
+//!   elided (billed through [`Segment::elided`] so per-PE `OpCounts` stay
+//!   architecturally unfused), and a search whose plan extends the
 //!   previous one narrows the live tags incrementally via
-//!   [`MicroOp::SearchDelta`]. The fused ops execute as single-sweep slab
-//!   kernels ([`hyperap_tcam::slab::TcamSlab::search_write_multi`]) that
-//!   never materialize intermediate tag vectors.
+//!   [`MicroOp::SearchDelta`]. A sweep is exactly one
+//!   [`hyperap_tcam::slab::SweepOp`]; the slab engine hands each run of
+//!   them to [`hyperap_tcam::slab::TcamSlab::sweep_program`], which never
+//!   materializes intermediate tag vectors.
 //!
 //! # Equivalence guarantee
 //!
@@ -76,16 +78,17 @@
 //!   unfused ops — so remap tables and spare exhaustion cannot depend on
 //!   fusion decisions.
 
+use std::ops::Range;
+
 use crate::config::ArchConfig;
 use hyperap_isa::{Instruction, SyncClass};
 use hyperap_model::timing::OpCounts;
-use hyperap_tcam::bit::KeyBit;
+use hyperap_tcam::bit::{KeyBit, TernaryBit};
 use hyperap_tcam::key::SearchKey;
 
 /// Maximum number of search plans or write columns folded into one fused
-/// micro-op ([`MicroOp::SearchWriteMulti`], [`MicroOp::WriteMulti`]).
-/// Longer chains split; the continuation chain starts with `acc = true`
-/// and excess writes trail as their own batch.
+/// [`MicroOp::Sweep`]. Longer chains split; the continuation chain starts
+/// with `acc = true` and excess writes trail as their own sweeps.
 pub const MAX_FUSED: usize = 8;
 
 /// Which precompiled search plan a micro-op uses.
@@ -100,27 +103,32 @@ pub enum PlanRef {
 
 /// One resolved per-PE operation of a segment. Everything a micro-op needs
 /// beyond PE state is precomputed: plans are indices into the trace's plan
-/// table, write values are resolved `KeyBit`s.
+/// table, write values are resolved `TernaryBit`s.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MicroOp {
-    /// `Search`: apply a precompiled plan; optionally latch into the
-    /// encoder DFF stage.
-    Search {
-        /// The plan to apply.
-        plan: PlanRef,
-        /// OR into the tags through the accumulation unit.
+    /// One search/write sweep, executed as one
+    /// [`hyperap_tcam::slab::SweepOp`]: `tags = (acc ? tags : 0) |
+    /// match(plans₀) | …`, then every write is programmed under the final
+    /// tags, in order (repeated columns behave like the unfused sequence).
+    /// An unfused `Search` is one plan and no writes; an unfused storing
+    /// `Write` is no plans, `acc = true` and one write (a write whose key
+    /// bit is masked stores nothing, emits no micro-op and folds into the
+    /// segment's `OpCounts` delta). The peephole fuses up to [`MAX_FUSED`]
+    /// plans and writes each into one sweep.
+    Sweep {
+        /// This sweep's search plans in [`Segment::sweep_plans`], in
+        /// program order.
+        plans: Range<usize>,
+        /// Whether the *first* plan accumulates into the incoming tags
+        /// (the rest always accumulate).
         acc: bool,
-        /// Latch the result for a later encoded write.
+        /// Latch the final tags into the encoder DFF stage for a later
+        /// encoded write (only the last search of a fused chain may
+        /// carry the flag; the writes leave the tags unchanged).
         encode: bool,
-    },
-    /// Single-column `Write` whose store value was resolved at compile time
-    /// (emitted only when the key bit actually stores — a masked bit is a
-    /// no-op on PE state and folds into the segment's `OpCounts` delta).
-    Write {
-        /// Target column.
-        col: u8,
-        /// Resolved key-register value (never `Masked`).
-        value: KeyBit,
+        /// This sweep's writes in [`Segment::sweep_writes`], in program
+        /// order.
+        writes: Range<usize>,
     },
     /// Single-column `Write` issued before the stream's first `SetKey`: the
     /// value comes from the entry key register at run time.
@@ -137,43 +145,6 @@ pub enum MicroOp {
     SetTag,
     /// Copy the PE's tags into its data register.
     ReadTag,
-    /// Peephole-fused `Search` followed by a single-column `Write`: one
-    /// linear pass computes the tags and conditionally stores, without
-    /// materializing the tag vector between the two architectural ops.
-    SearchWrite {
-        /// The plan to apply.
-        plan: PlanRef,
-        /// OR into the tags through the accumulation unit.
-        acc: bool,
-        /// Latch the search result for a later encoded write.
-        encode: bool,
-        /// Target column of the fused write.
-        col: u8,
-        /// Resolved key-register value (never `Masked`).
-        value: KeyBit,
-    },
-    /// Peephole-fused chain of searches (first with `acc` as given, the
-    /// rest accumulating: `tags = (acc ? tags : 0) | match(plan₀) | …`)
-    /// followed by zero or more single-column writes under the final tags.
-    /// At most [`MAX_FUSED`] plans and writes each; writes apply in order,
-    /// so repeated columns behave like the unfused sequence.
-    SearchWriteMulti {
-        /// Plans of the fused search chain, in program order.
-        plans: Vec<PlanRef>,
-        /// Whether the *first* search accumulates into the incoming tags.
-        acc: bool,
-        /// Latch the final tags for a later encoded write (only the last
-        /// search of a fused chain may carry the encode flag).
-        encode: bool,
-        /// Fused `(column, resolved value)` writes, in program order.
-        writes: Vec<(u8, KeyBit)>,
-    },
-    /// Peephole-batched run of consecutive single-column writes under the
-    /// same tags (at most [`MAX_FUSED`], applied in order).
-    WriteMulti {
-        /// `(column, resolved value)` writes, in program order.
-        writes: Vec<(u8, KeyBit)>,
-    },
     /// Incremental search: the previous search's plan is a subset of this
     /// one and its columns are unwritten since, so the live tags already
     /// hold the common prefix — narrow them by the extra `(column, bit)`
@@ -197,6 +168,13 @@ pub enum MicroOp {
 pub struct Segment {
     /// Per-PE operations, in program order.
     pub ops: Vec<MicroOp>,
+    /// The search plans of every [`MicroOp::Sweep`], one range per sweep
+    /// (one arena per segment, so a trace clones without a heap block
+    /// per op).
+    pub sweep_plans: Vec<PlanRef>,
+    /// The resolved `(column, value)` writes of every [`MicroOp::Sweep`],
+    /// one range per sweep.
+    pub sweep_writes: Vec<(u8, TernaryBit)>,
     /// Group-level `RunStats` delta for the folded instructions.
     pub ops_delta: OpCounts,
     /// Number of stream instructions folded into this segment.
@@ -210,6 +188,30 @@ pub struct Segment {
 }
 
 impl Segment {
+    /// Append the unfused sweep of one `Search`.
+    fn push_search(&mut self, plan: PlanRef, acc: bool, encode: bool) {
+        let (p, w) = (self.sweep_plans.len(), self.sweep_writes.len());
+        self.sweep_plans.push(plan);
+        self.ops.push(MicroOp::Sweep {
+            plans: p..p + 1,
+            acc,
+            encode,
+            writes: w..w,
+        });
+    }
+
+    /// Append the unfused sweep of one storing single-column `Write`.
+    fn push_write(&mut self, col: u8, value: TernaryBit) {
+        let (p, w) = (self.sweep_plans.len(), self.sweep_writes.len());
+        self.sweep_writes.push((col, value));
+        self.ops.push(MicroOp::Sweep {
+            plans: p..p,
+            acc: true,
+            encode: false,
+            writes: w..w + 1,
+        });
+    }
+
     /// The `OpCounts` delta one *active PE* accrues executing this segment —
     /// what the interpreter adds to each PE for the folded instructions,
     /// pre-aggregated so the slab engine can account a whole segment with
@@ -227,12 +229,13 @@ impl Segment {
         let mut d = OpCounts::default();
         for op in &self.ops {
             match op {
-                // search_planned counts one search plus one SetKey.
-                MicroOp::Search { .. } => {
-                    d.searches += 1;
-                    d.set_keys += 1;
+                // Each plan is one architectural SetKey + Search, each
+                // write one single-column write.
+                MicroOp::Sweep { plans, writes, .. } => {
+                    d.searches += plans.len() as u64;
+                    d.set_keys += plans.len() as u64;
+                    d.writes_single += writes.len() as u64;
                 }
-                MicroOp::Write { .. } => d.writes_single += 1,
                 MicroOp::WriteEntry { col } => {
                     let value = entry.expect("entry key snapshotted").bit(*col as usize);
                     if value.write_value().is_some() {
@@ -242,18 +245,6 @@ impl Segment {
                 MicroOp::WriteEncoded { .. } => d.writes_encoded += 1,
                 // Tag transfers are counted at group level only.
                 MicroOp::SetTag | MicroOp::ReadTag => {}
-                // Fused ops bill their unfused architectural constituents.
-                MicroOp::SearchWrite { .. } => {
-                    d.searches += 1;
-                    d.set_keys += 1;
-                    d.writes_single += 1;
-                }
-                MicroOp::SearchWriteMulti { plans, writes, .. } => {
-                    d.searches += plans.len() as u64;
-                    d.set_keys += plans.len() as u64;
-                    d.writes_single += writes.len() as u64;
-                }
-                MicroOp::WriteMulti { writes } => d.writes_single += writes.len() as u64,
                 MicroOp::SearchDelta { .. } => {
                     d.searches += 1;
                     d.set_keys += 1;
@@ -362,36 +353,30 @@ impl CompiledTrace {
             }
             seg_cycles += inst.cycles(&config.tech);
             seg.instructions += 1;
-            let delta = &mut seg.ops_delta;
             match inst {
                 Instruction::SetKey { key } => {
                     trace.plans.push(key.compile_plan());
                     cur_plan = PlanRef::Compiled(trace.plans.len() - 1);
                     cur_key = Some(key);
-                    delta.set_keys += 1;
+                    seg.ops_delta.set_keys += 1;
                 }
                 Instruction::Search { acc, encode } => {
-                    seg.ops.push(MicroOp::Search {
-                        plan: cur_plan,
-                        acc: *acc,
-                        encode: *encode,
-                    });
+                    seg.push_search(cur_plan, *acc, *encode);
                     trace.uses_entry_key |= cur_plan == PlanRef::Entry;
-                    delta.searches += 1;
+                    seg.ops_delta.searches += 1;
                 }
                 Instruction::Write { col, encode } => {
                     if *encode {
                         seg.ops.push(MicroOp::WriteEncoded { col: *col });
-                        delta.writes_encoded += 1;
+                        seg.ops_delta.writes_encoded += 1;
                     } else {
-                        delta.writes_single += 1;
+                        seg.ops_delta.writes_single += 1;
                         match cur_key {
                             Some(key) => {
-                                let value = key.bit(*col as usize);
-                                if value.write_value().is_some() {
-                                    seg.ops.push(MicroOp::Write { col: *col, value });
-                                }
                                 // A masked value stores nothing: no micro-op.
+                                if let Some(value) = key.bit(*col as usize).write_value() {
+                                    seg.push_write(*col, value);
+                                }
                             }
                             None => {
                                 seg.ops.push(MicroOp::WriteEntry { col: *col });
@@ -402,14 +387,14 @@ impl CompiledTrace {
                 }
                 Instruction::SetTag => {
                     seg.ops.push(MicroOp::SetTag);
-                    delta.tag_ops += 1;
+                    seg.ops_delta.tag_ops += 1;
                 }
                 Instruction::ReadTag => {
                     seg.ops.push(MicroOp::ReadTag);
-                    delta.tag_ops += 1;
+                    seg.ops_delta.tag_ops += 1;
                 }
                 Instruction::Wait { cycles } => {
-                    delta.wait_cycles += *cycles as u64;
+                    seg.ops_delta.wait_cycles += *cycles as u64;
                 }
                 // SyncPoint instructions never reach this arm.
                 _ => unreachable!("sync points are flushed above"),
@@ -425,31 +410,28 @@ impl CompiledTrace {
     }
 
     /// Rewrite every segment's micro-ops through the fusion peephole, in
-    /// four passes per segment:
+    /// three passes per segment:
     ///
-    /// 1. **Dead-search elimination** — a non-latching `Search` whose tags
-    ///    are overwritten (`SetTag` or a non-accumulating `Search`) before
+    /// 1. **Dead-search elimination** — a non-latching search whose tags
+    ///    are overwritten (`SetTag` or a non-accumulating search) before
     ///    anything reads them is removed.
     /// 2. **Redundant / incremental searches** — a search identical to the
     ///    still-valid previous one is elided; one whose plan extends the
     ///    previous becomes a [`MicroOp::SearchDelta`] over the extra
     ///    entries only.
-    /// 3. **Write batching** — consecutive `Write`s collapse into
-    ///    [`MicroOp::WriteMulti`].
-    /// 4. **Search→write fusion** — a maximal `Search → [Search acc]*`
-    ///    chain plus an optional trailing write batch becomes one
-    ///    [`MicroOp::SearchWrite`] / [`MicroOp::SearchWriteMulti`].
+    /// 3. **Sweep fusion** — a maximal `Search → [Search acc]*` chain and
+    ///    the write run right after it become one [`MicroOp::Sweep`], and
+    ///    the rest of each write run batches into plan-less sweeps.
     ///
-    /// Elided searches are billed through [`Segment::elided`]; fused ops
-    /// bill their unfused constituents in [`Segment::pe_ops_delta`] — the
-    /// pass never changes any `OpCounts` or cycle number, only the number
-    /// of arena sweeps the slab engine performs.
+    /// Elided searches are billed through [`Segment::elided`]; fused
+    /// sweeps bill their unfused constituents in [`Segment::pe_ops_delta`]
+    /// — the pass never changes any `OpCounts` or cycle number, only the
+    /// number of arena sweeps the slab engine performs.
     pub fn peephole(&mut self) {
         for seg in &mut self.segments {
             peephole::eliminate_dead_searches(seg);
             peephole::narrow_repeated_searches(seg, &mut self.plans);
-            peephole::batch_writes(seg);
-            peephole::fuse_search_writes(seg);
+            peephole::fuse_sweeps(seg);
         }
     }
 
@@ -477,23 +459,33 @@ mod peephole {
     use super::{KeyBit, MicroOp, PlanRef, Segment, MAX_FUSED};
 
     /// Remove searches whose tags nothing ever observes: every micro-op
-    /// either reads the tags (`Write*`, `ReadTag`, an accumulating
-    /// `Search`) or overwrites them (`SetTag`, a non-accumulating
-    /// `Search`), so a non-latching search is dead exactly when the next
-    /// *surviving* op overwrites. One right-to-left pass decides every op
-    /// against its final successor, so cascades (a chain of overwritten
-    /// searches) die in linear time. Tags are live at segment end — a sync
-    /// point or a later run may read them.
+    /// either reads the tags (a sweep's writes or accumulation,
+    /// `WriteEntry`/`WriteEncoded`, `ReadTag`) or overwrites them
+    /// (`SetTag`, a non-accumulating sweep), so a non-latching search is
+    /// dead exactly when the next *surviving* op overwrites. One
+    /// right-to-left pass decides every op against its final successor, so
+    /// cascades (a chain of overwritten searches) die in linear time. Tags
+    /// are live at segment end — a sync point or a later run may read
+    /// them.
     pub(super) fn eliminate_dead_searches(seg: &mut Segment) {
         let mut overwritten = false;
         let mut dead = vec![false; seg.ops.len()];
         for (i, op) in seg.ops.iter().enumerate().rev() {
-            if overwritten && matches!(op, MicroOp::Search { encode: false, .. }) {
-                dead[i] = true;
-                seg.elided.searches += 1;
-                seg.elided.set_keys += 1;
-            } else {
-                overwritten = matches!(op, MicroOp::SetTag | MicroOp::Search { acc: false, .. });
+            match op {
+                // A sweep that neither stores nor latches only defines tags.
+                MicroOp::Sweep {
+                    plans,
+                    encode: false,
+                    writes,
+                    ..
+                } if overwritten && writes.is_empty() => {
+                    dead[i] = true;
+                    seg.elided.searches += plans.len() as u64;
+                    seg.elided.set_keys += plans.len() as u64;
+                }
+                _ => {
+                    overwritten = matches!(op, MicroOp::SetTag | MicroOp::Sweep { acc: false, .. })
+                }
             }
         }
         let mut dead = dead.into_iter();
@@ -529,70 +521,73 @@ mod peephole {
         // …modulo writes to these columns since then.
         let mut written: Vec<usize> = Vec::new();
         for op in std::mem::take(&mut seg.ops) {
-            match op {
-                MicroOp::Search {
-                    plan,
+            // A single non-accumulating search: the one shape this pass
+            // rewrites.
+            let fresh_search = match &op {
+                MicroOp::Sweep {
+                    plans: p,
                     acc: false,
                     encode,
-                } => {
-                    let rewrite = match (known, plan) {
-                        (Some(PlanRef::Compiled(prev)), PlanRef::Compiled(next)) => {
-                            rewrite_compiled(prev, next, &written, encode, plans)
-                        }
-                        (Some(PlanRef::Entry), PlanRef::Entry) if written.is_empty() && !encode => {
-                            Rewrite::Elide
-                        }
-                        _ => Rewrite::Keep,
-                    };
-                    match rewrite {
-                        Rewrite::Elide => {
-                            // Tags unchanged: `known`/`written` stand.
-                            seg.elided.searches += 1;
-                            seg.elided.set_keys += 1;
-                        }
-                        Rewrite::Delta(delta) => {
-                            out.push(MicroOp::SearchDelta {
-                                plan: delta,
-                                encode,
-                            });
-                            known = Some(plan);
-                            written.clear();
-                        }
-                        Rewrite::Keep => {
-                            out.push(MicroOp::Search {
-                                plan,
-                                acc: false,
-                                encode,
-                            });
-                            known = Some(plan);
-                            written.clear();
-                        }
+                    writes,
+                } if p.len() == 1 && writes.is_empty() => Some((seg.sweep_plans[p.start], *encode)),
+                _ => None,
+            };
+            let Some((plan, encode)) = fresh_search else {
+                match &op {
+                    // Writes under the tags as they stand.
+                    MicroOp::Sweep {
+                        plans: p,
+                        acc: true,
+                        writes,
+                        ..
+                    } if p.is_empty() => {
+                        let cols = seg.sweep_writes[writes.clone()].iter();
+                        written.extend(cols.map(|&(col, _)| col as usize));
+                    }
+                    // Accumulation or a delta mixes old tags in; a register
+                    // load or a fresh search replaces them: either way no
+                    // single plan describes the result any more.
+                    MicroOp::Sweep { .. } | MicroOp::SetTag | MicroOp::SearchDelta { .. } => {
+                        known = None;
+                        written.clear();
+                    }
+                    MicroOp::ReadTag => {}
+                    MicroOp::WriteEntry { col } => written.push(*col as usize),
+                    MicroOp::WriteEncoded { col } => {
+                        written.push(*col as usize);
+                        written.push(*col as usize + 1);
                     }
                 }
-                other => {
-                    match &other {
-                        // Accumulation mixes old tags in; a register load
-                        // replaces them: either way no single plan
-                        // describes the result any more.
-                        MicroOp::Search { .. } | MicroOp::SetTag => {
-                            known = None;
-                            written.clear();
-                        }
-                        MicroOp::Write { col, .. } | MicroOp::WriteEntry { col } => {
-                            written.push(*col as usize);
-                        }
-                        MicroOp::WriteEncoded { col } => {
-                            written.push(*col as usize);
-                            written.push(*col as usize + 1);
-                        }
-                        MicroOp::ReadTag => {}
-                        // Fused ops only exist after the later passes.
-                        _ => {
-                            known = None;
-                            written.clear();
-                        }
-                    }
-                    out.push(other);
+                out.push(op);
+                continue;
+            };
+            let rewrite = match (known, plan) {
+                (Some(PlanRef::Compiled(prev)), PlanRef::Compiled(next)) => {
+                    rewrite_compiled(prev, next, &written, encode, plans)
+                }
+                (Some(PlanRef::Entry), PlanRef::Entry) if written.is_empty() && !encode => {
+                    Rewrite::Elide
+                }
+                _ => Rewrite::Keep,
+            };
+            match rewrite {
+                Rewrite::Elide => {
+                    // Tags unchanged: `known`/`written` stand.
+                    seg.elided.searches += 1;
+                    seg.elided.set_keys += 1;
+                }
+                Rewrite::Delta(delta) => {
+                    out.push(MicroOp::SearchDelta {
+                        plan: delta,
+                        encode,
+                    });
+                    known = Some(plan);
+                    written.clear();
+                }
+                Rewrite::Keep => {
+                    out.push(op);
+                    known = Some(plan);
+                    written.clear();
                 }
             }
         }
@@ -623,96 +618,76 @@ mod peephole {
         Rewrite::Delta(plans.len() - 1)
     }
 
-    /// Collapse runs of consecutive `Write`s into [`MicroOp::WriteMulti`]
-    /// batches of at most [`MAX_FUSED`] (order is preserved, so repeated
-    /// columns behave exactly like the unfused sequence).
-    pub(super) fn batch_writes(seg: &mut Segment) {
+    /// Fuse sweeps: a search chain — a search followed by accumulating
+    /// searches, up to [`MAX_FUSED`] plans, ended early by a latching
+    /// search (the sweep latches its *final* tags) — absorbs the write
+    /// run right after it, up to [`MAX_FUSED`] writes, and every other
+    /// write run batches into plan-less sweeps of up to [`MAX_FUSED`]
+    /// writes. A chain split at the cap continues as an accumulating
+    /// chain over the tags the previous sweep left behind. Writes keep
+    /// their order, so repeated columns behave like the unfused sequence;
+    /// a sweep that already stores takes no later search, which would
+    /// run before its writes. The arenas are rebuilt in op order, which
+    /// also drops the entries of ops the earlier passes removed.
+    pub(super) fn fuse_sweeps(seg: &mut Segment) {
+        let plans_in = std::mem::take(&mut seg.sweep_plans);
+        let writes_in = std::mem::take(&mut seg.sweep_writes);
+        let (plans, writes) = (&mut seg.sweep_plans, &mut seg.sweep_writes);
         let mut out = Vec::with_capacity(seg.ops.len());
-        let mut run: Vec<(u8, KeyBit)> = Vec::new();
-        fn flush(out: &mut Vec<MicroOp>, run: &mut Vec<(u8, KeyBit)>) {
-            for chunk in run.chunks(MAX_FUSED) {
-                if let [(col, value)] = *chunk {
-                    out.push(MicroOp::Write { col, value });
-                } else {
-                    out.push(MicroOp::WriteMulti {
-                        writes: chunk.to_vec(),
-                    });
-                }
-            }
-            run.clear();
-        }
-        for op in std::mem::take(&mut seg.ops) {
-            if let MicroOp::Write { col, value } = op {
-                run.push((col, value));
-            } else {
-                flush(&mut out, &mut run);
+        let mut ops = std::mem::take(&mut seg.ops).into_iter().peekable();
+        while let Some(op) = ops.next() {
+            let MicroOp::Sweep {
+                plans: p,
+                acc,
+                mut encode,
+                writes: w,
+            } = op
+            else {
                 out.push(op);
-            }
-        }
-        flush(&mut out, &mut run);
-        seg.ops = out;
-    }
-
-    /// Fuse each maximal `Search → [Search acc]*` chain plus an optional
-    /// trailing write batch into one fused micro-op. A latching search
-    /// ends its chain (the fused kernels latch the *final* tags, so only
-    /// the last search of a chain may carry `encode`); chains longer than
-    /// [`MAX_FUSED`] split, the continuation accumulating into the tags
-    /// the previous fused op left behind.
-    pub(super) fn fuse_search_writes(seg: &mut Segment) {
-        let ops = std::mem::take(&mut seg.ops);
-        let mut out = Vec::with_capacity(ops.len());
-        let mut i = 0;
-        while i < ops.len() {
-            let MicroOp::Search { plan, acc, encode } = ops[i] else {
-                out.push(ops[i].clone());
-                i += 1;
                 continue;
             };
-            let mut plans = vec![plan];
-            let mut chain_encode = encode;
-            let mut j = i + 1;
-            while !chain_encode && plans.len() < MAX_FUSED {
-                let Some(MicroOp::Search {
-                    plan: p,
+            let (p0, w0) = (plans.len(), writes.len());
+            plans.extend_from_slice(&plans_in[p]);
+            writes.extend_from_slice(&writes_in[w]);
+            while plans.len() > p0 && writes.len() == w0 && !encode {
+                let Some(MicroOp::Sweep {
+                    plans: next,
                     acc: true,
-                    encode: e,
-                }) = ops.get(j)
+                    encode: latch,
+                    writes: next_writes,
+                }) = ops.peek()
                 else {
                     break;
                 };
-                plans.push(*p);
-                chain_encode = *e;
-                j += 1;
+                if next.is_empty()
+                    || !next_writes.is_empty()
+                    || plans.len() - p0 + next.len() > MAX_FUSED
+                {
+                    break;
+                }
+                plans.extend_from_slice(&plans_in[next.clone()]);
+                encode = *latch;
+                ops.next();
             }
-            let writes: Vec<(u8, KeyBit)> = match ops.get(j) {
-                Some(&MicroOp::Write { col, value }) => {
-                    j += 1;
-                    vec![(col, value)]
+            while let Some(MicroOp::Sweep {
+                plans: next,
+                acc: true,
+                encode: false,
+                writes: next_writes,
+            }) = ops.peek()
+            {
+                if !next.is_empty() || writes.len() - w0 + next_writes.len() > MAX_FUSED {
+                    break;
                 }
-                Some(MicroOp::WriteMulti { writes }) => {
-                    j += 1;
-                    writes.clone()
-                }
-                _ => Vec::new(),
-            };
-            out.push(match (plans.len(), writes.len()) {
-                (1, 0) => MicroOp::Search { plan, acc, encode },
-                (1, 1) => MicroOp::SearchWrite {
-                    plan,
-                    acc,
-                    encode: chain_encode,
-                    col: writes[0].0,
-                    value: writes[0].1,
-                },
-                _ => MicroOp::SearchWriteMulti {
-                    plans,
-                    acc,
-                    encode: chain_encode,
-                    writes,
-                },
+                writes.extend_from_slice(&writes_in[next_writes.clone()]);
+                ops.next();
+            }
+            out.push(MicroOp::Sweep {
+                plans: p0..plans.len(),
+                acc,
+                encode,
+                writes: w0..writes.len(),
             });
-            i = j;
         }
         seg.ops = out;
     }
@@ -883,6 +858,38 @@ mod tests {
         encode: false,
     };
 
+    /// A micro-op with a sweep's arena ranges resolved, for comparisons.
+    #[derive(Debug, PartialEq)]
+    enum Op {
+        Sweep(Vec<PlanRef>, bool, bool, Vec<(u8, TernaryBit)>),
+        Other(MicroOp),
+    }
+
+    fn ops(seg: &Segment) -> Vec<Op> {
+        seg.ops
+            .iter()
+            .map(|op| match op {
+                MicroOp::Sweep {
+                    plans,
+                    acc,
+                    encode,
+                    writes,
+                } => Op::Sweep(
+                    seg.sweep_plans[plans.clone()].to_vec(),
+                    *acc,
+                    *encode,
+                    seg.sweep_writes[writes.clone()].to_vec(),
+                ),
+                other => Op::Other(other.clone()),
+            })
+            .collect()
+    }
+
+    /// The unfused sweep of a plain `Search` of `plan`.
+    fn search(plan: PlanRef) -> Op {
+        Op::Sweep(vec![plan], false, false, vec![])
+    }
+
     #[test]
     fn local_run_compiles_to_one_segment() {
         let stream = vec![
@@ -901,16 +908,15 @@ mod tests {
         assert_eq!(t.instruction_count(), 5);
         let seg = &t.segments[0];
         // SetKey and Wait fold into bookkeeping; the Search and Write fuse
-        // into one single-sweep micro-op.
+        // into one sweep.
         assert_eq!(
-            seg.ops,
-            vec![MicroOp::SearchWrite {
-                plan: PlanRef::Compiled(0),
-                acc: false,
-                encode: false,
-                col: 1,
-                value: KeyBit::One,
-            }]
+            ops(seg),
+            vec![Op::Sweep(
+                vec![PlanRef::Compiled(0)],
+                false,
+                false,
+                vec![(1, TernaryBit::One)]
+            )]
         );
         assert_eq!(seg.ops_delta.set_keys, 2);
         assert_eq!(seg.ops_delta.searches, 1);
@@ -952,14 +958,7 @@ mod tests {
         // The searches after Count/MovR reuse the same compiled plan.
         assert_eq!(t.plans.len(), 1);
         for seg in &t.segments[1..] {
-            assert_eq!(
-                seg.ops,
-                vec![MicroOp::Search {
-                    plan: PlanRef::Compiled(0),
-                    acc: false,
-                    encode: false
-                }]
-            );
+            assert_eq!(ops(seg), vec![search(PlanRef::Compiled(0))]);
         }
     }
 
@@ -982,28 +981,25 @@ mod tests {
         ];
         let t = CompiledTrace::compile(&stream, &cfg(), false);
         let seg = &t.segments[0];
-        // The two storing writes batch into one multi-write; the masked
-        // write emits no micro-op at all.
+        // The two storing writes batch into one plan-less sweep; the
+        // masked write emits no micro-op at all.
         assert_eq!(
-            seg.ops,
-            vec![MicroOp::WriteMulti {
-                writes: vec![(0, KeyBit::One), (1, KeyBit::Z)],
-            }]
+            ops(seg),
+            vec![Op::Sweep(
+                vec![],
+                true,
+                false,
+                vec![(0, TernaryBit::One), (1, TernaryBit::X)]
+            )]
         );
         assert_eq!(seg.ops_delta.writes_single, 3, "masked write still counts");
         assert_eq!(seg.pe_ops_delta(None).writes_single, 2);
         let u = CompiledTrace::compile_unfused(&stream, &cfg(), false);
         assert_eq!(
-            u.segments[0].ops,
+            ops(&u.segments[0]),
             vec![
-                MicroOp::Write {
-                    col: 0,
-                    value: KeyBit::One
-                },
-                MicroOp::Write {
-                    col: 1,
-                    value: KeyBit::Z
-                },
+                Op::Sweep(vec![], true, false, vec![(0, TernaryBit::One)]),
+                Op::Sweep(vec![], true, false, vec![(1, TernaryBit::X)]),
             ]
         );
     }
@@ -1022,25 +1018,11 @@ mod tests {
         let t = CompiledTrace::compile(&stream, &cfg(), false);
         assert!(t.uses_entry_key);
         let seg = &t.segments[0];
-        assert_eq!(
-            seg.ops[0],
-            MicroOp::Search {
-                plan: PlanRef::Entry,
-                acc: false,
-                encode: false
-            }
-        );
+        assert_eq!(ops(seg)[0], search(PlanRef::Entry));
         assert_eq!(seg.ops[1], MicroOp::WriteEntry { col: 2 });
         // SetKey folds into the plan table without emitting a micro-op, so
         // the post-SetKey search is the third op.
-        assert_eq!(
-            seg.ops[2],
-            MicroOp::Search {
-                plan: PlanRef::Compiled(0),
-                acc: false,
-                encode: false
-            }
-        );
+        assert_eq!(ops(seg)[2], search(PlanRef::Compiled(0)));
     }
 
     #[test]
@@ -1107,13 +1089,13 @@ mod tests {
         let t = CompiledTrace::compile(&stream, &cfg(), false);
         let seg = &t.segments[0];
         assert_eq!(
-            seg.ops,
-            vec![MicroOp::SearchWriteMulti {
-                plans: vec![PlanRef::Compiled(0), PlanRef::Compiled(1)],
-                acc: false,
-                encode: false,
-                writes: vec![(1, KeyBit::One)],
-            }]
+            ops(seg),
+            vec![Op::Sweep(
+                vec![PlanRef::Compiled(0), PlanRef::Compiled(1)],
+                false,
+                false,
+                vec![(1, TernaryBit::One)]
+            )]
         );
         // Per-PE counts are the unfused architectural ones.
         let d = seg.pe_ops_delta(None);
@@ -1150,13 +1132,13 @@ mod tests {
         ];
         let t = CompiledTrace::compile(&stream, &cfg(), false);
         assert_eq!(
-            t.segments[0].ops,
-            vec![MicroOp::SearchWriteMulti {
-                plans: vec![PlanRef::Compiled(0), PlanRef::Compiled(1)],
-                acc: false,
-                encode: true,
-                writes: vec![],
-            }]
+            ops(&t.segments[0]),
+            vec![Op::Sweep(
+                vec![PlanRef::Compiled(0), PlanRef::Compiled(1)],
+                false,
+                true,
+                vec![]
+            )]
         );
     }
 
@@ -1168,15 +1150,8 @@ mod tests {
         let t = CompiledTrace::compile(&stream, &cfg(), false);
         let seg = &t.segments[0];
         assert_eq!(
-            seg.ops,
-            vec![
-                MicroOp::SetTag,
-                MicroOp::Search {
-                    plan: PlanRef::Compiled(0),
-                    acc: false,
-                    encode: false
-                }
-            ]
+            ops(seg),
+            vec![Op::Other(MicroOp::SetTag), search(PlanRef::Compiled(0))]
         );
         assert_eq!(seg.elided.searches, 1);
         let u = CompiledTrace::compile_unfused(&stream, &cfg(), false);
@@ -1185,14 +1160,15 @@ mod tests {
     }
 
     /// The dead-search rule as a fixpoint loop: remove the first
-    /// non-latching search whose next op overwrites the tags, and repeat.
+    /// non-latching, non-storing search whose next op overwrites the tags,
+    /// and repeat.
     fn eliminate_dead_searches_fixpoint(seg: &mut Segment) {
         loop {
             let dead = (0..seg.ops.len()).find(|&i| {
-                matches!(seg.ops[i], MicroOp::Search { encode: false, .. })
+                matches!(&seg.ops[i], MicroOp::Sweep { encode: false, writes, .. } if writes.is_empty())
                     && matches!(
                         seg.ops.get(i + 1),
-                        Some(MicroOp::SetTag | MicroOp::Search { acc: false, .. })
+                        Some(MicroOp::SetTag | MicroOp::Sweep { acc: false, .. })
                     )
             });
             let Some(i) = dead else { break };
@@ -1202,35 +1178,33 @@ mod tests {
         }
     }
 
-    /// A micro-op drawn from the kinds the dead-search rule distinguishes:
-    /// searches with every `acc`/`encode` combination (on entry and
-    /// compiled plans), `SetTag`, writes, and other tag readers.
-    fn dead_search_op() -> impl Strategy<Value = MicroOp> {
-        (0u8..12, 0usize..3).prop_map(|(kind, p)| {
-            let plan = if p == 0 {
-                PlanRef::Entry
-            } else {
-                PlanRef::Compiled(p)
-            };
-            match kind {
-                0..=5 => MicroOp::Search {
-                    plan,
-                    acc: kind & 1 == 1,
-                    encode: kind & 2 == 2,
-                },
-                6 => MicroOp::SetTag,
-                7 => MicroOp::Write {
-                    col: p as u8,
-                    value: KeyBit::One,
-                },
-                8 => MicroOp::WriteEntry { col: p as u8 },
-                9 => MicroOp::WriteEncoded { col: p as u8 },
-                10 => MicroOp::ReadTag,
-                _ => MicroOp::SearchDelta {
-                    plan: p,
-                    encode: p == 2,
-                },
+    /// A segment of micro-ops drawn from the kinds the dead-search rule
+    /// distinguishes: searches with every `acc`/`encode` combination (on
+    /// entry and compiled plans), `SetTag`, writes, and other tag readers.
+    fn dead_search_segment() -> impl Strategy<Value = Segment> {
+        prop::collection::vec((0u8..12, 0usize..3), 0..40).prop_map(|kinds| {
+            let mut seg = Segment::default();
+            for (kind, p) in kinds {
+                let plan = if p == 0 {
+                    PlanRef::Entry
+                } else {
+                    PlanRef::Compiled(p)
+                };
+                let col = p as u8;
+                match kind {
+                    0..=5 => seg.push_search(plan, kind & 1 == 1, kind & 2 == 2),
+                    6 => seg.ops.push(MicroOp::SetTag),
+                    7 => seg.push_write(col, TernaryBit::One),
+                    8 => seg.ops.push(MicroOp::WriteEntry { col }),
+                    9 => seg.ops.push(MicroOp::WriteEncoded { col }),
+                    10 => seg.ops.push(MicroOp::ReadTag),
+                    _ => seg.ops.push(MicroOp::SearchDelta {
+                        plan: p,
+                        encode: p == 2,
+                    }),
+                }
             }
+            seg
         })
     }
 
@@ -1241,13 +1215,9 @@ mod tests {
         /// elided counts.
         #[test]
         fn dead_search_pass_matches_fixpoint_loop(
-            ops in prop::collection::vec(dead_search_op(), 0..40),
+            mut fast in dead_search_segment(),
             searches in 0u64..3,
         ) {
-            let mut fast = Segment {
-                ops,
-                ..Segment::default()
-            };
             fast.elided.searches = searches;
             let mut oracle = fast.clone();
             peephole::eliminate_dead_searches(&mut fast);
@@ -1329,12 +1299,12 @@ mod tests {
         let seg = &t.segments[0];
         assert_eq!(seg.ops.len(), 2);
         let (
-            MicroOp::SearchWriteMulti {
+            MicroOp::Sweep {
                 plans: a,
                 acc: false,
                 ..
             },
-            MicroOp::SearchWriteMulti {
+            MicroOp::Sweep {
                 plans: b,
                 acc: true,
                 ..
@@ -1346,16 +1316,28 @@ mod tests {
         assert_eq!((a.len(), b.len()), (MAX_FUSED, 2));
         assert_eq!(seg.pe_ops_delta(None).searches, 10);
 
-        let mut stream = vec![setkey("1111111111")];
-        for col in 0..10 {
-            stream.push(Instruction::Write { col, encode: false });
+        // A write run splits at the cap; after a search the run's first
+        // batch rides on the search's sweep, and the split stays aligned
+        // to the run's start.
+        for lead in [vec![], vec![SEARCH]] {
+            let mut stream = vec![setkey("1111111111")];
+            stream.extend(lead.iter().cloned());
+            for col in 0..10 {
+                stream.push(Instruction::Write { col, encode: false });
+            }
+            let t = CompiledTrace::compile(&stream, &cfg(), false);
+            let seg = &t.segments[0];
+            let shapes: Vec<(usize, usize)> = seg
+                .ops
+                .iter()
+                .map(|op| match op {
+                    MicroOp::Sweep { plans, writes, .. } => (plans.len(), writes.len()),
+                    other => panic!("expected sweeps, got {other:?}"),
+                })
+                .collect();
+            assert_eq!(shapes, vec![(lead.len(), MAX_FUSED), (0, 2)]);
+            assert_eq!(seg.pe_ops_delta(None).writes_single, 10);
         }
-        let t = CompiledTrace::compile(&stream, &cfg(), false);
-        let seg = &t.segments[0];
-        assert_eq!(seg.ops.len(), 2);
-        assert!(matches!(&seg.ops[0], MicroOp::WriteMulti { writes } if writes.len() == MAX_FUSED));
-        assert!(matches!(&seg.ops[1], MicroOp::WriteMulti { writes } if writes.len() == 2));
-        assert_eq!(seg.pe_ops_delta(None).writes_single, 10);
     }
 
     #[test]

@@ -44,7 +44,7 @@ fn bench_tcam_search_into(c: &mut Criterion) {
 
 fn bench_slab_word_kernels(c: &mut Criterion) {
     use hyperap_tcam::bit::TernaryBit;
-    use hyperap_tcam::slab::{pe_range_mask, TagSlab, TcamSlab};
+    use hyperap_tcam::slab::{pe_range_mask, SweepOp, TagSlab, TcamSlab};
     use hyperap_tcam::KeyBit;
 
     // 1024 PEs × 256 rows (16 PE words per plane row): each plan entry is a
@@ -69,14 +69,19 @@ fn bench_slab_word_kernels(c: &mut Criterion) {
     let mut out = vec![0u64; plane];
     c.bench_function("slab_word_search_1024pe_2entry", |b| {
         b.iter(|| {
-            slab.search_plan_multi_into(black_box(&plan), None, &mut out);
+            let search = SweepOp {
+                plans: &[black_box(&plan[..])],
+                acc: false,
+                writes: &[],
+            };
+            slab.sweep_program(&[search], &mut out, None);
             black_box(&out);
         })
     });
 
     // Masked word store: a column write gated by a selection mask whose
     // active range starts and ends mid-word — the ragged-broadcast path.
-    let tags = {
+    let mut tags = {
         let mut t = TagSlab::zeros(pes, rows);
         for pe in 0..pes {
             let tv =
@@ -88,7 +93,12 @@ fn bench_slab_word_kernels(c: &mut Criterion) {
     let sel = pe_range_mask(pes, 40, 1000);
     c.bench_function("slab_masked_word_store_1024pe", |b| {
         b.iter(|| {
-            slab.write_column_multi(5, TernaryBit::One, black_box(tags.words()), Some(&sel));
+            let store = SweepOp {
+                plans: &[],
+                acc: true,
+                writes: &[(5, TernaryBit::One)],
+            };
+            slab.sweep_program(&[store], black_box(tags.words_mut()), Some(&sel));
             black_box(slab.pe_words());
         })
     });

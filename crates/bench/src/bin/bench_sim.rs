@@ -43,6 +43,7 @@ use hyperap_bench::{add32_streams, best_secs, checkpoint_workload, seed_machine,
 use hyperap_compiler::{compile, opt, CompileOptions, OPT_LEVEL_MAX};
 use hyperap_tcam::array::TcamArray;
 use hyperap_tcam::key::SearchKey;
+use hyperap_tcam::slab::SweepOp;
 use hyperap_tcam::tags::TagVector;
 use hyperap_workloads::similarity as wsim;
 use std::hint::black_box;
@@ -185,7 +186,12 @@ fn main() {
     ]);
     let mut plan_out = vec![0u64; wslab.plane_words()];
     let ns_word_search = ns_per_call(|| {
-        wslab.search_plan_multi_into(&plan, None, &mut plan_out);
+        let search = SweepOp {
+            plans: &[&plan[..]],
+            acc: false,
+            writes: &[],
+        };
+        wslab.sweep_program(&[search], &mut plan_out, None);
         black_box(&plan_out);
     });
     let words_per_ns = (plan.len() * wslab.plane_words()) as f64 / ns_word_search;
@@ -460,12 +466,12 @@ fn main() {
   }},
   "engine": {{
     "interpreter": {{
-      "sequential_s": {interp_seq_s:.4}
+      "sequential_s": {interp_seq_s:.3e}
     }},
     "slab": {{
-      "sequential_s": {slab_seq_s:.4},
-      "precompiled_sequential_s": {slab_precompiled_s:.4},
-      "precompiled_unfused_s": {slab_precompiled_unfused_s:.4}
+      "sequential_s": {slab_seq_s:.3e},
+      "precompiled_sequential_s": {slab_precompiled_s:.3e},
+      "precompiled_unfused_s": {slab_precompiled_unfused_s:.3e}
     }},
     "instructions_per_sec_slab_sequential": {ips_slab_seq:.0},
     "speedup_slab_vs_interpreter_sequential": {sp_slab:.2},

@@ -32,16 +32,14 @@
 //! `sel` mask. That invariant is what lets the write kernels run mask-free:
 //! tag padding is zero, so padded lanes never program a cell.
 //!
-//! The fused kernels ([`TcamSlab::search_plan_multi_into`],
-//! [`write_column_multi`](TcamSlab::write_column_multi),
-//! [`write_encoded_multi`](TcamSlab::write_encoded_multi)) are
-//! bit-identical to looping the corresponding [`TcamArray`] kernel over
-//! per-PE objects, and the single-sweep search→write kernels
-//! [`search_write_multi`](TcamSlab::search_write_multi) /
-//! [`search_narrow_multi`](TcamSlab::search_narrow_multi) behind the trace
-//! peephole's fused micro-ops are bit-identical to the unfused
-//! [`TcamArray`] search and write sequence (property-tested in
-//! `tests/slab_properties.rs`), and
+//! The one search/write kernel is
+//! [`sweep_program`](TcamSlab::sweep_program): a program of
+//! [`SweepOp`]s — search chains OR-accumulated into the tags, then
+//! writes under them — is bit-identical to the per-PE [`TcamArray`]
+//! search, accumulate and write sequence, and so are the encoder path
+//! [`write_encoded_multi`](TcamSlab::write_encoded_multi) and the
+//! incremental [`search_narrow_multi`](TcamSlab::search_narrow_multi)
+//! (property-tested in `tests/slab_properties.rs`), and
 //! [`from_arrays`](TcamSlab::from_arrays) / [`to_arrays`](TcamSlab::to_arrays)
 //! convert losslessly in both directions, wear included. The one byte
 //! image of a slab is the plane image
@@ -464,7 +462,11 @@ impl std::fmt::Display for SlabDecodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SlabDecodeError::Truncated => write!(f, "slab image truncated"),
-            SlabDecodeError::BadGeometry => write!(f, "slab header has a zero dimension"),
+            SlabDecodeError::BadGeometry => write!(
+                f,
+                "slab image geometry is inconsistent: a zero or mismatched dimension, \
+                 a set padding bit, or a bad wear bitmap"
+            ),
             SlabDecodeError::BadFault => write!(f, "slab fault bookkeeping is inconsistent"),
         }
     }
@@ -949,10 +951,11 @@ fn write_plane_seg(zeros: &mut [u64], ones: &mut [u64], tags: &[u64], value: Ter
     }
 }
 
-/// One fused search/write step of a [`TcamSlab::sweep_program`] batch —
-/// the same shape as one [`TcamSlab::search_write_multi`] call: OR the
-/// matches of `plans` (into the existing tags when `acc`), then program
-/// every `(column, value)` of `writes` under the resulting tags.
+/// One fused search/write step of a [`TcamSlab::sweep_program`] batch: OR
+/// the matches of `plans` (into the existing tags when `acc`), then
+/// program every `(column, value)` of `writes` under the resulting tags.
+/// A search is one plan and no writes; a write under the tags as they
+/// stand is no plans, `acc = true`.
 #[derive(Debug, Clone, Copy)]
 pub struct SweepOp<'a> {
     /// Search plans whose matches are OR-ed together; empty with
@@ -1396,124 +1399,6 @@ impl TcamSlab {
         self.ones[idx] = o;
     }
 
-    /// Fused search over the selected PEs: apply a precompiled
-    /// `(column, bit)` plan to every selected PE in one word pass per pair
-    /// of plan entries, overwriting their lanes of `out` (a full
-    /// `[row][pe_word]` plane, e.g. [`TagSlab::words_mut`]). Unselected
-    /// lanes keep their previous contents; `sel = None` selects every PE
-    /// and overwrites the whole plane mask-free. Masked or out-of-range
-    /// plan entries are skipped — identical semantics to
-    /// [`TcamArray::search_plan_into`] per PE.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len()` differs from [`plane_words`](Self::plane_words).
-    pub fn search_plan_multi_into(
-        &self,
-        plan: &[(usize, KeyBit)],
-        sel: Option<&[u64]>,
-        out: &mut [u64],
-    ) {
-        let plane = self.plane_words();
-        assert_eq!(out.len(), plane, "output/plane word count mismatch");
-        let full = self.pes.is_multiple_of(64);
-        let (zeros, ones) = (&self.zeros, &self.ones);
-        match sel {
-            None => {
-                let mask = match &self.fault {
-                    Some(f) => Some(f.search_mask.as_slice()),
-                    None => (!full).then_some(self.live.as_slice()),
-                };
-                let col = |c: usize| {
-                    (
-                        &zeros[c * plane..(c + 1) * plane],
-                        &ones[c * plane..(c + 1) * plane],
-                    )
-                };
-                sweep::plan_and_into(out, plan, self.cols, &col, mask);
-            }
-            Some(m) => {
-                const TILE: usize = 256;
-                let mut s = [0u64; TILE];
-                let mut w0 = 0;
-                while w0 < plane {
-                    let n = TILE.min(plane - w0);
-                    let mask = match &self.fault {
-                        Some(f) => Some(&f.search_mask[w0..w0 + n]),
-                        None => (!full).then(|| &self.live[w0..w0 + n]),
-                    };
-                    let col = |c: usize| {
-                        let off = c * plane + w0;
-                        (&zeros[off..off + n], &ones[off..off + n])
-                    };
-                    sweep::plan_and_into(&mut s[..n], plan, self.cols, &col, mask);
-                    for i in 0..n {
-                        let mm = m[(w0 + i) % self.pw];
-                        out[w0 + i] = (out[w0 + i] & !mm) | (s[i] & mm);
-                    }
-                    w0 += n;
-                }
-            }
-        }
-    }
-
-    /// Fused associative write over the selected PEs: program `value` into
-    /// column `col` of every tagged row of every selected PE, in one linear
-    /// sweep. `tags` is a full `[row][pe_word]` plane. Each selected PE's
-    /// column takes one wear pulse (the column driver fires per PE per
-    /// write, whatever the tags say — identical to
-    /// [`TcamArray::write_column`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `col` is out of range or `tags` has the wrong length.
-    pub fn write_column_multi(
-        &mut self,
-        col: usize,
-        value: TernaryBit,
-        tags: &[u64],
-        sel: Option<&[u64]>,
-    ) {
-        assert!(col < self.cols, "column out of range");
-        let plane = self.plane_words();
-        assert_eq!(tags.len(), plane, "tag/plane word count mismatch");
-        self.touch();
-        self.note_wear(col, sel);
-        match sel {
-            None => self.write_plane(col, value, tags),
-            Some(m) => {
-                self.note_write_summary(col, value);
-                let pw = self.pw;
-                let zeros = &mut self.zeros[col * plane..(col + 1) * plane];
-                let ones = &mut self.ones[col * plane..(col + 1) * plane];
-                match value {
-                    TernaryBit::Zero => {
-                        for (i, (z, o)) in zeros.iter_mut().zip(ones.iter_mut()).enumerate() {
-                            let t = tags[i] & m[i % pw];
-                            *z |= t;
-                            *o &= !t;
-                        }
-                    }
-                    TernaryBit::One => {
-                        for (i, (z, o)) in zeros.iter_mut().zip(ones.iter_mut()).enumerate() {
-                            let t = tags[i] & m[i % pw];
-                            *o |= t;
-                            *z &= !t;
-                        }
-                    }
-                    TernaryBit::X => {
-                        for (i, (z, o)) in zeros.iter_mut().zip(ones.iter_mut()).enumerate() {
-                            let t = tags[i] & m[i % pw];
-                            *z &= !t;
-                            *o &= !t;
-                        }
-                    }
-                }
-            }
-        }
-        self.enforce_stuck_col(col, sel);
-    }
-
     /// Fused encoded write over the selected PEs: for **every** row of
     /// every selected PE, program the two cells at `col`, `col + 1` with
     /// the two-bit encoding of the pair `(latch bit, tag bit)` — the Fig 7
@@ -1602,9 +1487,10 @@ impl TcamSlab {
         }
     }
 
-    /// Fused search chain plus conditional writes over the selected PEs in
-    /// **one linear pass** over the arena — the slab kernel behind the
-    /// trace peephole's `SearchWrite`/`SearchWriteMulti` micro-ops.
+    /// One [`SweepOp`] over the selected PEs in **one linear pass** over
+    /// the arena — [`sweep_program`](Self::sweep_program)'s per-op path
+    /// (under a selection mask or a fault model, and for steps past its
+    /// monomorphic match cores).
     ///
     /// Per plane word: `t = (acc ? tags : 0) | match(plans[0]) | …` (each
     /// match starting from the live mask and narrowing per plan entry),
@@ -1613,8 +1499,9 @@ impl TcamSlab {
     /// `t`. No intermediate tag vector is materialized. Searches complete
     /// before stores, so the result is bit-identical to the unfused kernel
     /// sequence even when a write column appears in a plan. Each write
-    /// column takes one wear pulse per selected PE, exactly like
-    /// [`write_column_multi`](Self::write_column_multi).
+    /// column takes one wear pulse per selected PE, whatever the tags say
+    /// (the column driver fires per PE per write, identical to
+    /// [`TcamArray::write_column`]).
     ///
     /// `tags` is a full `[row][pe_word]` plane (e.g.
     /// [`TagSlab::words_mut`]). Masked or out-of-range plan entries are
@@ -1630,7 +1517,7 @@ impl TcamSlab {
     ///
     /// Panics if a write column is out of range or `tags` has the wrong
     /// length.
-    pub fn search_write_multi(
+    fn search_write_multi(
         &mut self,
         plans: &[&[(usize, KeyBit)]],
         acc: bool,
@@ -1825,12 +1712,12 @@ impl TcamSlab {
     ///
     /// The elisions are exact, not approximate: an all-zero tag plane
     /// drives no store, so skipping the RMW pass leaves the planes
-    /// bit-identical; wear is still noted once per write column per step,
-    /// exactly as the per-op kernel does. The whole program is
-    /// bit-identical to running
-    /// [`search_write_multi`](Self::search_write_multi) once per
-    /// [`SweepOp`] in order (property-tested in
-    /// `tests/slab_properties.rs`).
+    /// bit-identical; wear is still noted once per write column per step
+    /// and selected PE, whatever the tags say. The whole program is
+    /// bit-identical to running each [`SweepOp`] in order as the per-PE
+    /// [`TcamArray`] sequence — every plan searched and OR-ed into the
+    /// selected PEs' tags (cleared first unless `acc`), then every write
+    /// under them (property-tested in `tests/slab_properties.rs`).
     ///
     /// Steps fall outside the fast core — and route through the general
     /// kernel — when a fault model is attached, a selection mask is
@@ -1954,10 +1841,11 @@ impl TcamSlab {
     }
 
     /// Incremental search over the selected PEs: narrow `out`'s existing
-    /// contents by `plan` without the live-mask re-initialization of
-    /// [`search_plan_multi_into`](Self::search_plan_multi_into) — the slab
-    /// kernel behind the trace peephole's `SearchDelta` micro-op, sound when
-    /// `out` already holds the match of a still-valid plan prefix.
+    /// contents by `plan` without the live-mask re-initialization a search
+    /// step of [`sweep_program`](Self::sweep_program) starts from — the
+    /// slab kernel behind the trace peephole's `SearchDelta` micro-op,
+    /// sound when `out` already holds the match of a still-valid plan
+    /// prefix.
     /// Unselected lanes are untouched.
     ///
     /// # Panics
@@ -2676,6 +2564,39 @@ mod tests {
     use super::*;
     use crate::key::SearchKey;
 
+    /// One search step through [`TcamSlab::sweep_program`]: the selected
+    /// lanes of `out` take `plan`'s matches.
+    fn sweep_search(
+        slab: &mut TcamSlab,
+        plan: &[(usize, KeyBit)],
+        sel: Option<&[u64]>,
+        out: &mut [u64],
+    ) {
+        let op = SweepOp {
+            plans: &[plan],
+            acc: false,
+            writes: &[],
+        };
+        slab.sweep_program(&[op], out, sel);
+    }
+
+    /// One write step through [`TcamSlab::sweep_program`]: program `value`
+    /// into column `col` under the selected lanes of `tags`.
+    fn sweep_write(
+        slab: &mut TcamSlab,
+        col: usize,
+        value: TernaryBit,
+        tags: &[u64],
+        sel: Option<&[u64]>,
+    ) {
+        let op = SweepOp {
+            plans: &[],
+            acc: true,
+            writes: &[(col, value)],
+        };
+        slab.sweep_program(&[op], &mut tags.to_vec(), sel);
+    }
+
     /// A small slab + the equivalent per-PE arrays, with a mixed cell
     /// pattern loaded into both.
     fn seeded(pes: usize, rows: usize, cols: usize) -> (TcamSlab, Vec<TcamArray>) {
@@ -2749,12 +2670,12 @@ mod tests {
     #[test]
     fn search_plan_multi_matches_per_array_search() {
         for pes in [4, 67] {
-            let (slab, arrays) = seeded(pes, 70, 9);
+            let (mut slab, arrays) = seeded(pes, 70, 9);
             for key in ["10-1Z----", "---------", "ZZZZZZZZZ", "001-1-0Z1"] {
                 let key = SearchKey::parse(key).unwrap();
                 let plan = key.compile_plan();
                 let mut out = TagSlab::zeros(pes, 70);
-                slab.search_plan_multi_into(&plan, None, out.words_mut());
+                sweep_search(&mut slab, &plan, None, out.words_mut());
                 for (pe, array) in arrays.iter().enumerate() {
                     assert_eq!(
                         out.to_tagvector(pe),
@@ -2768,12 +2689,12 @@ mod tests {
 
     #[test]
     fn search_plan_multi_respects_pe_subranges() {
-        let (slab, arrays) = seeded(5, 33, 6);
+        let (mut slab, arrays) = seeded(5, 33, 6);
         let key = SearchKey::parse("1-0Z--").unwrap();
         let plan = key.compile_plan();
         let mut out = TagSlab::zeros(5, 33);
         let sel = pe_range_mask(5, 1, 4);
-        slab.search_plan_multi_into(&plan, Some(&sel), out.words_mut());
+        sweep_search(&mut slab, &plan, Some(&sel), out.words_mut());
         for (pe, array) in arrays.iter().enumerate().take(4).skip(1) {
             assert_eq!(out.to_tagvector(pe), array.search(&key));
         }
@@ -2783,9 +2704,10 @@ mod tests {
 
     #[test]
     fn search_plan_multi_skips_masked_and_out_of_range_entries() {
-        let (slab, _) = seeded(2, 16, 4);
+        let (mut slab, _) = seeded(2, 16, 4);
         let mut out = TagSlab::zeros(2, 16);
-        slab.search_plan_multi_into(
+        sweep_search(
+            &mut slab,
             &[(9, KeyBit::One), (0, KeyBit::Masked)],
             None,
             out.words_mut(),
@@ -2806,18 +2728,18 @@ mod tests {
     fn reset_restores_fresh_state() {
         let (mut slab, _) = seeded(4, 70, 5);
         let tags = tag_pattern(&slab, 1);
-        slab.write_column_multi(3, TernaryBit::One, tags.words(), None);
-        slab.write_column_multi(0, TernaryBit::X, tags.words(), None);
+        sweep_write(&mut slab, 3, TernaryBit::One, tags.words(), None);
+        sweep_write(&mut slab, 0, TernaryBit::X, tags.words(), None);
         slab.reset();
-        let fresh = TcamSlab::new(4, 70, 5);
+        let mut fresh = TcamSlab::new(4, 70, 5);
         assert_eq!(slab, fresh);
         // The summaries are back to the exact fresh state too: a search on
         // a reset slab takes the same pruned paths as on a new one.
         let plan = SearchKey::parse("1-0Z-").unwrap().compile_plan();
         let mut out = TagSlab::zeros(4, 70);
-        slab.search_plan_multi_into(&plan, None, out.words_mut());
+        sweep_search(&mut slab, &plan, None, out.words_mut());
         let mut out_fresh = TagSlab::zeros(4, 70);
-        fresh.search_plan_multi_into(&plan, None, out_fresh.words_mut());
+        sweep_search(&mut fresh, &plan, None, out_fresh.words_mut());
         assert_eq!(out, out_fresh);
     }
 
@@ -2837,7 +2759,7 @@ mod tests {
         // state, including a latched failure.
         let tags = tag_pattern(&slab, 2);
         for _ in 0..5 {
-            slab.write_column_multi(1, TernaryBit::One, tags.words(), None);
+            sweep_write(&mut slab, 1, TernaryBit::One, tags.words(), None);
         }
         slab.advance_epoch();
         assert!(slab.service_endurance().is_err() || slab.fault().is_some());
@@ -2853,7 +2775,7 @@ mod tests {
             let (mut slab, mut arrays) = seeded(4, 70, 5);
             let tags = tag_pattern(&slab, 1);
             let sel = pe_range_mask(4, 1, 4);
-            slab.write_column_multi(3, value, tags.words(), Some(&sel));
+            sweep_write(&mut slab, 3, value, tags.words(), Some(&sel));
             for (pe, array) in arrays.iter_mut().enumerate().skip(1) {
                 array.write_column(3, value, &tags.to_tagvector(pe));
             }
@@ -2870,7 +2792,7 @@ mod tests {
         // live slab and on one decoded from its image (exact summaries).
         let mut slab = TcamSlab::new(70, 5, 4);
         let tags = tag_pattern(&slab, 0);
-        slab.write_column_multi(2, TernaryBit::Zero, tags.words(), None);
+        sweep_write(&mut slab, 2, TernaryBit::Zero, tags.words(), None);
         slab.set_cell(69, 4, 3, TernaryBit::Zero);
         assert_eq!(slab.pe_wear(0)[2], 1);
         let mut decoded = TcamSlab::read_plane_image(&mut plane_image(&slab).as_slice()).unwrap();
@@ -2885,7 +2807,7 @@ mod tests {
     fn write_column_multi_wears_even_with_empty_tags() {
         let (mut slab, _) = seeded(2, 16, 4);
         let empty = TagSlab::zeros(2, 16);
-        slab.write_column_multi(1, TernaryBit::One, empty.words(), None);
+        sweep_write(&mut slab, 1, TernaryBit::One, empty.words(), None);
         assert_eq!(slab.pe_wear(0)[1], 1);
         assert_eq!(slab.pe_wear(1)[1], 1);
     }
@@ -2944,8 +2866,9 @@ mod tests {
     fn conversion_round_trips_with_wear() {
         let (mut slab, _) = seeded(4, 33, 5);
         let tags = tag_pattern(&slab, 2);
-        slab.write_column_multi(0, TernaryBit::One, tags.words(), None);
-        slab.write_column_multi(
+        sweep_write(&mut slab, 0, TernaryBit::One, tags.words(), None);
+        sweep_write(
+            &mut slab,
             0,
             TernaryBit::X,
             tags.words(),
@@ -2970,8 +2893,8 @@ mod tests {
         let key = SearchKey::parse("10-1Z----").unwrap();
         let plan = key.compile_plan();
         let mut tags = tag_pattern(&slab, 1);
-        slab.search_plan_multi_into(&plan, Some(&sel), tags.words_mut());
-        slab.write_column_multi(2, TernaryBit::One, tags.words(), Some(&sel));
+        sweep_search(&mut slab, &plan, Some(&sel), tags.words_mut());
+        sweep_write(&mut slab, 2, TernaryBit::One, tags.words(), Some(&sel));
         let latch = tag_pattern(&slab, 4);
         slab.write_encoded_multi(4, latch.words(), tags.words(), Some(&sel));
         slab.search_write_multi(
@@ -3032,16 +2955,16 @@ mod tests {
             fused.search_write_multi(&[&k1, &k2], acc, &writes, tags.words_mut(), Some(&sel));
 
             let mut scratch = TagSlab::zeros(4, 70);
-            unfused.search_plan_multi_into(&k1, Some(&sel), scratch.words_mut());
+            sweep_search(&mut unfused, &k1, Some(&sel), scratch.words_mut());
             if acc {
                 expect_tags.accumulate_from(&scratch, Some(&sel));
             } else {
                 expect_tags.copy_from_masked(&scratch, Some(&sel));
             }
-            unfused.search_plan_multi_into(&k2, Some(&sel), scratch.words_mut());
+            sweep_search(&mut unfused, &k2, Some(&sel), scratch.words_mut());
             expect_tags.accumulate_from(&scratch, Some(&sel));
             for (col, value) in writes {
-                unfused.write_column_multi(col, value, expect_tags.words(), Some(&sel));
+                sweep_write(&mut unfused, col, value, expect_tags.words(), Some(&sel));
             }
             assert_eq!(tags, expect_tags, "acc {acc}");
             assert_eq!(fused, unfused, "acc {acc}");
@@ -3081,7 +3004,7 @@ mod tests {
                     let mut expect = TagSlab::zeros(pes, 70);
                     let mut scratch = TagSlab::zeros(pes, 70);
                     for (pi, plan) in plans.iter().enumerate() {
-                        unfused.search_plan_multi_into(plan, None, scratch.words_mut());
+                        sweep_search(&mut unfused, plan, None, scratch.words_mut());
                         if pi == 0 {
                             expect.copy_from_masked(&scratch, None);
                         } else {
@@ -3089,7 +3012,7 @@ mod tests {
                         }
                     }
                     for (col, value) in writes {
-                        unfused.write_column_multi(col, value, expect.words(), None);
+                        sweep_write(&mut unfused, col, value, expect.words(), None);
                     }
                     assert_eq!(tags, expect, "pes {pes} n1 {n1} n2 {n2}");
                     assert_eq!(fused, unfused, "pes {pes} n1 {n1} n2 {n2}");
@@ -3114,21 +3037,21 @@ mod tests {
             None,
         );
         let mut expect = TagSlab::zeros(3, 33);
-        unfused.search_plan_multi_into(&plan, None, expect.words_mut());
-        unfused.write_column_multi(1, TernaryBit::One, expect.words(), None);
+        sweep_search(&mut unfused, &plan, None, expect.words_mut());
+        sweep_write(&mut unfused, 1, TernaryBit::One, expect.words(), None);
         assert_eq!(tags, expect);
         assert_eq!(fused, unfused);
     }
 
     #[test]
     fn search_narrow_multi_equals_init_free_plan_search() {
-        let (slab, _) = seeded(3, 70, 6);
+        let (mut slab, _) = seeded(3, 70, 6);
         let full = SearchKey::parse("1-0Z--").unwrap().compile_plan();
         let (prefix, rest) = full.split_at(1);
         let mut whole = TagSlab::zeros(3, 70);
-        slab.search_plan_multi_into(&full, None, whole.words_mut());
+        sweep_search(&mut slab, &full, None, whole.words_mut());
         let mut narrowed = TagSlab::zeros(3, 70);
-        slab.search_plan_multi_into(prefix, None, narrowed.words_mut());
+        sweep_search(&mut slab, prefix, None, narrowed.words_mut());
         slab.search_narrow_multi(rest, None, narrowed.words_mut());
         assert_eq!(narrowed, whole);
     }
@@ -3203,9 +3126,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "word count mismatch")]
     fn search_output_size_mismatch_panics() {
-        let slab = TcamSlab::new(2, 16, 2);
+        let mut slab = TcamSlab::new(2, 16, 2);
         let mut out = vec![0u64; 1];
-        slab.search_plan_multi_into(&[], None, &mut out);
+        sweep_search(&mut slab, &[], None, &mut out);
     }
 
     #[test]
@@ -3265,12 +3188,12 @@ mod tests {
         let key = SearchKey::parse("10-1Z-").unwrap();
         let plan = key.compile_plan();
         let mut tags = TagSlab::zeros(3, 70);
-        slab.search_plan_multi_into(&plan, None, tags.words_mut());
+        sweep_search(&mut slab, &plan, None, tags.words_mut());
         for (pe, array) in arrays.iter().enumerate() {
             assert_eq!(tags.to_tagvector(pe), array.search(&key), "pe {pe}");
         }
 
-        slab.write_column_multi(2, TernaryBit::One, tags.words(), None);
+        sweep_write(&mut slab, 2, TernaryBit::One, tags.words(), None);
         slab.search_write_multi(
             &[&plan],
             false,
@@ -3294,7 +3217,7 @@ mod tests {
             array.advance_epoch();
         }
         let mut tags2 = TagSlab::zeros(3, 70);
-        slab.search_plan_multi_into(&plan, None, tags2.words_mut());
+        sweep_search(&mut slab, &plan, None, tags2.words_mut());
         for (pe, array) in arrays.iter().enumerate() {
             assert_eq!(
                 tags2.to_tagvector(pe),
@@ -3331,8 +3254,8 @@ mod tests {
             slab.attach_fault(model, 2, 5);
         }
         let tags = tag_pattern(&slab, 2);
-        slab.write_column_multi(1, TernaryBit::One, tags.words(), None);
-        slab.write_column_multi(3, TernaryBit::Zero, tags.words(), None);
+        sweep_write(&mut slab, 1, TernaryBit::One, tags.words(), None);
+        sweep_write(&mut slab, 3, TernaryBit::Zero, tags.words(), None);
         if faulty {
             slab.service_endurance().expect("two spares per PE");
         }
@@ -3392,7 +3315,12 @@ mod tests {
             decode(&b)
         };
         assert_eq!(dim(0, 0), Err(SlabDecodeError::BadGeometry));
-        assert_eq!(dim(3, 2), Err(SlabDecodeError::BadGeometry), "pe_words");
+        let pe_words = dim(3, 2).unwrap_err();
+        assert_eq!(pe_words, SlabDecodeError::BadGeometry, "pe_words");
+        assert!(
+            pe_words.to_string().contains("mismatched dimension"),
+            "the message names the cause: {pe_words}"
+        );
         // Counts far past the bytes present fail before allocating.
         assert_eq!(dim(2, u32::MAX), Err(SlabDecodeError::Truncated));
         assert_eq!(dim(1, u32::MAX), Err(SlabDecodeError::Truncated));
@@ -3450,6 +3378,15 @@ mod tests {
         let mut over = bytes.clone();
         over[pe_at..pe_at + 2].copy_from_slice(&3u16.to_be_bytes());
         assert_eq!(decode(&over), Err(SlabDecodeError::BadFault));
+        // The same overdraft with a retirement log to match and every
+        // remap and logged device in range: only the spare budget check
+        // stands between it and a decode.
+        let mut f = slab.fault().unwrap().clone();
+        f.next_spare[0] = 3;
+        f.retired[0] = vec![(0, 1), (1, 2), (2, 3)];
+        let mut overdrawn = bytes[..tail].to_vec();
+        put_fault_tail(&mut overdrawn, &f);
+        assert_eq!(decode(&overdrawn), Err(SlabDecodeError::BadFault));
         // A remap entry past the columns and spares.
         let f = slab.fault().unwrap();
         let remap_at = pe_at + 2 + if f.failed[0].is_some() { 11 } else { 1 };
@@ -3605,13 +3542,13 @@ mod tests {
     fn zero_distance_agrees_with_search() {
         // A candidate is at distance 0 exactly when a plain search of the
         // same plan tags it (fault-free: searches start from `live`).
-        let (slab, _) = seeded(5, 16, 12);
+        let (mut slab, _) = seeded(5, 16, 12);
         let key = SearchKey::parse("01Z-01Z-01Z-").unwrap();
         let plan = key.compile_plan();
         let mut d = vec![0u32; 5 * 16];
         slab.hamming_into(&plan, 16, &mut d);
         let mut tags = vec![0u64; slab.plane_words()];
-        slab.search_plan_multi_into(&plan, None, &mut tags);
+        sweep_search(&mut slab, &plan, None, &mut tags);
         for pe in 0..5 {
             for row in 0..16 {
                 let tagged = tags[row * slab.pe_words() + pe / 64] >> (pe % 64) & 1 == 1;

@@ -1,11 +1,14 @@
 //! Property-based tests: the slab arena with its fused multi-PE kernels is
 //! observationally equivalent to a `Vec` of per-PE [`TcamArray`]s driven one
 //! at a time, and the conversion / plane-image paths round-trip losslessly.
+//! Searches and writes run through `TcamSlab::sweep_program`, the slab's
+//! one search/write kernel: as one-op programs next to the other kernels,
+//! and as whole random programs in `sweeps`.
 
 use hyperap_tcam::array::TcamArray;
 use hyperap_tcam::bit::{KeyBit, TernaryBit};
 use hyperap_tcam::key::SearchKey;
-use hyperap_tcam::slab::{pe_range_mask, TagSlab, TcamSlab};
+use hyperap_tcam::slab::{pe_range_mask, SweepOp, TagSlab, TcamSlab};
 use hyperap_tcam::tags::TagVector;
 use hyperap_tcam::FaultModel;
 use proptest::prelude::*;
@@ -29,6 +32,39 @@ fn key_bit() -> impl Strategy<Value = KeyBit> {
         Just(KeyBit::Z),
         Just(KeyBit::Masked)
     ]
+}
+
+/// One search step through `sweep_program`: the selected lanes of `out`
+/// take `plan`'s matches.
+fn sweep_search(
+    slab: &mut TcamSlab,
+    plan: &[(usize, KeyBit)],
+    sel: Option<&[u64]>,
+    out: &mut [u64],
+) {
+    let op = SweepOp {
+        plans: &[plan],
+        acc: false,
+        writes: &[],
+    };
+    slab.sweep_program(&[op], out, sel);
+}
+
+/// One write step through `sweep_program`: program `value` into column
+/// `col` under the selected lanes of `tags`.
+fn sweep_write(
+    slab: &mut TcamSlab,
+    col: usize,
+    value: TernaryBit,
+    tags: &[u64],
+    sel: Option<&[u64]>,
+) {
+    let op = SweepOp {
+        plans: &[],
+        acc: true,
+        writes: &[(col, value)],
+    };
+    slab.sweep_program(&[op], &mut tags.to_vec(), sel);
 }
 
 /// One random kernel invocation against the slab.
@@ -59,9 +95,9 @@ enum SlabOp {
         col: usize,
         value: TernaryBit,
     },
-    /// Single-sweep fused search chain + conditional writes
-    /// (`search_write_multi`), checked against the unfused per-array
-    /// sequence: searches, OR-accumulation, then column writes.
+    /// One fused sweep — a search chain plus conditional writes — checked
+    /// against the unfused per-array sequence: searches,
+    /// OR-accumulation, then column writes.
     Fused {
         keys: Vec<Vec<KeyBit>>,
         acc: bool,
@@ -172,7 +208,7 @@ proptest! {
                     let plan = key.compile_plan();
                     let mut out = TagSlab::zeros(PES, ROWS);
                     let sel = sel_for(*lo, *hi);
-                    slab.search_plan_multi_into(&plan, sel.as_deref(), out.words_mut());
+                    sweep_search(&mut slab, &plan, sel.as_deref(), out.words_mut());
                     for (pe, array) in arrays.iter().enumerate().take(*hi).skip(*lo) {
                         prop_assert_eq!(out.to_tagvector(pe), array.search(&key), "pe {}", pe);
                     }
@@ -180,7 +216,7 @@ proptest! {
                 SlabOp::Write { col, value, tags, lo, hi } => {
                     let t = tag_slab_from(tags, *lo, *hi);
                     let sel = sel_for(*lo, *hi);
-                    slab.write_column_multi(*col, *value, t.words(), sel.as_deref());
+                    sweep_write(&mut slab, *col, *value, t.words(), sel.as_deref());
                     for (pe, array) in arrays.iter_mut().enumerate().take(*hi).skip(*lo) {
                         array.write_column(*col, *value, &t.to_tagvector(pe));
                     }
@@ -215,7 +251,8 @@ proptest! {
                         plans.iter().map(|p| p.as_slice()).collect();
                     let mut t = tag_slab_from(tags, *lo, *hi);
                     let sel = sel_for(*lo, *hi);
-                    slab.search_write_multi(&refs, *acc, writes, t.words_mut(), sel.as_deref());
+                    let op = SweepOp { plans: &refs, acc: *acc, writes };
+                    slab.sweep_program(&[op], t.words_mut(), sel.as_deref());
                     let init = tag_slab_from(tags, *lo, *hi);
                     for (pe, array) in arrays.iter_mut().enumerate().take(*hi).skip(*lo) {
                         // Unfused reference: search every plan, OR into the
@@ -278,7 +315,7 @@ proptest! {
             slab.set_cell(i / ROWS, i % ROWS, (i * 3) % COLS, *v);
         }
         let tags = TagSlab::zeros(PES, ROWS);
-        slab.write_column_multi(worn_col, TernaryBit::X, tags.words(), None);
+        sweep_write(&mut slab, worn_col, TernaryBit::X, tags.words(), None);
         let mut image = Vec::new();
         slab.write_plane_image(&mut image);
         let mut buf = image.as_slice();
@@ -401,11 +438,11 @@ mod wide {
                 let mut t = tag_slab_wide(tags);
                 let init = t.clone();
                 if *fused {
-                    slab.search_write_multi(
-                        &[&plan], false, &[(*col, *value)], t.words_mut(), sel.as_deref());
+                    let op = SweepOp { plans: &[&plan], acc: false, writes: &[(*col, *value)] };
+                    slab.sweep_program(&[op], t.words_mut(), sel.as_deref());
                 } else {
-                    slab.search_plan_multi_into(&plan, sel.as_deref(), t.words_mut());
-                    slab.write_column_multi(*col, *value, t.words(), sel.as_deref());
+                    sweep_search(&mut slab, &plan, sel.as_deref(), t.words_mut());
+                    sweep_write(&mut slab, *col, *value, t.words(), sel.as_deref());
                 }
                 for (pe, array) in arrays.iter_mut().enumerate() {
                     if !selected(*pattern, pe) {
@@ -501,7 +538,7 @@ mod conversions {
                             Some(m)
                         }
                     };
-                    slab.write_column_multi(col % cols, TernaryBit::X, tags.words(), sel.as_deref());
+                    sweep_write(&mut slab, col % cols, TernaryBit::X, tags.words(), sel.as_deref());
                 }
                 let arrays = slab.to_arrays();
                 prop_assert_eq!(arrays.len(), pes);
@@ -531,6 +568,141 @@ mod conversions {
                     }
                 }
             }
+        }
+    }
+}
+
+/// Whole random programs through `sweep_program` against the per-array
+/// sequence — per step and selected PE: search every plan and OR the
+/// matches into the tags (cleared first unless `acc`), then write every
+/// column under them. The programs cover chains of one to three plans
+/// with and without `acc`, plan-less write steps, and sparse keys over a
+/// slab whose upper columns start fresh, so steps die on `Full` miss
+/// planes and runs of dead steps ride the known-zero tags; with and
+/// without a selection mask and a seeded fault model.
+mod sweeps {
+    use super::*;
+
+    const SCOLS: usize = 8;
+    /// Columns below this may be preloaded; the rest start fresh.
+    const LOADED: usize = 4;
+
+    /// A sparse key: up to three cared bits, the rest masked.
+    fn sparse_key() -> impl Strategy<Value = SearchKey> {
+        prop::collection::vec((0..SCOLS, key_bit()), 0..4).prop_map(|entries| {
+            let mut bits = vec![KeyBit::Masked; SCOLS];
+            for (col, bit) in entries {
+                bits[col] = bit;
+            }
+            SearchKey::from_bits(bits)
+        })
+    }
+
+    /// One sweep step: plans, `acc`, writes.
+    type Step = (Vec<SearchKey>, bool, Vec<(usize, TernaryBit)>);
+
+    fn step() -> impl Strategy<Value = Step> {
+        (
+            prop::collection::vec(sparse_key(), 0..4),
+            any::<bool>(),
+            prop::collection::vec((0..SCOLS, ternary_bit()), 0..3),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        #[test]
+        fn sweep_program_equals_per_array_sequence(
+            pes in prop_oneof![Just(5usize), Just(64), Just(67)],
+            preload in any::<bool>(),
+            faulty in any::<bool>(),
+            pattern in prop_oneof![Just(0xFFu8), any::<u8>()],
+            seed in any::<u64>(),
+            program in prop::collection::vec(step(), 1..10),
+        ) {
+            let mut slab = TcamSlab::new(pes, ROWS, SCOLS);
+            let mut arrays: Vec<TcamArray> =
+                (0..pes).map(|_| TcamArray::new(ROWS, SCOLS)).collect();
+            if faulty {
+                let model = FaultModel {
+                    seed,
+                    stuck_per_million: 30_000,
+                    miss_per_million: 20_000,
+                    endurance_limit: None,
+                };
+                slab.attach_fault(model, 1, 0);
+                for (pe, array) in arrays.iter_mut().enumerate() {
+                    array.attach_fault(model, 1, pe);
+                }
+            }
+            if preload {
+                for (pe, array) in arrays.iter_mut().enumerate() {
+                    for row in 0..ROWS {
+                        for col in 0..LOADED {
+                            let v = match (seed as usize ^ (pe * 7 + row * 3 + col)) % 3 {
+                                0 => TernaryBit::Zero,
+                                1 => TernaryBit::One,
+                                _ => TernaryBit::X,
+                            };
+                            slab.set_cell(pe, row, col, v);
+                            array.set_cell(row, col, v);
+                        }
+                    }
+                }
+            }
+            // PE `p` is selected when bit `p % 8` of `pattern` is set;
+            // `0xFF` is the mask-free `sel = None`.
+            let selected = |pe: usize| pattern >> (pe % 8) & 1 != 0;
+            let sel = (pattern != 0xFF).then(|| {
+                let mut m = vec![0u64; pes.div_ceil(64)];
+                for pe in (0..pes).filter(|&pe| selected(pe)) {
+                    m[pe / 64] |= 1 << (pe % 64);
+                }
+                m
+            });
+            let mut tags = TagSlab::zeros(pes, ROWS);
+            for pe in 0..pes {
+                let tv = (0..ROWS).map(|r| (r as u64 * 5 + pe as u64) ^ seed).map(|x| x % 3 == 0);
+                tags.set_pe(pe, &tv.collect());
+            }
+            let mut expected: Vec<TagVector> = (0..pes).map(|pe| tags.to_tagvector(pe)).collect();
+
+            let plans: Vec<Vec<Vec<(usize, KeyBit)>>> = program
+                .iter()
+                .map(|(keys, _, _)| keys.iter().map(SearchKey::compile_plan).collect())
+                .collect();
+            let refs: Vec<Vec<&[(usize, KeyBit)]>> = plans
+                .iter()
+                .map(|p| p.iter().map(Vec::as_slice).collect())
+                .collect();
+            let ops: Vec<SweepOp<'_>> = program
+                .iter()
+                .zip(&refs)
+                .map(|((_, acc, writes), plans)| SweepOp { plans, acc: *acc, writes })
+                .collect();
+            slab.sweep_program(&ops, tags.words_mut(), sel.as_deref());
+
+            for (keys, acc, writes) in &program {
+                for (pe, array) in arrays.iter_mut().enumerate().filter(|&(pe, _)| selected(pe)) {
+                    let t = &mut expected[pe];
+                    if !*acc {
+                        *t = TagVector::zeros(ROWS);
+                    }
+                    for key in keys {
+                        let m = array.search(key);
+                        for (a, b) in t.blocks_mut().iter_mut().zip(m.blocks()) {
+                            *a |= b;
+                        }
+                    }
+                    for &(col, value) in writes {
+                        array.write_column(col, value, t);
+                    }
+                }
+            }
+            for (pe, t) in expected.iter().enumerate() {
+                prop_assert_eq!(&tags.to_tagvector(pe), t, "tags of pe {}", pe);
+            }
+            prop_assert_eq!(slab.to_arrays(), arrays);
         }
     }
 }
