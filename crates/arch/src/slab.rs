@@ -214,10 +214,10 @@ impl SlabChunk {
             }
         };
         // Every run of sweeps executes as one [`TcamSlab::sweep_program`]
-        // call, tile by tile over cache-resident windows instead of one
-        // full-arena pass per op. Ops that need the tags exactly as the run
-        // leaves them (a latch, `SetTag`/`ReadTag`, `WriteEncoded`,
-        // `SearchDelta`) run the pending sweeps first.
+        // call, each sweep a few whole-plane passes of the slab's match
+        // core. Ops that need the tags exactly as the run leaves them (a
+        // latch, `SetTag`/`ReadTag`, `WriteEncoded`, `SearchDelta`) run the
+        // pending sweeps first.
         let mut run = SweepRun::with_capacity(seg.ops.len());
         for op in &seg.ops {
             match op {

@@ -538,7 +538,7 @@ fn smoke() -> i32 {
         black_box(slab.run(&streams));
     });
     let slab_ratio = interp_s / slab_s;
-    println!("bench_guard: smoke interp {interp_s:.4}s, slab {slab_s:.4}s ({slab_ratio:.2}x)");
+    println!("bench_guard: smoke interp {interp_s:.3e}s, slab {slab_s:.3e}s ({slab_ratio:.2}x)");
     if slab_ratio < FLOOR {
         eprintln!("bench_guard: slab engine slower than {FLOOR}x interpreter — regression");
         failed = true;

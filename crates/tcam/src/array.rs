@@ -7,9 +7,8 @@
 //! word-parallel semantics of the hardware at software speed.
 
 use crate::bit::{KeyBit, TernaryBit};
-use crate::fault::{FaultError, FaultModel, FaultState};
+use crate::fault::{self, FaultError, FaultModel, FaultState};
 use crate::key::SearchKey;
-use crate::sweep;
 use crate::tags::TagVector;
 
 /// A functional ternary CAM array of `rows` words × `cols` bits.
@@ -182,7 +181,7 @@ impl TcamArray {
         if let Some(f) = &self.fault {
             let (s0, s1) = f.stuck_col(col);
             let r = self.col_range(col);
-            sweep::enforce_stuck(&mut self.zeros[r.clone()], &mut self.ones[r], s0, s1);
+            fault::enforce_stuck(&mut self.zeros[r.clone()], &mut self.ones[r], s0, s1);
         }
     }
 

@@ -202,6 +202,22 @@ fn full_row_mask_into(rows: usize, out: &mut [u64]) {
     }
 }
 
+/// Force a column's bit-lines to agree with its backing device's stuck
+/// masks: stuck-at-0 cells read `0` (`is_zero` set), stuck-at-1 cells read
+/// `1` (`is_one` set), whatever was last written. One pass, shared by both
+/// storage backends; idempotent, so the slab may run it once per written
+/// column at the end of a sweep step.
+#[inline]
+pub(crate) fn enforce_stuck(zero: &mut [u64], one: &mut [u64], s0: &[u64], s1: &[u64]) {
+    let n = zero.len();
+    let (s0, s1) = (&s0[..n], &s1[..n]);
+    for i in 0..n {
+        let s = s0[i] | s1[i];
+        zero[i] = (zero[i] & !s) | s0[i];
+        one[i] = (one[i] & !s) | s1[i];
+    }
+}
+
 /// Per-[`crate::TcamArray`] fault bookkeeping: the model, the remap table
 /// from logical columns to backing physical devices, cached stuck masks
 /// for the *current* backing devices, and the current epoch's effective

@@ -53,7 +53,6 @@ pub mod mvsop;
 mod plane;
 pub mod similarity;
 pub mod slab;
-mod sweep;
 pub mod tags;
 
 pub use array::TcamArray;

@@ -48,9 +48,8 @@
 
 use crate::array::TcamArray;
 use crate::bit::{KeyBit, TernaryBit};
-use crate::fault::{FaultError, FaultModel, FaultState, SlabFaultState};
+use crate::fault::{self, FaultError, FaultModel, FaultState, SlabFaultState};
 use crate::plane;
-use crate::sweep;
 use crate::tags::TagVector;
 use bytes::{Buf, BufMut};
 
@@ -674,260 +673,332 @@ fn get_fault_tail(
     ))
 }
 
-/// Whole-plane match core for one plan pre-resolved to exactly `K`
-/// *miss planes* — bit-line planes whose set bits rule a lane out.
-/// A `Zero` entry misses where the cell stores one (`ones[col]`), a `One`
-/// entry where it stores zero (`zeros[col]`), and a `Z` entry contributes
-/// **two** planes (`zeros[col]` and `ones[col]`); match semantics reduce
-/// to `out = base? & Π !pₖ`, so every plane is loaded exactly once
-/// (the old pair encoding loaded `One`/`Zero` planes twice).
-/// Monomorphized per `K` so the whole chain is one branch-free vector
-/// loop. Returns the OR of every output word — `0` means the search
-/// matched nothing, letting callers skip the write RMWs entirely.
-fn match_plane<const K: usize>(out: &mut [u64], base: Option<&[u64]>, e: &[&[u64]; K]) -> u64 {
+/// How a pass of the match core folds its words into the destination.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Fold {
+    /// `out = base & q`: the first pass of a step.
+    Set,
+    /// `out &= q`: the next planes of a chain longer than one pass.
+    And,
+    /// `out |= base & q`: one more plan OR-ed into the step's match.
+    Or,
+}
+
+/// One vectorizable word loop of the match core: fold the match words
+/// `q(i)` into `out` per `fold`, with `base` (`None` = every lane)
+/// limiting the fresh matches. Returns the OR of `out`'s resulting words,
+/// so `0` means the plane is empty and a step's writes can be skipped.
+#[inline(always)]
+fn fold_words(out: &mut [u64], base: Option<&[u64]>, fold: Fold, q: impl Fn(usize) -> u64) -> u64 {
     let n = out.len();
-    let p: [&[u64]; K] = std::array::from_fn(|k| &e[k][..n]);
     let mut any = 0u64;
-    match base {
-        None => {
+    match (fold, base) {
+        (Fold::Set, None) => {
             for (i, d) in out.iter_mut().enumerate() {
-                let mut m = !0u64;
-                for pk in &p {
-                    m &= !pk[i];
-                }
-                *d = m;
-                any |= m;
+                *d = q(i);
+                any |= *d;
             }
         }
-        Some(b) => {
+        (Fold::Set, Some(b)) => {
             let b = &b[..n];
             for (i, d) in out.iter_mut().enumerate() {
-                let mut m = b[i];
-                for pk in &p {
-                    m &= !pk[i];
-                }
-                *d = m;
-                any |= m;
+                *d = b[i] & q(i);
+                any |= *d;
+            }
+        }
+        (Fold::And, _) => {
+            for (i, d) in out.iter_mut().enumerate() {
+                *d &= q(i);
+                any |= *d;
+            }
+        }
+        (Fold::Or, None) => {
+            for (i, d) in out.iter_mut().enumerate() {
+                *d |= q(i);
+                any |= *d;
+            }
+        }
+        (Fold::Or, Some(b)) => {
+            let b = &b[..n];
+            for (i, d) in out.iter_mut().enumerate() {
+                *d |= b[i] & q(i);
+                any |= *d;
             }
         }
     }
     any
 }
 
-/// Two-plan variant of [`match_plane`]: `out = base? & (q₁ | q₂)` with
-/// `qᵢ` the miss-plane product chain of plan `i` — one fused pass for the
-/// OR of two searches, the common shape of the compiled arithmetic
-/// micro-code. Returns the OR of every output word, like [`match_plane`].
+/// Word `i` of the product `Π !pₖ` of `K` miss planes (all ones for
+/// `K == 0`).
+#[inline(always)]
+fn product<const K: usize>(p: &[&[u64]; K], i: usize) -> u64 {
+    let mut m = !0u64;
+    for pk in p {
+        m &= !pk[i];
+    }
+    m
+}
+
+/// Whole-plane match core for one plan resolved to exactly `K` *miss
+/// planes*: bit-line planes whose set bits rule a lane out. A `Zero` entry
+/// misses where the cell stores one (`ones[col]`), a `One` entry where it
+/// stores zero (`zeros[col]`), and a `Z` entry contributes **two** planes
+/// (`zeros[col]` and `ones[col]`), so a plan's match is `base & Π !pₖ`
+/// and every plane is loaded exactly once. Monomorphized per `K`, so each
+/// pass is one branch-free vector loop; returns what [`fold_words`] does.
+fn match_plane<const K: usize>(
+    out: &mut [u64],
+    base: Option<&[u64]>,
+    fold: Fold,
+    e: &[&[u64]; K],
+) -> u64 {
+    let n = out.len();
+    let p: [&[u64]; K] = std::array::from_fn(|k| &e[k][..n]);
+    fold_words(out, base, fold, |i| product(&p, i))
+}
+
+/// Two-plan variant of [`match_plane`]: folds `base & (q₁ | q₂)`, with
+/// `qᵢ` plan `i`'s miss-plane product, in one pass: the OR of two searches
+/// that makes up most compiled arithmetic micro-code.
 fn match2_plane<const K1: usize, const K2: usize>(
     out: &mut [u64],
     base: Option<&[u64]>,
+    fold: Fold,
     e1: &[&[u64]; K1],
     e2: &[&[u64]; K2],
 ) -> u64 {
     let n = out.len();
     let p1: [&[u64]; K1] = std::array::from_fn(|k| &e1[k][..n]);
     let p2: [&[u64]; K2] = std::array::from_fn(|k| &e2[k][..n]);
+    fold_words(out, base, fold, |i| product(&p1, i) | product(&p2, i))
+}
+
+/// [`match_plane`] over the first `k ≤ 4` planes of `e`.
+fn pass1(out: &mut [u64], base: Option<&[u64]>, fold: Fold, e: &[&[u64]; 4], k: usize) -> u64 {
+    match k {
+        0 => match_plane::<0>(out, base, fold, &[]),
+        1 => match_plane::<1>(out, base, fold, (&e[..1]).try_into().unwrap()),
+        2 => match_plane::<2>(out, base, fold, (&e[..2]).try_into().unwrap()),
+        3 => match_plane::<3>(out, base, fold, (&e[..3]).try_into().unwrap()),
+        4 => match_plane::<4>(out, base, fold, e),
+        _ => unreachable!("a pass takes at most four miss planes"),
+    }
+}
+
+/// [`match2_plane`] over the first `k1` planes of `e1` and `k2` of `e2`,
+/// both in `1..=4`.
+fn pass2(
+    out: &mut [u64],
+    base: Option<&[u64]>,
+    fold: Fold,
+    (e1, k1): (&[&[u64]; 4], usize),
+    (e2, k2): (&[&[u64]; 4], usize),
+) -> u64 {
+    macro_rules! m2 {
+        ($(($ka:literal, $kb:literal)),+ $(,)?) => {
+            match (k1, k2) {
+                $(($ka, $kb) => match2_plane::<$ka, $kb>(
+                    out,
+                    base,
+                    fold,
+                    (&e1[..$ka]).try_into().unwrap(),
+                    (&e2[..$kb]).try_into().unwrap(),
+                ),)+
+                _ => unreachable!("a paired pass takes one to four planes per plan"),
+            }
+        };
+    }
+    m2!(
+        (1, 1),
+        (1, 2),
+        (1, 3),
+        (1, 4),
+        (2, 1),
+        (2, 2),
+        (2, 3),
+        (2, 4),
+        (3, 1),
+        (3, 2),
+        (3, 3),
+        (3, 4),
+        (4, 1),
+        (4, 2),
+        (4, 3),
+        (4, 4),
+    )
+}
+
+/// Fold `k` miss planes into `out` in passes of up to four, fetching
+/// planes `i..i + 4` as `group(i)`: the first pass per `fold`, the rest
+/// narrowing (`And`). `k == 0` is one plane-free pass (the base itself).
+/// Returns the last pass's OR of `out`.
+fn fold_chain<'a>(
+    out: &mut [u64],
+    base: Option<&[u64]>,
+    mut fold: Fold,
+    group: impl Fn(usize) -> [&'a [u64]; 4],
+    k: usize,
+) -> u64 {
+    let mut done = 0;
+    loop {
+        let g = (k - done).min(4);
+        let any = pass1(out, base, fold, &group(done), g);
+        done += g;
+        if done == k {
+            return any;
+        }
+        fold = Fold::And;
+    }
+}
+
+/// Blend a selected step's fresh match `buf` into the selected lanes of
+/// `tags` (OR-ed into them when `acc`), leaving the step's write tags,
+/// `(acc ? tags | match : match) & sel`, in `buf`. `sel` is the selection
+/// replicated to a whole plane. Returns the OR of the write tags.
+fn blend_selected(tags: &mut [u64], buf: &mut [u64], sel: &[u64], acc: bool) -> u64 {
+    let keep = if acc { !0 } else { 0 };
     let mut any = 0u64;
-    match base {
-        None => {
-            for (i, d) in out.iter_mut().enumerate() {
-                let mut q1 = !0u64;
-                for pk in &p1 {
-                    q1 &= !pk[i];
-                }
-                let mut q2 = !0u64;
-                for pk in &p2 {
-                    q2 &= !pk[i];
-                }
-                let m = q1 | q2;
-                *d = m;
-                any |= m;
-            }
-        }
-        Some(bm) => {
-            let bm = &bm[..n];
-            for (i, d) in out.iter_mut().enumerate() {
-                let mut q1 = !0u64;
-                for pk in &p1 {
-                    q1 &= !pk[i];
-                }
-                let mut q2 = !0u64;
-                for pk in &p2 {
-                    q2 &= !pk[i];
-                }
-                let m = bm[i] & (q1 | q2);
-                *d = m;
-                any |= m;
-            }
-        }
+    for ((t, b), &m) in tags.iter_mut().zip(buf.iter_mut()).zip(sel) {
+        let s = ((*t & keep) | *b) & m;
+        *t = (*t & !m) | s;
+        *b = s;
+        any |= s;
     }
     any
 }
 
-/// Resolve up to two plans into their miss-plane slices over the window
-/// `[t0..t0 + n)` of each referenced column plane: `Zero` contributes
-/// `ones[col]`, `One` contributes `zeros[col]`, `Z` both (see
-/// [`match_plane`]). Masked and out-of-range entries are skipped. Fills
-/// `bufs`/`ks` in the form [`match_dispatch`] consumes; callers must have
-/// checked the four-plane cap per plan beforehand.
+/// What the match core resolves plans against: a slab's bit-line arenas
+/// and their per-column [`PlaneSummary`] caches.
 ///
-/// The per-column [`PlaneSummary`] caches prune the resolution: an
-/// `AllZero` miss plane rules nothing out and is dropped from the product
-/// chain (one less plane streamed per word), while a `Full` miss plane
-/// (`plane == live`) vetoes every live lane — the whole plan is *dead*
-/// and matches nothing. Dead plans stop resolving immediately; the
-/// returned flags tell [`match_dispatch`] which plans collapsed.
-#[allow(clippy::too_many_arguments)]
-fn collect_miss_planes<'a>(
-    plans: &[&[(usize, KeyBit)]],
+/// A `Zero` plan entry misses on `ones[col]`, a `One` entry on
+/// `zeros[col]` and a `Z` entry on both; masked and out-of-range entries
+/// miss on none. The summaries prune every step: an `AllZero` miss plane
+/// rules nothing out and drops from the product chain (one plane less
+/// streamed per word), while a `Full` miss plane (`plane == live`) vetoes
+/// every live lane, so its whole plan is *dead* and matches nothing. Both
+/// hold for any base inside the live lanes, so pruning is exact under
+/// faults and selections too.
+#[derive(Clone, Copy)]
+struct MissPlanes<'a> {
     zeros: &'a [u64],
     ones: &'a [u64],
-    zsum: &[PlaneSummary],
-    osum: &[PlaneSummary],
+    zsum: &'a [PlaneSummary],
+    osum: &'a [PlaneSummary],
     cols: usize,
     plane: usize,
-    t0: usize,
-    n: usize,
-    bufs: &mut [[&'a [u64]; 4]; 2],
-    ks: &mut [usize; 2],
-) -> [bool; 2] {
-    let mut dead = [false; 2];
-    for (pi, plan) in plans.iter().enumerate() {
-        'plan: for &(c, bit) in plan.iter() {
-            if c >= cols || bit == KeyBit::Masked {
-                continue;
-            }
-            let off = c * plane + t0;
-            // (miss-plane slice, its summary) per plan entry.
-            let wants: [Option<(&[u64], PlaneSummary)>; 2] = match bit {
-                KeyBit::Zero => [Some((&ones[off..off + n], osum[c])), None],
-                KeyBit::One => [Some((&zeros[off..off + n], zsum[c])), None],
-                KeyBit::Z => [
-                    Some((&zeros[off..off + n], zsum[c])),
-                    Some((&ones[off..off + n], osum[c])),
-                ],
-                KeyBit::Masked => unreachable!("filtered above"),
-            };
-            for (p, s) in wants.into_iter().flatten() {
-                match s {
-                    // Empty miss plane: `& !0` contributes nothing.
+}
+
+impl<'a> MissPlanes<'a> {
+    /// `None` when `plan` is dead, else how many live miss planes a pass
+    /// has to load for it. Reads only the summaries.
+    fn resolve(self, plan: &[(usize, KeyBit)]) -> Option<usize> {
+        let mut k = 0;
+        for &(c, bit) in plan.iter().filter(|&&(c, _)| c < self.cols) {
+            for (hit, summary) in [
+                (matches!(bit, KeyBit::One | KeyBit::Z), self.zsum[c]),
+                (matches!(bit, KeyBit::Zero | KeyBit::Z), self.osum[c]),
+            ] {
+                match summary {
+                    _ if !hit => {}
                     PlaneSummary::AllZero => {}
-                    // Miss plane covers every live lane: nothing matches.
-                    PlaneSummary::Full => {
-                        dead[pi] = true;
-                        break 'plan;
-                    }
-                    PlaneSummary::Unknown => {
-                        bufs[pi][ks[pi]] = p;
-                        ks[pi] += 1;
-                    }
+                    PlaneSummary::Unknown => k += 1,
+                    PlaneSummary::Full => return None,
                 }
             }
         }
+        Some(k)
     }
-    dead
-}
 
-/// Single-plan core dispatch of [`match_dispatch`], `k` planes already
-/// collected (`k == 0` degenerates to the base mask). Returns the OR of
-/// the output words.
-fn match_one(out: &mut [u64], base: Option<&[u64]>, e: &[&[u64]; 4], k: usize) -> u64 {
-    match k {
-        0 => match base {
-            Some(b) => {
-                out.copy_from_slice(&b[..out.len()]);
-                out.iter().fold(0, |a, &w| a | w)
-            }
-            None => {
-                out.fill(!0);
-                !0
-            }
-        },
-        1 => match_plane::<1>(out, base, (&e[..1]).try_into().unwrap()),
-        2 => match_plane::<2>(out, base, (&e[..2]).try_into().unwrap()),
-        3 => match_plane::<3>(out, base, (&e[..3]).try_into().unwrap()),
-        4 => match_plane::<4>(out, base, (&e[..4]).try_into().unwrap()),
-        _ => unreachable!("fast path caps plans at four miss planes"),
-    }
-}
-
-/// Dispatch one or two collected plans onto the monomorphic match cores:
-/// `out = base? & (q₁ | q₂)` with `qᵢ` plan `i`'s miss-plane product. An
-/// empty plan (`kᵢ == 0`) matches every live lane, so the whole result
-/// degenerates to the base mask (all-ones when `base` is `None`); a
-/// *dead* plan (a [`PlaneSummary::Full`] miss plane, see
-/// [`collect_miss_planes`]) matches nothing and drops out of the OR.
-/// Returns the OR of the output words — `0` when the step matched no
-/// lane at all.
-fn match_dispatch(
-    out: &mut [u64],
-    base: Option<&[u64]>,
-    bufs: &[[&[u64]; 4]; 2],
-    ks: [usize; 2],
-    dead: [bool; 2],
-    nplans: usize,
-) -> u64 {
-    let (e1, k1) = (&bufs[0], ks[0]);
-    if nplans == 1 {
-        if dead[0] {
-            out.fill(0);
-            return 0;
-        }
-        match_one(out, base, e1, k1)
-    } else {
-        let (e2, k2) = (&bufs[1], ks[1]);
-        match (dead[0], dead[1]) {
-            (true, true) => {
-                out.fill(0);
-                0
-            }
-            (true, false) => match_one(out, base, e2, k2),
-            (false, true) => match_one(out, base, e1, k1),
-            (false, false) if k1 == 0 || k2 == 0 => {
-                // An empty plan matches every live row, so the OR of the
-                // pair is the live set regardless of the other plan.
-                match_one(out, base, e1, 0)
-            }
-            (false, false) => {
-                macro_rules! m2 {
-                    ($(($ka:literal, $kb:literal)),+ $(,)?) => {
-                        match (k1, k2) {
-                            $(($ka, $kb) => match2_plane::<$ka, $kb>(
-                                out,
-                                base,
-                                (&e1[..$ka]).try_into().unwrap(),
-                                (&e2[..$kb]).try_into().unwrap(),
-                            ),)+
-                            _ => unreachable!("fast path caps plans at four miss planes"),
-                        }
-                    };
+    /// Live miss planes `skip..skip + 4` of `plan`, in entry order, as a
+    /// pass takes them.
+    fn gather(self, plan: &[(usize, KeyBit)], skip: usize) -> [&'a [u64]; 4] {
+        let mut e = [EMPTY; 4];
+        let mut k = 0;
+        for &(c, bit) in plan.iter().filter(|&&(c, _)| c < self.cols) {
+            for (hit, arena, summary) in [
+                (
+                    matches!(bit, KeyBit::One | KeyBit::Z),
+                    self.zeros,
+                    self.zsum[c],
+                ),
+                (
+                    matches!(bit, KeyBit::Zero | KeyBit::Z),
+                    self.ones,
+                    self.osum[c],
+                ),
+            ] {
+                if hit && summary == PlaneSummary::Unknown {
+                    if (skip..skip + 4).contains(&k) {
+                        e[k - skip] = &arena[c * self.plane..(c + 1) * self.plane];
+                    }
+                    k += 1;
                 }
-                m2!(
-                    (1, 1),
-                    (1, 2),
-                    (1, 3),
-                    (1, 4),
-                    (2, 1),
-                    (2, 2),
-                    (2, 3),
-                    (2, 4),
-                    (3, 1),
-                    (3, 2),
-                    (3, 3),
-                    (3, 4),
-                    (4, 1),
-                    (4, 2),
-                    (4, 3),
-                    (4, 4),
-                )
             }
         }
+        e
+    }
+
+    /// The match core of every sweep step: fold `base & ⋁ᵢ match(planᵢ)`
+    /// into `out`, replacing it (`Set`) or OR-ing into it (`Or`).
+    ///
+    /// Plans of up to four live planes run two to a pass; a longer chain
+    /// folds in passes of four, narrowing `out` in place when it opens the
+    /// step and a head in `head` otherwise, OR-ed in with the chain's last
+    /// planes. An empty plan matches every base lane, and so does the whole
+    /// OR. Returns `None` when no plan is live (`out` untouched), else the
+    /// OR of `out`'s words.
+    fn match_into(
+        self,
+        plans: &[&[(usize, KeyBit)]],
+        base: Option<&[u64]>,
+        mut fold: Fold,
+        out: &mut [u64],
+        head: &mut Vec<u64>,
+    ) -> Option<u64> {
+        let mut any = None;
+        let mut pending = None;
+        for &plan in plans {
+            let a = match self.resolve(plan) {
+                None => continue,
+                Some(0) => return Some(pass1(out, base, fold, &[EMPTY; 4], 0)),
+                Some(k) if k > 4 => {
+                    let group = |skip| self.gather(plan, skip);
+                    if fold == Fold::Set {
+                        fold_chain(out, base, fold, group, k)
+                    } else {
+                        let split = (k - 1) / 4 * 4;
+                        head.resize(out.len(), 0);
+                        fold_chain(head, base, Fold::Set, group, split);
+                        let tail = |skip| self.gather(plan, split + skip);
+                        fold_chain(out, Some(head.as_slice()), fold, tail, k - split)
+                    }
+                }
+                Some(k) => match pending.take() {
+                    Some((first, k1)) => {
+                        let e1 = (&self.gather(first, 0), k1);
+                        pass2(out, base, fold, e1, (&self.gather(plan, 0), k))
+                    }
+                    None => {
+                        pending = Some((plan, k));
+                        continue;
+                    }
+                },
+            };
+            any = Some(a);
+            fold = Fold::Or;
+        }
+        if let Some((plan, k)) = pending {
+            any = Some(pass1(out, base, fold, &self.gather(plan, 0), k));
+        }
+        any
     }
 }
 
-/// Program `value` into one window of a column's bit-planes under `tags` —
-/// the raw store loop of [`TcamSlab::write_plane`], factored out so the
-/// tiled segment executor can drive it per cache-resident window.
+/// Program `value` into one column's bit-planes under `tags` — the raw
+/// store loop of [`TcamSlab::write_plane`]. A function of its own so the
+/// two planes arrive as distinct `&mut` slices, which lets the loop
+/// vectorize without aliasing checks.
 fn write_plane_seg(zeros: &mut [u64], ones: &mut [u64], tags: &[u64], value: TernaryBit) {
     match value {
         TernaryBit::Zero => {
@@ -1268,7 +1339,7 @@ impl TcamSlab {
         let zeros = &mut self.zeros[col * plane..(col + 1) * plane];
         let ones = &mut self.ones[col * plane..(col + 1) * plane];
         match sel {
-            None => sweep::enforce_stuck(zeros, ones, s0, s1),
+            None => fault::enforce_stuck(zeros, ones, s0, s1),
             Some(m) => {
                 let pw = self.pw;
                 for i in 0..plane {
@@ -1487,242 +1558,39 @@ impl TcamSlab {
         }
     }
 
-    /// One [`SweepOp`] over the selected PEs in **one linear pass** over
-    /// the arena — [`sweep_program`](Self::sweep_program)'s per-op path
-    /// (under a selection mask or a fault model, and for steps past its
-    /// monomorphic match cores).
+    /// Execute a program of fused search/write steps. Each [`SweepOp`]
+    /// runs as one call of the match core and then its writes: every plan
+    /// is searched and OR-ed into the selected PEs' tags (cleared first
+    /// unless `acc`), then every `(column, value)` of `writes` is
+    /// programmed, in order, under the selected lanes of those tags. The
+    /// whole program is bit-identical to that per-PE [`TcamArray`]
+    /// sequence (property-tested in `tests/slab_properties.rs`). Searches
+    /// complete before stores, so a write column may appear in a plan.
+    /// Masked or out-of-range plan entries are skipped.
     ///
-    /// Per plane word: `t = (acc ? tags : 0) | match(plans[0]) | …` (each
-    /// match starting from the live mask and narrowing per plan entry),
-    /// blend `t` back into the selected lanes of `tags`, then program every
-    /// `(column, value)` of `writes` in order under the selected lanes of
-    /// `t`. No intermediate tag vector is materialized. Searches complete
-    /// before stores, so the result is bit-identical to the unfused kernel
-    /// sequence even when a write column appears in a plan. Each write
-    /// column takes one wear pulse per selected PE, whatever the tags say
-    /// (the column driver fires per PE per write, identical to
-    /// [`TcamArray::write_column`]).
+    /// Every step takes the same path, whatever its plan count, plan width,
+    /// fault model or selection:
+    /// - Searches start from the live lanes, minus this epoch's transient
+    ///   misses when a fault model is attached; a fault-free slab of whole
+    ///   64-PE words needs no base mask at all.
+    /// - The per-column `PlaneSummary` caches prune the work: `AllZero`
+    ///   miss planes drop out of the product chains and a `Full` miss plane
+    ///   kills its whole plan.
+    /// - Without a selection the match lands in `tags` directly. A step
+    ///   whose tags are provably (or measured) all zero skips its write
+    ///   RMWs, and a chain of dead steps skips the refills too.
+    /// - Under a selection the match is blended into the selected lanes
+    ///   only, and the writes run under `match & sel` (`(tags | match) &
+    ///   sel` when `acc`).
+    ///
+    /// The elisions are exact: an all-zero tag plane drives no store. Wear
+    /// is noted once per write column per step and selected PE, whatever
+    /// the tags say (the column driver fires per PE per write, as in
+    /// [`TcamArray::write_column`]), and under faults every written column
+    /// is clamped to its stuck cells once per step.
     ///
     /// `tags` is a full `[row][pe_word]` plane (e.g.
-    /// [`TagSlab::words_mut`]). Masked or out-of-range plan entries are
-    /// skipped.
-    ///
-    /// The dominant compiled shapes — no accumulate, one or two plans of up
-    /// to four effective entries, every PE selected — run a monomorphized
-    /// whole-plane core (`match_plane` / `match2_plane`) with no
-    /// scratch tile and no per-pass dispatch; everything else takes the
-    /// general tiled path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a write column is out of range or `tags` has the wrong
-    /// length.
-    fn search_write_multi(
-        &mut self,
-        plans: &[&[(usize, KeyBit)]],
-        acc: bool,
-        writes: &[(usize, TernaryBit)],
-        tags: &mut [u64],
-        sel: Option<&[u64]>,
-    ) {
-        let plane = self.plane_words();
-        assert_eq!(tags.len(), plane, "tag/plane word count mismatch");
-        if !writes.is_empty() {
-            self.touch();
-        }
-        for &(col, _) in writes {
-            assert!(col < self.cols, "column out of range");
-            self.note_wear(col, sel);
-        }
-        let full = self.pes.is_multiple_of(64);
-        // Miss planes per plan: `Zero`/`One` contribute one bit-line plane
-        // each, `Z` two (see [`match_plane`]).
-        let eff = |plan: &[(usize, KeyBit)]| {
-            plan.iter()
-                .map(|&(c, b)| match b {
-                    _ if c >= self.cols => 0,
-                    KeyBit::Zero | KeyBit::One => 1,
-                    KeyBit::Z => 2,
-                    KeyBit::Masked => 0,
-                })
-                .sum::<usize>()
-        };
-        let fast = sel.is_none()
-            && !acc
-            && (1..=2).contains(&plans.len())
-            && plans.iter().all(|p| eff(p) <= 4);
-        if fast {
-            let any = {
-                let base = if self.fault.is_none() && full {
-                    None
-                } else {
-                    Some(self.search_base())
-                };
-                let mut bufs = [[EMPTY; 4]; 2];
-                let mut ks = [0usize; 2];
-                let dead = collect_miss_planes(
-                    plans,
-                    &self.zeros,
-                    &self.ones,
-                    &self.zsum,
-                    &self.osum,
-                    self.cols,
-                    plane,
-                    0,
-                    plane,
-                    &mut bufs,
-                    &mut ks,
-                );
-                match_dispatch(tags, base, &bufs, ks, dead, plans.len())
-            };
-            // All-zero tags drive no store, so the plane RMWs (and the
-            // summary aging) can be skipped outright; wear was already
-            // noted and stuck enforcement below still runs.
-            if any != 0 {
-                for &(c, value) in writes {
-                    self.write_plane(c, value, tags);
-                }
-            }
-        } else {
-            // General path: tile the plane so the whole chain — plan
-            // narrows, the OR-accumulate, and all the writes — runs over a
-            // stack-resident window. Tiles are independent because a tile's
-            // searches read only its own offsets, so writes landing in
-            // earlier tiles never alias a later tile's reads.
-            //
-            // Summaries age once up front (the per-write transitions are
-            // idempotent and this path never consumes them), since the
-            // tile loop below holds plane borrows that preclude `&mut
-            // self` calls.
-            for &(col, value) in writes {
-                self.note_write_summary(col, value);
-            }
-            const TILE: usize = 256;
-            let mut s = [0u64; TILE];
-            let mut tt = [0u64; TILE];
-            let pw = self.pw;
-            let mut w0 = 0;
-            while w0 < plane {
-                let n = TILE.min(plane - w0);
-                let t = &mut tags[w0..w0 + n];
-                let mask = match &self.fault {
-                    // Under faults the effective mask also excludes this
-                    // epoch's transient misses, so it applies even when
-                    // the PE count fills every word.
-                    Some(f) => Some(&f.search_mask[w0..w0 + n]),
-                    None => (!full).then(|| &self.live[w0..w0 + n]),
-                };
-                let (zeros, ones) = (&self.zeros, &self.ones);
-                let col = |c: usize| {
-                    let off = c * plane + w0;
-                    (&zeros[off..off + n], &ones[off..off + n])
-                };
-                match sel {
-                    None => {
-                        if !acc && plans.is_empty() {
-                            t.fill(0);
-                        }
-                        for (pi, plan) in plans.iter().enumerate() {
-                            if pi == 0 && !acc {
-                                sweep::plan_and_into(t, plan, self.cols, &col, mask);
-                            } else {
-                                sweep::plan_or_into(t, &mut s[..n], plan, self.cols, &col, mask);
-                            }
-                        }
-                    }
-                    Some(m) => {
-                        tt[..n].copy_from_slice(t);
-                        if !acc && plans.is_empty() {
-                            tt[..n].fill(0);
-                        }
-                        for (pi, plan) in plans.iter().enumerate() {
-                            if pi == 0 && !acc {
-                                sweep::plan_and_into(&mut tt[..n], plan, self.cols, &col, mask);
-                            } else {
-                                sweep::plan_or_into(
-                                    &mut tt[..n],
-                                    &mut s[..n],
-                                    plan,
-                                    self.cols,
-                                    &col,
-                                    mask,
-                                );
-                            }
-                        }
-                        for i in 0..n {
-                            let mm = m[(w0 + i) % pw];
-                            s[i] = tt[i] & mm;
-                            t[i] = (t[i] & !mm) | s[i];
-                        }
-                    }
-                }
-                // Selected-lane write tags: the blended plane for `None`,
-                // the masked fresh match for `Some` (unselected lanes must
-                // not drive stores).
-                for &(col, value) in writes {
-                    let off = col * plane + w0;
-                    let zero = &mut self.zeros[off..off + n];
-                    let one = &mut self.ones[off..off + n];
-                    let wt: &[u64] = match sel {
-                        None => &tags[w0..w0 + n],
-                        Some(_) => &s[..n],
-                    };
-                    match value {
-                        TernaryBit::Zero => {
-                            for ((z, o), tw) in zero.iter_mut().zip(one.iter_mut()).zip(wt) {
-                                *z |= tw;
-                                *o &= !tw;
-                            }
-                        }
-                        TernaryBit::One => {
-                            for ((z, o), tw) in zero.iter_mut().zip(one.iter_mut()).zip(wt) {
-                                *o |= tw;
-                                *z &= !tw;
-                            }
-                        }
-                        TernaryBit::X => {
-                            for ((z, o), tw) in zero.iter_mut().zip(one.iter_mut()).zip(wt) {
-                                *z &= !tw;
-                                *o &= !tw;
-                            }
-                        }
-                    }
-                }
-                w0 += n;
-            }
-        }
-        if self.fault.is_some() {
-            // Stuck enforcement is idempotent and searches complete before
-            // stores, so enforcing once per written column at kernel end
-            // equals enforcing after every store — the invariant the
-            // unfused engines maintain.
-            for &(col, _) in writes {
-                self.enforce_stuck_col(col, sel);
-            }
-        }
-    }
-
-    /// Execute a whole program of fused search/write steps through the
-    /// monomorphic match cores, with the per-column `PlaneSummary`
-    /// caches pruning the work per step: `AllZero` miss planes drop out
-    /// of the product chains, a `Full` miss plane kills its whole plan,
-    /// and a step whose final tag plane is provably (or measured) all
-    /// zero skips its write RMWs entirely — on sparse programs most
-    /// steps touch a fraction of the arena traffic the naive sweep pays.
-    ///
-    /// The elisions are exact, not approximate: an all-zero tag plane
-    /// drives no store, so skipping the RMW pass leaves the planes
-    /// bit-identical; wear is still noted once per write column per step
-    /// and selected PE, whatever the tags say. The whole program is
-    /// bit-identical to running each [`SweepOp`] in order as the per-PE
-    /// [`TcamArray`] sequence — every plan searched and OR-ed into the
-    /// selected PEs' tags (cleared first unless `acc`), then every write
-    /// under them (property-tested in `tests/slab_properties.rs`).
-    ///
-    /// Steps fall outside the fast core — and route through the general
-    /// kernel — when a fault model is attached, a selection mask is
-    /// given, or the step exceeds the monomorphic match cores (more than
-    /// two plans, or more than four miss planes per plan).
+    /// [`TagSlab::words_mut`]).
     ///
     /// # Panics
     ///
@@ -1734,119 +1602,102 @@ impl TcamSlab {
         if ops.iter().any(|op| !op.writes.is_empty()) {
             self.touch();
         }
-        if self.fault.is_some() || sel.is_some() {
-            for op in ops {
-                self.search_write_multi(op.plans, op.acc, op.writes, tags, sel);
-            }
-            return;
-        }
-        let ncols = self.cols;
-        let eff = move |plan: &[(usize, KeyBit)]| {
-            plan.iter()
-                .map(|&(c, b)| match b {
-                    _ if c >= ncols => 0,
-                    KeyBit::Zero | KeyBit::One => 1,
-                    KeyBit::Z => 2,
-                    KeyBit::Masked => 0,
-                })
-                .sum::<usize>()
-        };
+        let sel = sel.map(|m| &m[..self.pw]);
+        // The selection replicated to every row, for the blend.
+        let sel_plane: Option<Vec<u64>> =
+            sel.map(|m| m.iter().copied().cycle().take(plane).collect());
         let full = self.pes.is_multiple_of(64);
-        let mut buf: Vec<u64> = Vec::new();
+        // A selected step's match, then its write tags; the head of an
+        // OR-ed chain longer than one pass.
+        let (mut buf, mut head) = (Vec::new(), Vec::new());
         // Whether `tags` is *known* all-zero — lets a chain of dead steps
         // skip both the refill and the write RMWs without re-reading the
         // plane. `false` means "unknown", never "known non-zero".
         let mut tags_zero = false;
         for op in ops {
-            if op.plans.len() > 2 || op.plans.iter().any(|p| eff(p) > 4) {
-                self.search_write_multi(op.plans, op.acc, op.writes, tags, None);
-                tags_zero = false;
-                continue;
-            }
             for &(col, _) in op.writes {
                 assert!(col < self.cols, "column out of range");
-                self.note_wear(col, None);
+                self.note_wear(col, sel);
             }
-            let base = (!full).then_some(&self.live[..]);
-            let any = if op.plans.is_empty() {
-                if op.acc {
-                    // Write under the tags as they stand.
-                    if tags_zero {
-                        0
-                    } else {
-                        tags.iter().fold(0, |a, &w| a | w)
-                    }
-                } else {
-                    if !tags_zero {
-                        tags.fill(0);
-                    }
-                    0
-                }
-            } else {
-                let mut bufs = [[EMPTY; 4]; 2];
-                let mut ks = [0usize; 2];
-                let dead = collect_miss_planes(
-                    op.plans,
-                    &self.zeros,
-                    &self.ones,
-                    &self.zsum,
-                    &self.osum,
-                    self.cols,
-                    plane,
-                    0,
-                    plane,
-                    &mut bufs,
-                    &mut ks,
-                );
-                let fully_dead = dead[..op.plans.len()].iter().all(|&d| d);
-                if op.acc {
-                    let a = if fully_dead {
-                        0
-                    } else {
-                        buf.resize(plane, 0);
-                        match_dispatch(&mut buf, base, &bufs, ks, dead, op.plans.len())
-                    };
-                    if a != 0 {
-                        for (t, &m) in tags.iter_mut().zip(buf.iter()) {
-                            *t |= m;
+            let planes = self.miss_planes();
+            let base = (self.fault.is_some() || !full).then(|| self.search_base());
+            let any = match sel_plane.as_deref() {
+                None => {
+                    let fold = if op.acc { Fold::Or } else { Fold::Set };
+                    match planes.match_into(op.plans, base, fold, tags, &mut head) {
+                        Some(any) => any,
+                        // Write under the tags as they stand.
+                        None if op.acc => {
+                            if tags_zero || op.writes.is_empty() {
+                                0
+                            } else {
+                                tags.iter().fold(0, |a, &w| a | w)
+                            }
+                        }
+                        None => {
+                            if !tags_zero {
+                                tags.fill(0);
+                            }
+                            0
                         }
                     }
-                    // The write tags are the accumulated plane, which can
-                    // be non-zero even when this step's match is empty.
-                    if a != 0 || op.writes.is_empty() || tags_zero {
-                        a
-                    } else {
-                        tags.iter().fold(0, |acc, &w| acc | w)
+                }
+                Some(m) => {
+                    buf.resize(plane, 0);
+                    if planes
+                        .match_into(op.plans, base, Fold::Set, &mut buf, &mut head)
+                        .is_none()
+                    {
+                        buf.fill(0);
                     }
-                } else if fully_dead {
-                    if !tags_zero {
-                        tags.fill(0);
-                    }
-                    0
-                } else {
-                    match_dispatch(tags, base, &bufs, ks, dead, op.plans.len())
+                    blend_selected(tags, &mut buf, m, op.acc)
                 }
             };
-            if !op.acc {
-                tags_zero = any == 0;
-            } else if any != 0 {
-                tags_zero = false;
+            if sel.is_none() {
+                if !op.acc {
+                    tags_zero = any == 0;
+                } else if any != 0 {
+                    tags_zero = false;
+                }
             }
             if any != 0 {
+                let write_tags: &[u64] = if sel.is_some() { &buf } else { tags };
                 for &(col, value) in op.writes {
-                    self.write_plane(col, value, tags);
+                    self.write_plane(col, value, write_tags);
+                }
+            }
+            if self.fault.is_some() {
+                // Stuck enforcement is idempotent and searches complete
+                // before stores, so enforcing once per written column at
+                // step end equals enforcing after every store.
+                for &(col, _) in op.writes {
+                    self.enforce_stuck_col(col, sel);
                 }
             }
         }
     }
 
+    /// The plans' view of this slab for the match core.
+    fn miss_planes(&self) -> MissPlanes<'_> {
+        MissPlanes {
+            zeros: &self.zeros,
+            ones: &self.ones,
+            zsum: &self.zsum,
+            osum: &self.osum,
+            cols: self.cols,
+            plane: self.plane_words(),
+        }
+    }
+
     /// Incremental search over the selected PEs: narrow `out`'s existing
-    /// contents by `plan` without the live-mask re-initialization a search
-    /// step of [`sweep_program`](Self::sweep_program) starts from — the
-    /// slab kernel behind the trace peephole's `SearchDelta` micro-op,
-    /// sound when `out` already holds the match of a still-valid plan
-    /// prefix.
-    /// Unselected lanes are untouched.
+    /// contents by `plan` — the match core with the current tags as its
+    /// base — instead of starting from the live lanes as a search step of
+    /// [`sweep_program`](Self::sweep_program) does. This is the slab kernel
+    /// behind the trace peephole's `SearchDelta` micro-op, sound when `out`
+    /// already holds the match of a still-valid plan prefix. The plan
+    /// resolves against the plane summaries like any sweep step, so a
+    /// `Full` miss plane clears the selected lanes. Unselected lanes are
+    /// untouched.
     ///
     /// # Panics
     ///
@@ -1859,35 +1710,29 @@ impl TcamSlab {
     ) {
         let plane = self.plane_words();
         assert_eq!(out.len(), plane, "output/plane word count mismatch");
-        let (zeros, ones) = (&self.zeros, &self.ones);
-        match sel {
-            None => {
-                let col = |c: usize| {
-                    (
-                        &zeros[c * plane..(c + 1) * plane],
-                        &ones[c * plane..(c + 1) * plane],
-                    )
-                };
-                sweep::plan_narrow(out, plan, self.cols, &col);
+        let planes = self.miss_planes();
+        let k = planes.resolve(plan);
+        if k == Some(0) {
+            return;
+        }
+        // Narrowing only clears bits: keep the unselected lanes aside,
+        // narrow the whole plane, and OR them back.
+        let kept: Option<Vec<u64>> = sel.map(|m| {
+            let m = &m[..self.pw];
+            out.chunks_exact(self.pw)
+                .flat_map(|row| row.iter().zip(m).map(|(&o, &m)| o & !m))
+                .collect()
+        });
+        match k {
+            Some(k) => {
+                fold_chain(out, None, Fold::And, |skip| planes.gather(plan, skip), k);
             }
-            Some(m) => {
-                const TILE: usize = 256;
-                let mut s = [0u64; TILE];
-                let mut w0 = 0;
-                while w0 < plane {
-                    let n = TILE.min(plane - w0);
-                    s[..n].copy_from_slice(&out[w0..w0 + n]);
-                    let col = |c: usize| {
-                        let off = c * plane + w0;
-                        (&zeros[off..off + n], &ones[off..off + n])
-                    };
-                    sweep::plan_narrow(&mut s[..n], plan, self.cols, &col);
-                    for i in 0..n {
-                        let mm = m[(w0 + i) % self.pw];
-                        out[w0 + i] = (out[w0 + i] & !mm) | (s[i] & mm);
-                    }
-                    w0 += n;
-                }
+            // A `Full` miss plane rules out every lane.
+            None => out.fill(0),
+        }
+        if let Some(kept) = kept {
+            for (o, k) in out.iter_mut().zip(kept) {
+                *o |= k;
             }
         }
     }
@@ -2897,13 +2742,12 @@ mod tests {
         sweep_write(&mut slab, 2, TernaryBit::One, tags.words(), Some(&sel));
         let latch = tag_pattern(&slab, 4);
         slab.write_encoded_multi(4, latch.words(), tags.words(), Some(&sel));
-        slab.search_write_multi(
-            &[&plan],
-            false,
-            &[(7, TernaryBit::Zero)],
-            tags.words_mut(),
-            Some(&sel),
-        );
+        let op = SweepOp {
+            plans: &[&plan],
+            acc: false,
+            writes: &[(7, TernaryBit::Zero)],
+        };
+        slab.sweep_program(&[op], tags.words_mut(), Some(&sel));
         let reference = tag_pattern(&TcamSlab::new(67, 70, 9), 1);
         for (pe, array) in arrays.iter_mut().enumerate() {
             if picked.binary_search(&pe).is_err() {
@@ -2937,110 +2781,139 @@ mod tests {
         }
     }
 
-    /// The single-sweep fused kernel must equal the unfused composition:
-    /// searches (first overwriting, rest accumulating), then per-column
-    /// writes — state, tags, and wear.
+    /// One fused step under a selection — two plans OR-ed (into the tags
+    /// when `acc`), then two writes — against the per-array sequence:
+    /// state, tags, and wear.
     #[test]
-    fn search_write_multi_matches_unfused_kernel_sequence() {
+    fn sweep_step_matches_per_array_sequence() {
         for acc in [false, true] {
-            let (mut fused, _) = seeded(4, 70, 9);
-            let mut unfused = fused.clone();
-            let k1 = SearchKey::parse("10-1Z----").unwrap().compile_plan();
-            let k2 = SearchKey::parse("-----01--").unwrap().compile_plan();
+            let (mut slab, mut arrays) = seeded(4, 70, 9);
+            let k1 = SearchKey::parse("10-1Z----").unwrap();
+            let k2 = SearchKey::parse("-----01--").unwrap();
+            let (p1, p2) = (k1.compile_plan(), k2.compile_plan());
             let writes = [(2usize, TernaryBit::One), (7usize, TernaryBit::X)];
             let sel = pe_range_mask(4, 1, 4);
-            let mut tags = tag_pattern(&fused, 1);
-            let mut expect_tags = tags.clone();
-
-            fused.search_write_multi(&[&k1, &k2], acc, &writes, tags.words_mut(), Some(&sel));
-
-            let mut scratch = TagSlab::zeros(4, 70);
-            sweep_search(&mut unfused, &k1, Some(&sel), scratch.words_mut());
-            if acc {
-                expect_tags.accumulate_from(&scratch, Some(&sel));
-            } else {
-                expect_tags.copy_from_masked(&scratch, Some(&sel));
+            let mut tags = tag_pattern(&slab, 1);
+            let before = tags.clone();
+            let op = SweepOp {
+                plans: &[&p1, &p2],
+                acc,
+                writes: &writes,
+            };
+            slab.sweep_program(&[op], tags.words_mut(), Some(&sel));
+            for (pe, array) in arrays.iter_mut().enumerate().skip(1) {
+                let mut t = if acc {
+                    before.to_tagvector(pe)
+                } else {
+                    TagVector::zeros(70)
+                };
+                t.accumulate(&array.search(&k1));
+                t.accumulate(&array.search(&k2));
+                for (col, value) in writes {
+                    array.write_column(col, value, &t);
+                }
+                assert_eq!(tags.to_tagvector(pe), t, "acc {acc} pe {pe}");
             }
-            sweep_search(&mut unfused, &k2, Some(&sel), scratch.words_mut());
-            expect_tags.accumulate_from(&scratch, Some(&sel));
-            for (col, value) in writes {
-                sweep_write(&mut unfused, col, value, expect_tags.words(), Some(&sel));
-            }
-            assert_eq!(tags, expect_tags, "acc {acc}");
-            assert_eq!(fused, unfused, "acc {acc}");
-            assert_eq!(fused.pe_wear(2)[2], 1);
-            assert_eq!(fused.pe_wear(0)[2], 0, "outside the PE range");
+            assert_eq!(
+                tags.to_tagvector(0),
+                before.to_tagvector(0),
+                "outside the PE range"
+            );
+            assert_eq!(slab.to_arrays(), arrays, "acc {acc}");
+            assert_eq!(slab.pe_wear(2)[2], 1);
+            assert_eq!(slab.pe_wear(0)[2], 0, "outside the PE range");
         }
     }
 
-    /// The monomorphized fast path (no accumulate, full selection, one or
-    /// two plans of ≤ 4 entries) across every dispatch arm, against the
-    /// unfused sequence — on both a full 64-PE slab and a ragged 67-PE one.
+    /// Every chain shape the match core folds — one to eight plans of zero
+    /// to ten miss planes each (a `Z` entry counts twice), so chains pair
+    /// up, run alone, and span two or three passes, opening the step or
+    /// OR-ed into it — with and without `acc`, against the per-array
+    /// sequence on a full 64-PE slab and a ragged 67-PE one.
     #[test]
-    fn search_write_multi_fast_path_matches_unfused_for_all_shapes() {
+    fn sweep_step_matches_per_array_for_all_chain_shapes() {
+        // Miss planes per key: 0, 1, 2, 3, 5, 6, 8, 10.
         let keys = [
             "---------",
             "1--------",
             "10-------",
             "10-1-----",
             "10-1Z----",
-        ];
+            "Z0-1Z----",
+            "ZZ-ZZ----",
+            "ZZ1ZZ0---",
+        ]
+        .map(|k| SearchKey::parse(k).unwrap());
+        let plans = keys.each_ref().map(SearchKey::compile_plan);
+        let writes = [(3usize, TernaryBit::One), (8usize, TernaryBit::Zero)];
         for pes in [64, 67] {
-            for n1 in 0..=4usize {
-                for n2 in 0..=4usize {
-                    let (mut fused, _) = seeded(pes, 70, 9);
-                    let mut unfused = fused.clone();
-                    let k1 = SearchKey::parse(keys[n1]).unwrap().compile_plan();
-                    let k2 = SearchKey::parse(keys[n2]).unwrap().compile_plan();
-                    let plans: Vec<&[(usize, KeyBit)]> = if n2 == 0 && n1 % 2 == 0 {
-                        vec![&k1] // exercise single-plan arms too
-                    } else {
-                        vec![&k1, &k2]
-                    };
-                    let writes = [(3usize, TernaryBit::One), (8usize, TernaryBit::Zero)];
-                    let mut tags = tag_pattern(&fused, 2);
-                    fused.search_write_multi(&plans, false, &writes, tags.words_mut(), None);
-
-                    let mut expect = TagSlab::zeros(pes, 70);
-                    let mut scratch = TagSlab::zeros(pes, 70);
-                    for (pi, plan) in plans.iter().enumerate() {
-                        sweep_search(&mut unfused, plan, None, scratch.words_mut());
-                        if pi == 0 {
-                            expect.copy_from_masked(&scratch, None);
-                        } else {
-                            expect.accumulate_from(&scratch, None);
+            let seeded = seeded(pes, 70, 9);
+            for n in 1..=8 {
+                for skip in 0..keys.len() {
+                    for acc in [false, true] {
+                        // Plan `i` of the chain is key `(skip + 3i) % 8`.
+                        let chain: Vec<usize> =
+                            (0..n).map(|i| (skip + 3 * i) % keys.len()).collect();
+                        let (mut slab, mut arrays) = seeded.clone();
+                        let mut tags = tag_pattern(&slab, 2);
+                        let before = tags.clone();
+                        let refs: Vec<&[(usize, KeyBit)]> =
+                            chain.iter().map(|&k| plans[k].as_slice()).collect();
+                        let op = SweepOp {
+                            plans: &refs,
+                            acc,
+                            writes: &writes,
+                        };
+                        slab.sweep_program(&[op], tags.words_mut(), None);
+                        for (pe, array) in arrays.iter_mut().enumerate() {
+                            let mut t = if acc {
+                                before.to_tagvector(pe)
+                            } else {
+                                TagVector::zeros(70)
+                            };
+                            for &k in &chain {
+                                t.accumulate(&array.search(&keys[k]));
+                            }
+                            for (col, value) in writes {
+                                array.write_column(col, value, &t);
+                            }
+                            assert_eq!(
+                                tags.to_tagvector(pe),
+                                t,
+                                "pes {pes} chain {chain:?} acc {acc}"
+                            );
                         }
+                        assert_eq!(
+                            slab.to_arrays(),
+                            arrays,
+                            "pes {pes} chain {chain:?} acc {acc}"
+                        );
                     }
-                    for (col, value) in writes {
-                        sweep_write(&mut unfused, col, value, expect.words(), None);
-                    }
-                    assert_eq!(tags, expect, "pes {pes} n1 {n1} n2 {n2}");
-                    assert_eq!(fused, unfused, "pes {pes} n1 {n1} n2 {n2}");
                 }
             }
         }
     }
 
     /// A write column that also appears in a plan must behave like the
-    /// unfused sequence (search completes before the store).
+    /// per-array search-then-write (the search completes before the store).
     #[test]
-    fn search_write_multi_handles_write_column_in_plan() {
-        let (mut fused, _) = seeded(3, 33, 5);
-        let mut unfused = fused.clone();
-        let plan = vec![(1usize, KeyBit::Zero), (3usize, KeyBit::One)];
+    fn sweep_step_handles_write_column_in_plan() {
+        let (mut slab, mut arrays) = seeded(3, 33, 5);
+        let key = SearchKey::parse("-0-1-").unwrap();
+        let plan = key.compile_plan();
         let mut tags = TagSlab::zeros(3, 33);
-        fused.search_write_multi(
-            &[&plan],
-            false,
-            &[(1, TernaryBit::One)],
-            tags.words_mut(),
-            None,
-        );
-        let mut expect = TagSlab::zeros(3, 33);
-        sweep_search(&mut unfused, &plan, None, expect.words_mut());
-        sweep_write(&mut unfused, 1, TernaryBit::One, expect.words(), None);
-        assert_eq!(tags, expect);
-        assert_eq!(fused, unfused);
+        let op = SweepOp {
+            plans: &[&plan],
+            acc: false,
+            writes: &[(1, TernaryBit::One)],
+        };
+        slab.sweep_program(&[op], tags.words_mut(), None);
+        for (pe, array) in arrays.iter_mut().enumerate() {
+            let t = array.search(&key);
+            array.write_column(1, TernaryBit::One, &t);
+            assert_eq!(tags.to_tagvector(pe), t, "pe {pe}");
+        }
+        assert_eq!(slab.to_arrays(), arrays);
     }
 
     #[test]
@@ -3194,13 +3067,12 @@ mod tests {
         }
 
         sweep_write(&mut slab, 2, TernaryBit::One, tags.words(), None);
-        slab.search_write_multi(
-            &[&plan],
-            false,
-            &[(4, TernaryBit::Zero)],
-            tags.words_mut(),
-            None,
-        );
+        let op = SweepOp {
+            plans: &[&plan],
+            acc: false,
+            writes: &[(4, TernaryBit::Zero)],
+        };
+        slab.sweep_program(&[op], tags.words_mut(), None);
         for (pe, array) in arrays.iter_mut().enumerate() {
             let tv = tags.to_tagvector(pe);
             let search = array.search(&key);

@@ -575,17 +575,19 @@ mod conversions {
 /// Whole random programs through `sweep_program` against the per-array
 /// sequence — per step and selected PE: search every plan and OR the
 /// matches into the tags (cleared first unless `acc`), then write every
-/// column under them. The programs cover chains of one to three plans
-/// with and without `acc`, plan-less write steps, and sparse keys over a
-/// slab whose upper columns start fresh, so steps die on `Full` miss
-/// planes and runs of dead steps ride the known-zero tags; with and
+/// column under them. The programs cover chains of zero to eight plans
+/// with and without `acc`, plan-less write steps, sparse keys over a slab
+/// whose upper columns start fresh (so steps die on `Full` miss planes and
+/// runs of dead steps ride the known-zero tags), wide keys whose plans
+/// carry more than four live miss planes (chains folded in several
+/// passes), and `search_narrow_multi` steps between the sweeps; with and
 /// without a selection mask and a seeded fault model.
 mod sweeps {
     use super::*;
 
-    const SCOLS: usize = 8;
+    const SCOLS: usize = 12;
     /// Columns below this may be preloaded; the rest start fresh.
-    const LOADED: usize = 4;
+    const LOADED: usize = 8;
 
     /// A sparse key: up to three cared bits, the rest masked.
     fn sparse_key() -> impl Strategy<Value = SearchKey> {
@@ -598,15 +600,45 @@ mod sweeps {
         })
     }
 
-    /// One sweep step: plans, `acc`, writes.
-    type Step = (Vec<SearchKey>, bool, Vec<(usize, TernaryBit)>);
+    /// A wide key: a bit on every preloaded column, half of them `Z` (two
+    /// miss planes each), so a plan carries twelve miss planes on average
+    /// and up to sixteen.
+    fn wide_key() -> impl Strategy<Value = SearchKey> {
+        let bit = prop_oneof![
+            Just(KeyBit::Z),
+            Just(KeyBit::Z),
+            Just(KeyBit::Zero),
+            Just(KeyBit::One),
+        ];
+        prop::collection::vec(bit, LOADED).prop_map(|mut bits| {
+            bits.resize(SCOLS, KeyBit::Masked);
+            SearchKey::from_bits(bits)
+        })
+    }
+
+    fn key() -> impl Strategy<Value = SearchKey> {
+        prop_oneof![sparse_key(), wide_key()]
+    }
+
+    /// One program step.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// A sweep: plans, `acc`, writes.
+        Sweep(Vec<SearchKey>, bool, Vec<(usize, TernaryBit)>),
+        /// `search_narrow_multi` by one key.
+        Narrow(SearchKey),
+    }
 
     fn step() -> impl Strategy<Value = Step> {
-        (
-            prop::collection::vec(sparse_key(), 0..4),
-            any::<bool>(),
-            prop::collection::vec((0..SCOLS, ternary_bit()), 0..3),
-        )
+        let sweep = || {
+            (
+                prop::collection::vec(key(), 0..=8),
+                any::<bool>(),
+                prop::collection::vec((0..SCOLS, ternary_bit()), 0..3),
+            )
+                .prop_map(|(keys, acc, writes)| Step::Sweep(keys, acc, writes))
+        };
+        prop_oneof![sweep(), sweep(), sweep(), key().prop_map(Step::Narrow)]
     }
 
     proptest! {
@@ -667,35 +699,58 @@ mod sweeps {
             }
             let mut expected: Vec<TagVector> = (0..pes).map(|pe| tags.to_tagvector(pe)).collect();
 
+            // Runs of sweeps go to the slab as one program each, split at
+            // the narrow steps.
             let plans: Vec<Vec<Vec<(usize, KeyBit)>>> = program
                 .iter()
-                .map(|(keys, _, _)| keys.iter().map(SearchKey::compile_plan).collect())
+                .map(|step| match step {
+                    Step::Sweep(keys, _, _) => keys.iter().map(SearchKey::compile_plan).collect(),
+                    Step::Narrow(key) => vec![key.compile_plan()],
+                })
                 .collect();
             let refs: Vec<Vec<&[(usize, KeyBit)]>> = plans
                 .iter()
                 .map(|p| p.iter().map(Vec::as_slice).collect())
                 .collect();
-            let ops: Vec<SweepOp<'_>> = program
-                .iter()
-                .zip(&refs)
-                .map(|((_, acc, writes), plans)| SweepOp { plans, acc: *acc, writes })
-                .collect();
-            slab.sweep_program(&ops, tags.words_mut(), sel.as_deref());
+            let mut run = Vec::new();
+            for (step, plans) in program.iter().zip(&refs) {
+                match step {
+                    Step::Sweep(_, acc, writes) => run.push(SweepOp { plans, acc: *acc, writes }),
+                    Step::Narrow(_) => {
+                        slab.sweep_program(&run, tags.words_mut(), sel.as_deref());
+                        run.clear();
+                        slab.search_narrow_multi(plans[0], sel.as_deref(), tags.words_mut());
+                    }
+                }
+            }
+            slab.sweep_program(&run, tags.words_mut(), sel.as_deref());
 
-            for (keys, acc, writes) in &program {
+            for step in &program {
                 for (pe, array) in arrays.iter_mut().enumerate().filter(|&(pe, _)| selected(pe)) {
                     let t = &mut expected[pe];
-                    if !*acc {
-                        *t = TagVector::zeros(ROWS);
-                    }
-                    for key in keys {
-                        let m = array.search(key);
-                        for (a, b) in t.blocks_mut().iter_mut().zip(m.blocks()) {
-                            *a |= b;
+                    match step {
+                        Step::Sweep(keys, acc, writes) => {
+                            if !*acc {
+                                *t = TagVector::zeros(ROWS);
+                            }
+                            for key in keys {
+                                t.accumulate(&array.search(key));
+                            }
+                            for &(col, value) in writes {
+                                array.write_column(col, value, t);
+                            }
                         }
-                    }
-                    for &(col, value) in writes {
-                        array.write_column(col, value, t);
+                        // Narrowing ANDs in the rows whose cells match,
+                        // without the transient misses a search starts
+                        // from (compiled tags it narrows already carry
+                        // them).
+                        Step::Narrow(key) => {
+                            for row in 0..ROWS {
+                                if !key.active_bits().all(|(col, bit)| bit.matches(array.cell(row, col))) {
+                                    t.set(row, false);
+                                }
+                            }
+                        }
                     }
                 }
             }
