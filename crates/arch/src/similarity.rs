@@ -24,11 +24,12 @@
 //! The slab kernel's host-side work is *simulator* optimization, never
 //! priced ([`hamming_topk_multi`](hyperap_tcam::slab::hamming_topk_multi)):
 //! `PlaneSummary`-based column pruning (real hardware still drives every
-//! column), carry-save accumulation of the surviving columns, and an
-//! exact select of the `k` nearest in place of reading out the final
-//! threshold mask. None of it changes the priced counts, which come from
-//! the plan and the shared schedule alone — which is exactly what keeps
-//! the two engines' stats bit-identical.
+//! column), Harley–Seal carry-save accumulation of the surviving columns
+//! into register-resident counter blocks, and an exact select of the `k`
+//! nearest in place of reading out the final threshold mask. None of it
+//! changes the priced counts, which come from the plan and the shared
+//! schedule alone — which is exactly what keeps the two engines' stats
+//! bit-identical.
 //!
 //! # Faults
 //!

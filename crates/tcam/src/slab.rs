@@ -264,8 +264,15 @@ impl TagSlab {
             }
             Some(m) => {
                 let pw = self.pw;
-                for (i, (a, b)) in self.blocks.iter_mut().zip(&other.blocks).enumerate() {
-                    *a |= b & m[i % pw];
+                let m = &m[..pw];
+                for (a, b) in self
+                    .blocks
+                    .chunks_exact_mut(pw)
+                    .zip(other.blocks.chunks_exact(pw))
+                {
+                    for ((a, b), mm) in a.iter_mut().zip(b).zip(m) {
+                        *a |= b & mm;
+                    }
                 }
             }
         }
@@ -288,9 +295,15 @@ impl TagSlab {
             None => self.blocks.copy_from_slice(&other.blocks),
             Some(m) => {
                 let pw = self.pw;
-                for (i, (a, b)) in self.blocks.iter_mut().zip(&other.blocks).enumerate() {
-                    let mm = m[i % pw];
-                    *a = (*a & !mm) | (b & mm);
+                let m = &m[..pw];
+                for (a, b) in self
+                    .blocks
+                    .chunks_exact_mut(pw)
+                    .zip(other.blocks.chunks_exact(pw))
+                {
+                    for ((a, b), &mm) in a.iter_mut().zip(b).zip(m) {
+                        *a = (*a & !mm) | (b & mm);
+                    }
                 }
             }
         }
@@ -1342,13 +1355,20 @@ impl TcamSlab {
             None => fault::enforce_stuck(zeros, ones, s0, s1),
             Some(m) => {
                 let pw = self.pw;
-                for i in 0..plane {
-                    let mm = m[i % pw];
-                    let a0 = s0[i] & mm;
-                    let a1 = s1[i] & mm;
-                    let s = a0 | a1;
-                    zeros[i] = (zeros[i] & !s) | a0;
-                    ones[i] = (ones[i] & !s) | a1;
+                let m = &m[..pw];
+                let rows = zeros
+                    .chunks_exact_mut(pw)
+                    .zip(ones.chunks_exact_mut(pw))
+                    .zip(s0.chunks_exact(pw).zip(s1.chunks_exact(pw)));
+                for ((zeros, ones), (s0, s1)) in rows {
+                    let words = zeros.iter_mut().zip(ones).zip(s0.iter().zip(s1));
+                    for (((z, o), (&s0, &s1)), &mm) in words.zip(m) {
+                        let a0 = s0 & mm;
+                        let a1 = s1 & mm;
+                        let s = a0 | a1;
+                        *z = (*z & !s) | a0;
+                        *o = (*o & !s) | a1;
+                    }
                 }
             }
         }
@@ -1518,11 +1538,17 @@ impl TcamSlab {
                     }
                 }
                 Some(m) => {
-                    for (i, (z, o)) in zeros.iter_mut().zip(ones.iter_mut()).enumerate() {
-                        let mm = m[i % pw];
-                        let (h, t) = (latch[i], tags[i]);
-                        *z = (*z & !mm) | (h & !t & mm);
-                        *o = (*o & !mm) | (h & t & mm);
+                    let m = &m[..pw];
+                    let rows = zeros
+                        .chunks_exact_mut(pw)
+                        .zip(ones.chunks_exact_mut(pw))
+                        .zip(latch.chunks_exact(pw).zip(tags.chunks_exact(pw)));
+                    for ((zeros, ones), (latch, tags)) in rows {
+                        let words = zeros.iter_mut().zip(ones).zip(latch.iter().zip(tags));
+                        for (((z, o), (&h, &t)), &mm) in words.zip(m) {
+                            *z = (*z & !mm) | (h & !t & mm);
+                            *o = (*o & !mm) | (h & t & mm);
+                        }
                     }
                 }
             }
@@ -1543,11 +1569,22 @@ impl TcamSlab {
                     }
                 }
                 Some(m) => {
-                    for (i, (z, o)) in zeros.iter_mut().zip(ones.iter_mut()).enumerate() {
-                        let mm = m[i % pw];
-                        let (h, t) = (latch[i], tags[i]);
-                        *z = (*z & !mm) | (!h & !t & self.live[i] & mm);
-                        *o = (*o & !mm) | (!h & t & mm);
+                    let m = &m[..pw];
+                    let rows = zeros
+                        .chunks_exact_mut(pw)
+                        .zip(ones.chunks_exact_mut(pw))
+                        .zip(latch.chunks_exact(pw).zip(tags.chunks_exact(pw)))
+                        .zip(self.live.chunks_exact(pw));
+                    for (((zeros, ones), (latch, tags)), live) in rows {
+                        let words = zeros
+                            .iter_mut()
+                            .zip(ones)
+                            .zip(latch.iter().zip(tags))
+                            .zip(live);
+                        for ((((z, o), (&h, &t)), &l), &mm) in words.zip(m) {
+                            *z = (*z & !mm) | (!h & !t & l & mm);
+                            *o = (*o & !mm) | (!h & t & mm);
+                        }
                     }
                 }
             }
@@ -2013,16 +2050,23 @@ pub struct SlabTopk {
     pub active: u32,
 }
 
-/// Surviving columns summed per carry-save tree before one fixed-width add
-/// into the counter stack.
-const CSA_BATCH: usize = 8;
+/// Candidate words one counter block covers. A block's distance counters
+/// stay in locals while every surviving miss plane streams past them:
+/// four words is one 256-bit register per counter plane. Eight-word
+/// blocks measured no faster on an AVX-512 host.
+const LANES: usize = 4;
 
-/// Bit-planes of one batch sum (`0..=CSA_BATCH` needs four).
-const CSA_SUM_BITS: usize = 4;
+/// Miss planes one Harley–Seal group reduces before it flushes its
+/// weight-16 carry into the high counter planes.
+const CSA_GROUP: usize = 16;
 
-/// Counter words the adders process together: every step is one operation
-/// over a `[u64; LANES]` block, which the compiler maps onto SIMD registers.
-const LANES: usize = 8;
+/// Low counter planes the Harley–Seal chain keeps as residues (the
+/// ones/twos/fours/eights of weights 1, 2, 4 and 8).
+const RESIDUES: usize = 4;
+
+/// High counter planes (weights 16 and up) a block can hold: enough for
+/// any `u32` distance.
+const HIGH_MAX: usize = u32::BITS as usize - RESIDUES;
 
 type Lanes = [u64; LANES];
 
@@ -2040,8 +2084,21 @@ struct HammingCounters {
     stride: usize,
     /// Maximum possible distance (in-range unmasked plan entries).
     active: u32,
-    /// Columns that actually entered the counter accumulation.
-    accumulated: usize,
+}
+
+/// The miss planes of one query that survive `PlaneSummary` pruning.
+struct DistanceSources<'a> {
+    /// Miss planes as stored: the `ones` plane of a key `0`, the `zeros`
+    /// plane of a key `1`.
+    singles: Vec<[&'a [u64]; 1]>,
+    /// The `zeros` and `ones` planes of a `Z` key, ORed as they are loaded.
+    pairs: Vec<[&'a [u64]; 2]>,
+    /// Pruned `Full` miss planes: distance every live candidate has.
+    base: u32,
+    /// Maximum possible distance (in-range unmasked plan entries).
+    active: u32,
+    /// Words per miss plane (`rows * pe_words`).
+    words: usize,
 }
 
 /// Full adder over `LANES × 64` lanes: `(sum, carry)`.
@@ -2062,62 +2119,168 @@ fn half_add(a: Lanes, b: Lanes) -> (Lanes, Lanes) {
     )
 }
 
-/// Carry-save tree: the [`CSA_SUM_BITS`] bit-planes of the per-lane count
-/// of set bits among [`CSA_BATCH`] inputs.
-#[inline(always)]
-fn csa8(x: [Lanes; CSA_BATCH]) -> [Lanes; CSA_SUM_BITS] {
-    let (s1, c1) = full_add(x[0], x[1], x[2]);
-    let (s2, c2) = full_add(x[3], x[4], x[5]);
-    let (s3, c3) = full_add(s1, s2, x[6]);
-    let (b0, c4) = half_add(s3, x[7]);
-    let (t, d1) = full_add(c1, c2, c3);
-    let (b1, d2) = half_add(t, c4);
-    let (b2, b3) = half_add(d1, d2);
-    [b0, b1, b2, b3]
+/// The distance counters of one [`LANES`]-word block in carry-save form:
+/// a lane's count is `ones + 2·twos + 4·fours + 8·eights` plus
+/// `2^(RESIDUES + h)` for every set bit of `high[h]`. Every residue weighs
+/// less than 16, so the residues *are* the count's low bit-planes and
+/// `high` its upper ones: the stack is complete after every step, and no
+/// final add is needed. The residues are plain fields so they stay in
+/// registers while the planes stream past; `high` changes once per group.
+struct CounterBlock<'h> {
+    ones: Lanes,
+    twos: Lanes,
+    fours: Lanes,
+    eights: Lanes,
+    /// Weight-16-and-up planes.
+    high: &'h mut [Lanes],
+}
+
+impl<'h> CounterBlock<'h> {
+    /// A block whose every lane starts at the uniform count `base`, with
+    /// `high` holding its upper planes.
+    #[inline(always)]
+    fn new(base: u32, high: &'h mut [Lanes]) -> Self {
+        let splat = |b: usize| [0u64.wrapping_sub(u64::from((base >> b) & 1)); LANES];
+        for (h, plane) in high.iter_mut().enumerate() {
+            *plane = splat(RESIDUES + h);
+        }
+        CounterBlock {
+            ones: splat(0),
+            twos: splat(1),
+            fours: splat(2),
+            eights: splat(3),
+            high,
+        }
+    }
+
+    /// Add one weight-16 plane into the high counter planes.
+    #[inline(always)]
+    fn flush(&mut self, mut carry: Lanes) {
+        for h in self.high.iter_mut() {
+            (*h, carry) = half_add(*h, carry);
+        }
+        // Counts never exceed `active < 2^bplanes`.
+        debug_assert_eq!(carry, [0; LANES], "counter stack overflow");
+    }
+
+    /// Count one miss plane: a ripple through the residues into `high`.
+    #[inline(always)]
+    fn add1(&mut self, mut carry: Lanes) {
+        for r in [
+            &mut self.ones,
+            &mut self.twos,
+            &mut self.fours,
+            &mut self.eights,
+        ] {
+            (*r, carry) = half_add(*r, carry);
+        }
+        self.flush(carry);
+    }
+
+    /// Count [`CSA_GROUP`] miss planes with the Harley–Seal carry-save
+    /// chain: pairs of planes fold into the ones, pairs of twos-carries
+    /// into the twos, and so on up to one weight-16 carry per group.
+    #[inline(always)]
+    fn add16(&mut self, x: impl Fn(usize) -> Lanes) {
+        let mut eights_in = [[0; LANES]; 2];
+        for (h, e) in eights_in.iter_mut().enumerate() {
+            let mut fours_in = [[0; LANES]; 2];
+            for (q, f) in fours_in.iter_mut().enumerate() {
+                let mut twos_in = [[0; LANES]; 2];
+                for (p, t) in twos_in.iter_mut().enumerate() {
+                    let i = 8 * h + 4 * q + 2 * p;
+                    (self.ones, *t) = full_add(self.ones, x(i), x(i + 1));
+                }
+                (self.twos, *f) = full_add(self.twos, twos_in[0], twos_in[1]);
+            }
+            (self.fours, *e) = full_add(self.fours, fours_in[0], fours_in[1]);
+        }
+        let sixteens;
+        (self.eights, sixteens) = full_add(self.eights, eights_in[0], eights_in[1]);
+        self.flush(sixteens);
+    }
+
+    /// Count every miss plane of `srcs`; the miss plane of an entry is the
+    /// OR of its `N` planes, each read through `load`.
+    #[inline(always)]
+    fn add_all<const N: usize>(&mut self, srcs: &[[&[u64]; N]], load: impl Fn(&[u64]) -> Lanes) {
+        let miss = |p: &[&[u64]; N]| -> Lanes {
+            p[1..].iter().fold(load(p[0]), |m, s| {
+                let l = load(s);
+                std::array::from_fn(|i| m[i] | l[i])
+            })
+        };
+        let (groups, rest) = srcs.as_chunks::<CSA_GROUP>();
+        for g in groups {
+            self.add16(|i| miss(&g[i]));
+        }
+        for p in rest {
+            self.add1(miss(p));
+        }
+    }
+
+    /// Write the block's counter planes to words `w0..w0 + LANES` of
+    /// each `stride`-word plane of `planes`.
+    #[inline(always)]
+    fn store(&self, planes: &mut [u64], stride: usize, w0: usize) {
+        let mut out = planes.chunks_exact_mut(stride);
+        for r in [&self.ones, &self.twos, &self.fours, &self.eights] {
+            match out.next() {
+                Some(plane) => plane[w0..w0 + LANES].copy_from_slice(r),
+                None => debug_assert_eq!(*r, [0; LANES], "counter stack overflow"),
+            }
+        }
+        for (plane, h) in out.zip(self.high.iter()) {
+            plane[w0..w0 + LANES].copy_from_slice(h);
+        }
+    }
 }
 
 impl HammingCounters {
-    /// Sum the miss planes `srcs` onto a uniform `base` into a fresh
-    /// `bplanes`-bit stack. Each batch of [`CSA_BATCH`] planes is streamed
-    /// once, [`LANES`] words at a time: a carry-save tree reduces the batch
-    /// to a [`CSA_SUM_BITS`]-bit sum, and a fixed-width ripple adder adds
-    /// it into every counter plane. No step branches on data.
-    fn accumulate(srcs: &[&[u64]], base: u32, bplanes: usize, words: usize) -> Vec<u64> {
-        // Planes are padded to whole blocks so every adder step is one
-        // full `Lanes` load and store.
+    /// Sum the surviving miss planes of `src` onto its uniform base into
+    /// a fresh stack of enough bit-planes for the maximum distance. The
+    /// loop is block-outer: each [`LANES`]-word block walks every miss
+    /// plane with its counters in a [`CounterBlock`], summing groups of
+    /// [`CSA_GROUP`] planes by carry-save and rippling the leftovers one
+    /// at a time, and writes its stack out once. A `Z` key's two planes
+    /// are ORed as they are loaded. No step branches on data.
+    fn accumulate(src: &DistanceSources) -> Self {
+        let DistanceSources {
+            ref singles,
+            ref pairs,
+            base,
+            active,
+            words,
+        } = *src;
+        let bplanes = (u32::BITS - active.leading_zeros()) as usize;
         let stride = Self::stride(words);
-        let mut planes: Vec<u64> = (0..bplanes)
-            .flat_map(|b| {
-                std::iter::repeat_n(0u64.wrapping_sub(u64::from((base >> b) & 1)), stride)
-            })
-            .collect();
-        for batch in srcs.chunks(CSA_BATCH) {
-            for w0 in (0..words).step_by(LANES) {
-                // Words `w0..` of one miss plane, zero-padded past `words`.
-                let load = |s: &&[u64]| -> Lanes {
-                    let s = &s[w0..words.min(w0 + LANES)];
-                    match <&Lanes>::try_from(s) {
-                        Ok(block) => *block,
-                        Err(_) => std::array::from_fn(|i| s.get(i).copied().unwrap_or(0)),
-                    }
+        let mut high = [[0; LANES]; HIGH_MAX];
+        let high = &mut high[..bplanes.saturating_sub(RESIDUES)];
+        let mut planes = vec![0u64; bplanes * stride];
+        for w0 in (0..words).step_by(LANES) {
+            let mut block = CounterBlock::new(base, high);
+            if w0 + LANES <= words {
+                let load =
+                    |s: &[u64]| -> Lanes { s[w0..w0 + LANES].try_into().expect("whole block") };
+                block.add_all(singles, load);
+                block.add_all(pairs, load);
+            } else {
+                // The ragged last block, zero-padded past `words`.
+                let load = |s: &[u64]| -> Lanes {
+                    std::array::from_fn(|i| s.get(w0 + i).copied().unwrap_or(0))
                 };
-                let sum = csa8(std::array::from_fn(|i| {
-                    batch.get(i).map_or([0; LANES], load)
-                }));
-                // Distances never exceed `active < 2^bplanes`, so sum bits
-                // at or above `bplanes` are zero and the adder stops there.
-                let mut carry = [0u64; LANES];
-                for (b, cnt) in planes.chunks_exact_mut(stride).enumerate() {
-                    let c: &mut Lanes = (&mut cnt[w0..w0 + LANES]).try_into().expect("whole block");
-                    (*c, carry) = match sum.get(b) {
-                        Some(&sb) => full_add(*c, sb, carry),
-                        None => half_add(*c, carry),
-                    };
-                }
-                debug_assert_eq!(carry, [0; LANES], "counter stack overflow");
+                block.add_all(singles, load);
+                block.add_all(pairs, load);
             }
+            block.store(&mut planes, stride, w0);
         }
-        planes
+        HammingCounters {
+            planes,
+            bplanes,
+            words,
+            stride,
+            active,
+        }
     }
 
     /// Allocated words per bit-plane for `words` candidate words.
@@ -2133,6 +2296,18 @@ impl HammingCounters {
     /// Distance of the candidate at plane word `w`, bit `p`.
     fn value(&self, w: usize, p: usize) -> u32 {
         (0..self.bplanes).fold(0u32, |v, b| v | (((self.plane(b)[w] >> p) & 1) as u32) << b)
+    }
+
+    /// Distances of all 64 candidates at plane word `w`: one pass over
+    /// the stack that spreads each plane's bits across the lanes.
+    fn values_into(&self, w: usize, values: &mut [u32; 64]) {
+        *values = [0; 64];
+        for b in 0..self.bplanes {
+            let x = self.planes[b * self.stride + w];
+            for (p, v) in values.iter_mut().enumerate() {
+                *v |= (((x >> p) & 1) as u32) << b;
+            }
+        }
     }
 
     /// `counts[j]` = live candidates with distance `< 2^j` (all its bits
@@ -2277,14 +2452,14 @@ pub fn hamming_topk_multi(
 }
 
 impl TcamSlab {
-    /// Accumulate per-candidate distances for `plan` over the first `rows`
-    /// rows into a word-parallel distance stack.
+    /// The miss planes of `plan` over the first `rows` rows that survive
+    /// pruning, and the uniform base the pruned ones add.
     ///
     /// Column pruning reuses the [`PlaneSummary`] caches: an `AllZero`
     /// miss plane contributes nothing and is skipped outright; a `Full`
     /// miss plane misses on *every* live candidate and joins a uniform
     /// base the stack starts from — neither ever enters the adder.
-    fn hamming_counters(&self, plan: &[(usize, KeyBit)], rows: usize) -> HammingCounters {
+    fn distance_sources(&self, plan: &[(usize, KeyBit)], rows: usize) -> DistanceSources<'_> {
         assert!(rows <= self.rows, "row limit exceeds slab");
         let words = rows * self.pw;
         let plane = self.plane_words();
@@ -2293,54 +2468,47 @@ impl TcamSlab {
         // Miss plane per surviving column: the `ones` plane for a key `0`,
         // the `zeros` plane for a key `1`. A `Z` key misses both stored
         // values; when neither plane is summarized, its miss plane
-        // `zeros | ones` is formed once, in `pairs`.
-        let mut srcs: Vec<&[u64]> = Vec::new();
-        let mut pairs: Vec<usize> = Vec::new();
-        let mut base = 0u32;
-        let mut active = 0u32;
+        // `zeros | ones` is formed as the accumulation loads it.
+        let mut src = DistanceSources {
+            singles: Vec::with_capacity(plan.len()),
+            pairs: Vec::new(),
+            base: 0,
+            active: 0,
+            words,
+        };
         for &(col, bit) in plan {
             if col >= self.cols || bit == KeyBit::Masked {
                 continue;
             }
-            active += 1;
+            src.active += 1;
             match bit {
                 KeyBit::Zero => match self.osum[col] {
                     PlaneSummary::AllZero => {}
-                    PlaneSummary::Full => base += 1,
-                    PlaneSummary::Unknown => srcs.push(ones(col)),
+                    PlaneSummary::Full => src.base += 1,
+                    PlaneSummary::Unknown => src.singles.push([ones(col)]),
                 },
                 KeyBit::One => match self.zsum[col] {
                     PlaneSummary::AllZero => {}
-                    PlaneSummary::Full => base += 1,
-                    PlaneSummary::Unknown => srcs.push(zeros(col)),
+                    PlaneSummary::Full => src.base += 1,
+                    PlaneSummary::Unknown => src.singles.push([zeros(col)]),
                 },
                 KeyBit::Z => match (self.zsum[col], self.osum[col]) {
                     (PlaneSummary::AllZero, PlaneSummary::AllZero) => {}
-                    (PlaneSummary::Full, _) | (_, PlaneSummary::Full) => base += 1,
-                    (PlaneSummary::AllZero, _) => srcs.push(ones(col)),
-                    (_, PlaneSummary::AllZero) => srcs.push(zeros(col)),
-                    _ => pairs.push(col),
+                    (PlaneSummary::Full, _) | (_, PlaneSummary::Full) => src.base += 1,
+                    (PlaneSummary::AllZero, _) => src.singles.push([ones(col)]),
+                    (_, PlaneSummary::AllZero) => src.singles.push([zeros(col)]),
+                    _ => src.pairs.push([zeros(col), ones(col)]),
                 },
                 KeyBit::Masked => unreachable!("masked entries filtered above"),
             }
         }
-        let accumulated = srcs.len() + pairs.len();
-        let pair_planes: Vec<u64> = pairs
-            .iter()
-            .flat_map(|&c| zeros(c).iter().zip(ones(c)).map(|(z, o)| z | o))
-            .collect();
-        if words > 0 {
-            srcs.extend(pair_planes.chunks_exact(words));
-        }
-        let bplanes = (u32::BITS - active.leading_zeros()) as usize;
-        HammingCounters {
-            planes: HammingCounters::accumulate(&srcs, base, bplanes, words),
-            bplanes,
-            words,
-            stride: HammingCounters::stride(words),
-            active,
-            accumulated,
-        }
+        src
+    }
+
+    /// Accumulate per-candidate distances for `plan` over the first `rows`
+    /// rows into a word-parallel distance stack.
+    fn hamming_counters(&self, plan: &[(usize, KeyBit)], rows: usize) -> HammingCounters {
+        HammingCounters::accumulate(&self.distance_sources(plan, rows))
     }
 
     /// Word-parallel distances of every candidate `(pe, row)` in the first
@@ -2359,16 +2527,15 @@ impl TcamSlab {
     pub fn hamming_into(&self, plan: &[(usize, KeyBit)], rows: usize, out: &mut [u32]) {
         assert_eq!(out.len(), self.pes * rows, "distance buffer size");
         let hc = self.hamming_counters(plan, rows);
-        let pw = self.pw;
-        for row in 0..rows {
-            for wp in 0..pw {
-                let w = row * pw + wp;
-                let mut bits = self.live[w];
+        let mut values = [0u32; 64];
+        for (row, live) in self.live[..hc.words].chunks_exact(self.pw).enumerate() {
+            for (wp, &live) in live.iter().enumerate() {
+                hc.values_into(row * self.pw + wp, &mut values);
+                let mut bits = live;
                 while bits != 0 {
                     let p = bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    let pe = wp * 64 + p;
-                    out[pe * rows + row] = hc.value(w, p);
+                    out[(wp * 64 + p) * rows + row] = values[p];
                 }
             }
         }
@@ -2400,7 +2567,8 @@ impl TcamSlab {
     /// host, though hardware still drives them; see the accounting note on
     /// `hyperap-arch`'s similarity module).
     pub fn hamming_accumulated_cols(&self, plan: &[(usize, KeyBit)], rows: usize) -> usize {
-        self.hamming_counters(plan, rows).accumulated
+        let src = self.distance_sources(plan, rows);
+        src.singles.len() + src.pairs.len()
     }
 }
 
@@ -3369,8 +3537,9 @@ mod tests {
     fn carry_save_counters_cross_batch_and_plane_boundaries() {
         // Each stored word is random, and the key fixes its first `n`
         // columns and masks the rest, so exactly `n` columns survive
-        // pruning: the counts straddle the carry-save batch width and the
-        // counter stack's bit-plane boundaries.
+        // pruning: the counts straddle the carry-save group width (planes
+        // in groups, in the remainder, or both) and the counter stack's
+        // bit-plane boundaries.
         let (pes, rows, cols) = (70, 3, 256);
         let mut slab = TcamSlab::new(pes, rows, cols);
         let mut arrays: Vec<TcamArray> = (0..pes).map(|_| TcamArray::new(rows, cols)).collect();
@@ -3391,7 +3560,7 @@ mod tests {
                 }
             }
         }
-        for n in [0usize, 1, 7, 8, 9, 255, 256] {
+        for n in [0usize, 1, 7, 8, 9, 15, 16, 17, 33, 255, 256] {
             let plan: Vec<(usize, KeyBit)> = (0..cols)
                 .map(|c| {
                     let bit = match c {
