@@ -209,32 +209,14 @@ impl ArchConfig {
         (h, w)
     }
 
-    /// FNV-1a content hash of everything that shapes compiled code and
-    /// results: the full PE hierarchy, array dimensions, the resolved mesh
-    /// shape, and the tech timing constants the trace compiler bakes into
-    /// step cycle counts ([`hyperap_isa::Instruction::cycles`]). Two
-    /// configs with equal hashes compile any stream to interchangeable
-    /// traces (modulo hash collisions — callers that cache by this hash
-    /// must still validate candidates), so this is the geometry half of a
-    /// shared program-cache key. Fault seeding is deliberately excluded:
-    /// it does not change what a compiled trace *is*.
-    pub fn geometry_hash(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        for v in self.geometry_fields() {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
-            }
-        }
-        h
-    }
-
-    /// The exact values [`geometry_hash`](Self::geometry_hash) digests, in
-    /// digest order — the collision-proof witness for caches keyed by that
-    /// hash: two configs compile any stream to interchangeable traces iff
-    /// these arrays are equal.
+    /// Everything that shapes compiled code and results: the full PE
+    /// hierarchy, array dimensions, the resolved mesh shape, and the tech
+    /// timing constants the trace compiler bakes into step cycle counts
+    /// ([`hyperap_isa::Instruction::cycles`]). Two configs compile any
+    /// stream to interchangeable traces iff these arrays are equal, which
+    /// makes this the geometry witness of a checkpoint manifest. Fault
+    /// seeding is deliberately excluded: it does not change what a
+    /// compiled trace *is*.
     pub fn geometry_fields(&self) -> [u64; 10] {
         let (mh, mw) = self.mesh_dims();
         [

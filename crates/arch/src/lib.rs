@@ -65,4 +65,4 @@ pub use machine::ApMachine;
 pub use similarity::{SimilarityHit, SimilarityOutcome};
 pub use slab::{ChunkPayload, ChunkState, MachineExtras, RestoreError, SlabMachine};
 pub use stats::{PeHealth, RunStats};
-pub use trace::{stream_set_hash, CompiledTrace};
+pub use trace::{stream_set_hash, CompiledProgram, CompiledTrace};

@@ -332,7 +332,7 @@ impl<'a> SweepRun<'a> {
 
 /// Borrowed view of one slab chunk's serializable state — everything a
 /// checkpoint must capture to restore the chunk bit-identically (the
-/// active-mask cache and trace cache are recomputed, not state).
+/// active-mask cache is recomputed, not state).
 #[derive(Debug)]
 pub struct ChunkState<'a> {
     /// Global index of the chunk's first PE.
@@ -434,11 +434,6 @@ pub struct SlabMachine {
     mov_scratch: Vec<u64>,
     /// Decoded `WriteR` immediate.
     imm_scratch: TagVector,
-    /// Content-addressed trace cache: the last compiled stream set and its
-    /// traces. [`run`](Self::run) recompiles only when the incoming streams
-    /// differ, so steady-state reruns of the same kernel pay one stream
-    /// comparison instead of a full compile.
-    trace_cache: Option<(Vec<Vec<Instruction>>, Vec<CompiledTrace>)>,
 }
 
 impl SlabMachine {
@@ -495,7 +490,6 @@ impl SlabMachine {
             active: vec![ActiveSet::default(); config.groups],
             mov_scratch: Vec::new(),
             imm_scratch: TagVector::zeros(config.rows),
-            trace_cache: None,
             config,
         }
     }
@@ -506,9 +500,7 @@ impl SlabMachine {
     /// keys, bank masks, and data buffers — without reallocating the
     /// arenas. A scrubbed machine is bit-identical to a fresh
     /// [`new`](Self::new) of the same config: the serving layer scrubs
-    /// between tenants so one job can never observe another's state. The
-    /// content-addressed trace cache survives (it is invisible in results
-    /// and exactly what a steady-state pool wants warm).
+    /// between tenants so one job can never observe another's state.
     ///
     /// The cost is proportional to what was written since the last scrub.
     /// Each chunk keeps a clean mark — its
@@ -691,7 +683,7 @@ impl SlabMachine {
     /// `pe_snapshot`, data register, wear counter, spare remap, and fault
     /// latch matches.
     ///
-    /// The derived caches (active sets, scratch, trace cache) are reset,
+    /// The derived caches (active sets, scratch) are reset,
     /// and so is every chunk's clean mark: the installed arenas carry
     /// version counters of their own, so the next [`scrub`](Self::scrub)
     /// resets every chunk in full. The controller extras are restored
@@ -810,7 +802,6 @@ impl SlabMachine {
         self.active.fill(ActiveSet::default());
         self.mov_scratch.clear();
         self.imm_scratch.blocks_mut().fill(0);
-        self.trace_cache = None;
         Ok(())
     }
 
@@ -843,20 +834,9 @@ impl SlabMachine {
     }
 
     /// Host read: decode the encoded pair at columns `col`, `col + 1` of
-    /// one PE into `(hi, lo)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cells do not hold a valid two-bit code; see
-    /// [`try_read_encoded_pair`](Self::try_read_encoded_pair).
-    pub fn read_encoded_pair(&self, pe: usize, row: usize, col: usize) -> (bool, bool) {
-        self.try_read_encoded_pair(pe, row, col)
-            .expect("valid two-bit code")
-    }
-
-    /// Like [`read_encoded_pair`](Self::read_encoded_pair), but `None`
-    /// when the cells do not hold a valid code (e.g. a never-written pair
-    /// of `0` cells, or an `X` where the code needs a bit).
+    /// one PE into `(hi, lo)`; `None` when the cells do not hold a valid
+    /// two-bit code (e.g. a never-written pair of `0` cells, or an `X`
+    /// where the code needs a bit).
     pub fn try_read_encoded_pair(&self, pe: usize, row: usize, col: usize) -> Option<(bool, bool)> {
         let (c, s) = self.chunk_of(pe);
         let storage = &self.chunks[c].storage;
@@ -921,10 +901,10 @@ impl SlabMachine {
     /// contract and results to [`ApMachine::run`](crate::ApMachine::run),
     /// executed through compiled traces ([`crate::trace`]).
     ///
-    /// Compiled traces are cached by stream content: rerunning the same
-    /// streams (the steady state of a kernel executed many times) skips
-    /// recompilation entirely. Caching is invisible in the results —
-    /// identical streams compile to identical traces.
+    /// Every call compiles the streams. A caller that runs the same
+    /// streams many times compiles them once with
+    /// [`CompiledProgram::compile`](trace::CompiledProgram::compile) and
+    /// runs the traces with [`try_run_compiled`](Self::try_run_compiled).
     ///
     /// # Panics
     ///
@@ -939,20 +919,8 @@ impl SlabMachine {
     /// instead of a panic — identical contract (including the exact error)
     /// to [`ApMachine::try_run`](crate::ApMachine::try_run).
     pub fn try_run(&mut self, streams: &[Vec<Instruction>]) -> Result<RunStats, FaultError> {
-        let cached = self
-            .trace_cache
-            .take()
-            .filter(|(s, _)| s.as_slice() == streams);
-        let (key, traces) = match cached {
-            Some(hit) => hit,
-            None => (
-                streams.to_vec(),
-                trace::compile_streams(streams, &self.config),
-            ),
-        };
-        let stats = self.try_run_compiled(&traces);
-        self.trace_cache = Some((key, traces));
-        stats
+        let program = trace::CompiledProgram::compile(streams, &self.config);
+        self.try_run_compiled(&program.traces)
     }
 
     /// Fail fast on a latched spare-exhaustion failure (scanning chunks in
@@ -1009,7 +977,7 @@ impl SlabMachine {
         Ok(())
     }
 
-    /// Run precompiled traces ([`trace::compile_streams`]) — the hot path
+    /// Run precompiled traces ([`trace::CompiledProgram`]) — the hot path
     /// behind [`try_run`](Self::try_run), reusable when the same streams
     /// execute many times. Identical results (and the same typed error on
     /// fault degradation) as
@@ -1023,9 +991,10 @@ impl SlabMachine {
     /// work; synchronization points retire in exactly the interpreter's
     /// order because all cycle costs are static.
     ///
-    /// Traces may be owned or borrowed: a serving layer holding compiled
-    /// programs behind `Arc`s (possibly the same program repeated across
-    /// groups) passes `&[&CompiledTrace]` and clones no trace.
+    /// Traces may be owned, shared or borrowed: a
+    /// [`CompiledProgram`](trace::CompiledProgram)'s `Arc`s run as they
+    /// are, and a serving layer batching several programs passes
+    /// `&[&CompiledTrace]`, so no trace is cloned.
     pub fn try_run_compiled<T: Borrow<CompiledTrace>>(
         &mut self,
         traces: &[T],
@@ -1443,7 +1412,11 @@ mod tests {
     fn encoded_round_trip_through_host_paths() {
         let mut m = SlabMachine::new(ArchConfig::tiny());
         m.load_encoded_pair(1, 4, 10, true, false);
-        assert_eq!(m.read_encoded_pair(1, 4, 10), (true, false));
+        assert_eq!(
+            m.try_read_encoded_pair(1, 4, 10)
+                .expect("valid two-bit code"),
+            (true, false)
+        );
         m.load_bit(1, 4, 20, true);
         assert_eq!(m.read_bit(1, 4, 20), Some(true));
         assert_eq!(m.read_bit(1, 4, 21), Some(false));

@@ -79,6 +79,7 @@
 //!   fusion decisions.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use crate::config::ArchConfig;
 use hyperap_isa::{Instruction, SyncClass};
@@ -307,8 +308,8 @@ impl CompiledTrace {
     /// Compile one stream and apply the [`peephole`](Self::peephole)
     /// fusion pass. `reg_sync` demotes `SetTag`/`ReadTag` to
     /// synchronization points — required when another group's stream can
-    /// touch this group's data registers (see [`compile_streams`], which
-    /// derives the flag; pass `false` for a single-stream machine).
+    /// touch this group's data registers (see [`CompiledProgram::compile`],
+    /// which derives the flag; pass `false` for a single-stream machine).
     pub fn compile(stream: &[Instruction], config: &ArchConfig, reg_sync: bool) -> Self {
         let mut trace = Self::compile_unfused(stream, config, reg_sync);
         trace.peephole();
@@ -788,12 +789,67 @@ pub fn stream_set_hash(streams: &[Vec<Instruction>]) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Compile every stream of a multi-group program, deriving each stream's
-/// `reg_sync` flag: a stream's `SetTag`/`ReadTag` stay segment-internal
-/// only if no *other* stream contains an instruction that can touch remote
-/// data registers ([`Instruction::touches_remote_regs`]).
+/// A multi-group program compiled once for one machine geometry: what
+/// [`crate::SlabMachine::try_run_compiled`] runs and what a serving layer
+/// caches. Every compile-time fact about a stream set is derived here, once.
+#[derive(Debug)]
+pub struct CompiledProgram {
+    /// One trace per group stream. Groups with equal `(stream, reg_sync)`
+    /// share one `Arc`, so an SPMD program compiles its stream once.
+    pub traces: Vec<Arc<CompiledTrace>>,
+    /// True if some stream can touch remote data registers
+    /// ([`Instruction::touches_remote_regs`]). Such a program depends on
+    /// the whole machine's mesh, so it cannot share a machine with others.
+    pub remote: bool,
+}
+
+impl CompiledProgram {
+    /// Compile one stream per group, deriving each stream's `reg_sync`
+    /// flag: a stream's `SetTag`/`ReadTag` stay segment-internal only if no
+    /// *other* stream contains an instruction that can touch remote data
+    /// registers ([`Instruction::touches_remote_regs`]).
+    pub fn compile(streams: &[Vec<Instruction>], config: &ArchConfig) -> Self {
+        Self::build(streams, config, CompiledTrace::compile)
+    }
+
+    fn build(
+        streams: &[Vec<Instruction>],
+        config: &ArchConfig,
+        compile: fn(&[Instruction], &ArchConfig, bool) -> CompiledTrace,
+    ) -> Self {
+        let remote: Vec<bool> = streams
+            .iter()
+            .map(|s| s.iter().any(Instruction::touches_remote_regs))
+            .collect();
+        let remote_streams = remote.iter().filter(|&&r| r).count();
+        let reg_syncs: Vec<bool> = remote
+            .iter()
+            .map(|&own| remote_streams > usize::from(own))
+            .collect();
+        // SPMD programs run the same stream on every group; identical
+        // (stream, reg_sync) inputs share one compilation.
+        let mut traces: Vec<Arc<CompiledTrace>> = Vec::with_capacity(streams.len());
+        for (g, stream) in streams.iter().enumerate() {
+            let dup = (0..g).find(|&p| reg_syncs[p] == reg_syncs[g] && streams[p] == *stream);
+            traces.push(match dup {
+                Some(p) => Arc::clone(&traces[p]),
+                None => Arc::new(compile(stream, config, reg_syncs[g])),
+            });
+        }
+        CompiledProgram {
+            traces,
+            remote: remote_streams > 0,
+        }
+    }
+
+    fn into_traces(self) -> Vec<CompiledTrace> {
+        self.traces.into_iter().map(Arc::unwrap_or_clone).collect()
+    }
+}
+
+/// [`CompiledProgram::compile`] as one owned trace per stream.
 pub fn compile_streams(streams: &[Vec<Instruction>], config: &ArchConfig) -> Vec<CompiledTrace> {
-    compile_streams_with(streams, config, CompiledTrace::compile)
+    CompiledProgram::compile(streams, config).into_traces()
 }
 
 /// [`compile_streams`] without the peephole pass — the unfused baseline for
@@ -802,39 +858,7 @@ pub fn compile_streams_unfused(
     streams: &[Vec<Instruction>],
     config: &ArchConfig,
 ) -> Vec<CompiledTrace> {
-    compile_streams_with(streams, config, CompiledTrace::compile_unfused)
-}
-
-fn compile_streams_with(
-    streams: &[Vec<Instruction>],
-    config: &ArchConfig,
-    compile: fn(&[Instruction], &ArchConfig, bool) -> CompiledTrace,
-) -> Vec<CompiledTrace> {
-    let remote: Vec<bool> = streams
-        .iter()
-        .map(|s| s.iter().any(Instruction::touches_remote_regs))
-        .collect();
-    let reg_syncs: Vec<bool> = (0..streams.len())
-        .map(|g| {
-            remote
-                .iter()
-                .enumerate()
-                .any(|(other, &touches)| other != g && touches)
-        })
-        .collect();
-    // SPMD programs run the same stream on every group; compiling (and
-    // peephole-optimizing) each copy separately would multiply the compile
-    // cost by the group count, so identical (stream, reg_sync) inputs share
-    // one compilation via clone.
-    let mut traces: Vec<CompiledTrace> = Vec::with_capacity(streams.len());
-    for (g, stream) in streams.iter().enumerate() {
-        let dup = (0..g).find(|&p| reg_syncs[p] == reg_syncs[g] && streams[p] == *stream);
-        traces.push(match dup {
-            Some(p) => traces[p].clone(),
-            None => compile(stream, config, reg_syncs[g]),
-        });
-    }
-    traces
+    CompiledProgram::build(streams, config, CompiledTrace::compile_unfused).into_traces()
 }
 
 #[cfg(test)]
@@ -1055,6 +1079,51 @@ mod tests {
         let quiet = compile_streams(&[tags.clone(), tags], &cfg());
         assert_eq!(quiet[0].sync_count(), 0);
         assert_eq!(quiet[1].sync_count(), 0);
+    }
+
+    #[test]
+    fn compiled_program_shares_spmd_traces_and_flags_remote_streams() {
+        let local = vec![
+            setkey("1-"),
+            SEARCH,
+            Instruction::ReadTag,
+            Instruction::SetTag,
+            Instruction::Count,
+        ];
+        // 16 equal streams compile once and share one trace.
+        let spmd = vec![local.clone(); 16];
+        let solo = CompiledProgram::compile(&spmd, &cfg());
+        assert!(!solo.remote);
+        assert_eq!(solo.traces.len(), 16);
+        assert!(solo.traces.iter().all(|t| Arc::ptr_eq(t, &solo.traces[0])));
+        // One mover among them demotes the others' tag transfers: they
+        // still share one trace, but not the mover's nor the solo one.
+        let mut mixed = spmd.clone();
+        mixed[5].push(Instruction::MovR {
+            dir: Direction::Left,
+        });
+        let synced = CompiledProgram::compile(&mixed, &cfg());
+        assert!(synced.remote);
+        for (g, t) in synced.traces.iter().enumerate() {
+            assert_eq!(Arc::ptr_eq(t, &synced.traces[0]), g != 5, "group {g}");
+        }
+        assert_eq!(
+            synced.traces[0].sync_count(),
+            solo.traces[0].sync_count() + 2
+        );
+        assert_eq!(
+            synced.traces[5].sync_count(),
+            solo.traces[0].sync_count() + 1
+        );
+        // `compile_streams` hands out the same traces by value.
+        for (streams, program) in [(&spmd, &solo), (&mixed, &synced)] {
+            let owned: Vec<CompiledTrace> = program
+                .traces
+                .iter()
+                .map(|t| CompiledTrace::clone(t))
+                .collect();
+            assert_eq!(compile_streams(streams, &cfg()), owned);
+        }
     }
 
     #[test]

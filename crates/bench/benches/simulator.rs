@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks for the simulator substrate and the compiler.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use hyperap_arch::trace::compile_streams;
 use hyperap_arch::{ArchConfig, SlabMachine};
 use hyperap_bench::add32_streams;
 use hyperap_compiler::{compile, CompileOptions};
@@ -156,9 +157,10 @@ fn bench_group_run(c: &mut Criterion) {
     let mut cfg = ArchConfig::paper_scaled(64);
     cfg.groups = 4;
     let streams = add32_streams(256, cfg.groups);
+    let traces = compile_streams(&streams, &cfg);
     let mut m = SlabMachine::new(cfg);
     c.bench_function("group_run_add32_seq", |b| {
-        b.iter(|| black_box(m.run(&streams)))
+        b.iter(|| black_box(m.try_run_compiled(&traces).expect("fault-free run")))
     });
 }
 

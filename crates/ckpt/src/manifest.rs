@@ -132,8 +132,7 @@ impl From<SlabDecodeError> for CkptError {
     }
 }
 
-/// FNV-1a 64 over a byte slice — the manifest's self-checksum (same
-/// constants as [`ArchConfig::geometry_hash`]).
+/// FNV-1a 64 over a byte slice — the manifest's self-checksum.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;

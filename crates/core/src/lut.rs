@@ -539,7 +539,11 @@ mod tests {
             pe.load_bit(0, 0, a);
             pe.load_bit(0, 1, b);
             lut.lower_hyper().run(&mut pe);
-            assert_eq!(pe.read_encoded_pair(0, 2), (a && b, a || b), "v={v}");
+            assert_eq!(
+                pe.try_read_encoded_pair(0, 2).expect("valid two-bit code"),
+                (a && b, a || b),
+                "v={v}"
+            );
         }
     }
 

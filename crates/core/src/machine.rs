@@ -283,19 +283,8 @@ impl HyperPe {
     }
 
     /// Host read: decode the encoded pair at columns `col`, `col + 1` into
-    /// `(hi, lo)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cells do not hold a valid two-bit code.
-    pub fn read_encoded_pair(&self, row: usize, col: usize) -> (bool, bool) {
-        self.try_read_encoded_pair(row, col)
-            .expect("valid two-bit code")
-    }
-
-    /// Like [`read_encoded_pair`](Self::read_encoded_pair) but returns `None`
-    /// when the cells do not hold a valid code (e.g. untouched all-zero
-    /// columns before the first encoded store).
+    /// `(hi, lo)`; `None` when the cells do not hold a valid two-bit code
+    /// (e.g. untouched all-zero columns before the first encoded store).
     pub fn try_read_encoded_pair(&self, row: usize, col: usize) -> Option<(bool, bool)> {
         let v = hyperap_tcam::encoding::decode_pair([
             self.array.cell(row, col),
@@ -455,8 +444,14 @@ mod tests {
         pe.latch_tags();
         pe.search(&SearchKey::parse("-1--").unwrap(), false); // tags = row1
         pe.write_encoded(2);
-        assert_eq!(pe.read_encoded_pair(0, 2), (true, false));
-        assert_eq!(pe.read_encoded_pair(1, 2), (false, true));
+        assert_eq!(
+            pe.try_read_encoded_pair(0, 2).expect("valid two-bit code"),
+            (true, false)
+        );
+        assert_eq!(
+            pe.try_read_encoded_pair(1, 2).expect("valid two-bit code"),
+            (false, true)
+        );
         assert_eq!(pe.op_counts().writes_encoded, 1);
     }
 
@@ -522,7 +517,10 @@ mod tests {
         let mut pe = HyperPe::new(1, 2);
         for (hi, lo) in [(false, false), (false, true), (true, false), (true, true)] {
             pe.load_encoded_pair(0, 0, hi, lo);
-            assert_eq!(pe.read_encoded_pair(0, 0), (hi, lo));
+            assert_eq!(
+                pe.try_read_encoded_pair(0, 0).expect("valid two-bit code"),
+                (hi, lo)
+            );
         }
     }
 }

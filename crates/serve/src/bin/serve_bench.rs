@@ -21,8 +21,10 @@
 //! non-zero, and `bench_guard` re-checks the same floors against the
 //! checked-in numbers.
 //!
-//! Run `bench_sim` first when regenerating: it rewrites `BENCH_SIM.json`
-//! wholesale, while this binary only splices its `serve` block in.
+//! Run `bench_sim` first, from the same working directory: it writes
+//! `target/BENCH_SIM.json` wholesale, and this binary splices its `serve`
+//! block into that file. To regenerate the checked-in baseline, copy the
+//! result over the repository-root `BENCH_SIM.json`.
 //!
 //! `--smoke` runs a seconds-scale correctness pass on a tiny geometry
 //! (results cross-checked against isolated machines) and writes nothing.
@@ -182,7 +184,7 @@ fn vm_hwm_kb() -> u64 {
         .unwrap_or(0)
 }
 
-/// Splice `block` in as the top-level `"serve"` object of the checked-in
+/// Splice `block` in as the top-level `"serve"` object of a
 /// `BENCH_SIM.json` (replacing any previous one). No JSON dependency is
 /// available offline, so this is a brace-depth scan over the known
 /// bench_sim layout.
@@ -224,18 +226,9 @@ fn merge_serve_block(json: &str, block: &str) -> String {
     format!("{head}{sep}\n  \"serve\": {block}\n}}\n")
 }
 
-fn find_bench_json() -> Option<std::path::PathBuf> {
-    let mut dir = std::env::current_dir().ok()?;
-    loop {
-        let p = dir.join("BENCH_SIM.json");
-        if p.exists() {
-            return Some(p);
-        }
-        if !dir.pop() {
-            return None;
-        }
-    }
-}
+/// Where `bench_sim` writes its fresh numbers, relative to the working
+/// directory.
+const BENCH_JSON: &str = "target/BENCH_SIM.json";
 
 /// Tiny-geometry correctness pass for CI: results under concurrency are
 /// cross-checked against isolated machines; nothing is written.
@@ -402,14 +395,14 @@ fn main() {
   }}"#,
         stats.max_queue_depth, stats.batched_jobs, stats.sweeps
     );
-    match find_bench_json() {
-        Some(path) => {
-            let json = std::fs::read_to_string(&path).expect("read BENCH_SIM.json");
-            std::fs::write(&path, merge_serve_block(&json, &block)).expect("write BENCH_SIM.json");
-            println!("serve_bench: merged serve block into {}", path.display());
+    match std::fs::read_to_string(BENCH_JSON) {
+        Ok(json) => {
+            std::fs::write(BENCH_JSON, merge_serve_block(&json, &block))
+                .unwrap_or_else(|e| panic!("write {BENCH_JSON}: {e}"));
+            println!("serve_bench: merged serve block into {BENCH_JSON}");
         }
-        None => {
-            eprintln!("serve_bench: BENCH_SIM.json not found — run bench_sim first");
+        Err(_) => {
+            eprintln!("serve_bench: {BENCH_JSON} not found — run bench_sim first");
             failed = true;
         }
     }

@@ -1,20 +1,15 @@
 //! The shared cross-tenant program cache.
 //!
-//! PR 4 gave every machine a private content-addressed trace cache — the
-//! right shape for one long-lived machine rerunning one kernel, and the
-//! wrong one for a pool: N tenants submitting the same kernel through N
-//! machines would compile it N times and cache it N times. This module
-//! hoists that cache above the pool: one concurrent, capacity-bounded LRU
-//! shared by every submitter, keyed by content
-//! ([`hyperap_arch::stream_set_hash`] of the instruction streams +
-//! [`hyperap_arch::ArchConfig::geometry_hash`]).
+//! A pool compiles each distinct program once: N tenants submitting the
+//! same kernel through N machines share one [`CompiledProgram`]. The
+//! cache is one concurrent, capacity-bounded LRU shared by every submitter
+//! and bound to the pool's one [`ArchConfig`], keyed by content
+//! ([`hyperap_arch::stream_set_hash`] of the instruction streams).
 //!
 //! Correctness over the hash is never assumed: a key hit is validated by
 //! comparing the full stream set (cheap — the vectorized `SearchKey`
-//! equality from the slab work) *and* the geometry witness
-//! ([`ArchConfig::geometry_fields`], the exact values the geometry hash
-//! digests), and a collision on either half recompiles and replaces the
-//! entry rather than serving the wrong program.
+//! equality), and a collision recompiles and replaces the entry rather
+//! than serving the wrong program.
 //!
 //! Compilation happens *outside* the cache lock, so a miss never stalls
 //! concurrent hits; two threads racing to compile the same cold program do
@@ -25,37 +20,20 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use hyperap_arch::{stream_set_hash, ArchConfig, CompiledTrace};
+use hyperap_arch::{stream_set_hash, ArchConfig, CompiledProgram};
 use hyperap_isa::Instruction;
 
 /// A compiled program as the cache stores it: the source streams (the
-/// validation witness) plus their compiled traces, shared read-only behind
-/// an `Arc` by every job that runs it.
+/// validation witness) plus their compiled program, shared read-only
+/// behind an `Arc` by every job that runs it.
 #[derive(Debug)]
 pub struct CachedProgram {
-    /// Cache key: `(stream-set hash, geometry hash)`.
-    pub key: (u64, u64),
+    /// Cache key: the stream-set hash.
+    pub key: u64,
     /// The instruction streams exactly as submitted, one per group.
     pub streams: Vec<Vec<Instruction>>,
-    /// The geometry witness ([`ArchConfig::geometry_fields`]) the program
-    /// was compiled for — the exact values the key's geometry hash
-    /// digests, validated on every hit alongside stream equality so a
-    /// geometry-hash collision can never serve a trace compiled for a
-    /// different machine shape.
-    pub geometry: [u64; 10],
-    /// One compiled trace per stream.
-    pub traces: Vec<CompiledTrace>,
-}
-
-impl CachedProgram {
-    /// Whether any stream can touch data registers outside its own PE
-    /// (`MovR`/`ReadR`/`WriteR`) — the property that rules out batching
-    /// with neighbors and pins the program to a full machine.
-    pub fn touches_remote_regs(&self) -> bool {
-        self.streams
-            .iter()
-            .any(|s| s.iter().any(Instruction::touches_remote_regs))
-    }
+    /// The streams compiled for the cache's config.
+    pub program: CompiledProgram,
 }
 
 /// Monotonic counters describing cache behavior since construction.
@@ -90,7 +68,7 @@ struct Entry {
 }
 
 struct Inner {
-    entries: HashMap<(u64, u64), Entry>,
+    entries: HashMap<u64, Entry>,
     clock: u64,
 }
 
@@ -98,6 +76,7 @@ struct Inner {
 /// tenants and machines. See the [module docs](self).
 pub struct ProgramCache {
     capacity: usize,
+    config: ArchConfig,
     inner: Mutex<Inner>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -115,17 +94,19 @@ impl std::fmt::Debug for ProgramCache {
 }
 
 impl ProgramCache {
-    /// An empty cache holding at most `capacity` compiled programs.
+    /// An empty cache holding at most `capacity` programs compiled for
+    /// `config`.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero — a cacheless pool would silently
     /// recompile every submission, which is never what a serving layer
     /// wants; make the bound explicit instead.
-    pub fn new(capacity: usize) -> Self {
+    pub fn new(capacity: usize, config: ArchConfig) -> Self {
         assert!(capacity > 0, "program cache capacity must be non-zero");
         ProgramCache {
             capacity,
+            config,
             inner: Mutex::new(Inner {
                 entries: HashMap::new(),
                 clock: 0,
@@ -162,27 +143,22 @@ impl ProgramCache {
         }
     }
 
-    /// Look up `streams` for the given geometry, compiling on a miss.
+    /// Look up `streams`, compiling them for the cache's config on a miss.
     ///
     /// The returned program is shared: repeated calls with equal streams
     /// return clones of one `Arc` until the entry is evicted. Hits are
     /// validated by full stream equality; a hash collision (different
     /// streams, same key) is counted, recompiled, and replaces the
     /// resident entry.
-    pub fn get_or_compile(
-        &self,
-        streams: &[Vec<Instruction>],
-        config: &ArchConfig,
-    ) -> Arc<CachedProgram> {
-        let geometry = config.geometry_fields();
-        let key = (stream_set_hash(streams), config.geometry_hash());
+    pub fn get_or_compile(&self, streams: &[Vec<Instruction>]) -> Arc<CachedProgram> {
+        let key = stream_set_hash(streams);
         let mut collision = false;
         {
             let mut inner = crate::lock(&self.inner);
             inner.clock += 1;
             let clock = inner.clock;
             if let Some(entry) = inner.entries.get_mut(&key) {
-                if entry.program.streams == streams && entry.program.geometry == geometry {
+                if entry.program.streams == streams {
                     entry.last_used = clock;
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     return Arc::clone(&entry.program);
@@ -199,8 +175,7 @@ impl ProgramCache {
         let program = Arc::new(CachedProgram {
             key,
             streams: streams.to_vec(),
-            geometry,
-            traces: hyperap_arch::trace::compile_streams(streams, config),
+            program: CompiledProgram::compile(streams, &self.config),
         });
         let mut inner = crate::lock(&self.inner);
         inner.clock += 1;
@@ -209,7 +184,7 @@ impl ProgramCache {
         // compiled; reuse its Arc so batch coalescing (which compares by
         // pointer first) sees one shared value.
         if let Some(entry) = inner.entries.get_mut(&key) {
-            if entry.program.streams == streams && entry.program.geometry == geometry {
+            if entry.program.streams == streams {
                 entry.last_used = clock;
                 return Arc::clone(&entry.program);
             }
@@ -255,10 +230,9 @@ mod tests {
 
     #[test]
     fn hit_shares_one_arc() {
-        let cfg = ArchConfig::tiny();
-        let cache = ProgramCache::new(4);
-        let a = cache.get_or_compile(&stream("1-"), &cfg);
-        let b = cache.get_or_compile(&stream("1-"), &cfg);
+        let cache = ProgramCache::new(4, ArchConfig::tiny());
+        let a = cache.get_or_compile(&stream("1-"));
+        let b = cache.get_or_compile(&stream("1-"));
         assert!(Arc::ptr_eq(&a, &b));
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
@@ -266,29 +240,16 @@ mod tests {
     }
 
     #[test]
-    fn distinct_geometry_is_a_distinct_entry() {
-        let cache = ProgramCache::new(4);
-        let mut wide = ArchConfig::tiny();
-        wide.cols *= 2;
-        let a = cache.get_or_compile(&stream("1-"), &ArchConfig::tiny());
-        let b = cache.get_or_compile(&stream("1-"), &wide);
-        assert!(!Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.stats().misses, 2);
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
     fn lru_evicts_the_coldest_entry() {
-        let cfg = ArchConfig::tiny();
-        let cache = ProgramCache::new(2);
-        cache.get_or_compile(&stream("1-"), &cfg);
-        cache.get_or_compile(&stream("0-"), &cfg);
-        cache.get_or_compile(&stream("1-"), &cfg); // touch: "0-" is now LRU
-        cache.get_or_compile(&stream("-1"), &cfg); // evicts "0-"
+        let cache = ProgramCache::new(2, ArchConfig::tiny());
+        cache.get_or_compile(&stream("1-"));
+        cache.get_or_compile(&stream("0-"));
+        cache.get_or_compile(&stream("1-")); // touch: "0-" is now LRU
+        cache.get_or_compile(&stream("-1")); // evicts "0-"
         assert_eq!(cache.stats().evictions, 1);
-        cache.get_or_compile(&stream("1-"), &cfg);
+        cache.get_or_compile(&stream("1-"));
         assert_eq!(cache.stats().hits, 2, "the touched entry survived");
-        cache.get_or_compile(&stream("0-"), &cfg);
+        cache.get_or_compile(&stream("0-"));
         assert_eq!(cache.stats().misses, 4, "the evicted entry recompiled");
     }
 }

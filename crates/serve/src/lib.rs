@@ -9,12 +9,11 @@
 //!   own deque from the front and steals from the back of its peers' when
 //!   idle, so a burst landing on one tenant's stripe spreads over every
 //!   core.
-//! * [`ProgramCache`] promotes the per-machine content-addressed trace
-//!   cache into one shared, capacity-bounded LRU keyed by
-//!   `(stream-set hash, geometry hash)`: N tenants submitting the same
-//!   kernel compile it **once**, and every hit is validated by full stream
-//!   equality plus the geometry witness before reuse, so a hash collision
-//!   can never serve the wrong program.
+//! * [`ProgramCache`] is one shared, capacity-bounded LRU of
+//!   [`hyperap_arch::CompiledProgram`]s for the pool's geometry, keyed by
+//!   stream-set hash: N tenants submitting the same kernel compile it
+//!   **once**, and every hit is validated by full stream equality before
+//!   reuse, so a hash collision can never serve the wrong program.
 //! * Compatible submissions — same cached program, no cross-PE traffic,
 //!   zero-fault config — are **batched**: coalesced onto disjoint group
 //!   ranges of one machine and executed as a single sweep, amortizing the

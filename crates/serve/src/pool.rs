@@ -14,8 +14,8 @@
 //!
 //! When a worker picks up a job it scans the queues for riders: jobs with
 //! the *same cached program* (pointer-equal `Arc` from the shared
-//! [`ProgramCache`], or equal key + streams across
-//! an eviction) that are batch-safe. Riders are placed on the next group
+//! [`ProgramCache`], or equal key + streams across an eviction) that are
+//! batch-safe. Riders are placed on the next group
 //! ranges of the same machine and the whole batch executes as **one
 //! sweep** — one scrub, one dispatch, one endurance pass. A job is
 //! batch-safe iff no stream touches remote data registers and the pool
@@ -43,7 +43,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use hyperap_arch::{ArchConfig, PeHealth, RunStats, SlabMachine};
-use hyperap_isa::Instruction;
 use hyperap_model::timing::OpCounts;
 use hyperap_tcam::FaultError;
 
@@ -265,7 +264,6 @@ impl Sched {
                     && groups + job.program.streams.len() <= machine_groups
                     && (Arc::ptr_eq(&job.program, &primary.program)
                         || (job.program.key == primary.program.key
-                            && job.program.geometry == primary.program.geometry
                             && job.program.streams == primary.program.streams));
                 if fits {
                     let job = self.deques[v].remove(i).expect("indexed job");
@@ -324,7 +322,7 @@ impl ServePool {
         );
         let machines = cfg.machines;
         let shared = Arc::new(Shared {
-            cache: ProgramCache::new(cfg.cache_capacity),
+            cache: ProgramCache::new(cfg.cache_capacity, cfg.arch.clone()),
             sched: Mutex::new(Sched {
                 deques: (0..machines).map(|_| VecDeque::new()).collect(),
                 healthy: vec![true; machines],
@@ -370,7 +368,10 @@ impl ServePool {
     ///
     /// Typed [`SubmitError`]s for every refusal: malformed specs, per-
     /// tenant backpressure, a fully quarantined pool, or shutdown. A
-    /// refused job was never queued.
+    /// refused job was never queued. Whether a job touches remote data
+    /// registers is a fact of its compiled program, so a job refused with
+    /// [`SubmitError::RemoteOpsNeedFullMachine`] may leave that program in
+    /// the cache.
     pub fn submit(&self, spec: JobSpec) -> Result<JobHandle, SubmitError> {
         let machine_groups = self.shared.cfg.arch.groups;
         if spec.streams.is_empty() {
@@ -378,16 +379,6 @@ impl ServePool {
         }
         if spec.streams.len() > machine_groups {
             return Err(SubmitError::TooManyGroups {
-                requested: spec.streams.len(),
-                machine_groups,
-            });
-        }
-        let remote = spec
-            .streams
-            .iter()
-            .any(|s| s.iter().any(Instruction::touches_remote_regs));
-        if remote && spec.streams.len() != machine_groups {
-            return Err(SubmitError::RemoteOpsNeedFullMachine {
                 requested: spec.streams.len(),
                 machine_groups,
             });
@@ -411,13 +402,17 @@ impl ServePool {
         }
         // Compile (or hit the shared cache) before taking the scheduler
         // lock: a cold kernel must never stall admission for other
-        // tenants. Fault-seeded pools never batch: faults derive from
-        // global PE ids, so isolated-run equivalence only holds at group
-        // offset 0.
-        let program = self
-            .shared
-            .cache
-            .get_or_compile(&spec.streams, &self.shared.cfg.arch);
+        // tenants.
+        let program = self.shared.cache.get_or_compile(&spec.streams);
+        let remote = program.program.remote;
+        if remote && spec.streams.len() != machine_groups {
+            return Err(SubmitError::RemoteOpsNeedFullMachine {
+                requested: spec.streams.len(),
+                machine_groups,
+            });
+        }
+        // Fault-seeded pools never batch: faults derive from global PE
+        // ids, so isolated-run equivalence only holds at group offset 0.
         let batchable = !remote && !self.shared.cfg.arch.faults.is_active();
         let mut sched = crate::lock(&self.shared.sched);
         if sched.shutdown {
@@ -611,7 +606,7 @@ fn run_batch(
         for load in &job.loads {
             machine.load_bit(off * per + load.pe, load.row, load.col, load.value);
         }
-        refs.extend(job.program.traces.iter());
+        refs.extend(job.program.program.traces.iter().map(Arc::as_ref));
         off += job.program.streams.len();
     }
     let stats = machine.try_run_compiled(&refs)?;
@@ -726,6 +721,7 @@ mod tests {
     use super::*;
     use crate::job::JobSpec;
     use hyperap_arch::{FaultModel, SlabMachine};
+    use hyperap_isa::Instruction;
     use hyperap_tcam::SearchKey;
 
     fn setkey(s: &str) -> Instruction {
@@ -898,6 +894,49 @@ mod tests {
     }
 
     #[test]
+    fn partial_remote_jobs_are_refused_cold_and_cached() {
+        let pool = tiny_pool(1);
+        let groups = ArchConfig::tiny().groups;
+        let stream = vec![
+            setkey("1-"),
+            SEARCH,
+            Instruction::ReadTag,
+            Instruction::MovR {
+                dir: hyperap_isa::Direction::Left,
+            },
+            Instruction::SetTag,
+            Instruction::Count,
+        ];
+        let refused = SubmitError::RemoteOpsNeedFullMachine {
+            requested: 1,
+            machine_groups: groups,
+        };
+        let partial = || JobSpec {
+            tenant: 0,
+            streams: vec![stream.clone()],
+            loads: vec![],
+        };
+        assert_eq!(pool.submit(partial()).unwrap_err(), refused);
+        // The same stream on every group runs, and matches its isolated run.
+        let full = vec![stream.clone(); groups];
+        let out = pool
+            .submit(JobSpec {
+                tenant: 0,
+                streams: full.clone(),
+                loads: vec![],
+            })
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(out.stats, SlabMachine::new(ArchConfig::tiny()).run(&full));
+        // The refused partial program stayed cached; a hit is refused too.
+        assert_eq!(pool.submit(partial()).unwrap_err(), refused);
+        let stats = pool.shutdown();
+        assert_eq!((stats.cache.misses, stats.cache.hits), (2, 1));
+        assert_eq!(stats.completed_jobs, 1);
+    }
+
+    #[test]
     fn out_of_span_loads_are_rejected() {
         let pool = tiny_pool(1);
         let arch = ArchConfig::tiny();
@@ -954,7 +993,7 @@ mod tests {
         // error (not block forever) and the machine must quarantine.
         let pool = tiny_pool(2);
         let arch = ArchConfig::tiny();
-        let program = pool.cache().get_or_compile(&[probe_stream()], &arch);
+        let program = pool.cache().get_or_compile(&[probe_stream()]);
         let slot = Slot::new();
         {
             let mut sched = crate::lock(&pool.shared.sched);
@@ -1208,10 +1247,9 @@ mod tests {
 
     #[test]
     fn take_riders_coalesces_same_program_within_group_budget() {
-        let cfg = ArchConfig::tiny();
-        let cache = ProgramCache::new(4);
-        let program = cache.get_or_compile(&[probe_stream()], &cfg);
-        let other = cache.get_or_compile(&[slow_stream(4)], &cfg);
+        let cache = ProgramCache::new(4, ArchConfig::tiny());
+        let program = cache.get_or_compile(&[probe_stream()]);
+        let other = cache.get_or_compile(&[slow_stream(4)]);
         let job = |program: &Arc<CachedProgram>| QueuedJob {
             tenant: 0,
             program: Arc::clone(program),

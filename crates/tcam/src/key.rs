@@ -28,8 +28,8 @@ impl PartialEq for SearchKey {
         // Accumulate with a non-short-circuiting `&` instead of the
         // derived per-element compare: keys are the bulk of an
         // instruction stream's bytes (a 256-column immediate per
-        // `SetKey`), and engines validate their compiled-trace caches by
-        // comparing whole streams per run — the branch-free reduction
+        // `SetKey`), and the serving layer's program cache confirms every
+        // hit by comparing whole streams — the branch-free reduction
         // vectorizes, the early-exit loop does not (~10× slower at
         // stream scale).
         self.bits.len() == other.bits.len()

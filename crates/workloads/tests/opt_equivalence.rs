@@ -8,15 +8,16 @@
 //! *encoding* of outputs may differ between levels (loop summarization
 //! moves result bits into encoded pairs); the decoded values may not.
 //!
-//! Also pins the trace-cache contract the optimizer relies on: optimized
-//! and unoptimized builds of the same kernel lower to *different* streams,
-//! so the content-addressed cache can never serve one build's traces for
-//! the other.
+//! Also pins the program-cache contract the optimizer relies on: optimized
+//! and unoptimized builds of the same kernel lower to streams with
+//! *different* [`stream_set_hash`] keys, so a content-addressed cache (the
+//! serving layer's `ProgramCache`) never even validates one build's
+//! program against the other.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
-use hyperap_arch::{ApMachine, ArchConfig, SlabMachine};
+use hyperap_arch::{stream_set_hash, ApMachine, ArchConfig, SlabMachine};
 use hyperap_compiler::{compile, CompileOptions, CompiledKernel, OPT_LEVEL_MAX};
 use hyperap_core::field::Slot;
 use hyperap_isa::Instruction;
@@ -190,14 +191,17 @@ fn optimized_and_unoptimized_streams_never_share_a_cache_key() {
         let built = kernels(src);
         let (_, s0) = &built[0];
         let (_, s2) = &built[OPT_LEVEL_MAX as usize];
-        // Different builds must lower to different streams — the trace
-        // cache is content-addressed, so equality here would let one
-        // build's compiled traces execute for the other.
-        assert_ne!(s0, s2, "opt and unopt streams are cache-identical");
+        // Different builds must lower to different cache keys.
+        assert_ne!(
+            stream_set_hash(std::slice::from_ref(s0)),
+            stream_set_hash(std::slice::from_ref(s2)),
+            "opt and unopt streams share a program-cache key"
+        );
 
         // Alternate the two builds on one machine. Op counts are a pure
-        // function of the dispatched stream, so a wrong cache hit after a
-        // switch would bill the *previous* build's op mix.
+        // function of the dispatched stream, so state left over from the
+        // previous build (a stale compiled program included) would bill
+        // that build's op mix.
         let fresh = |s: &Vec<Instruction>| {
             SlabMachine::new(ArchConfig::single_pe(ROWS))
                 .run(std::slice::from_ref(s))
@@ -210,7 +214,7 @@ fn optimized_and_unoptimized_streams_never_share_a_cache_key() {
             assert_eq!(
                 &m.run(std::slice::from_ref(stream)).group_ops,
                 want,
-                "trace cache served the other build's traces"
+                "a run billed the other build's op mix"
             );
         }
     }
