@@ -8,7 +8,7 @@
 //!   one job is ever in flight, so at most one pool machine is busy: this
 //!   is the no-concurrency baseline.
 //! * **saturation**: `2 × machines` submitters, window 8 — every machine
-//!   busy, queues non-empty, batching and work stealing active.
+//!   busy, the admission queue non-empty, batching active.
 //!
 //! Reported: jobs/s in both regimes, their ratio (`throughput_scaling`),
 //! p50/p99 submit-to-completion latency under saturation, max queue depth,
@@ -230,6 +230,9 @@ fn merge_serve_block(json: &str, block: &str) -> String {
 /// directory.
 const BENCH_JSON: &str = "target/BENCH_SIM.json";
 
+/// Jobs each submitter completes in the measured regimes.
+const JOBS_PER_SUBMITTER: usize = 300;
+
 /// Tiny-geometry correctness pass for CI: results under concurrency are
 /// cross-checked against isolated machines; nothing is written.
 fn smoke() -> i32 {
@@ -313,10 +316,6 @@ fn main() {
     let arch = bench_arch();
     let machines = hyperap_arch::par::logical_cpus().max(2);
     let parallel_pays = hyperap_arch::par::parallel_pays();
-    let jobs_per_submitter: usize = std::env::var("HYPERAP_SERVE_JOBS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(300);
 
     let kernels = vec![
         vec![add_stream(arch.cols, 32)],
@@ -330,17 +329,17 @@ fn main() {
     cfg.machines = machines;
     let single_pool = ServePool::new(cfg);
     let submitters = 2 * machines;
-    let single_jobs = submitters * jobs_per_submitter;
+    let single_jobs = submitters * JOBS_PER_SUBMITTER;
     let (single_s, _) = closed_loop(&single_pool, &kernels, &loads, 1, 1, single_jobs);
     let single_stats = single_pool.shutdown();
     assert_eq!(single_stats.completed_jobs, single_jobs as u64);
     let single_jps = single_jobs as f64 / single_s;
 
-    // Regime 2: saturation — every machine busy, queues non-empty.
+    // Regime 2: saturation — every machine busy, the queue non-empty.
     let mut cfg = ServeConfig::new(arch.clone());
     cfg.machines = machines;
     let pool = ServePool::new(cfg);
-    let (multi_s, lats) = closed_loop(&pool, &kernels, &loads, submitters, 8, jobs_per_submitter);
+    let (multi_s, lats) = closed_loop(&pool, &kernels, &loads, submitters, 8, JOBS_PER_SUBMITTER);
     let stats = pool.shutdown();
     assert_eq!(stats.completed_jobs, single_jobs as u64);
     let multi_jps = single_jobs as f64 / multi_s;

@@ -4,11 +4,9 @@
 //! Everything below the serving layer executes one program on one machine;
 //! this crate turns that into a service:
 //!
-//! * [`ServePool`] owns N machines, one per worker thread, and schedules
-//!   submitted jobs across them with work stealing: each worker drains its
-//!   own deque from the front and steals from the back of its peers' when
-//!   idle, so a burst landing on one tenant's stripe spreads over every
-//!   core.
+//! * [`ServePool`] owns N machines, one per worker thread, and one FIFO
+//!   of submitted jobs: any idle worker pops the front, so a burst spreads
+//!   over every machine in admission order.
 //! * [`ProgramCache`] is one shared, capacity-bounded LRU of
 //!   [`hyperap_arch::CompiledProgram`]s for the pool's geometry, keyed by
 //!   stream-set hash: N tenants submitting the same kernel compile it
@@ -24,8 +22,8 @@
 //!   cannot starve another's admission budget.
 //! * Fault fail-fast is pool-aware: a machine whose
 //!   [`hyperap_tcam::FaultError::SparesExhausted`] latches is quarantined
-//!   (its queue drained onto healthy workers, the machine marked unhealthy
-//!   in [`PoolStats`]) instead of poisoning unrelated tenants' jobs.
+//!   (the machine marked unhealthy in [`PoolStats`], the queue left to the
+//!   survivors) instead of poisoning unrelated tenants' jobs.
 //!
 //! Isolation is by construction: a machine is [`scrubbed`] back to its
 //! as-constructed state before every batch, so a job's results are

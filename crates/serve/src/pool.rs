@@ -1,18 +1,18 @@
-//! The machine pool: worker threads, work stealing, request batching,
-//! quarantine, and per-tenant accounting.
+//! The machine pool: worker threads, one admission queue, request
+//! batching, quarantine, and per-tenant accounting.
 //!
 //! # Scheduling shape
 //!
-//! One worker thread per machine. Admission stripes jobs round-robin over
-//! the healthy workers' deques; a worker pops its own deque from the
-//! front (FIFO for its stripe) and, when empty, steals from the **back**
-//! of the longest peer deque — the classic split that keeps a worker's
-//! own stripe in submission order while letting idle machines absorb
-//! another stripe's backlog.
+//! One worker thread per machine and one FIFO of queued jobs, in admission
+//! order. Every machine is scrubbed to its as-constructed state before each
+//! batch, so no job prefers a worker: an idle worker pops the front of the
+//! queue. The queue lives under the same lock as the tenant budgets and
+//! counters, so admission, batching and quarantine see one consistent
+//! state.
 //!
 //! # Batching
 //!
-//! When a worker picks up a job it scans the queues for riders: jobs with
+//! When a worker picks up a job it scans the queue for riders: jobs with
 //! the *same cached program* (pointer-equal `Arc` from the shared
 //! [`ProgramCache`], or equal key + streams across an eviction) that are
 //! batch-safe. Riders are placed on the next group
@@ -31,12 +31,13 @@
 //!
 //! A sweep that returns [`FaultError`] fails only the jobs in that sweep
 //! (each with a typed [`JobError::Fault`]); the machine is marked
-//! unhealthy, its queued jobs migrate to healthy workers, and the worker
-//! exits. A sweep that *panics* (an internal invariant violation) takes
-//! the same path with [`JobError::WorkerPanic`], so waiters never block
-//! on a slot a dead worker will not fill. The pool keeps serving on the
-//! survivors; submissions are refused with
-//! [`SubmitError::NoHealthyMachines`] only when the last machine is gone.
+//! unhealthy and the worker exits, leaving the queue to the survivors. A
+//! sweep that *panics* (an internal invariant violation) takes the same
+//! path with [`JobError::WorkerPanic`], so waiters never block on a slot a
+//! dead worker will not fill. The pool keeps serving on the survivors.
+//! When the last machine is gone, every queued job fails with
+//! [`JobError::PoolShutdown`] and submissions are refused with
+//! [`SubmitError::NoHealthyMachines`].
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
@@ -64,9 +65,6 @@ pub struct ServeConfig {
     pub tenant_queue_depth: usize,
     /// Shared program-cache capacity (compiled programs).
     pub cache_capacity: usize,
-    /// Upper bound on jobs coalesced into one sweep (the machine's group
-    /// count bounds it regardless).
-    pub max_batch_jobs: usize,
     /// When set, a machine being quarantined first dumps its full state
     /// (slabs, wear, fault bookkeeping, op counters) as an atomic
     /// checkpoint under `<dir>/machine-<index>/`, so the faulted state can
@@ -76,16 +74,17 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Defaults: one machine per schedulable CPU (minimum 2, so batching
-    /// and stealing exist even on a 1-CPU host), a 64-job tenant budget,
-    /// and a 32-program cache.
+    /// Defaults: one machine per schedulable CPU, a 64-job tenant budget,
+    /// and a 32-program cache. The minimum is 2 machines even on a 1-CPU
+    /// host, so a quarantine leaves a survivor serving the queue, and the
+    /// default pool (the one perfbench's `serve_open` measures) has the
+    /// same shape on every host.
     pub fn new(arch: ArchConfig) -> Self {
         ServeConfig {
             arch,
             machines: hyperap_arch::par::logical_cpus().max(2),
             tenant_queue_depth: 64,
             cache_capacity: 32,
-            max_batch_jobs: usize::MAX,
             postmortem_dir: None,
         }
     }
@@ -182,20 +181,26 @@ struct QueuedJob {
     slot: Arc<Slot>,
 }
 
-/// Everything the scheduler mutates, under one lock: the deques, health,
+/// One tenant's accounting and its count of queued jobs (the admission
+/// budget).
+#[derive(Default)]
+struct Tenant {
+    stats: TenantStats,
+    queued: usize,
+}
+
+/// Everything the scheduler mutates, under one lock: the queue, health,
 /// per-tenant budgets, and counters. Jobs are short (microseconds to
 /// milliseconds of sweep work per lock acquisition), so a single lock is
-/// contended far below the point where striping it would matter; what the
-/// *policy* distributes is machine time, via the deque discipline above.
+/// contended far below the point where splitting it would matter.
+#[derive(Default)]
 struct Sched {
-    deques: Vec<VecDeque<QueuedJob>>,
-    healthy: Vec<bool>,
-    tenant_depth: HashMap<TenantId, usize>,
-    tenants: HashMap<TenantId, TenantStats>,
+    /// Queued jobs in admission order.
+    queue: VecDeque<QueuedJob>,
+    tenants: HashMap<TenantId, Tenant>,
+    /// Machines not yet quarantined.
+    healthy: usize,
     quarantined: Vec<QuarantineReport>,
-    /// Round-robin cursor for admission striping.
-    rr: usize,
-    depth: usize,
     max_depth: usize,
     sweeps: u64,
     batched_jobs: u64,
@@ -203,80 +208,51 @@ struct Sched {
 }
 
 impl Sched {
-    fn healthy_count(&self) -> usize {
-        self.healthy.iter().filter(|&&h| h).count()
-    }
-
     fn tenant(&mut self, t: TenantId) -> &mut TenantStats {
-        self.tenants.entry(t).or_default()
+        &mut self.tenants.entry(t).or_default().stats
     }
 
-    /// Remove and return the next job for worker `w`: own deque front
-    /// first, else the back of the longest peer deque.
-    fn next_job(&mut self, w: usize) -> Option<QueuedJob> {
-        if let Some(job) = self.deques[w].pop_front() {
-            self.depth -= 1;
-            *self
-                .tenant_depth
-                .get_mut(&job.tenant)
-                .expect("queued tenant") -= 1;
-            return Some(job);
-        }
-        let victim = (0..self.deques.len())
-            .filter(|&v| v != w && !self.deques[v].is_empty())
-            .max_by_key(|&v| self.deques[v].len())?;
-        let job = self.deques[victim].pop_back().expect("non-empty victim");
-        self.depth -= 1;
-        *self
-            .tenant_depth
+    /// Remove and return the queued job at `i`, releasing its tenant's
+    /// budget slot.
+    fn dequeue(&mut self, i: usize) -> Option<QueuedJob> {
+        let job = self.queue.remove(i)?;
+        self.tenants
             .get_mut(&job.tenant)
-            .expect("queued tenant") -= 1;
+            .expect("admission created the tenant's entry")
+            .queued -= 1;
         Some(job)
     }
 
-    /// Pull batch riders for `primary` out of the queues: same cached
-    /// program, batch-safe, while the group budget and batch bound last.
-    /// Scans every deque front-to-back (own first) so riders complete in
-    /// roughly admission order.
-    fn take_riders(
-        &mut self,
-        w: usize,
-        primary: &QueuedJob,
-        machine_groups: usize,
-        max_batch: usize,
-    ) -> Vec<QueuedJob> {
+    /// Fail every queued job with [`JobError::PoolShutdown`].
+    fn fail_queued(&mut self) {
+        while let Some(job) = self.dequeue(0) {
+            job.slot.fulfill(Err(JobError::PoolShutdown));
+        }
+    }
+
+    /// Pull batch riders for `primary` out of the queue: same cached
+    /// program, batch-safe, while the machine's group budget lasts.
+    /// Scans front to back, so riders come in admission order.
+    fn take_riders(&mut self, primary: &QueuedJob, machine_groups: usize) -> Vec<QueuedJob> {
         let mut riders = Vec::new();
         if !primary.batchable {
             return riders;
         }
         let mut groups = primary.program.streams.len();
-        let order: Vec<usize> = std::iter::once(w)
-            .chain((0..self.deques.len()).filter(|&v| v != w))
-            .collect();
-        'scan: for v in order {
-            let mut i = 0;
-            while i < self.deques[v].len() {
-                if riders.len() + 1 >= max_batch {
-                    break 'scan;
-                }
-                let job = &self.deques[v][i];
-                let fits = job.batchable
-                    && groups + job.program.streams.len() <= machine_groups
-                    && (Arc::ptr_eq(&job.program, &primary.program)
-                        || (job.program.key == primary.program.key
-                            && job.program.streams == primary.program.streams));
-                if fits {
-                    let job = self.deques[v].remove(i).expect("indexed job");
-                    self.depth -= 1;
-                    *self
-                        .tenant_depth
-                        .get_mut(&job.tenant)
-                        .expect("queued tenant") -= 1;
-                    groups += job.program.streams.len();
-                    riders.push(job);
-                } else {
-                    i += 1;
-                }
+        let mut i = 0;
+        while i < self.queue.len() && groups < machine_groups {
+            let job = &self.queue[i];
+            let fits = job.batchable
+                && groups + job.program.streams.len() <= machine_groups
+                && (Arc::ptr_eq(&job.program, &primary.program)
+                    || (job.program.key == primary.program.key
+                        && job.program.streams == primary.program.streams));
+            if fits {
+                let job = self.dequeue(i).expect("indexed job");
+                groups += job.program.streams.len();
+                riders.push(job);
+            } else {
+                i += 1;
             }
         }
         riders
@@ -324,17 +300,8 @@ impl ServePool {
         let shared = Arc::new(Shared {
             cache: ProgramCache::new(cfg.cache_capacity, cfg.arch.clone()),
             sched: Mutex::new(Sched {
-                deques: (0..machines).map(|_| VecDeque::new()).collect(),
-                healthy: vec![true; machines],
-                tenant_depth: HashMap::new(),
-                tenants: HashMap::new(),
-                quarantined: Vec::new(),
-                rr: 0,
-                depth: 0,
-                max_depth: 0,
-                sweeps: 0,
-                batched_jobs: 0,
-                shutdown: false,
+                healthy: machines,
+                ..Sched::default()
             }),
             work: Condvar::new(),
             cfg,
@@ -418,37 +385,29 @@ impl ServePool {
         if sched.shutdown {
             return Err(SubmitError::ShuttingDown);
         }
-        if sched.healthy_count() == 0 {
+        if sched.healthy == 0 {
             return Err(SubmitError::NoHealthyMachines);
         }
         let depth_bound = self.shared.cfg.tenant_queue_depth;
-        if sched.tenant_depth.get(&spec.tenant).copied().unwrap_or(0) >= depth_bound {
-            sched.tenant(spec.tenant).rejected += 1;
+        let tenant = sched.tenants.entry(spec.tenant).or_default();
+        if tenant.queued >= depth_bound {
+            tenant.stats.rejected += 1;
             return Err(SubmitError::QueueFull {
                 tenant: spec.tenant,
                 depth: depth_bound,
             });
         }
-        *sched.tenant_depth.entry(spec.tenant).or_insert(0) += 1;
-        sched.depth += 1;
-        sched.max_depth = sched.max_depth.max(sched.depth);
-        sched.tenant(spec.tenant).submitted += 1;
-        // Stripe to the next healthy worker.
-        let n = sched.deques.len();
-        let start = sched.rr;
-        let w = (0..n)
-            .map(|i| (start + i) % n)
-            .find(|&w| sched.healthy[w])
-            .expect("healthy machine exists");
-        sched.rr = (w + 1) % n;
+        tenant.queued += 1;
+        tenant.stats.submitted += 1;
         let slot = Slot::new();
-        sched.deques[w].push_back(QueuedJob {
+        sched.queue.push_back(QueuedJob {
             tenant: spec.tenant,
             program,
             loads: spec.loads,
             batchable,
             slot: Arc::clone(&slot),
         });
+        sched.max_depth = sched.max_depth.max(sched.queue.len());
         drop(sched);
         self.shared.work.notify_all();
         Ok(JobHandle {
@@ -461,19 +420,19 @@ impl ServePool {
     pub fn stats(&self) -> PoolStats {
         let sched = crate::lock(&self.shared.sched);
         let mut tenants: Vec<(TenantId, TenantStats)> =
-            sched.tenants.iter().map(|(&t, &s)| (t, s)).collect();
+            sched.tenants.iter().map(|(&t, e)| (t, e.stats)).collect();
         tenants.sort_by_key(|&(t, _)| t);
         let totals = |f: fn(&TenantStats) -> u64| tenants.iter().map(|(_, s)| f(s)).sum();
         PoolStats {
             machines: self.shared.cfg.machines,
-            healthy_machines: sched.healthy_count(),
+            healthy_machines: sched.healthy,
             completed_jobs: totals(|s| s.completed),
             rejected_jobs: totals(|s| s.rejected),
             faulted_jobs: totals(|s| s.faulted),
             sweeps: sched.sweeps,
             batched_jobs: sched.batched_jobs,
             max_queue_depth: sched.max_depth,
-            queue_depth: sched.depth,
+            queue_depth: sched.queue.len(),
             cache: self.shared.cache.stats(),
             quarantined: sched.quarantined.clone(),
             tenants,
@@ -493,16 +452,7 @@ impl ServePool {
         {
             let mut sched = crate::lock(&self.shared.sched);
             sched.shutdown = true;
-            for w in 0..sched.deques.len() {
-                while let Some(job) = sched.deques[w].pop_front() {
-                    sched.depth -= 1;
-                    *sched
-                        .tenant_depth
-                        .get_mut(&job.tenant)
-                        .expect("queued tenant") -= 1;
-                    job.slot.fulfill(Err(JobError::PoolShutdown));
-                }
-            }
+            sched.fail_queued();
         }
         self.shared.work.notify_all();
         for worker in self.workers.drain(..) {
@@ -525,12 +475,11 @@ fn worker_loop(shared: &Shared, w: usize) {
         let batch = {
             let mut sched = crate::lock(&shared.sched);
             loop {
-                if sched.shutdown || !sched.healthy[w] {
+                if sched.shutdown {
                     return;
                 }
-                if let Some(primary) = sched.next_job(w) {
-                    let mut batch =
-                        sched.take_riders(w, &primary, machine_groups, shared.cfg.max_batch_jobs);
+                if let Some(primary) = sched.dequeue(0) {
+                    let mut batch = sched.take_riders(&primary, machine_groups);
                     batch.insert(0, primary);
                     break batch;
                 }
@@ -538,10 +487,10 @@ fn worker_loop(shared: &Shared, w: usize) {
             }
         };
         // A panic inside the sweep (an internal assert, not a modeled
-        // fault) must not strand the batch: waiters would block forever on
-        // slots nobody will fill while admission keeps striping jobs to a
-        // dead worker. Catch it, quarantine like the fault path, and fail
-        // the batch with a typed error before the worker exits.
+        // fault) must not strand the batch: its waiters would block forever
+        // on slots nobody will fill. Catch it, quarantine like the fault
+        // path, and fail the batch with a typed error before the worker
+        // exits.
         let swept = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_batch(&mut machine, w, per, &batch)
         }));
@@ -675,9 +624,8 @@ fn postmortem_dump(shared: &Shared, w: usize, machine: &SlabMachine) -> Option<s
     Some(dir)
 }
 
-/// Mark machine `w` unhealthy and migrate its queued jobs to healthy
-/// workers (or fail them with [`JobError::PoolShutdown`] when none
-/// remain).
+/// Record machine `w`'s quarantine. The survivors keep serving the queue;
+/// when none remain, every queued job fails with [`JobError::PoolShutdown`].
 fn quarantine(
     shared: &Shared,
     w: usize,
@@ -686,7 +634,7 @@ fn quarantine(
     postmortem: Option<std::path::PathBuf>,
 ) {
     let mut sched = crate::lock(&shared.sched);
-    sched.healthy[w] = false;
+    sched.healthy -= 1;
     sched.quarantined.push(QuarantineReport {
         machine: w,
         cause,
@@ -696,24 +644,9 @@ fn quarantine(
     for job in batch {
         sched.tenant(job.tenant).faulted += 1;
     }
-    let stranded: Vec<QueuedJob> = sched.deques[w].drain(..).collect();
-    let healthy: Vec<usize> = (0..sched.deques.len())
-        .filter(|&v| sched.healthy[v])
-        .collect();
-    for (i, job) in stranded.into_iter().enumerate() {
-        if healthy.is_empty() {
-            sched.depth -= 1;
-            *sched
-                .tenant_depth
-                .get_mut(&job.tenant)
-                .expect("queued tenant") -= 1;
-            job.slot.fulfill(Err(JobError::PoolShutdown));
-        } else {
-            sched.deques[healthy[i % healthy.len()]].push_back(job);
-        }
+    if sched.healthy == 0 {
+        sched.fail_queued();
     }
-    drop(sched);
-    shared.work.notify_all();
 }
 
 #[cfg(test)]
@@ -766,6 +699,23 @@ mod tests {
         ));
         s.push(Instruction::Count);
         s
+    }
+
+    fn queued(tenant: TenantId, program: &Arc<CachedProgram>, loads: Vec<CellLoad>) -> QueuedJob {
+        QueuedJob {
+            tenant,
+            program: Arc::clone(program),
+            loads,
+            batchable: true,
+            slot: Slot::new(),
+        }
+    }
+
+    /// Queue `job` behind submit()'s back, with the budget accounting
+    /// submit would do.
+    fn inject(sched: &mut Sched, job: QueuedJob) {
+        sched.tenants.entry(job.tenant).or_default().queued += 1;
+        sched.queue.push_back(job);
     }
 
     fn tiny_pool(machines: usize) -> ServePool {
@@ -994,26 +944,17 @@ mod tests {
         let pool = tiny_pool(2);
         let arch = ArchConfig::tiny();
         let program = pool.cache().get_or_compile(&[probe_stream()]);
-        let slot = Slot::new();
-        {
-            let mut sched = crate::lock(&pool.shared.sched);
-            sched.deques[0].push_back(QueuedJob {
-                tenant: 9,
-                program,
-                loads: vec![CellLoad {
-                    pe: arch.total_pes(),
-                    row: 0,
-                    col: 0,
-                    value: true,
-                }],
-                batchable: true,
-                slot: Arc::clone(&slot),
-            });
-            sched.depth += 1;
-            sched.tenant_depth.insert(9, 1);
-        }
+        let bad = CellLoad {
+            pe: arch.total_pes(),
+            row: 0,
+            col: 0,
+            value: true,
+        };
+        let job = queued(9, &program, vec![bad]);
+        let slot = Arc::clone(&job.slot);
+        inject(&mut crate::lock(&pool.shared.sched), job);
         pool.shared.work.notify_all();
-        // Either worker may pick the job up (the idle peer can steal it).
+        // Either idle worker may pop the job.
         let err = (JobHandle { slot, tenant: 9 }).wait().unwrap_err();
         let JobError::WorkerPanic { machine } = err else {
             panic!("expected a worker panic, got {err:?}");
@@ -1250,47 +1191,107 @@ mod tests {
         let cache = ProgramCache::new(4, ArchConfig::tiny());
         let program = cache.get_or_compile(&[probe_stream()]);
         let other = cache.get_or_compile(&[slow_stream(4)]);
-        let job = |program: &Arc<CachedProgram>| QueuedJob {
-            tenant: 0,
-            program: Arc::clone(program),
-            loads: vec![],
-            batchable: true,
-            slot: Slot::new(),
-        };
-        let mut sched = Sched {
-            deques: vec![VecDeque::new(), VecDeque::new()],
-            healthy: vec![true; 2],
-            tenant_depth: HashMap::from([(0, 4)]),
-            tenants: HashMap::new(),
-            quarantined: Vec::new(),
-            rr: 0,
-            depth: 4,
-            max_depth: 4,
-            sweeps: 0,
-            batched_jobs: 0,
-            shutdown: false,
-        };
-        sched.deques[0].push_back(job(&program));
-        sched.deques[0].push_back(job(&other)); // different program: stays
-        sched.deques[1].push_back(job(&program));
-        sched.deques[1].push_back(job(&program));
-        let primary = sched.next_job(0).unwrap();
+        let mut sched = Sched::default();
+        // Tenant ids record admission order; tenant 1 runs another program.
+        for t in 0..5 {
+            let p = if t == 1 { &other } else { &program };
+            inject(&mut sched, queued(t, p, vec![]));
+        }
+        let primary = sched.dequeue(0).unwrap();
         // tiny() has 2 groups; the primary takes one, so exactly one
-        // 1-group rider fits, pulled from worker 0's own deque first —
-        // but the next own-deque job is a different program, so the
-        // rider comes from worker 1.
-        let riders = sched.take_riders(0, &primary, 2, usize::MAX);
-        assert_eq!(riders.len(), 1);
+        // 1-group rider fits: the first compatible job behind it.
+        let riders = sched.take_riders(&primary, 2);
+        let tenants = |jobs: &[QueuedJob]| jobs.iter().map(|j| j.tenant).collect::<Vec<_>>();
+        assert_eq!(tenants(&riders), [2]);
         assert!(Arc::ptr_eq(&riders[0].program, &primary.program));
-        assert_eq!(sched.depth, 2);
-        // With a 4-group machine every same-program job rides.
-        let riders = sched.take_riders(0, &primary, 4, usize::MAX);
-        assert_eq!(riders.len(), 1, "only one compatible job remains");
-        assert_eq!(sched.deques[0].len(), 1, "incompatible job stays queued");
-        // A non-batchable primary never takes riders.
-        let mut solo = sched.next_job(0).unwrap();
+        assert_eq!(tenants(sched.queue.make_contiguous()), [1, 3, 4]);
+        // With a 4-group machine every remaining same-program job rides,
+        // in admission order.
+        let riders = sched.take_riders(&primary, 4);
+        assert_eq!(tenants(&riders), [3, 4]);
+        assert_eq!(
+            tenants(sched.queue.make_contiguous()),
+            [1],
+            "incompatible job keeps its place"
+        );
+        assert_eq!(sched.tenants[&2].queued, 0, "riders release their budget");
+        // A non-batchable primary never takes riders, even of its own
+        // program.
+        let mut solo = sched.dequeue(0).unwrap();
         solo.batchable = false;
-        assert!(sched.take_riders(0, &solo, 4, usize::MAX).is_empty());
+        inject(&mut sched, queued(5, &other, vec![]));
+        assert!(sched.take_riders(&solo, 4).is_empty());
+        assert_eq!(sched.queue.len(), 1);
+    }
+
+    #[test]
+    fn last_quarantine_fails_queued_jobs_and_refuses_submits() {
+        let mut arch = ArchConfig::tiny();
+        arch.faults.model = FaultModel {
+            seed: 11,
+            stuck_per_million: 0,
+            miss_per_million: 0,
+            endurance_limit: Some(2),
+        };
+        arch.faults.spare_cols = 0;
+        let mut cfg = ServeConfig::new(arch);
+        cfg.machines = 1;
+        let pool = ServePool::new(cfg);
+        // Three separated writes to one column wear it out with zero
+        // spares (see `spares_exhaustion_quarantines_only_one_machine`).
+        let mut wear_out = vec![setkey("1-")];
+        for _ in 0..3 {
+            wear_out.push(SEARCH);
+            wear_out.push(Instruction::Write {
+                col: 0,
+                encode: false,
+            });
+        }
+        let faulting = pool.cache().get_or_compile(&[wear_out]);
+        let probe = pool.cache().get_or_compile(&[probe_stream()]);
+        // Queue the faulting job and two jobs behind it in one critical
+        // section, so the only worker pops the faulting job first and the
+        // others are still queued when it quarantines.
+        let jobs = [
+            queued(0, &faulting, vec![]),
+            queued(1, &probe, vec![]),
+            queued(2, &probe, vec![]),
+        ];
+        let slots: Vec<Arc<Slot>> = jobs.iter().map(|j| Arc::clone(&j.slot)).collect();
+        {
+            let mut sched = crate::lock(&pool.shared.sched);
+            for mut job in jobs {
+                job.batchable = false;
+                inject(&mut sched, job);
+            }
+        }
+        pool.shared.work.notify_all();
+        let results: Vec<_> = slots
+            .into_iter()
+            .zip(0..)
+            .map(|(slot, tenant)| JobHandle { slot, tenant }.wait())
+            .collect();
+        assert!(matches!(
+            results[0],
+            Err(JobError::Fault { machine: 0, .. })
+        ));
+        assert_eq!(
+            results[1..],
+            [Err(JobError::PoolShutdown), Err(JobError::PoolShutdown)]
+        );
+        let stats = pool.stats();
+        assert_eq!(stats.queue_depth, 0);
+        assert_eq!(stats.healthy_machines, 0);
+        assert_eq!(stats.faulted_jobs, 1);
+        assert_eq!(
+            pool.submit(JobSpec {
+                tenant: 1,
+                streams: vec![probe_stream()],
+                loads: vec![],
+            })
+            .unwrap_err(),
+            SubmitError::NoHealthyMachines
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Concurrency property tests for the serving layer's core guarantee:
 //! N submitter threads sharing one [`ServePool`] — one program cache, one
-//! machine pool, work stealing, batching, scrub-on-assign — get results
+//! machine pool, one admission queue, batching, scrub-on-assign — get results
 //! **bit-identical** to running each job alone on a fresh machine of its
 //! own size.
 //!
